@@ -1,20 +1,22 @@
 """Benchmark: the group-keyed ledger on a pure pair (all-pairs) workload.
 
-The group-keyed refactor rewired the incremental balancer onto the
-ledger's *group* notification channel (``subscribe_groups``): every pair
-mutation is mirrored to group subscribers as a size-2 key event, and the
-balancer dispatches those back into its pair-keyed dirty set.  That extra
-hop (canonical ``edge_key`` construction + one dispatch per mutation) is
-the only cost the refactor adds to workloads that never touch a GHZ group
-— i.e. every pre-existing experiment.
+The ledger mirrors every pair mutation to its *group* notification
+channel (``subscribe_groups``) as a size-2 key event.  A listener wired
+there instead of on the pair channel pays one extra hop per mutation
+(canonical ``edge_key`` construction + one dispatch); that hop is the
+only cost the group-keyed ledger adds to workloads that never touch a GHZ
+group — i.e. every pre-existing experiment.
 
-Acceptance criterion: on an all-pairs balancing workload the group-channel
-wiring costs **< 10%** over hand-wiring the same balancer to the
-historical pair channel, and reaches a bit-identical fixed point.
+Acceptance criterion: on an all-pairs balancing workload, wiring the
+incremental balancer's mirror through the group channel costs **< 10%**
+over the pair channel it ships on, and reaches a bit-identical fixed
+point.
 """
 
 from __future__ import annotations
 
+import statistics
+import time
 from itertools import combinations
 
 import numpy as np
@@ -26,12 +28,22 @@ from repro.core.maxmin.ledger import PairCountLedger
 N_NODES = 40
 
 
+def group_listener(balancer):
+    """The balancer's pair listener behind the group channel (pairs only)."""
+
+    def on_group_mutation(group, old, new):
+        if len(group) == 2:
+            balancer._on_mutation(group[0], group[1], old, new)
+
+    return on_group_mutation
+
+
 def _converge(wiring: str):
     """Balance an all-pairs ledger to convergence under one wiring.
 
-    ``"group"`` is the shipped configuration (the balancer subscribes via
-    ``subscribe_groups``); ``"pair"`` rewires the same listener onto the
-    historical pair channel, isolating exactly the refactor's added hop.
+    ``"pair"`` is the shipped configuration (the balancer subscribes via
+    ``subscribe``); ``"group"`` rewires the same listener onto the group
+    channel, isolating exactly the group layer's added hop.
     """
     ledger = PairCountLedger(range(N_NODES))
     seed_rng = np.random.default_rng(3)
@@ -40,9 +52,9 @@ def _converge(wiring: str):
     balancer = IncrementalMaxMinBalancer(
         ledger, rng=np.random.default_rng(0), keep_records=False
     )
-    if wiring == "pair":
-        ledger.unsubscribe_groups(balancer._on_group_mutation)
-        ledger.subscribe(balancer._on_mutation)
+    if wiring == "group":
+        ledger.unsubscribe(balancer._on_mutation)
+        ledger.subscribe_groups(group_listener(balancer))
     rounds = balancer.balance_to_convergence(max_rounds=5000)
     return rounds, ledger.nonzero_pairs()
 
@@ -56,11 +68,27 @@ def test_both_wirings_reach_identical_fixed_points():
     assert group_state == pair_state
 
 
-def test_group_channel_overhead_under_10_percent(median_time):
-    """Acceptance criterion: < 10% overhead on the all-pairs workload."""
-    group_seconds = median_time(lambda: _converge("group"), repeats=5)
-    pair_seconds = median_time(lambda: _converge("pair"), repeats=5)
-    overhead = group_seconds / pair_seconds - 1.0
+def test_group_channel_overhead_under_10_percent():
+    """Acceptance criterion: < 10% overhead on the all-pairs workload.
+
+    The wirings are timed in alternation and the overhead is the median
+    over the twenty-five adjacent (pair, group) samples: both convergences
+    of a sample run under the same machine load, so a change in load,
+    between blocks of samples or from one ~30 ms convergence to the next,
+    cancels out of each sample's ratio.
+    """
+    samples = {"group": [], "pair": []}
+    for repeat in range(26):
+        for wiring in samples:
+            start = time.perf_counter()
+            _converge(wiring)
+            if repeat:  # the first round is the warmup
+                samples[wiring].append(time.perf_counter() - start)
+    group_seconds = statistics.median(samples["group"])
+    pair_seconds = statistics.median(samples["pair"])
+    overhead = statistics.median(
+        group / pair for group, pair in zip(samples["group"], samples["pair"])
+    ) - 1.0
     print(
         f"\nall-pairs convergence on {N_NODES} nodes: pair channel "
         f"{pair_seconds * 1e3:.1f} ms, group channel {group_seconds * 1e3:.1f} ms "

@@ -11,6 +11,9 @@ entry in the checked-in trajectory.
 
 from __future__ import annotations
 
+import statistics
+import time
+
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_trial
 from repro.obs import spans as spans_mod
@@ -24,26 +27,35 @@ TRIAL = ExperimentConfig(
 )
 
 
-def test_enabled_span_overhead_under_five_percent(median_time):
-    """A fully instrumented trial costs < 5% over the same trial untracked."""
+def test_enabled_span_overhead_under_five_percent():
+    """A fully instrumented trial costs < 5% over the same trial untracked.
 
-    def plain():
-        run_trial(TRIAL)
-
-    def instrumented():
-        run_trial(TRIAL)
-        SPAN_BUFFER.clear()
-
-    enable(False)
-    disabled_seconds = median_time(plain, repeats=9, warmup=2)
-    enable(True)
+    Plain and instrumented trials are timed in alternation and the ratio
+    is the median over the twenty-five adjacent (plain, instrumented)
+    pairs: the two trials of a pair run under the same machine load, so a
+    change in load, between blocks of trials or from one trial to the
+    next, cancels out of each pair's ratio.
+    """
+    samples = {False: [], True: []}
     try:
-        enabled_seconds = median_time(instrumented, repeats=9, warmup=2)
+        for repeat in range(27):
+            for enabled in samples:
+                enable(enabled)
+                start = time.perf_counter()
+                run_trial(TRIAL)
+                SPAN_BUFFER.clear()
+                elapsed = time.perf_counter() - start
+                if repeat >= 2:  # the first two rounds are the warmup
+                    samples[enabled].append(elapsed)
     finally:
         enable(False)
         SPAN_BUFFER.clear()
+    disabled_seconds = statistics.median(samples[False])
+    enabled_seconds = statistics.median(samples[True])
 
-    ratio = enabled_seconds / disabled_seconds
+    ratio = statistics.median(
+        enabled / disabled for disabled, enabled in zip(samples[False], samples[True])
+    )
     print(
         f"\nobs overhead: disabled {disabled_seconds * 1e3:.2f} ms, "
         f"enabled {enabled_seconds * 1e3:.2f} ms, ratio {ratio:.3f}"

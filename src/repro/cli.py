@@ -23,11 +23,12 @@ both leave the reported numbers bit-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.experiments.api import RESULT_FORMATS, Experiment, RuntimeOptions
 from repro.experiments.registry import get_experiment, iter_experiments
@@ -140,15 +141,88 @@ def _add_payload_output_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_tool_subcommands(subparsers) -> None:
-    profile = subparsers.add_parser(
-        "profile",
-        help="run a registered experiment under cProfile and report hotspots",
-        description="Run a registered experiment under cProfile; the report "
-        "aggregates cumulative time per function and per repro module and is "
-        "validated against repro/perf schema 'profile' before delivery.",
-        allow_abbrev=False,
+class _DeferredParsers(dict):
+    """Subcommand name -> parser, each parser built when first looked up.
+
+    Every read that hands out parsers (``[]``, ``get``, ``values``,
+    ``items``) builds them first, so callers only ever see real parsers.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._builders: Dict[str, Callable[[], argparse.ArgumentParser]] = {}
+
+    def defer(self, name: str, build: Callable[[], argparse.ArgumentParser]) -> None:
+        self._builders[name] = build
+        dict.__setitem__(self, name, None)
+
+    def __getitem__(self, name: str) -> argparse.ArgumentParser:
+        build = self._builders.pop(name, None)
+        if build is not None:
+            dict.__setitem__(self, name, build())
+        return dict.__getitem__(self, name)
+
+    def get(self, name, default=None):
+        return self[name] if name in self else default
+
+    def values(self):
+        return [self[name] for name in self]
+
+    def items(self):
+        return [(name, self[name]) for name in self]
+
+
+class _DeferredSubcommands(argparse._SubParsersAction):
+    """The subcommand action, building a subcommand's parser only when used.
+
+    ``repro <name> ...`` parses the flags of one subcommand, and the listing
+    in ``repro --help`` needs only names and summaries; building every
+    subcommand's parser up front was most of the cost of a dispatch.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._name_parser_map = self.choices = _DeferredParsers()
+
+    def add_deferred_parser(
+        self,
+        name: str,
+        populate: Callable[[argparse.ArgumentParser], None],
+        help: str,
+        **kwargs: Any,
+    ) -> None:
+        """Register subcommand ``name``; ``populate`` adds its arguments on first use.
+
+        ``kwargs`` are :class:`argparse.ArgumentParser` arguments, as for
+        ``add_parser``.
+        """
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+
+        def build() -> argparse.ArgumentParser:
+            parser = self._parser_class(prog=f"{self._prog_prefix} {name}", **kwargs)
+            populate(parser)
+            return parser
+
+        self.choices.defer(name, build)
+
+
+def _populate_experiment(experiment: Experiment, subparser: argparse.ArgumentParser) -> None:
+    """An experiment's flags: its ParamSpec table plus the shared surfaces."""
+    for spec in experiment.cli_specs():
+        spec.add_to_parser(subparser)
+    if experiment.supports_runtime:
+        _add_runtime_flags(subparser)
+    _add_output_flags(subparser)
+    _add_telemetry_flag(subparser)
+    # `repro <name> --list` keeps the listing behaviour (distinct dest:
+    # argparse copies the subparser namespace over the parent's, which
+    # would otherwise clobber a pre-subcommand --list with the default).
+    subparser.add_argument(
+        "--list", dest="sub_list", action="store_true", help=argparse.SUPPRESS
     )
+
+
+def _populate_profile(profile: argparse.ArgumentParser) -> None:
     profile.add_argument("target", metavar="experiment", help="registered experiment to profile")
     profile.add_argument(
         "--smoke",
@@ -164,15 +238,8 @@ def _add_tool_subcommands(subparsers) -> None:
     )
     _add_payload_output_flags(profile)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="emit the benchmark trajectory (median-of-k wall times, BENCH_10.json)",
-        description="Re-run the benchmarks/ workloads deterministically and emit "
-        "the BENCH trajectory document: per-benchmark median-of-k wall times, "
-        "kernel speedups vs the pure-Python references, machine fingerprint and "
-        "git revision.",
-        allow_abbrev=False,
-    )
+
+def _populate_bench(bench: argparse.ArgumentParser) -> None:
     bench.add_argument(
         "--quick",
         action="store_true",
@@ -194,16 +261,8 @@ def _add_tool_subcommands(subparsers) -> None:
     )
     _add_payload_output_flags(bench)
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the persistent experiment daemon (newline-delimited JSON over a socket)",
-        description="Start the long-running experiment service: accepts submit/"
-        "status/result/cancel/list/health/stats requests over a Unix or TCP "
-        "socket, executes jobs through a priority queue with token-bucket "
-        "admission, streams progress to subscribers, and shares one result "
-        "cache across all clients.  SIGTERM drains running jobs and exits 0.",
-        allow_abbrev=False,
-    )
+
+def _populate_serve(serve: argparse.ArgumentParser) -> None:
     endpoint = serve.add_mutually_exclusive_group(required=True)
     endpoint.add_argument(
         "--socket", metavar="PATH", help="listen on a Unix domain socket at PATH"
@@ -282,16 +341,8 @@ def _add_tool_subcommands(subparsers) -> None:
         help="flush the final stats snapshot to FILE on graceful shutdown",
     )
 
-    submit = subparsers.add_parser(
-        "submit",
-        help="submit an experiment to a running serve daemon and print its result",
-        description="Submit one experiment to a `repro serve` daemon.  The "
-        "experiment's own flags follow its name exactly as in one-shot mode "
-        "(e.g. `repro submit figure4 --smoke --connect /tmp/repro.sock`); "
-        "results are bit-identical to a local run but shared through the "
-        "daemon's cache.",
-        allow_abbrev=False,
-    )
+
+def _populate_submit(submit: argparse.ArgumentParser) -> None:
     submit.add_argument("target", metavar="experiment", help="registered experiment to submit")
     submit.add_argument(
         "--connect",
@@ -327,15 +378,8 @@ def _add_tool_subcommands(subparsers) -> None:
     )
     _add_output_flags(submit)
 
-    obs = subparsers.add_parser(
-        "obs",
-        help="inspect a recorded telemetry stream (render a summary or a Chrome trace)",
-        description="Inspect a telemetry JSONL stream recorded with "
-        "`repro <experiment> --telemetry FILE`: `render` validates the stream "
-        "and prints a human-readable summary; `chrome` converts it to a Chrome "
-        "trace-event JSON loadable in chrome://tracing or Perfetto.",
-        allow_abbrev=False,
-    )
+
+def _populate_obs(obs: argparse.ArgumentParser) -> None:
     obs.add_argument(
         "action",
         choices=("render", "chrome"),
@@ -352,6 +396,60 @@ def _add_tool_subcommands(subparsers) -> None:
         "--force",
         action="store_true",
         help="overwrite the --output file if it already exists",
+    )
+
+
+def _add_tool_subcommands(subparsers) -> None:
+    subparsers.add_deferred_parser(
+        "profile",
+        help="run a registered experiment under cProfile and report hotspots",
+        description="Run a registered experiment under cProfile; the report "
+        "aggregates cumulative time per function and per repro module and is "
+        "validated against repro/perf schema 'profile' before delivery.",
+        allow_abbrev=False,
+        populate=_populate_profile,
+    )
+    subparsers.add_deferred_parser(
+        "bench",
+        help="emit the benchmark trajectory (median-of-k wall times, BENCH_10.json)",
+        description="Re-run the benchmarks/ workloads deterministically and emit "
+        "the BENCH trajectory document: per-benchmark median-of-k wall times, "
+        "kernel speedups vs the pure-Python references, machine fingerprint and "
+        "git revision.",
+        allow_abbrev=False,
+        populate=_populate_bench,
+    )
+    subparsers.add_deferred_parser(
+        "serve",
+        help="run the persistent experiment daemon (newline-delimited JSON over a socket)",
+        description="Start the long-running experiment service: accepts submit/"
+        "status/result/cancel/list/health/stats requests over a Unix or TCP "
+        "socket, executes jobs through a priority queue with token-bucket "
+        "admission, streams progress to subscribers, and shares one result "
+        "cache across all clients.  SIGTERM drains running jobs and exits 0.",
+        allow_abbrev=False,
+        populate=_populate_serve,
+    )
+    subparsers.add_deferred_parser(
+        "submit",
+        help="submit an experiment to a running serve daemon and print its result",
+        description="Submit one experiment to a `repro serve` daemon.  The "
+        "experiment's own flags follow its name exactly as in one-shot mode "
+        "(e.g. `repro submit figure4 --smoke --connect /tmp/repro.sock`); "
+        "results are bit-identical to a local run but shared through the "
+        "daemon's cache.",
+        allow_abbrev=False,
+        populate=_populate_submit,
+    )
+    subparsers.add_deferred_parser(
+        "obs",
+        help="inspect a recorded telemetry stream (render a summary or a Chrome trace)",
+        description="Inspect a telemetry JSONL stream recorded with "
+        "`repro <experiment> --telemetry FILE`: `render` validates the stream "
+        "and prints a human-readable summary; `chrome` converts it to a Chrome "
+        "trace-event JSON loadable in chrome://tracing or Perfetto.",
+        allow_abbrev=False,
+        populate=_populate_obs,
     )
 
 
@@ -378,25 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache directory for --clear-cache (default: $REPRO_CACHE_DIR "
         "or ~/.cache/repro-quantum)",
     )
-    subparsers = parser.add_subparsers(dest="experiment", metavar="experiment")
+    subparsers = parser.add_subparsers(
+        dest="experiment", metavar="experiment", action=_DeferredSubcommands
+    )
     for experiment in iter_experiments():
-        subparser = subparsers.add_parser(
+        subparsers.add_deferred_parser(
             experiment.name,
             help=experiment.summary,
             description=experiment.summary,
             allow_abbrev=False,
-        )
-        for spec in experiment.cli_specs():
-            spec.add_to_parser(subparser)
-        if experiment.supports_runtime:
-            _add_runtime_flags(subparser)
-        _add_output_flags(subparser)
-        _add_telemetry_flag(subparser)
-        # `repro <name> --list` keeps the listing behaviour (distinct dest:
-        # argparse copies the subparser namespace over the parent's, which
-        # would otherwise clobber a pre-subcommand --list with the default).
-        subparser.add_argument(
-            "--list", dest="sub_list", action="store_true", help=argparse.SUPPRESS
+            populate=functools.partial(_populate_experiment, experiment),
         )
     _add_tool_subcommands(subparsers)
     return parser

@@ -28,9 +28,13 @@ from scipy import sparse
 from repro.core.lp.extensions import PairOverheads
 from repro.core.lp.objectives import Objective
 from repro.network.demand import DemandMatrix
-from repro.network.topology import EdgeKey, Topology, edge_key
+from repro.network.topology import EdgeKey, Topology
 
 NodeId = Hashable
+
+#: Per balance row (one per pair): the swap columns consuming the pair and
+#: the swap columns creating it.
+SwapColumns = List[Tuple[List[int], List[int]]]
 
 
 class VariableIndex:
@@ -57,6 +61,12 @@ class VariableIndex:
 
     def names(self) -> List[Tuple]:
         return list(self._names)
+
+    def copy(self) -> "VariableIndex":
+        clone = VariableIndex()
+        clone._names = list(self._names)
+        clone._index = dict(self._index)
+        return clone
 
     def __len__(self) -> int:
         return len(self._names)
@@ -133,6 +143,7 @@ class PathObliviousFlowProgram:
         self.nodes: List[NodeId] = list(topology.nodes)
         self.pairs: List[EdgeKey] = sorted(topology.node_pairs(), key=repr)
         self._pair_set = set(self.pairs)
+        self._swap_structure: Optional[Tuple[VariableIndex, SwapColumns]] = None
 
         for pair in demand.pairs():
             if pair[0] not in topology or pair[1] not in topology:
@@ -158,23 +169,52 @@ class PathObliviousFlowProgram:
                     triples.append((node, pair))
         return triples
 
+    def _swap_columns(self) -> Tuple[VariableIndex, SwapColumns]:
+        """The swap-rate variables and, per pair, the swap columns of its balance row.
+
+        Every objective starts with the same swap variables in the same
+        order, so this is computed once per program.  For pair ``(x, y)``
+        the first list holds the swaps at ``x`` or ``y`` that consume it,
+        the second the swaps at third nodes that create it.
+        """
+        if self._swap_structure is None:
+            variables = VariableIndex()
+            for node, pair in self.swap_triples():
+                variables.add(("sigma", node, pair))
+            column = variables._index
+            canonical: Dict[Tuple[NodeId, NodeId], EdgeKey] = {}
+            for pair in self.pairs:
+                canonical[pair] = canonical[(pair[1], pair[0])] = pair
+            per_pair: SwapColumns = []
+            for pair in self.pairs:
+                x, y = pair
+                consuming: List[int] = []
+                creating: List[int] = []
+                for node in self.nodes:
+                    if node in pair:
+                        continue
+                    consuming.append(column[("sigma", x, canonical[(node, y)])])
+                    consuming.append(column[("sigma", y, canonical[(node, x)])])
+                    creating.append(column[("sigma", node, pair)])
+                per_pair.append((consuming, creating))
+            self._swap_structure = (variables, per_pair)
+        return self._swap_structure
+
     # ------------------------------------------------------------------ #
     # LP construction
     # ------------------------------------------------------------------ #
     def build(self, objective: Objective) -> LinearProgram:
         """Construct the :class:`LinearProgram` for the requested objective."""
-        variables = VariableIndex()
-        bounds: List[Tuple[float, Optional[float]]] = []
+        swap_variables, swap_columns = self._swap_columns()
+        # Swap-rate variables exist for every objective.
+        variables = swap_variables.copy()
+        bounds: List[Tuple[float, Optional[float]]] = [(0.0, None)] * len(variables)
 
         def add_variable(name: Tuple, lower: float, upper: Optional[float]) -> int:
             index = variables.add(name)
             if index == len(bounds):
                 bounds.append((lower, upper))
             return index
-
-        # Swap-rate variables exist for every objective.
-        for node, pair in self.swap_triples():
-            add_variable(("sigma", node, pair), 0.0, None)
 
         generation_is_variable = objective.generation_is_variable()
         consumption_is_variable = objective.consumption_is_variable()
@@ -201,11 +241,16 @@ class PathObliviousFlowProgram:
         rhs: List[float] = []
 
         # Per-pair steady-state balance: departures <= arrivals.
-        for pair in self.pairs:
+        for pair, (consuming, creating) in zip(self.pairs, swap_columns):
             x, y = pair
             distillation = self.overheads.distillation_for(x, y)
             loss = self.overheads.loss_for(x, y)
-            row: Dict[int, float] = {}
+            # Swaps at x or y consume this pair (departures, weighted by D);
+            # swaps at third nodes create it (arrivals, weighted by L).  The
+            # two column sets are disjoint from each other and from the
+            # objective's own variables below.
+            row: Dict[int, float] = dict.fromkeys(consuming, distillation)
+            row.update(dict.fromkeys(creating, -loss))
             constant = 0.0
 
             # Departures: consumption ...
@@ -219,16 +264,6 @@ class PathObliviousFlowProgram:
             else:
                 constant += distillation * kappa
 
-            # ... plus swaps at x or y that consume this pair.
-            for node in self.nodes:
-                if node in pair:
-                    continue
-                swap_at_x = ("sigma", x, edge_key(node, y))
-                swap_at_y = ("sigma", y, edge_key(node, x))
-                for name in (swap_at_x, swap_at_y):
-                    index = variables.index_of(name)
-                    row[index] = row.get(index, 0.0) + distillation
-
             # Arrivals: generation ...
             capability = self.generation_capability(pair)
             if generation_is_variable and capability > 0:
@@ -236,13 +271,6 @@ class PathObliviousFlowProgram:
                 row[index] = row.get(index, 0.0) - loss
             else:
                 constant -= loss * capability
-
-            # ... plus swaps at third nodes that create this pair.
-            for node in self.nodes:
-                if node in pair:
-                    continue
-                index = variables.index_of(("sigma", node, pair))
-                row[index] = row.get(index, 0.0) - loss
 
             rows.append(row)
             rhs.append(-constant)
@@ -261,10 +289,7 @@ class PathObliviousFlowProgram:
                     rows.append({min_index: 1.0, variables.index_of(("c", pair)): -1.0})
                     rhs.append(0.0)
 
-        a_ub = sparse.lil_matrix((len(rows), len(variables)))
-        for row_index, row in enumerate(rows):
-            for column, value in row.items():
-                a_ub[row_index, column] = value
+        a_ub = _csr_from_rows(rows, len(variables))
         b_ub = np.array(rhs, dtype=float)
 
         objective_vector, sense = objective.build_objective_vector(variables, self)
@@ -272,7 +297,7 @@ class PathObliviousFlowProgram:
         return LinearProgram(
             variables=variables,
             objective=objective_vector,
-            a_ub=a_ub.tocsr(),
+            a_ub=a_ub,
             b_ub=b_ub,
             bounds=bounds,
             sense=sense,
@@ -283,3 +308,26 @@ class PathObliviousFlowProgram:
                 "qec_overhead": self.qec_overhead,
             },
         )
+
+
+def _csr_from_rows(rows: Sequence[Dict[int, float]], n_columns: int) -> sparse.csr_matrix:
+    """The CSR matrix whose row ``r`` holds the ``{column: value}`` entries of ``rows[r]``.
+
+    Columns are sorted within each row and zero values are not stored,
+    which is exactly what assembling through ``lil_matrix`` and ``tocsr``
+    produces, so the solver sees the same arrays.
+    """
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    indices: List[int] = []
+    data: List[float] = []
+    for position, row in enumerate(rows):
+        for column in sorted(row):
+            value = row[column]
+            if value != 0:
+                indices.append(column)
+                data.append(value)
+        indptr[position + 1] = len(indices)
+    return sparse.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
+        shape=(len(rows), n_columns),
+    )

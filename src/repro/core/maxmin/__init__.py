@@ -10,9 +10,10 @@ the *preferable* swap that most helps its worst-off entanglement partner.
 * :mod:`repro.core.maxmin.policy` -- tie-breaking rules among preferable
   candidates (min-recipient, random, distance-weighted),
 * :mod:`repro.core.maxmin.balancer` -- the round-based algorithm itself,
-* :mod:`repro.core.maxmin.incremental` -- the dirty-set incremental engine
-  (same fixed points, O(affected) work per mutation; use
-  :func:`make_balancer` to pick an engine by name).
+  one dense array step per node turn,
+* :mod:`repro.core.maxmin.incremental` -- the engines by name
+  (:func:`make_balancer`): ``naive``, or ``incremental``, which skips idle
+  nodes and executes the same swaps.
 """
 
 from repro.core.maxmin.balancer import MaxMinBalancer, SwapRecord

@@ -19,13 +19,31 @@ Count accounting for one executed swap (consistent with equations (3)/(4)):
 * ``C_y(y')`` increases by 1 (the produced pair),
 
 and the swap counts as **one** swap operation toward the overhead metric.
+
+The engine is array-native.  It mirrors the ledger into a dense ``int64``
+count matrix whose rows and columns are the nodes in ``repr`` order, plus
+the matching headroom matrix ``count - D``, kept current through
+:meth:`PairCountLedger.subscribe`.  A node's turn is one vector step: its
+headroom row gives the eligible donors (headroom >= 1), the recipient
+sub-block over those donors is masked with ``recipient < min(h_y, h_y')``
+on the upper triangle, and the paper's rule is a row-major ``argmin``.
+Because the donors are in ``repr`` order, row-major order *is* the order of
+``repr(produced_pair)``, so the argmin reproduces the
+``(recipient_count, repr(produced_pair))`` tie-break exactly.  Other
+policies and knowledge models receive the same candidate list, in the same
+order, as a per-pair enumeration would produce.
+
+With ``skip_idle=True`` (the ``incremental`` engine) a node whose last turn
+found no candidate is skipped until a mutation touches its row or the
+block of its donors; the result is identical, only fewer turns are
+evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +54,9 @@ from repro.core.maxmin.policy import BalancingPolicy, MinRecipientCountPolicy, S
 from repro.network.topology import EdgeKey, edge_key
 
 NodeId = Hashable
+
+#: Masked-out value in the argmin over a recipient block.
+_NO_CANDIDATE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -77,6 +98,11 @@ class MaxMinBalancer:
     keep_records:
         Whether to retain a :class:`SwapRecord` per executed swap (required
         by some analyses; counters are always maintained).
+    skip_idle:
+        Skip the turn of a node whose last evaluation found no candidate
+        and whose counts (its row, and the pairs among its donors) have not
+        changed since.  Applies under global knowledge only; the swap
+        sequence is the same either way.
     """
 
     def __init__(
@@ -88,6 +114,7 @@ class MaxMinBalancer:
         swaps_per_node_per_round: int = 1,
         rng: Optional[np.random.Generator] = None,
         keep_records: bool = True,
+        skip_idle: bool = False,
     ):
         if swaps_per_node_per_round <= 0:
             raise ValueError(
@@ -98,20 +125,114 @@ class MaxMinBalancer:
             overheads = PairOverheads.uniform(distillation=float(overheads))
         self.overheads = overheads
         self.policy = policy if policy is not None else MinRecipientCountPolicy()
-        self.knowledge = knowledge if knowledge is not None else GlobalKnowledge(ledger)
         self.swaps_per_node_per_round = int(swaps_per_node_per_round)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.keep_records = keep_records
+        self._skip_idle = bool(skip_idle)
         self.swaps_performed = 0
         self.swaps_by_node: Dict[NodeId, int] = {}
         self.records: List[SwapRecord] = []
         self._cost_cache: Dict[EdgeKey, int] = {}
+        # Uniform overheads collapse every distillation cost to one int.
+        self._uniform_cost: Optional[int] = (
+            None
+            if overheads.distillation
+            else int(math.ceil(overheads.default_distillation))
+        )
+        self._upper: Dict[int, np.ndarray] = {}
+        self._build_mirror()
+        self.knowledge = knowledge if knowledge is not None else GlobalKnowledge(ledger)
+        ledger.subscribe(self._on_mutation)
+
+    # The knowledge model is settable after construction (the experiment
+    # runner swaps in gossip knowledge that way).
+    @property
+    def knowledge(self) -> KnowledgeModel:
+        return self._knowledge
+
+    @knowledge.setter
+    def knowledge(self, model: KnowledgeModel) -> None:
+        self._knowledge = model
+        # Recipient blocks come straight from the count matrix only under
+        # *exactly* GlobalKnowledge over this ledger: a subclass may
+        # override recipient_count.
+        self._global = type(model) is GlobalKnowledge and model.ledger is self.ledger
+        self._skipping = self._skip_idle and self._global
+        self._dirty[:] = True
+        self._mutated.clear()
+
+    def detach(self) -> None:
+        """Stop observing the ledger (the engine must not be used afterwards)."""
+        self.ledger.unsubscribe(self._on_mutation)
+
+    # ------------------------------------------------------------------ #
+    # The dense mirror of the ledger
+    # ------------------------------------------------------------------ #
+    def _build_mirror(self) -> None:
+        nodes = sorted(self.ledger.nodes, key=repr)
+        index = {node: position for position, node in enumerate(nodes)}
+        size = len(nodes)
+        counts = np.zeros((size, size), dtype=np.int64)
+        for node in nodes:
+            row = index[node]
+            for partner, count in self.ledger.partner_view(node).items():
+                counts[row, index[partner]] = count
+        costs = np.full(
+            (size, size), int(math.ceil(self.overheads.default_distillation)), dtype=np.int64
+        )
+        for node_a, node_b in self.overheads.distillation:
+            if node_a in index and node_b in index and node_a != node_b:
+                cost = self.distillation_cost(node_a, node_b)
+                costs[index[node_a], index[node_b]] = costs[index[node_b], index[node_a]] = cost
+        self._nodes = nodes
+        self._index = index
+        self._counts = counts
+        self._costs = costs
+        self._headroom = counts - costs
+        # Nodes whose candidate set may be non-empty, and the ends of the
+        # pairs mutated since the marks were last brought up to date
+        # (``a0, b0, a1, b1, ...``).
+        self._dirty = np.ones(size, dtype=bool)
+        self._mutated: List[int] = []
+
+    def _on_mutation(self, node_a: NodeId, node_b: NodeId, old: int, new: int) -> None:
+        index = self._index
+        row_a = index.get(node_a)
+        row_b = index.get(node_b)
+        if row_a is None or row_b is None:
+            self._build_mirror()  # a node joined the ledger after construction
+            return
+        counts = self._counts
+        counts[row_a, row_b] = counts[row_b, row_a] = new
+        cost = self._uniform_cost
+        if cost is None:
+            cost = int(self._costs[row_a, row_b])
+        self._headroom[row_a, row_b] = self._headroom[row_b, row_a] = new - cost
+        if self._skipping:
+            self._mutated += (row_a, row_b)
+
+    def _mark_dirty(self) -> None:
+        """Fold the pending mutations into the dirty marks.
+
+        A mutation of ``(a, b)`` can change the candidates of ``a`` and ``b``
+        and of every ``x`` that can donate to both (headroom >= 1 towards
+        ``a`` and ``b``): only there is ``(a, b)`` a produced pair.  The
+        headroom ``x`` has towards ``a`` changes only by a mutation of
+        ``(x, a)``, which marks ``x`` itself, so reading it now is exact.
+        """
+        ends = np.array(self._mutated, dtype=np.intp)
+        self._mutated.clear()
+        donors = self._headroom[ends] > 0
+        self._dirty |= (donors[0::2] & donors[1::2]).any(axis=0)
+        self._dirty[ends] = True
 
     # ------------------------------------------------------------------ #
     # Overhead helpers
     # ------------------------------------------------------------------ #
     def distillation_cost(self, node_a: NodeId, node_b: NodeId) -> int:
         """Integer count cost of using one ``(node_a, node_b)`` pair."""
+        if self._uniform_cost is not None:
+            return self._uniform_cost
         key = edge_key(node_a, node_b)
         cost = self._cost_cache.get(key)
         if cost is None:
@@ -159,70 +280,120 @@ class MaxMinBalancer:
         return removed
 
     # ------------------------------------------------------------------ #
-    # Candidate enumeration (the paper's preferable condition)
+    # Candidate evaluation (the paper's preferable condition)
     # ------------------------------------------------------------------ #
     def is_preferable(self, repeater: NodeId, left: NodeId, right: NodeId) -> bool:
         """Evaluate the paper's condition for ``left <- repeater -> right``."""
-        candidate = self._evaluate_candidate(repeater, left, right)
-        return candidate is not None
-
-    def _evaluate_candidate(
-        self, repeater: NodeId, left: NodeId, right: NodeId
-    ) -> Optional[SwapCandidate]:
         if left == right or repeater in (left, right):
-            return None
-        left_count = self.ledger.count(repeater, left)
-        right_count = self.ledger.count(repeater, right)
-        cost_left = self.distillation_cost(repeater, left)
-        cost_right = self.distillation_cost(repeater, right)
-        if left_count < cost_left or right_count < cost_right:
-            return None
+            return False
+        left_slack = self.ledger.count(repeater, left) - self.distillation_cost(repeater, left)
+        right_slack = self.ledger.count(repeater, right) - self.distillation_cost(repeater, right)
+        if left_slack < 0 or right_slack < 0:
+            return False
         recipient = self.knowledge.recipient_count(repeater, left, right)
-        if recipient is None:
+        return recipient is not None and recipient + 1 <= min(left_slack, right_slack)
+
+    def _candidate_block(
+        self, repeater: NodeId, row: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(donors, recipient, preferable)`` for one turn, or ``None`` when empty.
+
+        ``donors`` are the matrix indices of the partners with headroom
+        >= 1, ascending (= ``repr`` order); ``preferable[r, c]`` marks the
+        candidates ``donors[r] <- repeater -> donors[c]``, upper triangle
+        only, with believed produced-pair count ``recipient[r, c]``.
+        """
+        headroom = self._headroom[row]
+        donors = (headroom > 0).nonzero()[0]
+        size = donors.size
+        if size < 2:
             return None
-        if recipient + 1 > min(left_count - cost_left, right_count - cost_right):
-            return None
+        donor_headroom = headroom.take(donors)
+        if self._global:
+            upper = self._upper.get(size)
+            if upper is None:
+                upper = self._upper[size] = np.triu(np.ones((size, size), dtype=bool), 1)
+            recipient = self._counts.take(donors, 0).take(donors, 1)
+            preferable = recipient < np.minimum.outer(donor_headroom, donor_headroom)
+            preferable &= upper
+        else:
+            recipient, known = self._believed_block(repeater, donors)
+            preferable = recipient < np.minimum.outer(donor_headroom, donor_headroom)
+            preferable &= known
+        return donors, recipient, preferable
+
+    def _believed_block(
+        self, repeater: NodeId, donors: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Recipient counts as ``repeater`` believes them, and which are known."""
+        size = donors.size
+        recipient = np.zeros((size, size), dtype=np.int64)
+        known = np.zeros((size, size), dtype=bool)
+        nodes = [self._nodes[position] for position in donors.tolist()]
+        recipient_count = self.knowledge.recipient_count
+        for r in range(size):
+            for c in range(r + 1, size):
+                believed = recipient_count(repeater, nodes[r], nodes[c])
+                if believed is not None:
+                    recipient[r, c] = believed
+                    known[r, c] = True
+        return recipient, known
+
+    def _candidate(
+        self, repeater: NodeId, row: int, donors: np.ndarray, recipient: np.ndarray, r: int, c: int
+    ) -> SwapCandidate:
+        left, right = int(donors[r]), int(donors[c])
         return SwapCandidate(
             repeater=repeater,
-            left=left,
-            right=right,
-            recipient_count=recipient,
-            left_count=left_count,
-            right_count=right_count,
+            left=self._nodes[left],
+            right=self._nodes[right],
+            recipient_count=int(recipient[r, c]),
+            left_count=int(self._counts[row, left]),
+            right_count=int(self._counts[row, right]),
         )
 
     def preferable_candidates(self, repeater: NodeId) -> List[SwapCandidate]:
-        """All preferable swaps ``repeater`` could perform right now."""
-        partner_counts = self.ledger.partners(repeater)
-        partners = sorted(partner_counts, key=repr)
-        # Pre-compute each partner's headroom (count minus distillation cost);
-        # only partners with positive headroom can donate to a swap at all.
-        headroom: Dict[NodeId, int] = {}
-        for partner in partners:
-            slack = partner_counts[partner] - self.distillation_cost(repeater, partner)
-            if slack >= 1:
-                headroom[partner] = slack
-        eligible = [partner for partner in partners if partner in headroom]
-        candidates: List[SwapCandidate] = []
-        recipient_count = self.knowledge.recipient_count
-        for index, left in enumerate(eligible):
-            left_slack = headroom[left]
-            for right in eligible[index + 1 :]:
-                limit = min(left_slack, headroom[right])
-                recipient = recipient_count(repeater, left, right)
-                if recipient is None or recipient + 1 > limit:
-                    continue
-                candidates.append(
-                    SwapCandidate(
-                        repeater=repeater,
-                        left=left,
-                        right=right,
-                        recipient_count=recipient,
-                        left_count=partner_counts[left],
-                        right_count=partner_counts[right],
-                    )
-                )
-        return candidates
+        """All preferable swaps ``repeater`` could perform right now.
+
+        Ordered by ``(repr(left), repr(right))`` with ``left`` before
+        ``right`` in ``repr`` order.
+        """
+        row = self._index.get(repeater)
+        block = None if row is None else self._candidate_block(repeater, row)
+        if block is None:
+            return []
+        donors, recipient, preferable = block
+        rows, cols = np.nonzero(preferable)
+        return [
+            self._candidate(repeater, row, donors, recipient, r, c)
+            for r, c in zip(rows.tolist(), cols.tolist())
+        ]
+
+    def _choose(self, repeater: NodeId) -> Optional[SwapCandidate]:
+        """The swap ``repeater``'s policy picks this turn (``None``: nothing to do)."""
+        row = self._index.get(repeater)
+        if row is None:
+            return None
+        block = self._candidate_block(repeater, row)
+        if block is not None:
+            donors, recipient, preferable = block
+            policy = self.policy
+            if type(policy) is MinRecipientCountPolicy and not policy.randomize_ties:
+                # Row-major argmin == min by (recipient, repr(produced pair)).
+                flat = int(np.where(preferable, recipient, _NO_CANDIDATE).argmin())
+                r, c = divmod(flat, donors.size)
+                if preferable[r, c]:
+                    return self._candidate(repeater, row, donors, recipient, r, c)
+            else:
+                rows, cols = np.nonzero(preferable)
+                if rows.size:
+                    candidates = [
+                        self._candidate(repeater, row, donors, recipient, r, c)
+                        for r, c in zip(rows.tolist(), cols.tolist())
+                    ]
+                    return policy.choose(candidates, self.rng)
+        self._dirty[row] = False  # no candidate: idle until a mutation marks it
+        return None
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -248,8 +419,7 @@ class MaxMinBalancer:
         """Give ``repeater`` its turn: up to ``swaps_per_node_per_round`` preferable swaps."""
         performed: List[SwapRecord] = []
         for _ in range(self.swaps_per_node_per_round):
-            candidates = self.preferable_candidates(repeater)
-            choice = self.policy.choose(candidates, self.rng)
+            choice = self._choose(repeater)
             if choice is None:
                 break
             performed.append(self.perform_swap(choice, round_index))
@@ -273,8 +443,16 @@ class MaxMinBalancer:
             self.knowledge.refresh(round_index, self.rng)
         nodes = list(node_order) if node_order is not None else self._rotated_nodes(round_index)
         performed: List[SwapRecord] = []
+        if not self._skipping:
+            for node in nodes:
+                performed.extend(self.run_node(node, round_index))
+            return performed
         for node in nodes:
-            performed.extend(self.run_node(node, round_index))
+            if self._mutated:
+                self._mark_dirty()
+            row = self._index.get(node)
+            if row is not None and self._dirty[row]:
+                performed.extend(self.run_node(node, round_index))
         return performed
 
     def _rotated_nodes(self, round_index: int) -> List[NodeId]:
@@ -289,7 +467,17 @@ class MaxMinBalancer:
     # ------------------------------------------------------------------ #
     def has_preferable_swap(self) -> bool:
         """Whether any node still has a preferable swap candidate."""
-        return any(self.preferable_candidates(node) for node in self.ledger.nodes)
+        if self._mutated:
+            self._mark_dirty()
+        for node in self.ledger.nodes:
+            row = self._index.get(node)
+            if row is None or (self._skipping and not self._dirty[row]):
+                continue
+            block = self._candidate_block(node, row)
+            if block is not None and block[2].any():
+                return True
+            self._dirty[row] = False
+        return False
 
     def balance_to_convergence(self, max_rounds: int = 10_000) -> int:
         """With generation and consumption frozen, swap until no candidate remains.

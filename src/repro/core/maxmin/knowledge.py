@@ -64,10 +64,12 @@ class GlobalKnowledge(KnowledgeModel):
         if not self.account_messages:
             return
         nodes = self.ledger.nodes
-        for node in nodes:
-            entries = len(self.ledger.partners(node))
-            self.messages_sent += len(nodes) - 1
-            self.entries_sent += entries * (len(nodes) - 1)
+        fanout = len(nodes) - 1
+        # A node's broadcast carries one entry per partner; the live view
+        # holds exactly the non-zero counts, so its length is that number.
+        entries = sum(len(self.ledger.partner_view(node)) for node in nodes)
+        self.messages_sent += len(nodes) * fanout
+        self.entries_sent += entries * fanout
 
 
 class GossipKnowledge(KnowledgeModel):

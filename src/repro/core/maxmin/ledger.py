@@ -81,7 +81,9 @@ class PairCountLedger:
         for listener in self._listeners:
             listener(node_a, node_b, old_count, new_count)
         if self._group_listeners:
-            key = edge_key(node_a, node_b)
+            # edge_key inlined (this runs once per mutation); a stored pair
+            # never has equal ends, so its self-loop check is moot here.
+            key = (node_a, node_b) if repr(node_a) <= repr(node_b) else (node_b, node_a)
             for group_listener in self._group_listeners:
                 group_listener(key, old_count, new_count)
 

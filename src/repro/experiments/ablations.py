@@ -13,7 +13,7 @@ fixed workload:
   the random grid (the "well-provisioned network" argument of §2),
 * ``recurrence``     -- exact vs paper-literal overhead denominator (a
   measurement ablation: same runs, different metric),
-* ``balancer``       -- naive full-rescan vs incremental dirty-set engine
+* ``balancer``       -- naive vs incremental (idle-skipping) engine mode
   (an implementation ablation: the two must report identical physics, so
   this axis doubles as an end-to-end equivalence check).
 """
@@ -34,6 +34,7 @@ from repro.experiments.api import (
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome
 from repro.experiments.registry import register
+from repro.network.topologies import validate_topology_sizes
 
 #: The ablation axes this experiment knows how to run.
 ABLATION_AXES: Tuple[str, ...] = (
@@ -217,6 +218,13 @@ class AblationsExperiment(Experiment):
         ParamSpec("n_consumer_pairs", int, 15, "consumer pairs drawn per trial", cli=False),
         ParamSpec("seed", int, 5, "workload seed", cli=False),
     )
+
+    def normalize(self, params):
+        topologies = (params["topology"],)
+        if "density" in params["axes"]:
+            topologies += ("random-grid",)  # the density axis rebuilds on random-grid
+        validate_topology_sizes(topologies, (params["n_nodes"],))
+        return params
 
     def build_grid(self, params) -> List[ExperimentConfig]:
         variants = ablation_variants(_base_config(params), params["axes"])

@@ -29,7 +29,7 @@ from repro.core.maxmin.balancer import MaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.demand import RequestSequence, select_consumer_pairs
 from repro.network.generation import DeterministicGeneration
-from repro.network.topologies import topology_from_name
+from repro.network.topologies import topology_from_name, validate_topology_sizes
 from repro.sim.rng import RandomStreams
 
 
@@ -164,6 +164,10 @@ class ClassicalOverheadExperiment(Experiment):
         ParamSpec("gossip_fanouts", tuple, (2, 4), "gossip unchoke fanouts to account", cli=False),
         ParamSpec("seed", int, 11, "workload seed", cli=False),
     )
+
+    def normalize(self, params):
+        validate_topology_sizes((params["topology_name"],), (params["n_nodes"],))
+        return params
 
     def build_grid(self, params):
         return params

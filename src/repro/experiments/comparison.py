@@ -19,6 +19,7 @@ from repro.experiments.api import Experiment, ExperimentResult, ParamSpec, Runti
 from repro.experiments.config import ExperimentConfig, TrialOutcome
 from repro.experiments.registry import register
 from repro.experiments.runner import PROTOCOL_NAMES
+from repro.network.topologies import validate_topology_sizes
 
 #: Protocols compared by default.
 DEFAULT_PROTOCOLS: Tuple[str, ...] = PROTOCOL_NAMES
@@ -113,6 +114,10 @@ class ComparisonExperiment(Experiment):
         ParamSpec("seed", int, 2, "workload seed", cli=False),
         ParamSpec("max_rounds", int, 200_000, "safety cap on simulated rounds", cli=False),
     )
+
+    def normalize(self, params):
+        validate_topology_sizes((params["topology"],), (params["n_nodes"],))
+        return params
 
     def build_grid(self, params) -> List[ExperimentConfig]:
         base = ExperimentConfig(

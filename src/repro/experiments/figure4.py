@@ -22,6 +22,7 @@ from repro.experiments.api import (
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome, full_mode_enabled
 from repro.experiments.registry import register
+from repro.network.topologies import validate_topology_sizes
 
 #: The topology families plotted in the figure.
 FIGURE4_TOPOLOGIES: Tuple[str, ...] = ("cycle", "random-grid", "grid")
@@ -150,7 +151,7 @@ class Figure4Experiment(Experiment):
             "balancer",
             str,
             "naive",
-            "balancing engine: full-rescan 'naive' or dirty-set 'incremental' (identical results)",
+            "balancing engine mode: every turn 'naive' or idle-skipping 'incremental' (identical results)",
             choices=("naive", "incremental"),
         ),
         ParamSpec("n_consumer_pairs", int, 35, "consumer pairs drawn per trial", cli=False),
@@ -173,6 +174,7 @@ class Figure4Experiment(Experiment):
         params["seeds"] = resolve_trial_seeds(params["seeds"], params["master_seed"])
         if not params["distillation_values"]:
             params["distillation_values"] = None  # bare --distillation means "use the preset"
+        validate_topology_sizes(params["topologies"], (params["n_nodes"],))
         return params
 
     def build_grid(self, params) -> List[ExperimentConfig]:

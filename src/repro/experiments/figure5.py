@@ -22,6 +22,7 @@ from repro.experiments.api import (
 from repro.experiments.config import ExperimentConfig, TrialOutcome, full_mode_enabled
 from repro.experiments.figure4 import FIGURE4_TOPOLOGIES
 from repro.experiments.registry import register
+from repro.network.topologies import validate_topology_sizes
 
 #: Quick sweep (CI / benchmarks) and full sweep (REPRO_FULL=1) of |N|.
 QUICK_NETWORK_SIZES: Tuple[int, ...] = (9, 16, 25)
@@ -134,7 +135,7 @@ class Figure5Experiment(Experiment):
             "balancer",
             str,
             "naive",
-            "balancing engine: full-rescan 'naive' or dirty-set 'incremental' (identical results)",
+            "balancing engine mode: every turn 'naive' or idle-skipping 'incremental' (identical results)",
             choices=("naive", "incremental"),
         ),
         ParamSpec("distillation", float, 1.0, "distillation overhead D", cli=False),
@@ -146,6 +147,8 @@ class Figure5Experiment(Experiment):
         params["seeds"] = resolve_trial_seeds(params["seeds"], params["master_seed"])
         if not params["network_sizes"]:
             params["network_sizes"] = None  # bare --sizes means "use the preset"
+        else:
+            validate_topology_sizes(params["topologies"], params["network_sizes"])
         return params
 
     def build_grid(self, params) -> List[ExperimentConfig]:

@@ -25,7 +25,7 @@ from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import InfeasibleProgramError, LPSolution, solve_flow_program
 from repro.core.lp.steady_state import compute_rates, verify_steady_state
 from repro.network.demand import DemandMatrix, select_consumer_pairs, uniform_demand
-from repro.network.topologies import topology_from_name
+from repro.network.topologies import topology_from_name, validate_topology_sizes
 from repro.network.topology import Topology
 from repro.sim.rng import RandomStreams
 
@@ -221,6 +221,10 @@ class LPValidationExperiment(Experiment):
         ParamSpec("objectives", tuple, tuple(Objective), "LP objectives to solve", cli=False),
         ParamSpec("seed", int, 3, "seed for topology/demand draws", cli=False),
     )
+
+    def normalize(self, params):
+        validate_topology_sizes(params["topologies"], (params["n_nodes"],))
+        return params
 
     def build_grid(self, params):
         return params

@@ -36,6 +36,7 @@ from repro.experiments.api import (
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome
 from repro.experiments.registry import register
+from repro.network.topologies import validate_topology_sizes
 from repro.protocols.fusion import GROUP_STRATEGIES, validate_strategy
 from repro.workloads.registry import validate_workload_spec
 from repro.workloads.slo import TOTAL_KEY
@@ -199,6 +200,7 @@ class MulticastExperiment(Experiment):
             params["n_requests"] = min(params["n_requests"], 12)
             params["n_consumer_pairs"] = min(params["n_consumer_pairs"], 6)
             params["max_rounds"] = min(params["max_rounds"], 3000)
+        validate_topology_sizes((params["topology"],), (params["n_nodes"],))
         return params
 
     def _spec_for(self, params, size: int, strategy: str) -> str:

@@ -4,8 +4,8 @@ The paper's evaluation is static; this experiment asks what happens to
 path-oblivious balancing when the network misbehaves.  Each cell runs the
 same seeded workload twice -- once undisturbed and once under a dynamic
 scenario (:mod:`repro.scenarios`) -- and with *both* balancing engines, so
-every row doubles as an end-to-end check that the incremental engine's
-dirty-set invalidation reaches the identical fixed points under failures.
+every row doubles as an end-to-end check that the incremental mode's
+idle-node skipping reaches the identical fixed points under failures.
 
 Reported per cell:
 
@@ -38,6 +38,7 @@ from repro.experiments.api import (
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome, full_mode_enabled
 from repro.experiments.registry import register
+from repro.network.topologies import validate_topology_sizes
 from repro.scenarios.registry import NO_SCENARIO, SCENARIO_NAMES, validate_scenario_spec
 
 #: Default churn scenario when the caller does not pick one.
@@ -254,6 +255,7 @@ class ResilienceExperiment(Experiment):
             sizes = FULL_RESILIENCE_SIZES if full_mode_enabled() else QUICK_RESILIENCE_SIZES
         params["sizes"] = tuple(int(size) for size in sizes)
         params["seeds"] = tuple(int(seed) for seed in seeds)
+        validate_topology_sizes((params["topology"],), params["sizes"])
         return params
 
     def build_grid(self, params) -> List[ExperimentConfig]:

@@ -2,15 +2,15 @@
 
 The paper evaluates max-min balancing on ~25-node networks; this experiment
 pushes the balancing core to 200–1000-node Waxman, wraparound-grid and
-Erdős–Rényi generation graphs — the regime the incremental engine
-(:mod:`repro.core.maxmin.incremental`) exists for.
+Erdős–Rényi generation graphs — the regime the engine's ``incremental``
+mode (:mod:`repro.core.maxmin.incremental`) exists for.
 
 The workload models a provisioning imbalance: every generation edge starts
 with a few Bell pairs and a small fraction of "hot" edges hold deep buffers
 (freshly provisioned high-rate links).  Balancing must drain the hot edges
-into the network, which exercises the long convergence tail where the naive
-engine rescans every node every round while only a handful still have
-preferable swaps.
+into the network, which exercises the long convergence tail where the
+``naive`` mode evaluates every node's turn every round while only a handful
+still have preferable swaps.
 
 Each row reports the converged fixed point (rounds, swaps, residual
 imbalance) and the wall-clock seconds per engine; running both engines on

@@ -32,6 +32,7 @@ from repro.experiments.api import (
 from repro.experiments.config import ExperimentConfig, TrialOutcome
 from repro.experiments.registry import register
 from repro.experiments.runner import PROTOCOL_NAMES
+from repro.network.topologies import validate_topology_sizes
 from repro.workloads.registry import (
     DEFAULT_WORKLOAD,
     WORKLOAD_NAMES,
@@ -227,6 +228,7 @@ class TrafficExperiment(Experiment):
             params["n_requests"] = min(params["n_requests"], 12)
             params["n_consumer_pairs"] = min(params["n_consumer_pairs"], 6)
             params["max_rounds"] = min(params["max_rounds"], 3000)
+        validate_topology_sizes((params["topology"],), (params["n_nodes"],))
         return params
 
     def build_grid(self, params) -> List[ExperimentConfig]:

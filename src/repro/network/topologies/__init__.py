@@ -21,7 +21,11 @@ from repro.network.topologies.random_grid import random_connected_grid_topology
 from repro.network.topologies.star import star_topology
 from repro.network.topologies.tree import random_tree_topology
 from repro.network.topologies.waxman import waxman_topology
-from repro.network.topologies.registry import available_topologies, topology_from_name
+from repro.network.topologies.registry import (
+    available_topologies,
+    topology_from_name,
+    validate_topology_sizes,
+)
 
 __all__ = [
     "available_topologies",
@@ -35,5 +39,6 @@ __all__ = [
     "random_tree_topology",
     "star_topology",
     "topology_from_name",
+    "validate_topology_sizes",
     "waxman_topology",
 ]

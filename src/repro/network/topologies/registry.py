@@ -7,7 +7,7 @@ the CLI and the experiment runner stay declarative.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from repro.network.topologies.complete import complete_topology
 from repro.network.topologies.cycle import cycle_topology
 from repro.network.topologies.dumbbell import dumbbell_topology
 from repro.network.topologies.erdos_renyi import erdos_renyi_topology
-from repro.network.topologies.grid import grid_topology
+from repro.network.topologies.grid import grid_side, grid_topology
 from repro.network.topologies.line import line_topology
 from repro.network.topologies.random_grid import random_connected_grid_topology
 from repro.network.topologies.star import star_topology
@@ -109,3 +109,22 @@ def topology_from_name(
             f"unknown topology {name!r}; available: {', '.join(available_topologies())}"
         )
     return _REGISTRY[key](n_nodes, rng, **kwargs)
+
+
+def validate_topology_sizes(names: Iterable[str], sizes: Iterable[int]) -> None:
+    """Raise :class:`ValueError` unless every topology in ``names`` can have every size.
+
+    Grid families need a perfect-square node count of at least 4.
+    Experiments call this while normalizing their parameters, so a bad
+    combination is rejected before any trial runs: a usage error on the
+    command line, a ``400`` under ``repro serve``.
+    """
+    sizes = [int(size) for size in sizes]
+    for name in names:
+        if _REGISTRY.get(name.lower().strip()) not in (_build_grid, _build_random_grid):
+            continue
+        for size in sizes:
+            try:
+                grid_side(size)
+            except ValueError as error:
+                raise ValueError(f"topology {name!r}: {error}") from None

@@ -32,8 +32,8 @@ def edge_key(node_a: NodeId, node_b: NodeId) -> EdgeKey:
     """Canonical unordered edge key (mirrors :func:`repro.quantum.bell_pair.pair_key`)."""
     if node_a == node_b:
         raise ValueError(f"self-loop edges are not allowed (node {node_a!r})")
-    first, second = sorted((node_a, node_b), key=repr)
-    return (first, second)
+    # The two-element case of sorted(..., key=repr), ties kept in order.
+    return (node_a, node_b) if repr(node_a) <= repr(node_b) else (node_b, node_a)
 
 
 def group_key(*nodes: NodeId) -> GroupKey:
@@ -80,6 +80,8 @@ class Topology:
         self.name = name
         self._adjacency: Dict[NodeId, Dict[NodeId, float]] = {}
         self._positions: Dict[NodeId, Tuple[float, float]] = dict(positions or {})
+        # generation_rates() result; add_edge/remove_edge drop it.
+        self._rates: Optional[Dict[EdgeKey, float]] = None
         for node in nodes or []:
             self.add_node(node)
 
@@ -112,6 +114,7 @@ class Topology:
         self.add_node(node_b)
         self._adjacency[node_a][node_b] = float(generation_rate)
         self._adjacency[node_b][node_a] = float(generation_rate)
+        self._rates = None
 
     def remove_edge(self, node_a: NodeId, node_b: NodeId) -> None:
         """Remove a generation edge (raises ``KeyError`` if absent)."""
@@ -119,6 +122,7 @@ class Topology:
             raise KeyError(f"edge ({node_a!r}, {node_b!r}) not in topology")
         del self._adjacency[node_a][node_b]
         del self._adjacency[node_b][node_a]
+        self._rates = None
 
     # ------------------------------------------------------------------ #
     # Basic queries
@@ -168,8 +172,10 @@ class Topology:
         return self._adjacency.get(node_a, {}).get(node_b, 0.0)
 
     def generation_rates(self) -> Dict[EdgeKey, float]:
-        """All positive generation rates keyed by canonical edge."""
-        return {key: self.generation_rate(*key) for key in self.edges()}
+        """All positive generation rates keyed by canonical edge, in :meth:`edges` order."""
+        if self._rates is None:
+            self._rates = {key: self.generation_rate(*key) for key in self.edges()}
+        return dict(self._rates)
 
     def position(self, node: NodeId) -> Optional[Tuple[float, float]]:
         return self._positions.get(node)

@@ -52,9 +52,9 @@ class PathObliviousProtocol(SwappingProtocol):
     hybrid_max_hops:
         Longest entanglement-graph path the hybrid fallback will attempt.
     balancer_engine:
-        Which balancing engine runs the protocol: ``"naive"`` (the original
-        full-rescan :class:`MaxMinBalancer`) or ``"incremental"`` (the
-        dirty-set engine, identical fixed points, much faster on large
+        Which mode of :class:`MaxMinBalancer` runs the protocol:
+        ``"naive"`` (every node takes every turn) or ``"incremental"``
+        (idle nodes are skipped; identical swaps, faster on large
         topologies).
     """
 

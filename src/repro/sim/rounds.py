@@ -39,6 +39,10 @@ class RoundPhase(enum.Enum):
     BOOKKEEPING = "bookkeeping"
 
 
+#: The phases in execution order, each with its ``phase_seconds`` key
+#: (``Enum.value`` is a descriptor lookup, too slow for a per-round loop).
+_PHASE_ORDER = tuple((phase, phase.value) for phase in RoundPhase)
+
 #: A phase callback.  It receives the current round index and may return
 #: ``True`` to request that the simulation stop at the end of this round.
 RoundHook = Callable[[int], Optional[bool]]
@@ -129,26 +133,21 @@ class RoundBasedSimulator:
         """Execute exactly one round and return its summary."""
         round_index = self.completed_rounds
         stop_requested = False
-        for phase in (
-            RoundPhase.GENERATION,
-            RoundPhase.BALANCING,
-            RoundPhase.CONSUMPTION,
-            RoundPhase.BOOKKEEPING,
-        ):
+        for phase, key in _PHASE_ORDER:
             if self._timed:
                 phase_start = time.perf_counter()
                 for hook in self._hooks[phase]:
                     outcome = hook(round_index)
                     if outcome:
                         stop_requested = True
-                self.phase_seconds[phase.value] += time.perf_counter() - phase_start
+                self.phase_seconds[key] += time.perf_counter() - phase_start
             else:
                 for hook in self._hooks[phase]:
                     outcome = hook(round_index)
                     if outcome:
                         stop_requested = True
             if self.trace is not None:
-                self.trace.record(self.clock.now, f"phase.{phase.value}", {"round": round_index})
+                self.trace.record(self.clock.now, f"phase.{key}", {"round": round_index})
         self.completed_rounds += 1
         self.clock.advance_by(1.0)
         return RoundResult(round_index=round_index, stop_requested=stop_requested)

@@ -13,6 +13,7 @@ from repro.core.lp.formulation import PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import solve_flow_program
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.registry import get_experiment
 from repro.experiments.runner import run_trial
 from repro.network.demand import RequestSequence, uniform_demand
 from repro.network.topologies import random_connected_grid_topology
@@ -53,6 +54,30 @@ class TestCLI:
         assert args.balancer == "incremental"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure4", "--balancer", "telepathy"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure4", "--nodes", "10"],
+            ["lp", "--nodes", "10"],
+            ["figure5", "--sizes", "9", "10"],
+        ],
+    )
+    def test_non_square_grid_size_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert f"{argv[0]}: topology " in error
+        assert "perfect-square node count, got 10" in error
+        assert "Traceback" not in error
+
+    def test_cycle_accepts_a_non_square_size(self):
+        experiment = get_experiment("figure4")
+        params = experiment.normalize(
+            experiment.resolve_params({"topologies": ("cycle",), "n_nodes": 10})
+        )
+        assert params["n_nodes"] == 10
 
     def test_balancer_flag_does_not_change_figure4_numbers(self, capsys):
         """--balancer incremental must report the exact same series."""

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.lp.extensions import PairOverheads, thin_generation_for_qec
 from repro.core.lp.formulation import PathObliviousFlowProgram, VariableIndex
@@ -16,7 +18,7 @@ from repro.core.lp.steady_state import (
 )
 from repro.network.demand import uniform_demand
 from repro.network.topologies import cycle_topology, grid_topology, line_topology
-from repro.network.topology import Topology
+from repro.network.topology import Topology, edge_key
 
 
 class TestPairOverheads:
@@ -88,6 +90,26 @@ class TestFormulation:
         lp = program.build(Objective.MIN_TOTAL_GENERATION)
         generation_vars = [name for name in lp.variables.names() if name[0] == "g"]
         assert len(generation_vars) == topology.n_edges
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_constraint_matrix_matches_the_lil_builder(self, objective):
+        """The direct CSR assembly hands HiGHS the arrays the original
+        per-entry lil_matrix builder produced: same data, indices, indptr."""
+        topology = grid_topology(9)
+        overheads = PairOverheads(default_distillation=2.0, default_loss=0.9)
+        overheads.set_distillation(0, 1, 3.5)
+        overheads.set_loss(2, 5, 0.75)
+        program = PathObliviousFlowProgram(
+            topology, uniform_demand([(0, 4), (2, 6), (1, 8)], 0.05), overheads=overheads
+        )
+        lp = program.build(objective)
+        reference = _lil_constraint_matrix(program, lp, objective)
+        assert lp.a_ub.shape == reference.shape
+        for attribute in ("data", "indices", "indptr"):
+            expected = getattr(reference, attribute)
+            actual = getattr(lp.a_ub, attribute)
+            assert actual.dtype == expected.dtype
+            assert np.array_equal(actual, expected)
 
     def test_rejects_disconnected_topology(self):
         topology = Topology("d", nodes=[0, 1, 2, 3])
@@ -274,3 +296,44 @@ class TestSteadyState:
         assert alpha > 0
         with pytest.raises(ValueError):
             max_feasible_uniform_demand(topology, [])
+
+
+def _lil_constraint_matrix(program, lp, objective):
+    """``A_ub`` as the original builder assembled it, entry by entry."""
+    index_of = lp.variables.index_of
+    rows = []
+    for pair in program.pairs:
+        x, y = pair
+        distillation = program.overheads.distillation_for(x, y)
+        loss = program.overheads.loss_for(x, y)
+        row = {}
+        kappa = program.demand_rate(pair)
+        if objective is Objective.MAX_PROPORTIONAL_ALPHA and kappa > 0:
+            row[index_of(("alpha",))] = distillation * kappa
+        elif objective.consumption_is_variable() and kappa > 0:
+            row[index_of(("c", pair))] = distillation
+        for node in program.nodes:
+            if node in pair:
+                continue
+            for name in (("sigma", x, edge_key(node, y)), ("sigma", y, edge_key(node, x))):
+                row[index_of(name)] = row.get(index_of(name), 0.0) + distillation
+        if objective.generation_is_variable() and program.generation_capability(pair) > 0:
+            row[index_of(("g", pair))] = row.get(index_of(("g", pair)), 0.0) - loss
+        for node in program.nodes:
+            if node not in pair:
+                index = index_of(("sigma", node, pair))
+                row[index] = row.get(index, 0.0) - loss
+        rows.append(row)
+    if objective is Objective.MIN_MAX_GENERATION:
+        for pair in program.pairs:
+            if ("g", pair) in lp.variables:
+                rows.append({index_of(("g", pair)): 1.0, index_of(("max_generation",)): -1.0})
+    if objective is Objective.MAX_MIN_CONSUMPTION:
+        for pair in program.pairs:
+            if ("c", pair) in lp.variables:
+                rows.append({index_of(("min_consumption",)): 1.0, index_of(("c", pair)): -1.0})
+    matrix = sparse.lil_matrix((len(rows), len(lp.variables)))
+    for row_index, row in enumerate(rows):
+        for column, value in row.items():
+            matrix[row_index, column] = value
+    return matrix.tocsr()

@@ -1,9 +1,10 @@
-"""Tests for the incremental balancing engine (repro.core.maxmin.incremental).
+"""Tests for the ``incremental`` engine (the dense balancer's skip mode).
 
 The engine's contract is *exact equivalence*: same candidate sets, same swap
-sequence, same ledger fixed point as the naive :class:`MaxMinBalancer` under
-any deterministic policy — only faster.  Most tests here run both engines on
-identical ledgers and diff everything observable.
+sequence, same ledger fixed point as the per-pair reference enumeration
+(:class:`balancer_oracle.OracleBalancer`) — only fewer turns evaluated.
+Most tests here run both on identical ledgers and diff everything
+observable; ``test_maxmin_oracle.py`` holds the randomized property suite.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.core.maxmin import (
 )
 from repro.core.maxmin.policy import RandomPreferablePolicy
 from repro.experiments.scaling import build_scaling_ledger
+
+from balancer_oracle import OracleBalancer
 
 
 def paired_ledgers(counts, nodes):
@@ -51,7 +54,7 @@ class TestCandidateEquivalence:
     def test_candidates_match_naive_after_random_mutations(self):
         rng = np.random.default_rng(0)
         l1, l2 = paired_ledgers({}, range(8))
-        naive = MaxMinBalancer(l1, rng=np.random.default_rng(1))
+        naive = OracleBalancer(l1, rng=np.random.default_rng(1))
         incremental = IncrementalMaxMinBalancer(l2, rng=np.random.default_rng(1))
         for _ in range(300):
             a, b = rng.choice(8, size=2, replace=False)
@@ -70,28 +73,10 @@ class TestCandidateEquivalence:
             assert incremental.preferable_candidates(node) == naive.preferable_candidates(node)
         assert incremental.has_preferable_swap() == naive.has_preferable_swap()
 
-    def test_self_check_mode_passes_through_convergence(self):
-        l1, l2 = paired_ledgers({(0, 1): 14, (1, 2): 9, (2, 3): 4}, range(5))
-        naive = MaxMinBalancer(l1, rng=np.random.default_rng(0))
-        checked = IncrementalMaxMinBalancer(l2, rng=np.random.default_rng(0), self_check=True)
-        assert naive.balance_to_convergence() == checked.balance_to_convergence()
-        assert l1.nonzero_pairs() == l2.nonzero_pairs()
-
-    def test_self_check_detects_corrupted_cache(self):
-        ledger = PairCountLedger(range(4))
-        ledger.add(0, 1, 8)
-        ledger.add(0, 2, 8)
-        balancer = IncrementalMaxMinBalancer(ledger, rng=np.random.default_rng(0), self_check=True)
-        # Sabotage the cache behind the engine's back: self-check must notice.
-        balancer._candidates.clear()
-        balancer._active.clear()
-        with pytest.raises(RuntimeError, match="diverged"):
-            balancer.preferable_candidates(0)
-
     def test_swap_records_match_naive(self):
         counts = {(0, 1): 12, (0, 2): 7, (1, 3): 9, (2, 3): 3}
         l1, l2 = paired_ledgers(counts, range(5))
-        naive = MaxMinBalancer(l1, rng=np.random.default_rng(0), keep_records=True)
+        naive = OracleBalancer(l1, rng=np.random.default_rng(0), keep_records=True)
         incremental = IncrementalMaxMinBalancer(
             l2, rng=np.random.default_rng(0), keep_records=True
         )
@@ -104,7 +89,7 @@ class TestCandidateEquivalence:
         """Candidate ordering matches naive, so even randomized policies agree."""
         counts = {(0, 1): 15, (0, 2): 11, (0, 3): 9, (1, 2): 2}
         l1, l2 = paired_ledgers(counts, range(5))
-        naive = MaxMinBalancer(
+        naive = OracleBalancer(
             l1, policy=RandomPreferablePolicy(), rng=np.random.default_rng(3)
         )
         incremental = IncrementalMaxMinBalancer(
@@ -119,14 +104,11 @@ class TestKnowledgeHandling:
     def test_gossip_rounds_match_naive(self):
         counts = {(0, 1): 10, (0, 2): 10, (1, 3): 6}
         l1, l2 = paired_ledgers(counts, range(5))
-        naive = MaxMinBalancer(
+        naive = OracleBalancer(
             l1, knowledge=GossipKnowledge(l1, fanout=2), rng=np.random.default_rng(4)
         )
         incremental = IncrementalMaxMinBalancer(
-            l2,
-            knowledge=GossipKnowledge(l2, fanout=2),
-            rng=np.random.default_rng(4),
-            self_check=True,
+            l2, knowledge=GossipKnowledge(l2, fanout=2), rng=np.random.default_rng(4)
         )
         for round_index in range(12):
             assert naive.run_round(round_index) == incremental.run_round(round_index)
@@ -149,8 +131,9 @@ class TestKnowledgeHandling:
         ledger.add(0, 1, 4)
         balancer = IncrementalMaxMinBalancer(ledger, rng=np.random.default_rng(0))
         balancer.detach()
-        ledger.add(0, 2, 4)  # would mark dirty entries if still subscribed
-        assert not balancer._dirty_partners
+        assert balancer._on_mutation not in ledger._listeners
+        ledger.add(0, 2, 4)  # would reach the count mirror if still subscribed
+        assert balancer.preferable_candidates(0) == []
 
 
 class TestLargeTopologyFixedPoints:
@@ -189,13 +172,11 @@ class TestLargeTopologyFixedPoints:
 
 class TestExternalMutations:
     def test_generation_and_consumption_between_rounds(self):
-        """The protocol mutates the ledger outside run_round; caches must track."""
+        """The protocol mutates the ledger outside run_round; the mirror must track."""
         rng = np.random.default_rng(9)
         l1, l2 = paired_ledgers({}, range(10))
-        naive = MaxMinBalancer(l1, rng=np.random.default_rng(0))
-        incremental = IncrementalMaxMinBalancer(
-            l2, rng=np.random.default_rng(0), self_check=True
-        )
+        naive = OracleBalancer(l1, rng=np.random.default_rng(0))
+        incremental = IncrementalMaxMinBalancer(l2, rng=np.random.default_rng(0))
         for round_index in range(25):
             # generation phase: the same random pairs land in both ledgers
             for _ in range(4):

@@ -16,6 +16,8 @@ from repro.experiments.runner import run_many, run_trial
 from repro.protocols.nested import nested_swap_count, sequential_swap_count
 from repro.sim.metrics import Histogram
 
+from balancer_oracle import OracleBalancer
+
 # ---------------------------------------------------------------------- #
 # Ledger invariants under random operation sequences
 # ---------------------------------------------------------------------- #
@@ -106,13 +108,13 @@ class TestBalancerProperties:
     def test_incremental_engine_reaches_identical_fixed_point(self, counts, distillation):
         """The incremental engine's contract: bit-identical ledger fixed
         points, round counts and swap sequences under the deterministic
-        policy — verified candidate-by-candidate via self_check."""
+        policy, against the per-pair reference enumeration."""
         naive_ledger = PairCountLedger(range(6))
         incremental_ledger = PairCountLedger(range(6))
         for (a, b), value in counts.items():
             naive_ledger.add(a, b, value)
             incremental_ledger.add(a, b, value)
-        naive = MaxMinBalancer(
+        naive = OracleBalancer(
             naive_ledger,
             overheads=float(distillation),
             rng=np.random.default_rng(0),
@@ -121,7 +123,6 @@ class TestBalancerProperties:
             incremental_ledger,
             overheads=float(distillation),
             rng=np.random.default_rng(0),
-            self_check=True,
         )
         naive_rounds = naive.balance_to_convergence(max_rounds=5000)
         incremental_rounds = incremental.balance_to_convergence(max_rounds=5000)
@@ -184,14 +185,11 @@ class TestScenarioProperties:
         for (a, b), value in counts.items():
             naive_ledger.add(a, b, value)
             incremental_ledger.add(a, b, value)
-        naive = MaxMinBalancer(
+        naive = OracleBalancer(
             naive_ledger, overheads=float(distillation), rng=np.random.default_rng(0)
         )
         incremental = IncrementalMaxMinBalancer(
-            incremental_ledger,
-            overheads=float(distillation),
-            rng=np.random.default_rng(0),
-            self_check=True,
+            incremental_ledger, overheads=float(distillation), rng=np.random.default_rng(0)
         )
         by_round = {}
         for round_index, a, b in failures:

@@ -4,7 +4,7 @@ The group-keyed refactor's contract is that size-2 groups are *the same
 thing* as pairs, not merely similar: driving a ledger through the group API
 with 2-element keys must be bit-identical to driving it through the
 historical pair API — same counts, same listener notifications, same
-incremental-balancer dirty-set behaviour, same RNG stream consumption.
+incremental-balancer swaps, same RNG stream consumption.
 These tests pin that contract under random operation sequences so any
 future divergence between the two key spaces fails loudly.
 """
@@ -15,10 +15,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.maxmin.balancer import MaxMinBalancer
 from repro.core.maxmin.incremental import IncrementalMaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.topology import edge_key, group_key
+
+from balancer_oracle import OracleBalancer
 
 ledger_ops = st.lists(
     st.tuples(
@@ -144,14 +145,11 @@ class TestIncrementalGroupSubscription:
         for (a, b), value in counts.items():
             naive_ledger.add(a, b, value)
             group_ledger.add_group(group_key(a, b), value)
-        naive = MaxMinBalancer(
+        naive = OracleBalancer(
             naive_ledger, overheads=float(distillation), rng=np.random.default_rng(0)
         )
         incremental = IncrementalMaxMinBalancer(
-            group_ledger,
-            overheads=float(distillation),
-            rng=np.random.default_rng(0),
-            self_check=True,  # validates the dirty set candidate-by-candidate
+            group_ledger, overheads=float(distillation), rng=np.random.default_rng(0)
         )
         naive_rounds = naive.balance_to_convergence(max_rounds=5000)
         incremental_rounds = incremental.balance_to_convergence(max_rounds=5000)
@@ -169,7 +167,7 @@ class TestIncrementalGroupSubscription:
     ):
         """Interleaving k>=3 group mutations between balancing rounds must
         not change a single swap decision: GHZ states are not swap donors or
-        recipients, so the incremental engine's dirty set ignores them."""
+        recipients, so the incremental engine never sees them."""
         plain_ledger = PairCountLedger(range(6))
         mixed_ledger = PairCountLedger(range(6))
         for (a, b), value in counts.items():
@@ -179,13 +177,11 @@ class TestIncrementalGroupSubscription:
             plain_ledger,
             overheads=float(distillation),
             rng=np.random.default_rng(0),
-            self_check=True,
         )
         mixed = IncrementalMaxMinBalancer(
             mixed_ledger,
             overheads=float(distillation),
             rng=np.random.default_rng(0),
-            self_check=True,
         )
         ghz = list(group_operations)
         for round_index in range(12):

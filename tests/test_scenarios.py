@@ -43,6 +43,8 @@ from repro.scenarios.schedules import (
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecorder
 
+from balancer_oracle import OracleBalancer
+
 
 # ---------------------------------------------------------------------- #
 # Spec mini-language and registry
@@ -268,29 +270,35 @@ class TestScenarioContext:
 # Incremental engine under churn
 # ---------------------------------------------------------------------- #
 class TestIncrementalUnderChurn:
-    def test_self_check_survives_scenario_mutations(self, small_grid):
-        """A full churn run with self_check on: every candidate list the
-        incremental engine serves after a failure matches the naive
-        enumeration exactly."""
-        streams = RandomStreams(3)
-        ledger = PairCountLedger(small_grid.nodes)
-        for node_a, node_b in small_grid.edges():
-            ledger.add(node_a, node_b, 5)
-        balancer = IncrementalMaxMinBalancer(
-            ledger, rng=streams.get("balancer"), self_check=True, keep_records=False
-        )
-        context = ScenarioContext(topology=small_grid, ledger=ledger)
-        scenario = Scenario(
-            "churn",
-            deterministic_link_churn(
-                small_grid, start=1, period=3, downtime=2, count=4, drop_pairs=True
-            ),
-        )
-        driver = ScenarioDriver(scenario, context)
-        for round_index in range(15):
-            driver.on_round(round_index)
-            balancer.run_round(round_index)
-        assert balancer.swaps_performed > 0
+    def test_skip_mode_matches_oracle_under_churn(self, small_grid):
+        """A full churn run: after every failure the incremental engine's
+        candidate lists and swaps match the per-pair reference enumeration
+        exactly."""
+        runs = []
+        for engine in (IncrementalMaxMinBalancer, OracleBalancer):
+            streams = RandomStreams(3)
+            ledger = PairCountLedger(small_grid.nodes)
+            for node_a, node_b in small_grid.edges():
+                ledger.add(node_a, node_b, 5)
+            balancer = engine(ledger, rng=streams.get("balancer"))
+            context = ScenarioContext(topology=small_grid, ledger=ledger)
+            scenario = Scenario(
+                "churn",
+                deterministic_link_churn(
+                    small_grid, start=1, period=3, downtime=2, count=4, drop_pairs=True
+                ),
+            )
+            driver = ScenarioDriver(scenario, context)
+            trajectory = []
+            for round_index in range(15):
+                driver.on_round(round_index)
+                trajectory.append(
+                    [balancer.preferable_candidates(node) for node in ledger.nodes]
+                )
+                trajectory.append(balancer.run_round(round_index))
+            runs.append((trajectory, ledger.nonzero_pairs(), balancer.swaps_performed))
+        assert runs[0] == runs[1]
+        assert runs[0][2] > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -277,7 +277,7 @@ class TestCoercionAndDigest:
 
         assert digest({"n_nodes": "9"}) == digest({"n_nodes": 9})
         assert digest({}) == digest({"n_nodes": 25})  # explicit default
-        assert digest({"n_nodes": 9}) != digest({"n_nodes": 10})
+        assert digest({"n_nodes": 9}) != digest({"n_nodes": 16})
         assert digest({"smoke": True}) != digest({})
 
 
@@ -369,6 +369,21 @@ class TestServeDaemon:
                 with pytest.raises(ServeError) as excinfo:
                     client.submit("figure4", {"balancer": "telepathy"})
                 assert excinfo.value.code == 400
+
+    def test_grid_size_that_is_not_a_square_is_a_400(self):
+        """The (topologies, size) check runs in normalize, before any worker."""
+        with serve_daemon() as daemon:
+            with ServeClient(daemon.address) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit("figure4", {"n_nodes": 10})
+                assert excinfo.value.code == 400
+                assert "perfect-square" in excinfo.value.response["error"]["message"]
+                validate_payload(excinfo.value.response, schema=RESPONSE_SCHEMA)
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit("lp", {"n_nodes": 10})
+                assert excinfo.value.code == 400
+            stats = daemon.stats_snapshot()
+        assert stats["jobs_by_state"] == {}
 
     def test_malformed_json_line_gets_a_schema_valid_error(self):
         with serve_daemon() as daemon:
