@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ def mean_confidence_interval(
     Single-observation samples return a degenerate interval equal to the
     observation (there is no spread information to widen it with).
     """
-    if not values:
+    if len(values) == 0:
         raise ValueError("cannot summarise an empty sample")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
@@ -48,6 +47,9 @@ def mean_confidence_interval(
     mean = float(np.mean(data))
     if len(data) == 1:
         return mean, mean, mean
+    # scipy is imported on use, off the start-up path (tests/test_startup.py).
+    from scipy import stats
+
     sem = float(stats.sem(data))
     if sem == 0.0:
         return mean, mean, mean
@@ -62,7 +64,7 @@ def bootstrap_confidence_interval(
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[float, float, float]:
     """Percentile-bootstrap confidence interval of the mean (distribution-free)."""
-    if not values:
+    if len(values) == 0:
         raise ValueError("cannot summarise an empty sample")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
@@ -84,7 +86,7 @@ def bootstrap_confidence_interval(
 
 def summarize(values: Sequence[float], confidence: float = 0.95) -> SummaryStatistics:
     """Full :class:`SummaryStatistics` for a sample."""
-    if not values:
+    if len(values) == 0:
         raise ValueError("cannot summarise an empty sample")
     data = np.asarray(list(values), dtype=float)
     mean, low, high = mean_confidence_interval(values, confidence)
@@ -101,7 +103,7 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> SummaryStati
 
 def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean (used to aggregate overhead ratios across topologies)."""
-    if not values:
+    if len(values) == 0:
         raise ValueError("cannot take the geometric mean of an empty sample")
     data = np.asarray(list(values), dtype=float)
     if np.any(data <= 0):

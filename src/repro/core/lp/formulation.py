@@ -20,15 +20,17 @@ free) is decided by :class:`~repro.core.lp.objectives.Objective`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.lp.extensions import PairOverheads
 from repro.core.lp.objectives import Objective
 from repro.network.demand import DemandMatrix
 from repro.network.topology import EdgeKey, Topology
+
+if TYPE_CHECKING:  # pragma: no cover - scipy is imported where a matrix is built
+    from scipy import sparse
 
 NodeId = Hashable
 
@@ -317,6 +319,9 @@ def _csr_from_rows(rows: Sequence[Dict[int, float]], n_columns: int) -> sparse.c
     which is exactly what assembling through ``lil_matrix`` and ``tocsr``
     produces, so the solver sees the same arrays.
     """
+    # scipy is imported on use, off the start-up path (tests/test_startup.py).
+    from scipy import sparse
+
     indptr = np.zeros(len(rows) + 1, dtype=np.int32)
     indices: List[int] = []
     data: List[float] = []

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.lp.formulation import LinearProgram, PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
@@ -96,6 +95,9 @@ def solve_linear_program(program: LinearProgram) -> Tuple[np.ndarray, float, int
 
     The optimum is reported in the program's natural sense.
     """
+    # scipy is imported on use, off the start-up path (tests/test_startup.py).
+    from scipy.optimize import linprog
+
     result = linprog(
         c=program.objective,
         A_ub=program.a_ub,

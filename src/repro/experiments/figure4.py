@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis.reporting import render_series
-from repro.analysis.statistics import mean_confidence_interval
 from repro.experiments.api import (
     Experiment,
     ExperimentResult,
@@ -52,7 +53,9 @@ class Figure4Result(ExperimentResult):
             value = outcome.overhead_exact if variant == "exact" else outcome.overhead_paper
             table[outcome.config.topology].setdefault(outcome.config.distillation, []).append(value)
         return {
-            name: {d: mean_confidence_interval(values)[0] for d, values in points.items()}
+            name: {
+                d: float(np.mean(np.asarray(values, dtype=float))) for d, values in points.items()
+            }
             for name, points in table.items()
         }
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis.reporting import render_series
-from repro.analysis.statistics import mean_confidence_interval
 from repro.experiments.api import (
     Experiment,
     ExperimentResult,
@@ -48,7 +49,9 @@ class Figure5Result(ExperimentResult):
             value = outcome.overhead_exact if variant == "exact" else outcome.overhead_paper
             table[outcome.config.topology].setdefault(outcome.config.n_nodes, []).append(value)
         return {
-            name: {n: mean_confidence_interval(values)[0] for n, values in points.items()}
+            name: {
+                n: float(np.mean(np.asarray(values, dtype=float))) for n, values in points.items()
+            }
             for name, points in table.items()
         }
 
