@@ -6,15 +6,12 @@ requires dissemination of the pair-count state (paper, §2 "Classical
 overheads" and §6).  This package models those classical costs explicitly:
 
 * :mod:`repro.classical.messages` -- the message vocabulary and size model,
-* :mod:`repro.classical.channel` -- latency/bandwidth-limited classical
-  channels between nodes,
 * :mod:`repro.classical.control_plane` -- full-flooding dissemination of the
   count table with per-round byte accounting,
 * :mod:`repro.classical.gossip` -- the BitTorrent-like choke/unchoke
   rotation sketched in Section 6.
 """
 
-from repro.classical.channel import ClassicalChannel, ClassicalNetwork
 from repro.classical.control_plane import ControlPlane, FloodingControlPlane
 from repro.classical.gossip import ChokeUnchokeGossip
 from repro.classical.messages import (
@@ -27,9 +24,7 @@ from repro.classical.messages import (
 
 __all__ = [
     "ChokeUnchokeGossip",
-    "ClassicalChannel",
     "ClassicalMessage",
-    "ClassicalNetwork",
     "ControlPlane",
     "CountVectorMessage",
     "FloodingControlPlane",

@@ -3,8 +3,8 @@
 The balancing protocol needs each node to know (some of) the global count
 table.  :class:`FloodingControlPlane` models the paper's baseline assumption
 -- every node's count vector reaches every other node each round -- and
-accounts for the classical bits this costs, both end-to-end and per link of
-the underlying classical network.  The gossip alternative lives in
+accounts for the end-to-end classical messages and bits this costs.  The
+gossip alternative lives in
 :mod:`repro.classical.gossip`.
 """
 
@@ -13,8 +13,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-from repro.classical.channel import ClassicalNetwork
-from repro.classical.messages import CountVectorMessage, MessageType, message_size_bits
+from repro.classical.messages import MessageType, message_size_bits
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.topology import Topology
 
@@ -90,19 +89,8 @@ class ControlPlane(abc.ABC):
 class FloodingControlPlane(ControlPlane):
     """Every node sends its full count vector to every other node each round.
 
-    When a :class:`~repro.classical.channel.ClassicalNetwork` is provided,
-    messages are routed hop by hop so per-link load is also recorded;
-    otherwise only end-to-end message/bit totals are kept.
+    Only end-to-end message/bit totals are kept.
     """
-
-    def __init__(
-        self,
-        topology: Topology,
-        ledger: PairCountLedger,
-        network: Optional[ClassicalNetwork] = None,
-    ):
-        super().__init__(topology, ledger)
-        self.network = network
 
     def run_round(self, round_index: int) -> None:
         nodes = self.topology.nodes
@@ -114,9 +102,4 @@ class FloodingControlPlane(ControlPlane):
                     continue
                 self.total_messages += 1
                 self.total_bits += size
-                if self.network is not None:
-                    message = CountVectorMessage(
-                        source=source, destination=destination, counts=counts
-                    ).to_message()
-                    self.network.deliver(message)
         self.rounds_executed += 1

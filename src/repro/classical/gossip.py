@@ -17,9 +17,8 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.classical.channel import ClassicalNetwork
 from repro.classical.control_plane import ControlPlane
-from repro.classical.messages import CountVectorMessage, MessageType, message_size_bits
+from repro.classical.messages import MessageType, message_size_bits
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.topology import Topology
 
@@ -38,8 +37,6 @@ class ChokeUnchokeGossip(ControlPlane):
         fresh uniformly random peer (the optimistic unchoke).
     rng:
         Random stream controlling peer selection.
-    network:
-        Optional classical network for per-link load accounting.
     """
 
     def __init__(
@@ -49,7 +46,6 @@ class ChokeUnchokeGossip(ControlPlane):
         unchoked_slots: int = 3,
         rotation_period: int = 1,
         rng: Optional[np.random.Generator] = None,
-        network: Optional[ClassicalNetwork] = None,
     ):
         if unchoked_slots <= 0:
             raise ValueError(f"unchoked_slots must be positive, got {unchoked_slots}")
@@ -59,7 +55,6 @@ class ChokeUnchokeGossip(ControlPlane):
         self.unchoked_slots = unchoked_slots
         self.rotation_period = rotation_period
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.network = network
         self._unchoked: Dict[NodeId, List[NodeId]] = {}
         #: observer -> peer -> last seen count vector (the knowledge gossip builds).
         self.views: Dict[NodeId, Dict[NodeId, Dict[NodeId, int]]] = {}
@@ -105,11 +100,6 @@ class ChokeUnchokeGossip(ControlPlane):
                 self.total_messages += 1
                 self.total_bits += size
                 self.views.setdefault(destination, {})[source] = dict(counts)
-                if self.network is not None:
-                    message = CountVectorMessage(
-                        source=source, destination=destination, counts=counts
-                    ).to_message()
-                    self.network.deliver(message)
         self.rounds_executed += 1
 
     # ------------------------------------------------------------------ #

@@ -12,17 +12,21 @@ The LP of Section 3.1 is extended in Section 3.2 with three knobs:
 :class:`PairOverheads` bundles the per-pair ``D`` and ``L`` maps with
 uniform defaults, and provides constructors deriving them from physical
 parameters via :mod:`repro.quantum.distillation` and
-:mod:`repro.quantum.decoherence`.
+:mod:`repro.quantum.decoherence`.  Those modules are imported by the
+constructors that use them, so the count-level path never loads
+:mod:`repro.quantum`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional
 
 from repro.network.topology import EdgeKey, Topology, edge_key
-from repro.quantum.decoherence import DecoherenceModel, NoDecoherence
-from repro.quantum.distillation import DistillationProtocol, distillation_overhead
+
+if TYPE_CHECKING:  # pragma: no cover - imported where an overhead is derived
+    from repro.quantum.decoherence import DecoherenceModel
+    from repro.quantum.distillation import DistillationProtocol
 
 NodeId = Hashable
 
@@ -99,10 +103,17 @@ class PairOverheads:
         cls,
         link_fidelities: Mapping[EdgeKey, float],
         target_fidelity: float,
-        protocol: DistillationProtocol = DistillationProtocol.BBPSSW,
+        protocol: Optional[DistillationProtocol] = None,
         default_distillation: float = 1.0,
     ) -> "PairOverheads":
-        """Derive per-pair ``D`` from per-link fidelities and a target fidelity."""
+        """Derive per-pair ``D`` from per-link fidelities and a target fidelity.
+
+        ``protocol`` defaults to BBPSSW.
+        """
+        from repro.quantum.distillation import DistillationProtocol, distillation_overhead
+
+        if protocol is None:
+            protocol = DistillationProtocol.BBPSSW
         overheads = cls(default_distillation=default_distillation)
         for edge, fidelity in link_fidelities.items():
             overheads.distillation[edge_key(*edge)] = distillation_overhead(
@@ -118,6 +129,8 @@ class PairOverheads:
         distillation: float = 1.0,
     ) -> "PairOverheads":
         """Uniform overheads whose loss factor comes from a decoherence model."""
+        from repro.quantum.decoherence import NoDecoherence
+
         model = decoherence if decoherence is not None else NoDecoherence()
         return cls(
             default_distillation=distillation,

@@ -22,16 +22,6 @@ from repro.network.generation import (
     GenerationProcess,
     PoissonGeneration,
 )
-from repro.network.link import GenerationLink
-from repro.network.node import QuantumNode
-from repro.network.routing import (
-    all_pairs_shortest_path_lengths,
-    k_shortest_paths,
-    path_edges,
-    path_hops,
-    shortest_path,
-    shortest_path_length,
-)
 from repro.network.topology import Topology
 from repro.network.topologies import (
     complete_topology,
@@ -52,13 +42,10 @@ __all__ = [
     "ConsumptionRequest",
     "DemandMatrix",
     "DeterministicGeneration",
-    "GenerationLink",
     "GenerationProcess",
     "PoissonGeneration",
-    "QuantumNode",
     "RequestSequence",
     "Topology",
-    "all_pairs_shortest_path_lengths",
     "complete_topology",
     "cycle_topology",
     "dumbbell_topology",
@@ -66,15 +53,10 @@ __all__ = [
     "gravity_demand",
     "grid_topology",
     "hotspot_demand",
-    "k_shortest_paths",
     "line_topology",
-    "path_edges",
-    "path_hops",
     "random_connected_grid_topology",
     "random_tree_topology",
     "select_consumer_pairs",
-    "shortest_path",
-    "shortest_path_length",
     "star_topology",
     "topology_from_name",
     "uniform_demand",

@@ -29,7 +29,7 @@ GroupKey = Tuple[NodeId, ...]
 
 
 def edge_key(node_a: NodeId, node_b: NodeId) -> EdgeKey:
-    """Canonical unordered edge key (mirrors :func:`repro.quantum.bell_pair.pair_key`)."""
+    """Canonical unordered edge key: the two nodes in ``repr`` order."""
     if node_a == node_b:
         raise ValueError(f"self-loop edges are not allowed (node {node_a!r})")
     # The two-element case of sorted(..., key=repr), ties kept in order.

@@ -26,7 +26,6 @@ from repro.perf.kernels import (
     active_backend,
     available_backends,
     candidate_block,
-    event_drain_order,
     get_kernel,
     kernel_names,
     numba_available,
@@ -43,7 +42,6 @@ __all__ = [
     "active_backend",
     "available_backends",
     "candidate_block",
-    "event_drain_order",
     "get_kernel",
     "kernel_names",
     "numba_available",

@@ -1,14 +1,13 @@
 """The benchmark-trajectory emitter behind ``repro bench``.
 
-Re-runs the workloads the ``benchmarks/`` suite times — the three
-accelerated kernels against their pure-Python references, the vectorized
-Werner batch algebra, the vectorized arrival sampling, the incremental
-balancer's convergence (through the group-keyed notification channel and
-rewired to the historical pair channel, so the group layer's overhead on
-pair workloads stays measured), a quick figure-4 sweep, the telemetry
-layer's span overhead on an instrumented trial, and the serve daemon's
-submit-to-result roundtrip (cold vs answered from the shared result
-memo) — in a deterministic quick mode, and emits one JSON document:
+Re-runs the workloads the ``benchmarks/`` suite times — the accelerated
+kernels against their pure-Python references, the vectorized arrival
+sampling, the incremental balancer's convergence (through the group-keyed
+notification channel and rewired to the historical pair channel, so the
+group layer's overhead on pair workloads stays measured), a quick figure-4
+sweep, the telemetry layer's span overhead on an instrumented trial, and the
+serve daemon's submit-to-result roundtrip (cold vs answered from the shared
+result memo) — in a deterministic quick mode, and emits one JSON document:
 per-benchmark median-of-k wall times (see :mod:`repro.perf.timing`), the
 machine fingerprint, and the git revision.  The checked-in snapshot
 lives at ``BENCH_10.json`` in the repo root (``BENCH_6.json``,
@@ -43,7 +42,6 @@ from repro.perf.timing import median_of_k
 
 #: Input sizes per kernel: full (the checked-in trajectory) and quick (CI).
 _KERNEL_SIZES = {
-    "event-drain": {"full": 100_000, "quick": 20_000},
     "balancer-candidates": {"full": 600, "quick": 250},
     "serve-prefix": {"full": 200_000, "quick": 50_000},
 }
@@ -53,12 +51,6 @@ def _kernel_inputs(name: str, quick: bool):
     """Deterministic synthetic inputs for kernel ``name`` at trajectory scale."""
     size = _KERNEL_SIZES[name]["quick" if quick else "full"]
     rng = np.random.default_rng(6)
-    if name == "event-drain":
-        times = rng.integers(0, size // 4, size).astype(np.float64)
-        priorities = rng.integers(-2, 3, size).astype(np.int64)
-        sequences = np.arange(size, dtype=np.int64)
-        cancelled = rng.random(size) < 0.5
-        return (times, priorities, sequences, cancelled)
     if name == "balancer-candidates":
         headroom = rng.integers(0, 8, size).astype(np.int64)
         recipient = rng.integers(0, 10, (size, size)).astype(np.int64)
@@ -103,27 +95,6 @@ def _kernel_benchmarks(repeats: int, warmup: int, quick: bool) -> List[Dict[str,
             }
         )
     return entries
-
-
-def _quantum_batch_benchmark(repeats: int, warmup: int, quick: bool) -> Dict[str, Any]:
-    from repro.quantum.batch import swap_fidelity_batch
-    from repro.quantum.fidelity import swap_fidelity
-
-    size = 1024 if quick else 4096
-    rng = np.random.default_rng(11)
-    a = rng.uniform(0.25, 1.0, size)
-    b = rng.uniform(0.25, 1.0, size)
-    batch_seconds = median_of_k(lambda: swap_fidelity_batch(a, b), repeats=repeats, warmup=warmup)
-    scalar_seconds = median_of_k(
-        lambda: [swap_fidelity(x, y) for x, y in zip(a, b)], repeats=repeats, warmup=warmup
-    )
-    return {
-        "name": "quantum.swap-fidelity-batch",
-        "group": "batch",
-        "median_seconds": batch_seconds,
-        "reference_median_seconds": scalar_seconds,
-        "speedup": scalar_seconds / batch_seconds if batch_seconds > 0 else None,
-    }
 
 
 def _arrivals_benchmark(repeats: int, warmup: int, quick: bool) -> Dict[str, Any]:
@@ -393,7 +364,6 @@ def run_bench(
 ) -> Dict[str, Any]:
     """Run the trajectory suite and return the validated BENCH payload."""
     benchmarks = _kernel_benchmarks(repeats, warmup, quick)
-    benchmarks.append(_quantum_batch_benchmark(repeats, warmup, quick))
     benchmarks.append(_arrivals_benchmark(repeats, warmup, quick))
     benchmarks.append(_balancer_benchmark(repeats, warmup, quick))
     benchmarks.append(_group_ledger_benchmark(repeats, warmup, quick))

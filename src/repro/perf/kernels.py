@@ -1,9 +1,8 @@
 """Accelerated hot-path kernels behind the ``REPRO_KERNELS`` backend switch.
 
 Profiles of the large-topology sweeps (``repro profile scaling``) are
-dominated by three interpreter-bound loops: the event-queue drain/compaction
-ordering in :mod:`repro.sim.engine`, the balancer's candidate-block
-evaluation in :mod:`repro.core.maxmin`, and the per-request head-of-line
+dominated by interpreter-bound loops such as the balancer's candidate-block
+evaluation in :mod:`repro.core.maxmin` and the per-request head-of-line
 stepping of the consumption phase in :mod:`repro.protocols`.  Each of those
 hotspots is factored here into a *kernel*: a pure function over plain arrays
 with no simulator state, shipped as a (reference, accelerated) pair.
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from heapq import heapify, heappop
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -137,89 +135,7 @@ def get_kernel(name: str) -> KernelPair:
 
 
 # ---------------------------------------------------------------------- #
-# Kernel 1: event-drain — dispatch order of a simulation event batch
-# ---------------------------------------------------------------------- #
-def _event_drain_python(
-    times: np.ndarray,
-    priorities: np.ndarray,
-    sequences: np.ndarray,
-    cancelled: np.ndarray,
-) -> np.ndarray:
-    """Indices of live events in dispatch order ``(time, priority, sequence)``.
-
-    The reference mirrors what :class:`repro.sim.engine.EventQueue` does one
-    ``heappop`` at a time: heapify the live events and drain the heap.
-    """
-    heap = [
-        (times[i], priorities[i], sequences[i], i)
-        for i in range(len(times))
-        if not cancelled[i]
-    ]
-    heapify(heap)
-    order = []
-    while heap:
-        order.append(heappop(heap)[3])
-    return np.asarray(order, dtype=np.int64)
-
-
-def _event_drain_numpy(
-    times: np.ndarray,
-    priorities: np.ndarray,
-    sequences: np.ndarray,
-    cancelled: np.ndarray,
-) -> np.ndarray:
-    live = np.flatnonzero(~np.asarray(cancelled, dtype=bool))
-    # lexsort's last key is primary; sequences are unique, so the order is
-    # total and exactly matches the heap's (time, priority, sequence) drain.
-    order = np.lexsort((sequences[live], priorities[live], times[live]))
-    return live[order].astype(np.int64, copy=False)
-
-
-def _event_drain_numba_source(times, priorities, sequences, cancelled):  # pragma: no cover
-    n = times.shape[0]
-    index = np.empty(n, np.int64)
-    count = 0
-    for i in range(n):
-        if not cancelled[i]:
-            index[count] = i
-            count += 1
-    live = index[:count]
-
-    def less(a, b):
-        if times[a] != times[b]:
-            return times[a] < times[b]
-        if priorities[a] != priorities[b]:
-            return priorities[a] < priorities[b]
-        return sequences[a] < sequences[b]
-
-    def sift_down(heap, start, end):
-        root = start
-        while True:
-            child = 2 * root + 1
-            if child > end:
-                break
-            if child + 1 <= end and less(heap[child + 1], heap[child]):
-                child += 1
-            if less(heap[child], heap[root]):
-                heap[root], heap[child] = heap[child], heap[root]
-                root = child
-            else:
-                break
-
-    for start in range(count // 2 - 1, -1, -1):
-        sift_down(live, start, count - 1)
-    out = np.empty(count, np.int64)
-    end = count - 1
-    for k in range(count):
-        out[k] = live[0]
-        live[0] = live[end]
-        end -= 1
-        sift_down(live, 0, end)
-    return out
-
-
-# ---------------------------------------------------------------------- #
-# Kernel 2: balancer-candidates — one repeater's preferable-swap block
+# Kernel 1: balancer-candidates — one repeater's preferable-swap block
 # ---------------------------------------------------------------------- #
 def _candidate_block_python(
     headroom: np.ndarray, recipient: np.ndarray
@@ -277,7 +193,7 @@ def _candidate_block_numba_source(headroom, recipient):  # pragma: no cover
 
 
 # ---------------------------------------------------------------------- #
-# Kernel 3: serve-prefix — how many head-of-line requests a round can serve
+# Kernel 2: serve-prefix — how many head-of-line requests a round can serve
 # ---------------------------------------------------------------------- #
 def _serve_prefix_python(codes: np.ndarray, budgets: np.ndarray) -> int:
     """Length of the maximal servable head-of-line prefix.
@@ -350,15 +266,6 @@ def _maybe_jit(function):  # pragma: no cover - compiled only under numba
 
 register_kernel(
     KernelPair(
-        name="event-drain",
-        summary="dispatch order of a (time, priority, sequence) event batch",
-        reference=_event_drain_python,
-        numpy_impl=_event_drain_numpy,
-        numba_impl=_maybe_jit(_event_drain_numba_source),
-    )
-)
-register_kernel(
-    KernelPair(
         name="balancer-candidates",
         summary="one repeater's preferable-swap block over partner headrooms",
         reference=_candidate_block_python,
@@ -380,11 +287,6 @@ register_kernel(
 # ---------------------------------------------------------------------- #
 # Dispatch helpers used by the integration sites
 # ---------------------------------------------------------------------- #
-def event_drain_order(times, priorities, sequences, cancelled) -> np.ndarray:
-    """Dispatch-order indices of the live events (see ``event-drain``)."""
-    return get_kernel("event-drain").dispatch()(times, priorities, sequences, cancelled)
-
-
 def candidate_block(headroom, recipient) -> Tuple[np.ndarray, np.ndarray]:
     """Valid candidate (row, col) pairings (see ``balancer-candidates``)."""
     return get_kernel("balancer-candidates").dispatch()(headroom, recipient)

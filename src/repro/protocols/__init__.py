@@ -20,7 +20,6 @@ both the baselines and the paper's overhead metric rely on.
 """
 
 from repro.protocols.base import ProtocolResult, SwappingProtocol
-from repro.protocols.entity import EntityLevelSimulation, EntitySimulationResult
 from repro.protocols.nested import (
     execute_nested,
     nested_schedule,
@@ -38,8 +37,6 @@ from repro.protocols.planned import (
 __all__ = [
     "ConnectionOrientedProtocol",
     "ConnectionlessProtocol",
-    "EntityLevelSimulation",
-    "EntitySimulationResult",
     "OnDemandProtocol",
     "PathObliviousProtocol",
     "ProtocolResult",

@@ -223,8 +223,7 @@ class SwappingProtocol(abc.ABC):
         )
         # Timed workloads release arrivals (through admission control) at
         # the very start of each round -- before scenario perturbations and
-        # generation -- mirroring the discrete-event engine's ordering of
-        # REQUEST_ARRIVAL events at the same instant.
+        # generation.
         release = getattr(self.requests, "on_round", None)
         if release is not None:
             simulator.add_hook(RoundPhase.GENERATION, release)

@@ -59,7 +59,7 @@ class OnDemandProtocol(SwappingProtocol):
         if len(pair) != 2:
             raise ValueError(
                 f"planned protocols serve 2-party requests only; got a group of {len(pair)} "
-                f"({pair!r}) — use the path-oblivious or entity engines for multicast"
+                f"({pair!r}) — use the path-oblivious protocol for multicast"
             )
         if pair not in self._path_cache:
             path = self.topology.shortest_path(pair[0], pair[1])

@@ -2,8 +2,7 @@
 
 The paper treats Bell pairs as interchangeable, countable resources with two
 quality parameters: a distillation overhead ``D`` and a loss/decoherence
-factor ``L``.  This package provides both that count-level abstraction and a
-physically grounded layer underneath it:
+factor ``L``.  This package provides the physical models behind them:
 
 * :mod:`repro.quantum.states` and :mod:`repro.quantum.gates` -- a small
   density-matrix simulator used to *validate* the analytic formulas
@@ -11,33 +10,14 @@ physically grounded layer underneath it:
   density matrices in the test suite).
 * :mod:`repro.quantum.fidelity` -- Werner-state fidelity algebra: swap
   composition, depolarising decay, teleportation fidelity.
-* :mod:`repro.quantum.batch` -- the same algebra vectorized over whole
-  batches of pairs (NumPy array ops), for Monte-Carlo studies that evolve
-  thousands of pairs per step.
-* :mod:`repro.quantum.bell_pair` / :mod:`repro.quantum.memory` -- the Bell
-  pair entity and per-node quantum memory used by the entity-level
-  simulations.
 * :mod:`repro.quantum.distillation` -- BBPSSW and DEJMPS purification, plus
   the expected-cost model that produces the paper's ``D`` parameter.
 * :mod:`repro.quantum.qec` -- the quantum-error-correction overhead model
   (rate ``R`` thinning of generation) of Section 3.2.
 * :mod:`repro.quantum.decoherence` -- memory decoherence models producing
   the loss factor ``L`` of Section 3.2.
-* :mod:`repro.quantum.swap` / :mod:`repro.quantum.teleportation` -- the two
-  operations the network exists to support.
 """
 
-from repro.quantum.bell_pair import BellPair, PairId, pair_key
-from repro.quantum.batch import (
-    BellPairBatch,
-    chained_swap_fidelity_batch,
-    decohered_fidelity_batch,
-    depolarize_batch,
-    distillation_outcomes_batch,
-    swap_fidelity_batch,
-    swap_outcomes_batch,
-    teleportation_fidelity_batch,
-)
 from repro.quantum.decoherence import (
     CutoffPolicy,
     DecoherenceModel,
@@ -63,15 +43,10 @@ from repro.quantum.fidelity import (
     werner_from_fidelity,
 )
 from repro.quantum.gates import CNOT, CZ, HADAMARD, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z
-from repro.quantum.memory import MemoryFullError, QuantumMemory, StoredQubit
 from repro.quantum.qec import QECCode, apply_qec_thinning, surface_code_overhead
 from repro.quantum.states import DensityMatrix, bell_state, fidelity as state_fidelity
-from repro.quantum.swap import SwapOutcome, SwapPhysics
-from repro.quantum.teleportation import TeleportationOutcome, teleport, teleportation_circuit_fidelity
 
 __all__ = [
-    "BellPair",
-    "BellPairBatch",
     "CNOT",
     "CZ",
     "CutoffPolicy",
@@ -81,43 +56,26 @@ __all__ = [
     "ExponentialDecoherence",
     "HADAMARD",
     "IDENTITY",
-    "MemoryFullError",
     "NoDecoherence",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "PairId",
     "QECCode",
-    "QuantumMemory",
-    "StoredQubit",
-    "SwapOutcome",
-    "SwapPhysics",
-    "TeleportationOutcome",
     "WERNER_MINIMUM_USEFUL_FIDELITY",
     "WernerState",
     "apply_qec_thinning",
     "bbpssw_output_fidelity",
     "bbpssw_success_probability",
     "bell_state",
-    "chained_swap_fidelity_batch",
-    "decohered_fidelity_batch",
     "dejmps_round",
     "depolarize",
-    "depolarize_batch",
-    "distillation_outcomes_batch",
     "distillation_overhead",
     "expected_pairs_for_target",
-    "pair_key",
     "rounds_to_target_fidelity",
     "state_fidelity",
     "surface_code_overhead",
     "survival_probability",
     "swap_fidelity",
-    "swap_fidelity_batch",
-    "swap_outcomes_batch",
-    "teleport",
-    "teleportation_circuit_fidelity",
     "teleportation_fidelity",
-    "teleportation_fidelity_batch",
     "werner_from_fidelity",
 ]

@@ -2,8 +2,7 @@
 
 The paper's LP extension (§3.2) folds decoherence into a loss factor
 ``L_{x,y}``: the fraction of fully distilled pairs that survive long enough
-to be used.  The entity-level simulations instead track individual pair
-lifetimes; both views are provided here.
+to be used.  Per-pair survival and fidelity decay models are provided too.
 
 The paper's headline evaluation assumes long-lived memories (its motivating
 trend), which corresponds to :class:`NoDecoherence`.
@@ -113,33 +112,6 @@ class ExponentialDecoherence(DecoherenceModel):
         if mean_storage_time < 0:
             raise ValueError(f"mean_storage_time must be non-negative, got {mean_storage_time}")
         return self.coherence_time / (self.coherence_time + mean_storage_time)
-
-
-@dataclass
-class RateScaledDecoherence(DecoherenceModel):
-    """Wrap a model so stored pairs age ``factor`` times faster.
-
-    The scenario layer's decoherence-rate ramps stack these wrappers on the
-    running simulation's model: scaling elapsed time by ``factor`` is
-    exactly a rate scale for exponential decay and a sensible definition
-    for any other model.
-    """
-
-    inner: DecoherenceModel
-    factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise ValueError(f"factor must be positive, got {self.factor}")
-
-    def fidelity_after(self, initial_fidelity: float, elapsed: float) -> float:
-        return self.inner.fidelity_after(initial_fidelity, elapsed * self.factor)
-
-    def sample_lifetime(self, rng: np.random.Generator) -> float:
-        return self.inner.sample_lifetime(rng) / self.factor
-
-    def loss_factor(self, mean_storage_time: float) -> float:
-        return self.inner.loss_factor(mean_storage_time * self.factor)
 
 
 @dataclass

@@ -3,18 +3,17 @@
 The paper evaluates path-oblivious entanglement distribution only on static
 topologies with a fixed workload.  This package injects dynamics -- link
 failure/repair processes, node churn with ledger invalidation, demand
-drift, decoherence-rate ramps -- into both the round-based and the
-entity-level simulators, declaratively:
+drift, decoherence-rate ramps -- into the round-based simulator,
+declaratively:
 
 * a :class:`Scenario` is an ordered list of :class:`Perturbation` objects
-  with trigger rounds/times (and optional state predicates),
+  with trigger rounds (and optional state predicates),
 * named scenarios are built from spec strings like
   ``"link-churn:period=20"`` (see :mod:`repro.scenarios.registry`) and ride
   on :class:`~repro.experiments.config.ExperimentConfig.scenario`, entering
   every result-cache key,
-* at run time the scenario compiles down to round hooks
-  (:class:`ScenarioDriver`) or discrete events on the
-  :class:`~repro.sim.engine.SimulationEngine` queue.
+* at run time the scenario compiles down to a round hook
+  (:class:`ScenarioDriver`).
 """
 
 from repro.scenarios.perturbations import (

@@ -4,8 +4,7 @@ The paper evaluates path-oblivious entanglement distribution on *static*
 topologies only.  Real deployments churn: fibres are cut and respliced,
 repeater nodes reboot, demand hotspots migrate, and memory quality drifts.
 Each :class:`Perturbation` below is one such condition, declarative and
-self-describing, applied to a :class:`ScenarioContext` at its trigger round
-(count-level simulations) or trigger time (entity-level simulations).
+self-describing, applied to a :class:`ScenarioContext` at its trigger round.
 
 Design rules:
 
@@ -36,11 +35,9 @@ NodeId = Hashable
 class ScenarioContext:
     """The mutable simulation surfaces a perturbation may act on.
 
-    Every field is optional: a count-level protocol run supplies the
-    topology/ledger/requests trio, an entity-level run supplies ``entity``
-    (an :class:`~repro.protocols.entity.EntityLevelSimulation`), and tests
-    may supply any subset.  Perturbations act on whatever is present and
-    skip the rest, so the same :class:`Scenario` drives both simulators.
+    Every field is optional: a protocol run supplies the
+    topology/ledger/requests trio, and tests may supply any subset.
+    Perturbations act on whatever is present and skip the rest.
     """
 
     def __init__(
@@ -53,7 +50,6 @@ class ScenarioContext:
         demand=None,
         control_plane=None,
         trace=None,
-        entity=None,
     ):
         self.topology = topology
         self.ledger = ledger
@@ -63,7 +59,6 @@ class ScenarioContext:
         self.demand = demand
         self.control_plane = control_plane
         self.trace = trace
-        self.entity = entity
         #: Simulated time/round of the perturbation currently being applied
         #: (set by the driver before each ``apply``).
         self.now: float = 0.0
@@ -113,35 +108,21 @@ class ScenarioContext:
         Returns whether anything changed (failing a failed link is a no-op).
         """
         key = edge_key(node_a, node_b)
-        if self.entity is not None:
-            changed = self.entity.scenario_fail_link(key[0], key[1], drop_pairs=drop_pairs)
-            if changed:
-                self._failed_edges[key] = (
-                    self.topology.generation_rate(*key) if self.topology is not None else 1.0
-                )
-        else:
-            if self.topology is None or not self.topology.has_edge(*key):
-                return False
-            self._failed_edges[key] = self.topology.generation_rate(*key)
-            self.topology.remove_edge(*key)
-            changed = True
-            if drop_pairs and self.ledger is not None:
-                held = self.ledger.count(*key)
-                if held:
-                    self.ledger.remove(key[0], key[1], held)
-        if changed:
-            for endpoint in key:
-                self._announce(endpoint, edge=key)
-        return changed
+        if self.topology is None or not self.topology.has_edge(*key):
+            return False
+        self._failed_edges[key] = self.topology.generation_rate(*key)
+        self.topology.remove_edge(*key)
+        if drop_pairs and self.ledger is not None:
+            held = self.ledger.count(*key)
+            if held:
+                self.ledger.remove(key[0], key[1], held)
+        for endpoint in key:
+            self._announce(endpoint, edge=key)
+        return True
 
     def repair_link(self, node_a: NodeId, node_b: NodeId) -> bool:
         """Restore a previously failed generation edge at its original rate."""
         key = edge_key(node_a, node_b)
-        if self.entity is not None:
-            repaired = self.entity.scenario_repair_link(key[0], key[1])
-            if repaired:
-                self._failed_edges.pop(key, None)
-            return repaired
         rate = self._failed_edges.pop(key, None)
         if rate is None or self.topology is None:
             return False
@@ -162,19 +143,6 @@ class ScenarioContext:
         """
         if node in self._failed_nodes:
             return False
-        if self.entity is not None:
-            changed = self.entity.scenario_fail_node(node)
-            if changed:
-                # Entity runs never mutate the topology, so its edge set
-                # still names the severed incident edges for introspection.
-                severed = {}
-                if self.topology is not None and self.topology.has_node(node):
-                    for neighbor in self.topology.neighbors(node):
-                        key = edge_key(node, neighbor)
-                        severed[key] = self.topology.generation_rate(*key)
-                self._failed_nodes[node] = severed
-                self._announce(node, node=node)
-            return changed
         if self.topology is None or not self.topology.has_node(node):
             return False
         severed: Dict[EdgeKey, float] = {}
@@ -194,8 +162,6 @@ class ScenarioContext:
         severed = self._failed_nodes.pop(node, None)
         if severed is None:
             return False
-        if self.entity is not None:
-            return self.entity.scenario_rejoin_node(node)
         if self.topology is None:
             return False
         for (node_a, node_b), rate in severed.items():
@@ -258,17 +224,12 @@ class ScenarioContext:
     def scale_decoherence(self, factor: float) -> None:
         """Ramp the decoherence rate by ``factor`` (>1 = memories get worse).
 
-        Entity-level runs wrap their :class:`DecoherenceModel` so stored
-        pairs age ``factor`` times faster from now on.  Count-level runs have
-        no per-pair lifetimes; there the ramp thins every generation rate by
-        ``1/factor``, the Section 3.2 ``g/R`` treatment of pairs lost to
-        imperfect memory.
+        Pairs are counts with no per-pair lifetimes, so the ramp thins every
+        generation rate by ``1/factor``, the Section 3.2 ``g/R`` treatment of
+        pairs lost to imperfect memory.
         """
         if factor <= 0:
             raise ValueError(f"factor must be positive, got {factor}")
-        if self.entity is not None:
-            self.entity.scenario_scale_decoherence(factor)
-            return
         if self.topology is not None:
             for (node_a, node_b), rate in self.topology.generation_rates().items():
                 self.topology.add_edge(node_a, node_b, rate / factor)
@@ -277,9 +238,7 @@ class ScenarioContext:
 class Perturbation(abc.ABC):
     """One declarative time-varying condition.
 
-    ``trigger`` is a round index for the round-based simulator and a
-    simulated time for the discrete-event engine; a scenario meant for both
-    should use small integers, which mean the same thing in either.  The
+    ``trigger`` is a round index of the round-based simulator.  The
     optional ``predicate`` (see :meth:`ready`) delays firing past the
     trigger until a state condition holds.
     """

@@ -2,16 +2,11 @@
 
 A scenario is an ordered list of :class:`~repro.scenarios.perturbations.
 Perturbation` objects.  It is pure data: building one performs no mutation,
-and the same scenario can drive any number of trials.  Two runtimes consume
-it:
-
-* :class:`ScenarioDriver` -- a :class:`~repro.sim.rounds.RoundBasedSimulator`
-  hook registered *before* the generation phase, so a round's perturbations
-  land before that round's generation, balancing and consumption (the
-  protocol reacts in the same round the condition changes).
-* The entity-level engine compiles the perturbation list into
-  :data:`~repro.sim.events.EventType.SCENARIO` events on its event queue
-  (see :class:`~repro.protocols.entity.EntityLevelSimulation`).
+and the same scenario can drive any number of trials.  :class:`ScenarioDriver`
+runs it: a :class:`~repro.sim.rounds.RoundBasedSimulator` hook registered
+*before* the generation phase, so a round's perturbations land before that
+round's generation, balancing and consumption (the protocol reacts in the
+same round the condition changes).
 
 ``Scenario.digest()`` is a stable content address over the declarative
 description; the experiment cache keys include it (via the config's

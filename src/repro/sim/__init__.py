@@ -1,24 +1,17 @@
 """Simulation substrate for the path-oblivious swapping reproduction.
 
-This package provides two complementary engines:
+The engine is :mod:`repro.sim.rounds`, a synchronous round-based simulator
+that matches the count-level dynamics described in Section 5 of the paper
+(generation, balancing swaps and ordered consumption proceed in lock-step
+rounds).
 
-* :mod:`repro.sim.engine` -- a classic discrete-event engine with a binary
-  heap event queue, used by the detailed protocol simulations where Bell
-  pairs are individual entities with creation times, decoherence deadlines
-  and classical-message latencies.
-* :mod:`repro.sim.rounds` -- a synchronous round-based engine that matches
-  the count-level dynamics described in Section 5 of the paper (generation,
-  balancing swaps and ordered consumption proceed in lock-step rounds).
-
-Shared infrastructure lives alongside them: deterministic named RNG streams
+Shared infrastructure lives alongside it: deterministic named RNG streams
 (:mod:`repro.sim.rng`), simulation clocks (:mod:`repro.sim.clock`), metric
 collectors (:mod:`repro.sim.metrics`) and structured trace recording
 (:mod:`repro.sim.tracing`).
 """
 
 from repro.sim.clock import SimulationClock
-from repro.sim.engine import Event, EventQueue, SimulationEngine, StopSimulation
-from repro.sim.events import EventType, SimEvent
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry, TimeSeries
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim.rounds import RoundBasedSimulator, RoundHook, RoundPhase
@@ -26,9 +19,6 @@ from repro.sim.tracing import TraceEvent, TraceRecorder
 
 __all__ = [
     "Counter",
-    "Event",
-    "EventQueue",
-    "EventType",
     "Gauge",
     "Histogram",
     "MetricRegistry",
@@ -36,10 +26,7 @@ __all__ = [
     "RoundBasedSimulator",
     "RoundHook",
     "RoundPhase",
-    "SimEvent",
     "SimulationClock",
-    "SimulationEngine",
-    "StopSimulation",
     "TimeSeries",
     "TraceEvent",
     "TraceRecorder",

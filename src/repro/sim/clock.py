@@ -1,8 +1,7 @@
 """Simulation clock.
 
-A tiny shared abstraction so that both the round-based and the discrete-event
-engines expose the current simulated time the same way to the metric and
-tracing subsystems.
+A tiny shared abstraction so that the round-based engine exposes the
+current simulated time the same way to the metric and tracing subsystems.
 """
 
 from __future__ import annotations
@@ -11,9 +10,8 @@ from __future__ import annotations
 class SimulationClock:
     """A monotonically non-decreasing simulated clock.
 
-    The clock refuses to move backwards; discrete-event engines advance it to
-    the timestamp of each dispatched event, while round-based simulators
-    advance it by one unit per round.
+    The clock refuses to move backwards; round-based simulators advance it
+    by one unit per round.
     """
 
     def __init__(self, start: float = 0.0):

@@ -3,9 +3,8 @@
 Section 5 of the paper evaluates the balancing protocol with count-level
 dynamics: Bell pairs are generated, nodes perform balancing swaps "at an
 identical rate", and an ordered sequence of consumption requests is served.
-A synchronous round abstraction captures this exactly and is far cheaper
-than the entity-level discrete-event engine, which matters for the
-figure-level parameter sweeps.
+A synchronous round abstraction captures this exactly and is cheap enough
+for the figure-level parameter sweeps.
 
 Each round executes three phases in a fixed order:
 

@@ -8,7 +8,7 @@ composable axis of every experiment:
   diurnal modulation, heavy-tailed Pareto batches -- vectorized with scalar
   reference twins,
 * traffic classes (:mod:`~repro.workloads.base`): priority, latency
-  deadline, delivered-fidelity floor,
+  deadline,
 * per-node admission control (:mod:`~repro.workloads.admission`) and
   queueing policies (:mod:`~repro.workloads.queueing`): FIFO, priority,
   deadline-aware drop,
@@ -18,11 +18,10 @@ composable axis of every experiment:
   (:mod:`~repro.workloads.registry`) carried on
   ``ExperimentConfig.workload`` and entering every result-cache key.
 
-Both simulation drivers consume the same
-:class:`~repro.workloads.queueing.TimedRequestSequence`: the round-based
-simulator through a pre-generation release hook, the discrete-event engine
-through ``REQUEST_ARRIVAL`` events -- and both compute identical admission
-outcomes because admission is a pure function of the arrival trace.
+The round-based simulator consumes a
+:class:`~repro.workloads.queueing.TimedRequestSequence` through a
+pre-generation release hook; admission is a pure function of the arrival
+trace, independent of when release is batched.
 """
 
 from repro.workloads.admission import AdmissionController

@@ -9,9 +9,9 @@ edge instead of letting queues grow without bound.
 
 Decisions are evaluated in arrival order at each request's own arrival
 round, so the admit/reject outcome is a pure function of the workload trace
-and the bucket parameters -- *independent of the serving engine*.  That is
-what lets the round-based and discrete-event drivers agree bit-for-bit on
-per-class admission counts under the same seed and workload spec.
+and the bucket parameters -- *independent of the serving engine*, so every
+protocol sees the same per-class admission counts under the same seed and
+workload spec.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The paper's workload is a single ordered request sequence with no notion of
 time-varying demand or service differentiation.  This module introduces the
 two primitives every richer workload is built from:
 
-* :class:`TrafficClass` -- an SLO bundle (priority, latency deadline,
-  delivered-fidelity floor) a request is tagged with, and
+* :class:`TrafficClass` -- an SLO bundle (priority, latency deadline) a
+  request is tagged with, and
 * :class:`TimedRequest` -- a consumption request that *arrives* at a
   simulated round instead of existing from round zero.
 
@@ -39,32 +39,24 @@ class TrafficClass:
         Latency SLO in simulated rounds from arrival (``None`` = none).
         The ``deadline`` queueing policy drops requests whose deadline has
         passed; every policy reports deadline misses.
-    fidelity_floor:
-        Minimum delivered fidelity the entity-level engine will serve this
-        class with (the count-level engine has no fidelity and ignores it).
     """
 
     name: str
     priority: int
     deadline: Optional[int]
-    fidelity_floor: float
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a traffic class needs a non-empty name")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be positive or None, got {self.deadline}")
-        if not 0.0 <= self.fidelity_floor <= 1.0:
-            raise ValueError(
-                f"fidelity_floor must be within [0, 1], got {self.fidelity_floor}"
-            )
 
 
 #: The named service classes workload specs can hand out.
 TRAFFIC_CLASSES: Dict[str, TrafficClass] = {
-    "bulk": TrafficClass(name="bulk", priority=0, deadline=None, fidelity_floor=0.0),
-    "standard": TrafficClass(name="standard", priority=1, deadline=60, fidelity_floor=0.5),
-    "premium": TrafficClass(name="premium", priority=2, deadline=20, fidelity_floor=0.85),
+    "bulk": TrafficClass(name="bulk", priority=0, deadline=None),
+    "standard": TrafficClass(name="standard", priority=1, deadline=60),
+    "premium": TrafficClass(name="premium", priority=2, deadline=20),
 }
 
 #: Named class mixes a workload spec can request (``mix=...``).  Weights are
@@ -101,10 +93,6 @@ class TimedRequest(ConsumptionRequest):
         if self.traffic_class.deadline is None:
             return None
         return self.arrival_round + self.traffic_class.deadline
-
-    @property
-    def fidelity_floor(self) -> float:
-        return self.traffic_class.fidelity_floor
 
     @property
     def rejected(self) -> bool:

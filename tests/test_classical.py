@@ -1,11 +1,10 @@
-"""Tests for the classical control plane (messages, channels, dissemination)."""
+"""Tests for the classical control plane (messages, dissemination)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.classical.channel import ClassicalChannel, ClassicalNetwork
 from repro.classical.control_plane import FloodingControlPlane
 from repro.classical.gossip import ChokeUnchokeGossip
 from repro.classical.messages import (
@@ -46,70 +45,6 @@ class TestMessages:
             ClassicalMessage(MessageType.HERALD, 0, 1, size_bits=0)
 
 
-class TestClassicalChannel:
-    def test_transfer_time_latency_only(self):
-        channel = ClassicalChannel(0, 1, latency=2.0)
-        assert channel.transfer_time(100) == pytest.approx(2.0)
-
-    def test_transfer_time_with_bandwidth(self):
-        channel = ClassicalChannel(0, 1, latency=1.0, bandwidth_bits_per_round=50.0)
-        assert channel.transfer_time(100) == pytest.approx(3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ClassicalChannel(0, 0)
-        with pytest.raises(ValueError):
-            ClassicalChannel(0, 1, latency=-1.0)
-        with pytest.raises(ValueError):
-            ClassicalChannel(0, 1).transfer_time(0)
-
-
-class TestClassicalNetwork:
-    def test_delivery_follows_shortest_path(self):
-        topology = cycle_topology(6)
-        network = ClassicalNetwork(topology, default_latency=1.0)
-        message = ClassicalMessage(MessageType.HERALD, 0, 3, size_bits=1)
-        latency, edges = network.deliver(message)
-        assert len(edges) == 3
-        assert latency == pytest.approx(3.0)
-        assert network.messages_delivered == 1
-        assert network.total_bits == 3
-
-    def test_per_edge_load_accumulates(self):
-        topology = cycle_topology(6)
-        network = ClassicalNetwork(topology)
-        for _ in range(3):
-            network.deliver(ClassicalMessage(MessageType.HERALD, 0, 1, size_bits=8))
-        busiest = network.busiest_edges(top=1)
-        assert busiest[0][1] == 24
-
-    def test_unroutable_message_rejected(self):
-        from repro.network.topology import Topology
-
-        topology = Topology("d", nodes=[0, 1, 2])
-        topology.add_edge(0, 1)
-        network = ClassicalNetwork(topology)
-        with pytest.raises(ValueError):
-            network.deliver(ClassicalMessage(MessageType.HERALD, 0, 2, size_bits=1))
-
-    def test_set_channel_overrides_latency(self):
-        topology = cycle_topology(6)
-        network = ClassicalNetwork(topology, default_latency=1.0)
-        network.set_channel(ClassicalChannel(0, 1, latency=10.0))
-        latency, _ = network.deliver(ClassicalMessage(MessageType.HERALD, 0, 1, size_bits=1))
-        assert latency == pytest.approx(10.0)
-
-    def test_set_channel_requires_edge(self):
-        network = ClassicalNetwork(cycle_topology(6))
-        with pytest.raises(ValueError):
-            network.set_channel(ClassicalChannel(0, 3))
-
-    def test_unknown_channel_lookup(self):
-        network = ClassicalNetwork(cycle_topology(6))
-        with pytest.raises(KeyError):
-            network.channel(0, 3)
-
-
 class TestFloodingControlPlane:
     def test_message_count_per_round(self):
         topology = cycle_topology(5)
@@ -120,16 +55,6 @@ class TestFloodingControlPlane:
         assert plane.total_messages == 5 * 4
         assert plane.total_bits > 0
         assert plane.bits_per_round() == plane.total_bits
-
-    def test_per_link_accounting_with_network(self):
-        topology = cycle_topology(5)
-        ledger = PairCountLedger(topology.nodes)
-        ledger.add(0, 1, 1)
-        network = ClassicalNetwork(topology)
-        plane = FloodingControlPlane(topology, ledger, network=network)
-        plane.run_round(0)
-        assert network.messages_delivered == plane.total_messages
-        assert sum(network.bits_by_edge.values()) >= plane.total_bits
 
     def test_summary_keys(self):
         topology = cycle_topology(4)

@@ -1,4 +1,4 @@
-"""Tests for demand models, generation processes, links, nodes and routing."""
+"""Tests for demand models and generation processes."""
 
 from __future__ import annotations
 
@@ -24,18 +24,7 @@ from repro.network.generation import (
     PoissonGeneration,
     make_generation_process,
 )
-from repro.network.link import GenerationLink
-from repro.network.node import QuantumNode
-from repro.network.routing import (
-    edge_disjoint_paths,
-    k_shortest_paths,
-    path_edges,
-    path_hops,
-    shortest_path,
-    validate_path,
-)
 from repro.network.topology import edge_key
-from repro.quantum.bell_pair import BellPair
 
 
 class TestSelectConsumerPairs:
@@ -395,86 +384,3 @@ class TestGenerationProcesses:
         process = DeterministicGeneration(small_cycle)
         assert process.expected_rate(edge_key(0, 1)) == 1.0
 
-
-class TestLinkAndNode:
-    def test_link_effective_rate(self):
-        link = GenerationLink(0, 1, attempt_rate=10.0, success_probability=0.2)
-        assert link.effective_rate == pytest.approx(2.0)
-        assert link.expected_attempts_per_pair() == pytest.approx(5.0)
-
-    def test_link_validation(self):
-        with pytest.raises(ValueError):
-            GenerationLink(0, 0)
-        with pytest.raises(ValueError):
-            GenerationLink(0, 1, success_probability=0.0)
-        with pytest.raises(ValueError):
-            GenerationLink(0, 1, elementary_fidelity=0.1)
-
-    def test_link_generate(self, rng):
-        link = GenerationLink(0, 1, success_probability=1.0, elementary_fidelity=0.9)
-        pair = link.generate(now=2.0, rng=rng)
-        assert pair is not None
-        assert pair.fidelity == 0.9
-        assert pair.created_at == 2.0
-        never = GenerationLink(0, 1, success_probability=1e-12)
-        assert never.generate(now=0.0, rng=rng) is None
-
-    def test_node_pair_bookkeeping(self):
-        node = QuantumNode(0)
-        pair = BellPair(node_a=0, node_b=1)
-        node.store_pair(pair)
-        assert node.pair_count(1) == 1
-        assert node.entangled_partners() == [1]
-        node.release_pair(pair.pair_id)
-        assert node.pair_count(1) == 0
-
-    def test_node_stats(self):
-        node = QuantumNode(0)
-        node.record_swap()
-        node.record_generation()
-        node.record_consumption()
-        stats = node.stats()
-        assert stats["swaps_performed"] == 1
-        assert stats["pairs_generated"] == 1
-        assert stats["pairs_consumed"] == 1
-
-
-class TestRouting:
-    def test_path_helpers(self):
-        assert path_hops([0, 1, 2]) == 2
-        assert path_edges([0, 1, 2]) == [edge_key(0, 1), edge_key(1, 2)]
-        with pytest.raises(ValueError):
-            path_hops([])
-
-    def test_validate_path(self, small_cycle):
-        validate_path(small_cycle, [0, 1, 2])
-        with pytest.raises(ValueError):
-            validate_path(small_cycle, [0, 2])
-        with pytest.raises(ValueError):
-            validate_path(small_cycle, [0])
-
-    def test_k_shortest_paths_on_cycle(self, small_cycle):
-        paths = k_shortest_paths(small_cycle, 0, 3, k=2)
-        assert len(paths) == 2
-        assert all(path[0] == 0 and path[-1] == 3 for path in paths)
-        assert len(paths[0]) <= len(paths[1])
-
-    def test_k_shortest_paths_disconnected(self):
-        from repro.network.topology import Topology
-
-        topology = Topology("d", nodes=[0, 1, 2])
-        topology.add_edge(0, 1)
-        assert k_shortest_paths(topology, 0, 2, k=3) == []
-
-    def test_k_validation(self, small_cycle):
-        with pytest.raises(ValueError):
-            k_shortest_paths(small_cycle, 0, 3, k=0)
-
-    def test_edge_disjoint_paths_on_cycle(self, small_cycle):
-        paths = edge_disjoint_paths(small_cycle, 0, 3, k=3)
-        assert len(paths) == 2  # a cycle has exactly two edge-disjoint routes
-        used = [set(path_edges(path)) for path in paths]
-        assert not (used[0] & used[1])
-
-    def test_shortest_path_wrapper(self, small_cycle):
-        assert shortest_path(small_cycle, 0, 2) == small_cycle.shortest_path(0, 2)

@@ -16,17 +16,13 @@ from repro.experiments.resilience import run_resilience
 from repro.experiments.runner import run_trial
 from repro.network.demand import DemandMatrix, RequestSequence
 from repro.network.topologies import cycle_topology, grid_topology
-from repro.protocols.entity import EntityLevelSimulation
 from repro.protocols.oblivious import PathObliviousProtocol
-from repro.quantum.decoherence import ExponentialDecoherence, RateScaledDecoherence
 from repro.scenarios import (
     Conditional,
-    DecoherenceRamp,
     DemandShift,
     LinkFailure,
     LinkRepair,
     NodeLeave,
-    NodeRejoin,
     Scenario,
     ScenarioContext,
     ScenarioDriver,
@@ -175,6 +171,7 @@ class TestScenarioContext:
         assert context.is_failed(*edge)
         assert not context.fail_link(*edge), "failing a failed link is a no-op"
         assert context.repair_link(*edge)
+        assert not context.is_failed(*edge)
         assert small_cycle.generation_rate(*edge) == original_rate
         assert not context.repair_link(*edge), "repairing a healthy link is a no-op"
 
@@ -199,8 +196,11 @@ class TestScenarioContext:
         assert context.fail_node(victim)
         assert ledger.partners(victim) == {}
         assert small_cycle.degree(victim) == 0
+        severed = context.failed_edges()
+        assert len(severed) == degree and all(victim in key for key in severed)
         assert context.rejoin_node(victim)
         assert small_cycle.degree(victim) == degree
+        assert context.failed_edges() == []
 
     def test_demand_shift_touches_only_pending_requests(self, small_cycle, streams):
         pairs = [(0, 2), (1, 4)]
@@ -299,139 +299,6 @@ class TestIncrementalUnderChurn:
             runs.append((trajectory, ledger.nonzero_pairs(), balancer.swaps_performed))
         assert runs[0] == runs[1]
         assert runs[0][2] > 0
-
-
-# ---------------------------------------------------------------------- #
-# Entity-level integration
-# ---------------------------------------------------------------------- #
-class TestEntityScenarios:
-    def _run(self, scenario, n_requests=20):
-        streams = RandomStreams(5)
-        topology = cycle_topology(6)
-        requests = RequestSequence.round_robin([(0, 2), (1, 3)], n_requests)
-        simulation = EntityLevelSimulation(
-            topology,
-            requests,
-            streams=streams,
-            max_time=120.0,
-            scenario=scenario,
-        )
-        return simulation, simulation.run()
-
-    def test_static_run_still_completes(self):
-        _, result = self._run(None)
-        assert result.all_requests_satisfied
-
-    def test_link_churn_drops_and_restores_generation(self):
-        topology = cycle_topology(6)
-        edge = sorted(topology.edges(), key=repr)[0]
-        scenario = Scenario(
-            "churn",
-            [LinkFailure(2.0, edge, drop_pairs=True), LinkRepair(8.0, edge)],
-        )
-        simulation, result = self._run(scenario)
-        assert simulation.scenario_repair_link(*edge) is False, "repair already applied"
-        assert len(simulation.links) == topology.n_edges
-        assert result.requests_satisfied > 0
-        assert result.pairs_expired > 0, "the severed link's stored pairs were dropped"
-
-    def test_node_churn_expires_stored_pairs(self):
-        scenario = Scenario("leave", [NodeLeave(2.0, 4), NodeRejoin(8.0, 4)])
-        simulation, result = self._run(scenario)
-        assert result.pairs_expired > 0
-        assert len(simulation.links) == 6, "all links restored after rejoin"
-
-    def test_decoherence_ramp_wraps_model(self):
-        scenario = Scenario("ramp", [DecoherenceRamp(5.0, factor=2.0)])
-        simulation, _ = self._run(scenario)
-        assert isinstance(simulation.decoherence, RateScaledDecoherence)
-        for node in simulation.nodes.values():
-            assert node.memory.decoherence is simulation.decoherence
-
-    def test_rate_scaled_decoherence_matches_faster_clock(self):
-        inner = ExponentialDecoherence(coherence_time=10.0)
-        scaled = RateScaledDecoherence(inner, factor=2.0)
-        assert scaled.fidelity_after(0.9, 3.0) == pytest.approx(inner.fidelity_after(0.9, 6.0))
-
-    def test_decoherence_ramp_is_not_retroactive(self):
-        """Regression: ramping at time t must not re-age pre-ramp storage
-        time under the faster model -- stored pairs are re-baselined."""
-        from repro.quantum.bell_pair import BellPair
-
-        streams = RandomStreams(5)
-        topology = cycle_topology(6)
-        inner = ExponentialDecoherence(coherence_time=50.0)
-        simulation = EntityLevelSimulation(
-            topology,
-            RequestSequence.round_robin([(0, 2)], 1),
-            streams=streams,
-            decoherence=inner,
-            max_time=100.0,
-        )
-        pair = BellPair(node_a=0, node_b=1, fidelity=0.95, created_at=0.0)
-        simulation._store_pair(pair, now=0.0)
-        simulation.engine.clock.advance_to(10.0)
-        decayed_at_ramp = simulation._current_fidelity(pair, 10.0)
-        simulation.scenario_scale_decoherence(4.0)
-        assert pair.created_at == 10.0
-        assert pair.fidelity == pytest.approx(decayed_at_ramp)
-        # One further unit of time decays at 4x -- from the ramp point only.
-        expected = inner.fidelity_after(decayed_at_ramp, 4.0)
-        assert simulation._current_fidelity(pair, 11.0) == pytest.approx(expected)
-
-    def test_entity_conditional_respects_predicate(self):
-        """Regression: the event engine must gate Conditional perturbations
-        on ready(), retrying until the predicate holds (like the round driver)."""
-        topology = cycle_topology(6)
-        edge = sorted(topology.edges(), key=repr)[0]
-        gate = {"open": False}
-        conditional = Conditional(
-            trigger=1.0,
-            inner=LinkFailure(0.0, edge, drop_pairs=True),
-            predicate=lambda context: gate["open"],
-            label="gated-cut",
-        )
-
-        simulation, _ = self._run(Scenario("gated", [conditional]))
-        applied = [entry["kind"] for entry in simulation._scenario_context.applied]
-        assert "link-failure" not in applied, "predicate never opened; inner must not fire"
-
-        gate["open"] = True
-        scenario = Scenario("gated", [conditional])
-        simulation, _ = self._run(scenario)
-        applied = [entry["kind"] for entry in simulation._scenario_context.applied]
-        assert "link-failure" in applied
-
-    def test_entity_context_tracks_failed_edges(self):
-        """Regression: is_failed()/failed_edges() must report entity-level
-        failures too, and clear on repair."""
-        topology = cycle_topology(6)
-        edge = sorted(topology.edges(), key=repr)[0]
-        scenario = Scenario(
-            "churn", [LinkFailure(2.0, edge), LinkRepair(8.0, edge), NodeLeave(10.0, 4)]
-        )
-        simulation, _ = self._run(scenario)
-        context = simulation._scenario_context
-        assert not context.is_failed(*edge), "repaired edge no longer failed"
-        assert any(4 in key for key in context.failed_edges()), (
-            "the left node's severed incident edges are introspectable"
-        )
-
-    def test_entity_announces_through_control_plane(self):
-        streams = RandomStreams(5)
-        topology = cycle_topology(6)
-        plane = FloodingControlPlane(topology, PairCountLedger(topology.nodes))
-        edge = sorted(topology.edges(), key=repr)[0]
-        simulation = EntityLevelSimulation(
-            topology,
-            RequestSequence.round_robin([(0, 2), (1, 3)], 20),
-            streams=streams,
-            max_time=120.0,
-            scenario=Scenario("cut", [LinkFailure(2.0, edge)]),
-            control_plane=plane,
-        )
-        simulation.run()
-        assert plane.total_messages == 2 * (topology.n_nodes - 1)
 
 
 # ---------------------------------------------------------------------- #
