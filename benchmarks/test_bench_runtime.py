@@ -1,15 +1,89 @@
-"""Benchmark for the runtime layer: sweep caching.
+"""Benchmarks for the runtime layer: vectorized batching and sweep caching.
 
-A cached sweep re-run costs a fixed lookup overhead per cell, not a
-simulation.
+Two claims are kept honest here:
+
+* the vectorized Werner algebra in :mod:`repro.quantum.batch` beats the
+  per-pair scalar loop by a wide margin on population-scale batches
+  (>= 1000 pairs), and
+* a cached sweep re-run costs a fixed lookup overhead per cell, not a
+  simulation.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+import pytest
+
 from repro.experiments.figure4 import figure4_configs
+from repro.quantum.batch import (
+    chained_swap_fidelity_batch,
+    decohered_fidelity_batch,
+    swap_fidelity_batch,
+)
+from repro.quantum.fidelity import chained_swap_fidelity, decohered_fidelity, swap_fidelity
 from repro.runtime import ResultCache, SweepRunner
+
+#: Acceptance criterion floor: the batch must hold at least 1000 pairs.
+BATCH_SIZE = 4096
+
+
+@pytest.fixture
+def fidelity_batch():
+    rng = np.random.default_rng(11)
+    return rng.uniform(0.25, 1.0, BATCH_SIZE), rng.uniform(0.25, 1.0, BATCH_SIZE)
+
+
+def test_vectorized_swap_beats_scalar_loop(benchmark, fidelity_batch, median_time):
+    """Swap composition over a 4096-pair batch: array op vs Python loop."""
+    a, b = fidelity_batch
+
+    batch_result = benchmark.pedantic(
+        lambda: swap_fidelity_batch(a, b), rounds=20, iterations=5
+    )
+    batch_seconds = median_time(lambda: swap_fidelity_batch(a, b))
+    scalar_seconds = median_time(
+        lambda: [swap_fidelity(x, y) for x, y in zip(a, b)], repeats=3
+    )
+    scalar_result = np.array([swap_fidelity(x, y) for x, y in zip(a, b)])
+
+    speedup = scalar_seconds / batch_seconds
+    print(f"\nswap_fidelity x{BATCH_SIZE}: scalar {scalar_seconds*1e3:.2f} ms, "
+          f"batch {batch_seconds*1e3:.3f} ms ({speedup:.0f}x)")
+    assert np.allclose(batch_result, scalar_result, atol=1e-9)
+    assert speedup > 5, f"vectorized path only {speedup:.1f}x faster"
+
+
+def test_vectorized_decoherence_beats_scalar_loop(fidelity_batch, median_time):
+    """Memory-decay evolution over the batch: array op vs Python loop."""
+    fidelities, _ = fidelity_batch
+    elapsed = np.linspace(0.0, 5.0, BATCH_SIZE)
+
+    batch_seconds = median_time(lambda: decohered_fidelity_batch(fidelities, elapsed, 10.0))
+    scalar_seconds = median_time(
+        lambda: [decohered_fidelity(f, t, 10.0) for f, t in zip(fidelities, elapsed)],
+        repeats=3,
+    )
+    speedup = scalar_seconds / batch_seconds
+    print(f"\ndecohered_fidelity x{BATCH_SIZE}: scalar {scalar_seconds*1e3:.2f} ms, "
+          f"batch {batch_seconds*1e3:.3f} ms ({speedup:.0f}x)")
+    assert speedup > 5, f"vectorized path only {speedup:.1f}x faster"
+
+
+def test_vectorized_chained_swap_beats_scalar_loop(median_time):
+    """End-to-end fidelity of 2048 five-hop chains at once."""
+    rng = np.random.default_rng(13)
+    chains = rng.uniform(0.7, 1.0, (2048, 5))
+
+    batch_seconds = median_time(lambda: chained_swap_fidelity_batch(chains))
+    scalar_seconds = median_time(
+        lambda: [chained_swap_fidelity(chain) for chain in chains], repeats=3
+    )
+    speedup = scalar_seconds / batch_seconds
+    print(f"\nchained_swap x2048x5: scalar {scalar_seconds*1e3:.2f} ms, "
+          f"batch {batch_seconds*1e3:.3f} ms ({speedup:.0f}x)")
+    assert speedup > 5, f"vectorized path only {speedup:.1f}x faster"
 
 
 def test_cached_sweep_rerun_skips_all_simulation(tmp_path, benchmark):

@@ -1,20 +1,17 @@
 """Classical channels.
 
-The entity-level simulations need classical-message latency (a swap is not
-usable at the far end until its 2-bit correction arrives) and the
-control-plane experiments need per-link byte accounting.  A
-:class:`ClassicalChannel` models one point-to-point link; a
-:class:`ClassicalNetwork` routes messages over a topology's edges using
-shortest paths and accumulates the per-link load.
+A :class:`ClassicalChannel` models one point-to-point classical link: a
+swap is not usable at the far end until its 2-bit correction has crossed
+such a link, so its latency and bandwidth bound how fast a correction or a
+count vector reaches a neighbour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, Optional
 
-from repro.classical.messages import ClassicalMessage
-from repro.network.topology import EdgeKey, Topology, edge_key
+from repro.network.topology import EdgeKey, edge_key
 
 NodeId = Hashable
 
@@ -50,63 +47,3 @@ class ClassicalChannel:
         if self.bandwidth_bits_per_round is not None:
             transmission = size_bits / self.bandwidth_bits_per_round
         return self.latency + transmission
-
-
-class ClassicalNetwork:
-    """Classical connectivity following the generation graph's edges.
-
-    Messages between non-adjacent nodes are forwarded along the shortest
-    generation-graph path; per-edge bit counters record where control-plane
-    load concentrates.
-    """
-
-    def __init__(self, topology: Topology, default_latency: float = 1.0):
-        if default_latency < 0:
-            raise ValueError(f"default_latency must be non-negative, got {default_latency}")
-        self.topology = topology
-        self.default_latency = default_latency
-        self._channels: Dict[EdgeKey, ClassicalChannel] = {
-            edge: ClassicalChannel(edge[0], edge[1], latency=default_latency)
-            for edge in topology.edges()
-        }
-        self.bits_by_edge: Dict[EdgeKey, int] = {}
-        self.messages_delivered = 0
-        self.total_bits = 0
-
-    def channel(self, node_a: NodeId, node_b: NodeId) -> ClassicalChannel:
-        key = edge_key(node_a, node_b)
-        if key not in self._channels:
-            raise KeyError(f"no classical channel between {node_a!r} and {node_b!r}")
-        return self._channels[key]
-
-    def set_channel(self, channel: ClassicalChannel) -> None:
-        """Install or replace a channel (e.g. to give one link higher latency)."""
-        if not self.topology.has_edge(channel.node_a, channel.node_b):
-            raise ValueError(
-                f"({channel.node_a!r}, {channel.node_b!r}) is not an edge of {self.topology.name}"
-            )
-        self._channels[channel.key] = channel
-
-    def deliver(self, message: ClassicalMessage) -> Tuple[float, List[EdgeKey]]:
-        """Route ``message`` hop by hop; return ``(total latency, edges traversed)``."""
-        path = self.topology.shortest_path(message.source, message.destination)
-        if path is None:
-            raise ValueError(
-                f"no classical route between {message.source!r} and {message.destination!r}"
-            )
-        latency = 0.0
-        edges: List[EdgeKey] = []
-        for node_a, node_b in zip(path, path[1:]):
-            channel = self.channel(node_a, node_b)
-            latency += channel.transfer_time(message.size_bits)
-            key = channel.key
-            edges.append(key)
-            self.bits_by_edge[key] = self.bits_by_edge.get(key, 0) + message.size_bits
-        self.messages_delivered += 1
-        self.total_bits += message.size_bits * max(len(edges), 1)
-        return latency, edges
-
-    def busiest_edges(self, top: int = 5) -> List[Tuple[EdgeKey, int]]:
-        """The ``top`` edges carrying the most control-plane bits."""
-        ranked = sorted(self.bits_by_edge.items(), key=lambda item: (-item[1], repr(item[0])))
-        return ranked[:top]

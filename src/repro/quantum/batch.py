@@ -1,28 +1,20 @@
-"""Vectorized Werner-state algebra over whole batches of Bell pairs.
+"""Vectorized Werner-state algebra over whole arrays of pair fidelities.
 
-:mod:`repro.quantum.fidelity` and :mod:`repro.quantum.swap` operate one
-pair at a time, which is the right granularity for the entity-level
-simulations but a Python-loop bottleneck for Monte-Carlo studies that
-evolve thousands of pairs per step (coherence sweeps, capacity planning,
-fidelity-distribution estimates).  This module provides the same closed
-forms as NumPy array operations: every function accepts array inputs of
-any shape, broadcasts scalars, and matches its scalar counterpart
-element-wise to floating-point round-off (enforced by a property test in
-``tests/test_quantum_batch.py``).
-
-:class:`BellPairBatch` bundles the per-pair state (fidelity, creation
-time) into a struct-of-arrays so a whole population can be decohered,
-swapped, or distilled in a handful of vector ops.
+:mod:`repro.quantum.fidelity` operates one pair at a time, which is a
+Python-loop bottleneck for Monte-Carlo studies that evolve thousands of
+pairs per step (coherence sweeps, capacity planning, fidelity-distribution
+estimates).  This module provides the same closed forms as NumPy array
+operations: every function accepts array inputs of any shape, broadcasts
+scalars, and matches its scalar counterpart element-wise to floating-point
+round-off (enforced by a property test in ``tests/test_quantum_batch.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.quantum.fidelity import WERNER_MINIMUM_USEFUL_FIDELITY
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -117,9 +109,10 @@ def swap_outcomes_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Attempt one entanglement swap per element of a batch.
 
-    The batched counterpart of :meth:`repro.quantum.swap.SwapPhysics.attempt`
-    for the quality model alone (no pair bookkeeping): each slot ``i``
-    swaps a pair of fidelity ``fidelity_a[i]`` with one of ``fidelity_b[i]``.
+    Each slot ``i`` swaps a pair of fidelity ``fidelity_a[i]`` with one of
+    ``fidelity_b[i]``: the output is the Werner composition, depolarised by
+    ``gate_fidelity`` for imperfect local operations, and the Bell
+    measurement succeeds with ``measurement_efficiency``.
 
     Returns
     -------
@@ -177,127 +170,3 @@ def distillation_outcomes_batch(
     probability = bbpssw_success_probability_batch(f)
     success = rng.random(f.shape) <= probability
     return success, bbpssw_output_fidelity_batch(f)
-
-
-# ---------------------------------------------------------------------- #
-# Struct-of-arrays pair population
-# ---------------------------------------------------------------------- #
-@dataclass
-class BellPairBatch:
-    """A population of Bell pairs stored as parallel arrays.
-
-    Attributes
-    ----------
-    fidelity:
-        Per-pair Werner fidelity, shape ``(n,)``.
-    created_at:
-        Per-pair creation (storage) time, shape ``(n,)``.
-    """
-
-    fidelity: np.ndarray
-    created_at: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.fidelity = _as_fidelity_array(self.fidelity)
-        self.created_at = np.asarray(self.created_at, dtype=np.float64)
-        if self.fidelity.shape != self.created_at.shape:
-            raise ValueError(
-                f"fidelity and created_at must have the same shape, got "
-                f"{self.fidelity.shape} and {self.created_at.shape}"
-            )
-        if self.fidelity.ndim != 1:
-            raise ValueError(f"BellPairBatch arrays must be 1-D, got {self.fidelity.ndim}-D")
-
-    @classmethod
-    def uniform(cls, size: int, fidelity: float = 1.0, created_at: float = 0.0) -> "BellPairBatch":
-        """``size`` identical pairs, all at the same fidelity and creation time."""
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        return cls(
-            fidelity=np.full(size, fidelity, dtype=np.float64),
-            created_at=np.full(size, created_at, dtype=np.float64),
-        )
-
-    def __len__(self) -> int:
-        return self.fidelity.shape[0]
-
-    def fidelity_at(self, now: float, coherence_time: float) -> np.ndarray:
-        """Every pair's current fidelity under exponential memory decay."""
-        return decohered_fidelity_batch(self.fidelity, now - self.created_at, coherence_time)
-
-    def decohered(self, now: float, coherence_time: float) -> "BellPairBatch":
-        """The population with storage decay folded into the stored fidelities."""
-        return BellPairBatch(
-            fidelity=self.fidelity_at(now, coherence_time),
-            created_at=np.full_like(self.created_at, now),
-        )
-
-    def distillable(self) -> np.ndarray:
-        """Boolean mask of pairs that recurrence purification can still improve."""
-        return self.fidelity > WERNER_MINIMUM_USEFUL_FIDELITY
-
-    def select(self, mask: np.ndarray) -> "BellPairBatch":
-        """The sub-population where ``mask`` is true."""
-        return BellPairBatch(fidelity=self.fidelity[mask], created_at=self.created_at[mask])
-
-    def swap_with(
-        self,
-        other: "BellPairBatch",
-        now: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-        measurement_efficiency: float = 1.0,
-        gate_fidelity: float = 1.0,
-    ) -> "BellPairBatch":
-        """Swap slot ``i`` of this population with slot ``i`` of ``other``.
-
-        Failed swaps (lossy Bell measurements) simply drop out of the
-        returned population, mirroring the consume-on-failure semantics of
-        :meth:`repro.quantum.swap.SwapPhysics.attempt`.
-        """
-        if len(self) != len(other):
-            raise ValueError(
-                f"populations must be the same size to swap, got {len(self)} and {len(other)}"
-            )
-        success, produced = swap_outcomes_batch(
-            self.fidelity,
-            other.fidelity,
-            rng=rng,
-            measurement_efficiency=measurement_efficiency,
-            gate_fidelity=gate_fidelity,
-        )
-        return BellPairBatch(
-            fidelity=produced[success],
-            created_at=np.full(int(success.sum()), now, dtype=np.float64),
-        )
-
-    def distill_pairwise(
-        self, rng: np.random.Generator, now: float = 0.0
-    ) -> "BellPairBatch":
-        """One BBPSSW round over the population, pairing consecutive slots.
-
-        Slots ``(0, 1)``, ``(2, 3)``, ... are merged; an odd trailing pair
-        passes through untouched.  Failed rounds consume both inputs.
-        """
-        n_rounds = len(self) // 2
-        sacrificed = self.fidelity[: 2 * n_rounds : 2]
-        kept = self.fidelity[1 : 2 * n_rounds : 2]
-        # BBPSSW assumes two pairs of equal fidelity; model unequal inputs
-        # by the standard twirl to their mean, which keeps the recurrence
-        # exact for the equal-fidelity populations the sweeps generate.
-        inputs = (sacrificed + kept) / 2.0
-        success, output = distillation_outcomes_batch(inputs, rng)
-        survivors = [output[success]]
-        if len(self) % 2:
-            survivors.append(self.fidelity[-1:])
-        fidelity = np.concatenate(survivors) if survivors else np.empty(0)
-        return BellPairBatch(
-            fidelity=fidelity,
-            created_at=np.full(fidelity.shape[0], now, dtype=np.float64),
-        )
-
-    def mean_fidelity(self) -> float:
-        """The population's mean fidelity (NaN for an empty population)."""
-        return float(np.mean(self.fidelity)) if len(self) else float("nan")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BellPairBatch(n={len(self)}, mean_fidelity={self.mean_fidelity():.4f})"

@@ -1,66 +1,23 @@
-"""Teleportation.
+"""Circuit-level teleportation.
 
 Teleportation is the application the Quantum Internet exists to serve
 (Figure 1 of the paper): a Bell pair shared between origin and destination
 plus two classical bits move an arbitrary qubit state between them.  The
 network layer only needs to know that a teleportation *consumes* one
-``[origin, destination]`` Bell pair; this module provides that consumption
-record plus a circuit-level implementation used to validate the fidelity
-formula ``F_tel = (2 F_pair + 1) / 3``.
+``[origin, destination]`` Bell pair; this module runs the circuit on
+density matrices to validate the fidelity formula
+``F_tel = (2 F_pair + 1) / 3``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.quantum.bell_pair import BellPair, NodeId
-from repro.quantum.fidelity import WernerState, teleportation_fidelity
+from repro.quantum.fidelity import WernerState
 from repro.quantum.gates import CNOT, HADAMARD, IDENTITY, PAULI_X, PAULI_Z
 from repro.quantum.states import DensityMatrix, fidelity as state_fidelity
-
-
-@dataclass(frozen=True)
-class TeleportationOutcome:
-    """Record of one completed teleportation."""
-
-    origin: NodeId
-    destination: NodeId
-    consumed_pair_id: int
-    classical_bits: Tuple[int, int]
-    expected_fidelity: float
-
-
-def teleport(
-    pair: BellPair,
-    origin: NodeId,
-    destination: NodeId,
-    rng: Optional[np.random.Generator] = None,
-) -> TeleportationOutcome:
-    """Consume ``pair`` to teleport a qubit from ``origin`` to ``destination``.
-
-    The pair must span exactly the origin/destination nodes.  The qubit
-    payload itself is irrelevant to the network layer, so only the two
-    classical correction bits and the expected output fidelity are recorded.
-    """
-    if not pair.involves(origin) or not pair.involves(destination):
-        raise ValueError(
-            f"pair {pair.key} does not connect origin {origin!r} and destination {destination!r}"
-        )
-    if origin == destination:
-        raise ValueError("origin and destination must differ")
-    pair.mark_consumed()
-    generator = rng if rng is not None else np.random.default_rng()
-    bits = (int(generator.integers(0, 2)), int(generator.integers(0, 2)))
-    return TeleportationOutcome(
-        origin=origin,
-        destination=destination,
-        consumed_pair_id=pair.pair_id,
-        classical_bits=bits,
-        expected_fidelity=teleportation_fidelity(pair.fidelity),
-    )
 
 
 def teleportation_circuit_fidelity(

@@ -1,9 +1,9 @@
-"""Event taxonomy for the discrete-event engine.
+"""Event taxonomy for time-stamped simulation traces.
 
-The detailed (entity-level) simulations schedule events of the types below.
-Keeping the taxonomy in one place makes traces and metrics comparable across
-protocols: a planned-path run and a path-oblivious run emit the same event
-vocabulary and can be diffed directly.
+Keeping the vocabulary of simulation events in one place makes traces and
+metrics comparable across protocols: a planned-path run and a
+path-oblivious run that record :class:`SimEvent` values emit the same event
+types and can be diffed directly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Dict, Optional
 
 
 class EventType(enum.Enum):
-    """The kinds of events the quantum-network simulations schedule."""
+    """The kinds of events a quantum-network simulation records."""
 
     #: A generation link attempts to produce a new elementary Bell pair.
     GENERATION = "generation"
@@ -46,10 +46,10 @@ _EVENT_SEQUENCE = itertools.count()
 
 @dataclass(order=False)
 class SimEvent:
-    """A schedulable simulation event.
+    """A time-stamped simulation event.
 
     Events compare by ``(time, priority, sequence)`` so that ties at the same
-    timestamp are broken first by explicit priority and then by insertion
+    timestamp are broken first by explicit priority and then by creation
     order, which keeps runs deterministic.
     """
 
@@ -59,20 +59,13 @@ class SimEvent:
     priority: int = 0
     sequence: int = field(default_factory=lambda: next(_EVENT_SEQUENCE))
     cancelled: bool = False
-    #: The queue currently holding this event (set by the queue itself so it
-    #: can track cancellations in O(1) and compact lazily).
-    owner: Optional[Any] = field(default=None, repr=False, compare=False)
 
     def cancel(self) -> None:
-        """Mark the event as cancelled; the engine will skip it on dispatch."""
-        if self.cancelled:
-            return
+        """Mark the event as cancelled, so a consumer skips it."""
         self.cancelled = True
-        if self.owner is not None:
-            self.owner.note_cancelled(self)
 
     def sort_key(self) -> tuple:
-        """The total order used by the event queue."""
+        """The total order of events."""
         return (self.time, self.priority, self.sequence)
 
     def __lt__(self, other: "SimEvent") -> bool:

@@ -1,10 +1,11 @@
-"""Tests for the classical control plane (messages, dissemination)."""
+"""Tests for the classical control plane (messages, channels, dissemination)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.classical.channel import ClassicalChannel
 from repro.classical.control_plane import FloodingControlPlane
 from repro.classical.gossip import ChokeUnchokeGossip
 from repro.classical.messages import (
@@ -43,6 +44,24 @@ class TestMessages:
     def test_classical_message_validation(self):
         with pytest.raises(ValueError):
             ClassicalMessage(MessageType.HERALD, 0, 1, size_bits=0)
+
+
+class TestClassicalChannel:
+    def test_transfer_time_latency_only(self):
+        channel = ClassicalChannel(0, 1, latency=2.0)
+        assert channel.transfer_time(100) == pytest.approx(2.0)
+
+    def test_transfer_time_with_bandwidth(self):
+        channel = ClassicalChannel(0, 1, latency=1.0, bandwidth_bits_per_round=50.0)
+        assert channel.transfer_time(100) == pytest.approx(3.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ClassicalChannel(0, 0)
+        with pytest.raises(ValueError):
+            ClassicalChannel(0, 1, latency=-1.0)
+        with pytest.raises(ValueError):
+            ClassicalChannel(0, 1).transfer_time(0)
 
 
 class TestFloodingControlPlane:

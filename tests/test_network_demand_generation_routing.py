@@ -1,4 +1,4 @@
-"""Tests for demand models and generation processes."""
+"""Tests for demand models, generation processes and routing."""
 
 from __future__ import annotations
 
@@ -23,6 +23,14 @@ from repro.network.generation import (
     DeterministicGeneration,
     PoissonGeneration,
     make_generation_process,
+)
+from repro.network.routing import (
+    edge_disjoint_paths,
+    k_shortest_paths,
+    path_edges,
+    path_hops,
+    shortest_path,
+    validate_path,
 )
 from repro.network.topology import edge_key
 
@@ -384,3 +392,43 @@ class TestGenerationProcesses:
         process = DeterministicGeneration(small_cycle)
         assert process.expected_rate(edge_key(0, 1)) == 1.0
 
+
+class TestRouting:
+    def test_path_helpers(self):
+        assert path_hops([0, 1, 2]) == 2
+        assert path_edges([0, 1, 2]) == [edge_key(0, 1), edge_key(1, 2)]
+        with pytest.raises(ValueError):
+            path_hops([])
+
+    def test_validate_path(self, small_cycle):
+        validate_path(small_cycle, [0, 1, 2])
+        with pytest.raises(ValueError):
+            validate_path(small_cycle, [0, 2])
+        with pytest.raises(ValueError):
+            validate_path(small_cycle, [0])
+
+    def test_k_shortest_paths_on_cycle(self, small_cycle):
+        paths = k_shortest_paths(small_cycle, 0, 3, k=2)
+        assert len(paths) == 2
+        assert all(path[0] == 0 and path[-1] == 3 for path in paths)
+        assert len(paths[0]) <= len(paths[1])
+
+    def test_k_shortest_paths_disconnected(self):
+        from repro.network.topology import Topology
+
+        topology = Topology("d", nodes=[0, 1, 2])
+        topology.add_edge(0, 1)
+        assert k_shortest_paths(topology, 0, 2, k=3) == []
+
+    def test_k_validation(self, small_cycle):
+        with pytest.raises(ValueError):
+            k_shortest_paths(small_cycle, 0, 3, k=0)
+
+    def test_edge_disjoint_paths_on_cycle(self, small_cycle):
+        paths = edge_disjoint_paths(small_cycle, 0, 3, k=3)
+        assert len(paths) == 2  # a cycle has exactly two edge-disjoint routes
+        used = [set(path_edges(path)) for path in paths]
+        assert not (used[0] & used[1])
+
+    def test_shortest_path_wrapper(self, small_cycle):
+        assert shortest_path(small_cycle, 0, 2) == small_cycle.shortest_path(0, 2)

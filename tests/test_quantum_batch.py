@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quantum.batch import (
-    BellPairBatch,
     bbpssw_output_fidelity_batch,
     bbpssw_success_probability_batch,
     chained_swap_fidelity_batch,
@@ -147,55 +146,3 @@ class TestProbabilisticOutcomes:
         success, output = distillation_outcomes_batch(fidelity, rng)
         assert success.mean() == pytest.approx(bbpssw_success_probability(0.8), abs=0.02)
         assert np.allclose(output, bbpssw_output_fidelity(0.8), atol=TOLERANCE)
-
-
-class TestBellPairBatch:
-    def test_uniform_and_len(self):
-        population = BellPairBatch.uniform(10, fidelity=0.9)
-        assert len(population) == 10
-        assert population.mean_fidelity() == pytest.approx(0.9)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            BellPairBatch(fidelity=np.array([0.9, 0.8]), created_at=np.array([0.0]))
-        with pytest.raises(ValueError):
-            BellPairBatch(fidelity=np.ones((2, 2)) * 0.9, created_at=np.zeros((2, 2)))
-
-    def test_decohered_matches_scalar_model(self):
-        population = BellPairBatch(
-            fidelity=np.array([0.9, 0.95, 1.0]), created_at=np.array([0.0, 1.0, 2.0])
-        )
-        aged = population.decohered(now=3.0, coherence_time=5.0)
-        expected = [
-            decohered_fidelity(f, 3.0 - t, 5.0)
-            for f, t in zip([0.9, 0.95, 1.0], [0.0, 1.0, 2.0])
-        ]
-        assert np.allclose(aged.fidelity, expected, atol=TOLERANCE)
-        assert np.all(aged.created_at == 3.0)
-
-    def test_swap_with_population(self):
-        left = BellPairBatch.uniform(50, 0.95)
-        right = BellPairBatch.uniform(50, 0.9)
-        swapped = left.swap_with(right, now=1.0)
-        assert len(swapped) == 50
-        assert np.allclose(swapped.fidelity, swap_fidelity(0.95, 0.9), atol=TOLERANCE)
-        with pytest.raises(ValueError):
-            left.swap_with(BellPairBatch.uniform(10, 0.9))
-
-    def test_distill_pairwise_conserves_counts(self):
-        rng = np.random.default_rng(5)
-        population = BellPairBatch.uniform(101, 0.9)
-        distilled = population.distill_pairwise(rng)
-        # 50 attempted merges (some fail) plus the odd pair passed through.
-        assert 1 <= len(distilled) <= 51
-        assert np.all(distilled.fidelity >= 0.9 - TOLERANCE) or np.all(
-            distilled.fidelity <= 1.0
-        )
-
-    def test_distillable_mask(self):
-        population = BellPairBatch(
-            fidelity=np.array([0.4, 0.6]), created_at=np.zeros(2)
-        )
-        assert list(population.distillable()) == [False, True]
-        selected = population.select(population.distillable())
-        assert len(selected) == 1

@@ -1,144 +1,15 @@
-"""Tests for Bell-pair entities, swap physics, teleportation and quantum memory."""
+"""Tests for the circuit-level teleportation check."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 
-from repro.quantum.bell_pair import BellPair, pair_key
-from repro.quantum.decoherence import CutoffPolicy, ExponentialDecoherence, NoDecoherence
-from repro.quantum.fidelity import swap_fidelity, teleportation_fidelity
-from repro.quantum.memory import MemoryFullError, QuantumMemory
-from repro.quantum.swap import SwapPhysics
-from repro.quantum.teleportation import teleport, teleportation_circuit_fidelity
-
-
-class TestPairKey:
-    def test_canonical_order(self):
-        assert pair_key(3, 1) == pair_key(1, 3)
-
-    def test_rejects_self_pair(self):
-        with pytest.raises(ValueError):
-            pair_key(2, 2)
-
-    def test_works_with_string_ids(self):
-        assert pair_key("nyc", "bos") == pair_key("bos", "nyc")
-
-
-class TestBellPair:
-    def test_key_and_involvement(self):
-        pair = BellPair(node_a=2, node_b=5)
-        assert pair.key == pair_key(2, 5)
-        assert pair.involves(2) and pair.involves(5)
-        assert not pair.involves(3)
-
-    def test_other_end(self):
-        pair = BellPair(node_a=2, node_b=5)
-        assert pair.other_end(2) == 5
-        assert pair.other_end(5) == 2
-        with pytest.raises(ValueError):
-            pair.other_end(7)
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            BellPair(node_a=1, node_b=1)
-
-    def test_rejects_bad_fidelity(self):
-        with pytest.raises(ValueError):
-            BellPair(node_a=1, node_b=2, fidelity=0.1)
-
-    def test_unique_ids(self):
-        ids = {BellPair(node_a=0, node_b=1).pair_id for _ in range(10)}
-        assert len(ids) == 10
-
-    def test_fidelity_at_without_decoherence(self):
-        pair = BellPair(node_a=0, node_b=1, fidelity=0.9, created_at=1.0)
-        assert pair.fidelity_at(100.0, coherence_time=None) == pytest.approx(0.9)
-
-    def test_fidelity_at_with_decoherence(self):
-        pair = BellPair(node_a=0, node_b=1, fidelity=0.9, created_at=0.0)
-        assert pair.fidelity_at(10.0, coherence_time=10.0) < 0.9
-
-    def test_fidelity_at_before_creation_rejected(self):
-        pair = BellPair(node_a=0, node_b=1, created_at=5.0)
-        with pytest.raises(ValueError):
-            pair.fidelity_at(1.0, None)
-
-    def test_age(self):
-        pair = BellPair(node_a=0, node_b=1, created_at=2.0)
-        assert pair.age(5.0) == pytest.approx(3.0)
-
-    def test_double_consumption_rejected(self):
-        pair = BellPair(node_a=0, node_b=1)
-        pair.mark_consumed()
-        with pytest.raises(ValueError):
-            pair.mark_consumed()
-
-
-class TestSwapPhysics:
-    def test_output_fidelity_matches_formula(self):
-        physics = SwapPhysics()
-        assert physics.output_fidelity(0.9, 0.8) == pytest.approx(swap_fidelity(0.9, 0.8))
-
-    def test_attempt_produces_pair_between_far_ends(self, rng):
-        physics = SwapPhysics()
-        pair_a = BellPair(node_a=0, node_b=1, fidelity=0.95)
-        pair_b = BellPair(node_a=1, node_b=2, fidelity=0.95)
-        outcome = physics.attempt(1, pair_a, pair_b, now=3.0, rng=rng)
-        assert outcome.success
-        assert outcome.produced is not None
-        assert outcome.produced.key == pair_key(0, 2)
-        assert outcome.produced.swap_depth == 1
-        assert outcome.produced.created_at == 3.0
-
-    def test_attempt_consumes_inputs_even_on_failure(self, rng):
-        physics = SwapPhysics(measurement_efficiency=1e-9)
-        pair_a = BellPair(node_a=0, node_b=1)
-        pair_b = BellPair(node_a=1, node_b=2)
-        outcome = physics.attempt(1, pair_a, pair_b, rng=rng)
-        assert not outcome.success
-        assert pair_a.consumed and pair_b.consumed
-
-    def test_attempt_requires_common_repeater(self, rng):
-        physics = SwapPhysics()
-        pair_a = BellPair(node_a=0, node_b=1)
-        pair_b = BellPair(node_a=2, node_b=3)
-        with pytest.raises(ValueError):
-            physics.attempt(1, pair_a, pair_b, rng=rng)
-
-    def test_attempt_rejects_degenerate_product(self, rng):
-        physics = SwapPhysics()
-        pair_a = BellPair(node_a=0, node_b=1)
-        pair_b = BellPair(node_a=1, node_b=0)
-        with pytest.raises(ValueError):
-            physics.attempt(1, pair_a, pair_b, rng=rng)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SwapPhysics(measurement_efficiency=0.0)
-        with pytest.raises(ValueError):
-            SwapPhysics(gate_fidelity=1.5)
-
-    def test_gate_noise_lowers_output(self):
-        noisy = SwapPhysics(gate_fidelity=0.9)
-        assert noisy.output_fidelity(1.0, 1.0) < 1.0
+from repro.quantum.fidelity import teleportation_fidelity
+from repro.quantum.teleportation import teleportation_circuit_fidelity
 
 
 class TestTeleportation:
-    def test_teleport_consumes_pair(self, rng):
-        pair = BellPair(node_a="origin", node_b="destination", fidelity=0.9)
-        outcome = teleport(pair, "origin", "destination", rng=rng)
-        assert pair.consumed
-        assert outcome.expected_fidelity == pytest.approx(teleportation_fidelity(0.9))
-        assert all(bit in (0, 1) for bit in outcome.classical_bits)
-
-    def test_teleport_requires_matching_pair(self, rng):
-        pair = BellPair(node_a=0, node_b=1)
-        with pytest.raises(ValueError):
-            teleport(pair, 0, 2, rng=rng)
-
     def test_circuit_perfect_resource_is_exact(self, rng):
         for payload in ([1, 0], [0, 1], np.array([1, 1j]) / np.sqrt(2)):
             assert teleportation_circuit_fidelity(payload, 1.0, rng=rng) == pytest.approx(1.0)
@@ -148,88 +19,3 @@ class TestTeleportation:
         payload = np.array([1.0, 1.0]) / np.sqrt(2)
         values = [teleportation_circuit_fidelity(payload, 0.85, rng=rng) for _ in range(120)]
         assert float(np.mean(values)) == pytest.approx(teleportation_fidelity(0.85), abs=0.03)
-
-
-class TestQuantumMemory:
-    def test_store_and_count(self):
-        memory = QuantumMemory(owner=0)
-        memory.store(BellPair(node_a=0, node_b=1))
-        memory.store(BellPair(node_a=0, node_b=1))
-        memory.store(BellPair(node_a=0, node_b=2))
-        assert memory.count_with(1) == 2
-        assert memory.count_with(2) == 1
-        assert memory.partners() == {1: 2, 2: 1}
-
-    def test_store_rejects_foreign_pair(self):
-        memory = QuantumMemory(owner=0)
-        with pytest.raises(ValueError):
-            memory.store(BellPair(node_a=1, node_b=2))
-
-    def test_store_rejects_duplicate(self):
-        memory = QuantumMemory(owner=0)
-        pair = BellPair(node_a=0, node_b=1)
-        memory.store(pair)
-        with pytest.raises(ValueError):
-            memory.store(pair)
-
-    def test_capacity_enforced(self):
-        memory = QuantumMemory(owner=0, capacity=1)
-        memory.store(BellPair(node_a=0, node_b=1))
-        assert memory.is_full
-        with pytest.raises(MemoryFullError):
-            memory.store(BellPair(node_a=0, node_b=2))
-
-    def test_release(self):
-        memory = QuantumMemory(owner=0)
-        pair = BellPair(node_a=0, node_b=1)
-        memory.store(pair)
-        released = memory.release(pair.pair_id)
-        assert released is pair
-        assert len(memory) == 0
-        with pytest.raises(KeyError):
-            memory.release(pair.pair_id)
-
-    def test_oldest_with_is_fifo(self):
-        memory = QuantumMemory(owner=0)
-        first = BellPair(node_a=0, node_b=1)
-        second = BellPair(node_a=0, node_b=1)
-        memory.store(first, now=1.0)
-        memory.store(second, now=2.0)
-        assert memory.oldest_with(1) is first
-        assert memory.oldest_with(2) is None
-
-    def test_current_fidelity_decays(self):
-        memory = QuantumMemory(owner=0, decoherence=ExponentialDecoherence(coherence_time=5.0))
-        pair = BellPair(node_a=0, node_b=1, fidelity=0.95)
-        memory.store(pair, now=0.0)
-        assert memory.current_fidelity(pair.pair_id, now=5.0) < 0.95
-
-    def test_expire_by_cutoff(self):
-        memory = QuantumMemory(owner=0, cutoff=CutoffPolicy(max_age=2.0))
-        old = BellPair(node_a=0, node_b=1)
-        fresh = BellPair(node_a=0, node_b=2)
-        memory.store(old, now=0.0)
-        memory.store(fresh, now=3.0)
-        discarded = memory.expire(now=3.5)
-        assert discarded == [old]
-        assert memory.discarded_by_cutoff == 1
-        assert memory.count_with(2) == 1
-
-    def test_expire_by_fidelity_floor(self):
-        memory = QuantumMemory(owner=0, decoherence=ExponentialDecoherence(coherence_time=1.0))
-        pair = BellPair(node_a=0, node_b=1, fidelity=0.9)
-        memory.store(pair, now=0.0)
-        discarded = memory.expire(now=50.0, fidelity_floor=0.6)
-        assert discarded == [pair]
-        assert memory.discarded_by_decoherence == 1
-
-    def test_utilisation(self):
-        unbounded = QuantumMemory(owner=0)
-        assert unbounded.utilisation() == 0.0
-        bounded = QuantumMemory(owner=0, capacity=2)
-        bounded.store(BellPair(node_a=0, node_b=1))
-        assert bounded.utilisation() == pytest.approx(0.5)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            QuantumMemory(owner=0, capacity=0)

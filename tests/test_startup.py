@@ -55,11 +55,11 @@ def _modules_after(*runs: List[str]) -> Dict[str, List[str]]:
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
-def test_registry_and_daemon_imports_leave_scipy_and_quantum_unloaded():
+def test_registry_and_daemon_imports_leave_scipy_unloaded():
     assert _modules_after() == {"scipy": [], "repro.quantum": []}
 
 
-def test_experiments_without_an_lp_leave_scipy_and_quantum_unloaded():
+def test_experiments_without_an_lp_leave_scipy_unloaded():
     # Two seeds per point, so the figure series average several trials.
     loaded = _modules_after(
         ["figure4", "--nodes", "9", "--requests", "6", "--distillation", "1", "--seeds", "2"],

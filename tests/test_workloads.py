@@ -308,6 +308,12 @@ class TestTimedRequestSequence:
         assert remapped == 2  # the queued survivor and the future arrival
         assert sequence.requests()[0].pair == (0, 1)  # history untouched
 
+    def test_arrival_times_are_distinct_sorted(self):
+        sequence = TimedRequestSequence(
+            [_timed(0, (0, 1), 4), _timed(1, (1, 2), 1), _timed(2, (2, 3), 4)]
+        )
+        assert sequence.arrival_times() == [1, 4]
+
 
 # ---------------------------------------------------------------------- #
 # SLO metrics
