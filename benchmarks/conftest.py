@@ -33,8 +33,7 @@ def median_time():
     which let a one-off allocator or cache hiccup on either side flip a
     ratio across its threshold.  Discarding ``warmup`` untimed calls and
     reporting the median of ``repeats`` timed ones is robust against both
-    first-call effects and single outliers; ``repro bench`` records the
-    checked-in trajectory with the same estimator
+    first-call effects and single outliers
     (:func:`repro.perf.timing.median_of_k`).
     """
 

@@ -4,9 +4,7 @@ The observability contract has a perf clause: spans are cheap enough to
 leave on for real runs (< 5% on an instrumented trial) and free when
 disabled (the default) -- ``span()`` then returns a shared no-op context
 manager, so a disabled call is one truthiness check plus a dict lookup
-that never happens.  These tests measure both sides of that promise;
-``repro bench`` re-emits the same ratio as the ``obs.span_overhead``
-entry in the checked-in trajectory.
+that never happens.  These tests measure both sides of that promise.
 """
 
 from __future__ import annotations

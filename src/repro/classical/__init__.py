@@ -14,21 +14,12 @@ overheads" and §6).  This package models those classical costs explicitly:
 
 from repro.classical.control_plane import ControlPlane, FloodingControlPlane
 from repro.classical.gossip import ChokeUnchokeGossip
-from repro.classical.messages import (
-    ClassicalMessage,
-    CountVectorMessage,
-    MessageType,
-    SwapCorrectionMessage,
-    message_size_bits,
-)
+from repro.classical.messages import MessageType, message_size_bits
 
 __all__ = [
     "ChokeUnchokeGossip",
-    "ClassicalMessage",
     "ControlPlane",
-    "CountVectorMessage",
     "FloodingControlPlane",
     "MessageType",
-    "SwapCorrectionMessage",
     "message_size_bits",
 ]

@@ -3,19 +3,15 @@
 The paper repeatedly stresses that only *a few bits* of classical
 information are needed per quantum operation (2 bits per swap or
 teleportation correction), while the balancing protocol's count
-dissemination can be much heavier (up to ``|N| choose 2`` counts).  The
-classes here give every message an explicit size in bits so experiments can
-compare control-plane load across protocols quantitatively.
+dissemination can be much heavier (up to ``|N| choose 2`` counts).
+:func:`message_size_bits` gives every message type an explicit size in bits
+so experiments can compare control-plane load across protocols
+quantitatively.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Tuple
-
-NodeId = Hashable
 
 #: Bits used to encode one node identifier in control messages.
 NODE_ID_BITS = 16
@@ -33,63 +29,6 @@ class MessageType(enum.Enum):
     PATH_RELEASE = "path_release"
     HERALD = "herald"
     FAILURE_NOTICE = "failure_notice"
-
-
-@dataclass(frozen=True)
-class ClassicalMessage:
-    """A generic classical control message."""
-
-    message_type: MessageType
-    source: NodeId
-    destination: NodeId
-    size_bits: int
-    sent_at: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.size_bits <= 0:
-            raise ValueError(f"message size must be positive, got {self.size_bits}")
-
-
-@dataclass(frozen=True)
-class SwapCorrectionMessage:
-    """The 2-bit Pauli-frame correction sent after a swap or teleportation."""
-
-    source: NodeId
-    destination: NodeId
-    bits: Tuple[int, int]
-    sent_at: float = 0.0
-
-    def __post_init__(self) -> None:
-        if any(bit not in (0, 1) for bit in self.bits):
-            raise ValueError(f"correction bits must be 0/1, got {self.bits}")
-
-    def to_message(self) -> ClassicalMessage:
-        return ClassicalMessage(
-            message_type=MessageType.SWAP_CORRECTION,
-            source=self.source,
-            destination=self.destination,
-            size_bits=2,
-            sent_at=self.sent_at,
-        )
-
-
-@dataclass(frozen=True)
-class CountVectorMessage:
-    """One node's pair-count vector, as disseminated by the control plane."""
-
-    source: NodeId
-    destination: NodeId
-    counts: Dict[NodeId, int] = field(default_factory=dict)
-    sent_at: float = 0.0
-
-    def to_message(self) -> ClassicalMessage:
-        return ClassicalMessage(
-            message_type=MessageType.COUNT_VECTOR,
-            source=self.source,
-            destination=self.destination,
-            size_bits=message_size_bits(MessageType.COUNT_VECTOR, entries=len(self.counts)),
-            sent_at=self.sent_at,
-        )
 
 
 def message_size_bits(message_type: MessageType, entries: int = 0, path_hops: int = 0) -> int:

@@ -40,12 +40,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
     experiment.name: experiment for experiment in iter_experiments()
 }
 
-#: Tool subcommands that are not experiments: the profiling harness, the
-#: benchmark-trajectory emitter (see :mod:`repro.perf`), service mode --
+#: Tool subcommands that are not experiments: the profiling harness
+#: (see :mod:`repro.perf`), service mode --
 #: the persistent experiment daemon plus its submission client
 #: (see :mod:`repro.serve`) -- and the telemetry-stream inspector
 #: (see :mod:`repro.obs`).
-TOOL_COMMANDS = ("profile", "bench", "serve", "submit", "obs")
+TOOL_COMMANDS = ("profile", "serve", "submit", "obs")
 
 
 def _positive_int(value: str) -> int:
@@ -239,29 +239,6 @@ def _populate_profile(profile: argparse.ArgumentParser) -> None:
     _add_payload_output_flags(profile)
 
 
-def _populate_bench(bench: argparse.ArgumentParser) -> None:
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized inputs (the checked-in BENCH_10.json uses full sizes)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=5,
-        metavar="K",
-        help="timed repetitions per benchmark; the median is reported (default: 5)",
-    )
-    bench.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        metavar="W",
-        help="untimed warmup calls before the repetitions (default: 1)",
-    )
-    _add_payload_output_flags(bench)
-
-
 def _populate_serve(serve: argparse.ArgumentParser) -> None:
     endpoint = serve.add_mutually_exclusive_group(required=True)
     endpoint.add_argument(
@@ -408,16 +385,6 @@ def _add_tool_subcommands(subparsers) -> None:
         "validated against repro/perf schema 'profile' before delivery.",
         allow_abbrev=False,
         populate=_populate_profile,
-    )
-    subparsers.add_deferred_parser(
-        "bench",
-        help="emit the benchmark trajectory (median-of-k wall times, BENCH_10.json)",
-        description="Re-run the benchmarks/ workloads deterministically and emit "
-        "the BENCH trajectory document: per-benchmark median-of-k wall times, "
-        "kernel speedups vs the pure-Python references, machine fingerprint and "
-        "git revision.",
-        allow_abbrev=False,
-        populate=_populate_bench,
     )
     subparsers.add_deferred_parser(
         "serve",
@@ -703,33 +670,25 @@ def _run_tool(
     parser: argparse.ArgumentParser,
     extras: Optional[List[str]] = None,
 ) -> int:
-    """Dispatch the non-experiment tool subcommands (``profile``, ``bench``,
-    ``serve``, ``submit``, ``obs``)."""
-    # Imported on demand: the tools pull in the experiment registry and the
-    # benchmark workloads, which plain experiment runs never need.
+    """Dispatch the non-experiment tool subcommands (``profile``, ``serve``,
+    ``submit``, ``obs``)."""
+    # Imported on demand: the tools pull in modules plain experiment runs
+    # never need.
     if args.experiment == "serve":
         return _run_serve(args, parser)
     if args.experiment == "submit":
         return _run_submit(args, extras or [], parser)
     if args.experiment == "obs":
         return _run_obs(args, parser)
-    if args.experiment == "profile":
-        from repro.perf import profiler
+    from repro.perf import profiler
 
-        if args.target not in EXPERIMENTS:
-            parser.error(
-                f"profile: unknown experiment {args.target!r} "
-                f"(run 'repro --list' to see the registered experiments)"
-            )
-        report = profiler.profile_experiment(args.target, smoke=args.smoke, top=args.top)
-        _deliver_payload(report, profiler.format_report(report), args, parser)
-        return 0
-    from repro.perf import bench
-
-    if args.warmup < 0:
-        parser.error(f"--warmup: must be >= 0, got {args.warmup}")
-    payload = bench.run_bench(repeats=args.repeats, warmup=args.warmup, quick=args.quick)
-    _deliver_payload(payload, bench.format_report(payload), args, parser)
+    if args.target not in EXPERIMENTS:
+        parser.error(
+            f"profile: unknown experiment {args.target!r} "
+            f"(run 'repro --list' to see the registered experiments)"
+        )
+    report = profiler.profile_experiment(args.target, smoke=args.smoke, top=args.top)
+    _deliver_payload(report, profiler.format_report(report), args, parser)
     return 0
 
 

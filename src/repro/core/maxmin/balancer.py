@@ -293,7 +293,7 @@ class MaxMinBalancer:
         recipient = self.knowledge.recipient_count(repeater, left, right)
         return recipient is not None and recipient + 1 <= min(left_slack, right_slack)
 
-    def _candidate_block(
+    def _turn_block(
         self, repeater: NodeId, row: int
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """``(donors, recipient, preferable)`` for one turn, or ``None`` when empty.
@@ -359,7 +359,7 @@ class MaxMinBalancer:
         ``right`` in ``repr`` order.
         """
         row = self._index.get(repeater)
-        block = None if row is None else self._candidate_block(repeater, row)
+        block = None if row is None else self._turn_block(repeater, row)
         if block is None:
             return []
         donors, recipient, preferable = block
@@ -374,7 +374,7 @@ class MaxMinBalancer:
         row = self._index.get(repeater)
         if row is None:
             return None
-        block = self._candidate_block(repeater, row)
+        block = self._turn_block(repeater, row)
         if block is not None:
             donors, recipient, preferable = block
             policy = self.policy
@@ -473,7 +473,7 @@ class MaxMinBalancer:
             row = self._index.get(node)
             if row is None or (self._skipping and not self._dirty[row]):
                 continue
-            block = self._candidate_block(node, row)
+            block = self._turn_block(node, row)
             if block is not None and block[2].any():
                 return True
             self._dirty[row] = False

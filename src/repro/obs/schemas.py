@@ -32,7 +32,6 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "schema_version",
         "created",
         "git_rev",
-        "kernels_backend",
         "python",
         "platform",
     ],
@@ -42,7 +41,6 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "created": {"type": "number"},
         "experiment": {"type": ["string", "null"]},
         "git_rev": {"type": "string"},
-        "kernels_backend": {"type": "string"},
         "python": {"type": "string"},
         "platform": {"type": "string"},
     },

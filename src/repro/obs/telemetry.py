@@ -7,7 +7,7 @@ of :mod:`repro.obs.spans`.  The hub unifies them behind ``snapshot()`` /
 ``export_jsonl()``: one JSONL stream of typed records (validated by
 :mod:`repro.obs.schemas`, checked in at
 ``docs/schemas/telemetry.schema.json``) that opens with a **run manifest**
--- who measured, where, with which kernels backend -- followed by every
+-- who measured, where, at which revision -- followed by every
 span, every scalar metric, and a trace summary carrying the recorder's
 retained/dropped counts.
 
@@ -30,7 +30,7 @@ from repro.sim.metrics import MetricRegistry
 from repro.sim.tracing import TraceRecorder
 
 #: Version stamp of the telemetry JSONL layout.
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: Metric families the hub itself maintains (sweep provenance counters).
 #: The docs gate requires each to be a backticked doc token, like the serve
@@ -60,7 +60,6 @@ class Telemetry:
     def manifest(self, experiment: Optional[str] = None, **extra: Any) -> Dict[str, Any]:
         """The run manifest opening every export: provenance, not results."""
         from repro.perf.bench import git_revision
-        from repro.perf.kernels import active_backend
 
         record: Dict[str, Any] = {
             "type": "manifest",
@@ -68,7 +67,6 @@ class Telemetry:
             "created": time.time(),
             "experiment": experiment,
             "git_rev": git_revision(),
-            "kernels_backend": active_backend(),
             "python": platform.python_version(),
             "platform": platform.platform(),
         }
@@ -220,10 +218,7 @@ def render_text(records: List[Dict[str, Any]]) -> str:
     lines = [
         "telemetry stream"
         + (f" for {manifest['experiment']}" if manifest.get("experiment") else "")
-        + (
-            f" (rev {manifest.get('git_rev', '?')}, "
-            f"kernels={manifest.get('kernels_backend', '?')})"
-        ),
+        + f" (rev {manifest.get('git_rev', '?')})",
         f"{len(spans)} span(s) across {len(pids)} process(es)",
     ]
     if by_name:

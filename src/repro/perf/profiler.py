@@ -6,9 +6,8 @@ a cProfile trace, and aggregates it two ways:
 
 * **hotspots** — the top functions by cumulative time, each attributed to
   its dotted ``repro`` module (or the stdlib/builtin origin), and
-* **modules** — total in-function time rolled up per module, which is the
-  view that picked the three accelerated kernels in
-  :mod:`repro.perf.kernels`.
+* **modules** — total in-function time rolled up per module, the view
+  that says which layer a run spends its time in.
 
 The report is a plain JSON payload validated against
 :data:`repro.perf.schemas.PROFILE_SCHEMA` before it is returned, so the CI
@@ -23,7 +22,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.experiments.registry import get_experiment
-from repro.perf.kernels import active_backend
 from repro.perf.schemas import PERF_SCHEMA_VERSION, validate_profile
 
 #: Parameter overrides applied (where an experiment declares the parameter)
@@ -130,7 +128,6 @@ def profile_experiment(
         "kind": "profile",
         "experiment": name,
         "smoke": bool(smoke),
-        "kernels_backend": active_backend(),
         "total_seconds": float(total_seconds),
         "total_calls": int(total_calls),
         "hotspots": hotspots[:top],
@@ -144,7 +141,7 @@ def format_report(report: Dict[str, Any], top: int = 10) -> str:
     """A terse human rendering of a profile report (the CLI's text output)."""
     lines = [
         f"profile of experiment {report['experiment']!r} "
-        f"(kernels={report['kernels_backend']}, smoke={report['smoke']}): "
+        f"(smoke={report['smoke']}): "
         f"{report['total_seconds']:.3f}s over {report['total_calls']} calls",
         f"{'cumtime':>10}  {'tottime':>10}  {'calls':>8}  function",
     ]

@@ -1,16 +1,10 @@
-"""JSON schemas for the perf layer's machine-readable artifacts.
+"""JSON schema for the report ``repro profile <experiment>`` emits.
 
-Two payload kinds, both validated by the dependency-free subset validator
-in :mod:`repro.experiments.schema`:
+:data:`PROFILE_SCHEMA` is checked by the dependency-free subset validator
+in :mod:`repro.experiments.schema`.  Usable as a CI filter::
 
-* :data:`PROFILE_SCHEMA` — the report ``repro profile <experiment>`` emits.
-* :data:`BENCH_SCHEMA` — the benchmark trajectory ``repro bench`` emits
-  (checked in as ``BENCH_10.json`` and re-validated in CI).
-
-Usable as a CI filter::
-
-    PYTHONPATH=src python -m repro bench --quick --output - \\
-        | PYTHONPATH=src python -m repro.perf.schemas - --kind bench
+    PYTHONPATH=src python -m repro profile figure4 --smoke --format json \\
+        | PYTHONPATH=src python -m repro.perf.schemas -
 """
 
 from __future__ import annotations
@@ -21,8 +15,8 @@ from typing import Any, Dict
 
 from repro.experiments.schema import SchemaError, validate_payload
 
-#: Version stamp of both perf payload layouts.
-PERF_SCHEMA_VERSION = 1
+#: Version stamp of the profile report layout.
+PERF_SCHEMA_VERSION = 2
 
 PROFILE_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -38,7 +32,6 @@ PROFILE_SCHEMA: Dict[str, Any] = {
         "kind",
         "experiment",
         "smoke",
-        "kernels_backend",
         "total_seconds",
         "total_calls",
         "hotspots",
@@ -49,7 +42,6 @@ PROFILE_SCHEMA: Dict[str, Any] = {
         "kind": {"type": "string", "enum": ["profile"]},
         "experiment": {"type": "string"},
         "smoke": {"type": "boolean"},
-        "kernels_backend": {"type": "string"},
         "total_seconds": {"type": "number"},
         "total_calls": {"type": "integer"},
         "hotspots": {
@@ -80,110 +72,25 @@ PROFILE_SCHEMA: Dict[str, Any] = {
     },
 }
 
-BENCH_SCHEMA: Dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro benchmark trajectory",
-    "description": (
-        "Quick deterministic re-run of the benchmark suite's workloads, as "
-        "emitted by `repro bench`: per-benchmark median-of-k wall times, "
-        "kernel speedups, machine fingerprint and git revision."
-    ),
-    "type": "object",
-    "required": [
-        "schema_version",
-        "kind",
-        "issue",
-        "git_rev",
-        "kernels_backend",
-        "machine",
-        "timing",
-        "benchmarks",
-    ],
-    "properties": {
-        "schema_version": {"type": "integer", "enum": [PERF_SCHEMA_VERSION]},
-        "kind": {"type": "string", "enum": ["bench"]},
-        "issue": {"type": "integer"},
-        "git_rev": {"type": "string"},
-        "kernels_backend": {"type": "string"},
-        "machine": {
-            "type": "object",
-            "required": ["platform", "python", "numpy", "cpu_count"],
-            "properties": {
-                "platform": {"type": "string"},
-                "python": {"type": "string"},
-                "numpy": {"type": "string"},
-                "cpu_count": {"type": "integer"},
-            },
-        },
-        "timing": {
-            "type": "object",
-            "required": ["repeats", "warmup", "quick"],
-            "properties": {
-                "repeats": {"type": "integer"},
-                "warmup": {"type": "integer"},
-                "quick": {"type": "boolean"},
-            },
-        },
-        "benchmarks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "group", "median_seconds"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "group": {"type": "string"},
-                    "median_seconds": {"type": "number"},
-                    "reference_median_seconds": {"type": ["number", "null"]},
-                    "speedup": {"type": ["number", "null"]},
-                },
-            },
-        },
-    },
-}
-
-_SCHEMAS = {"profile": PROFILE_SCHEMA, "bench": BENCH_SCHEMA}
-
 
 def validate_profile(payload: Any) -> None:
     """Raise :class:`SchemaError` unless ``payload`` is a valid profile report."""
     validate_payload(payload, schema=PROFILE_SCHEMA)
 
 
-def validate_bench(payload: Any) -> None:
-    """Raise :class:`SchemaError` unless ``payload`` is a valid BENCH trajectory."""
-    validate_payload(payload, schema=BENCH_SCHEMA)
-
-
 def main(argv=None) -> int:
-    """Validate a perf JSON document from a file (or ``-`` for stdin)."""
+    """Validate a profile report from a file (or ``-`` for stdin)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    kind = None
-    if "--kind" in argv:
-        at = argv.index("--kind")
-        try:
-            kind = argv[at + 1]
-        except IndexError:
-            print("--kind requires a value (profile|bench)", file=sys.stderr)
-            return 2
-        del argv[at : at + 2]
-    if len(argv) != 1 or (kind is not None and kind not in _SCHEMAS):
-        print(
-            "usage: python -m repro.perf.schemas <report.json | -> [--kind profile|bench]",
-            file=sys.stderr,
-        )
+    if len(argv) != 1:
+        print("usage: python -m repro.perf.schemas <report.json | ->", file=sys.stderr)
         return 2
     raw = sys.stdin.read() if argv[0] == "-" else open(argv[0], encoding="utf-8").read()
     try:
-        payload = json.loads(raw)
-        if kind is None:
-            kind = payload.get("kind") if isinstance(payload, dict) else None
-            if kind not in _SCHEMAS:
-                raise SchemaError(f"payload 'kind' is {kind!r}, expected one of {sorted(_SCHEMAS)}")
-        validate_payload(payload, schema=_SCHEMAS[kind])
+        validate_profile(json.loads(raw))
     except (json.JSONDecodeError, SchemaError) as error:
         print(f"perf schema violation: {error}", file=sys.stderr)
         return 1
-    print(f"ok: valid {kind} payload")
+    print("ok: valid profile payload")
     return 0
 
 

@@ -2,11 +2,10 @@
 
 Single-sample timing is the root of benchmark flakiness: the first call
 pays import/allocation warmup, and any call can absorb a scheduler hiccup.
-Every speedup assertion in ``benchmarks/`` and every entry in the BENCH
-trajectory therefore times the same way: run ``warmup`` throwaway
-iterations first, then report the *median* of ``repeats`` timed calls —
-robust to one-sided noise in either direction, unlike best-of (which can
-flatter) or mean (which one outlier ruins).
+Every speedup assertion in ``benchmarks/`` therefore times the same way:
+run ``warmup`` throwaway iterations first, then report the *median* of
+``repeats`` timed calls — robust to one-sided noise in either direction,
+unlike best-of (which can flatter) or mean (which one outlier ruins).
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ class PathObliviousProtocol(SwappingProtocol):
             if use_hybrid_fallback
             else None
         )
-        # The serve-prefix kernel can size a round's whole consumption burst
+        # The serve-prefix scan can size a round's whole consumption burst
         # in one call only when serving is exactly "head pair holds >= D
         # pairs" and the request list is immutable: no hybrid fallback, no
         # per-round consumption cap, no scenario (demand drift may rewrite
@@ -222,7 +222,7 @@ class PathObliviousProtocol(SwappingProtocol):
         if not self.balancer.can_consume(*head.pair):
             return None
         # The head is servable: size the whole burst with the serve-prefix
-        # kernel instead of re-checking can_consume per request.  Serving a
+        # scan instead of re-checking can_consume per request.  Serving a
         # request only spends its own pair's ledger count, so each pair
         # funds exactly count // cost consumptions this round.  The window
         # doubles so a round serving k requests costs O(k), not O(pending).
@@ -254,12 +254,12 @@ class PathObliviousProtocol(SwappingProtocol):
     def _group_consumption_phase(self, round_index: int) -> Optional[bool]:
         """Serve-prefix sizing for streams containing multicast requests.
 
-        The pair-only kernel cannot express "a request spends several
+        The pair-only scan cannot express "a request spends several
         sessions at once", so mixed streams use the same ordered-prefix
         bookkeeping in plain Python: walk forward from the head, charging a
         local budget table per session, and stop at the first request whose
         sessions are not all affordable.  Cost is O(prefix), matching the
-        kernel path's amortised behaviour.
+        scan path's amortised behaviour.
         """
         requests = self.requests
         head = requests.head()

@@ -19,11 +19,9 @@ factor ``L``.  This package provides the physical models behind them:
 """
 
 from repro.quantum.decoherence import (
-    CutoffPolicy,
     DecoherenceModel,
     ExponentialDecoherence,
     NoDecoherence,
-    survival_probability,
 )
 from repro.quantum.distillation import (
     DistillationProtocol,
@@ -49,7 +47,6 @@ from repro.quantum.states import DensityMatrix, bell_state, fidelity as state_fi
 __all__ = [
     "CNOT",
     "CZ",
-    "CutoffPolicy",
     "DecoherenceModel",
     "DensityMatrix",
     "DistillationProtocol",
@@ -74,7 +71,6 @@ __all__ = [
     "rounds_to_target_fidelity",
     "state_fidelity",
     "surface_code_overhead",
-    "survival_probability",
     "swap_fidelity",
     "teleportation_fidelity",
     "werner_from_fidelity",

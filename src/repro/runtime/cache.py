@@ -1,20 +1,15 @@
 """Content-addressed on-disk cache for trial outcomes.
 
-A sweep cell is fully determined by three things: the trial configuration
+A sweep cell is fully determined by two things: the trial configuration
 (every field of :class:`~repro.experiments.config.ExperimentConfig`,
-including its seed), the version of the simulation code, and the active
-kernel backend (``REPRO_KERNELS``).  The cache key is a SHA-256 digest over
-all of them, so
+including its seed) and the version of the simulation code.  The cache key
+is a SHA-256 digest over both, so
 
 * re-running the same sweep (e.g. to regenerate a figure with different
   formatting) hits the cache for every cell,
 * changing any config field -- even just the seed -- misses,
 * editing any source file under :mod:`repro` invalidates the whole cache,
-  because stale results from old physics are worse than recomputation, and
-* switching kernel backends misses as well.  The kernels are contractually
-  bit-identical across backends (the differential suite enforces it), so
-  this is defence in depth: a backend bug can never hide behind a cache
-  hit recorded under a different backend.
+  because stale results from old physics are worse than recomputation.
 
 Entries are pickled :class:`~repro.experiments.config.TrialOutcome` objects
 stored one-file-per-key, which makes the cache trivially safe under
@@ -34,7 +29,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.experiments.config import ExperimentConfig, TrialOutcome
-from repro.perf.kernels import active_backend
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -92,21 +86,12 @@ def code_version() -> str:
     return _code_version
 
 
-def config_digest(
-    config: ExperimentConfig,
-    version: Optional[str] = None,
-    kernels: Optional[str] = None,
-) -> str:
-    """The content address of one sweep cell.
-
-    SHA-256 over the config, the code version, and the kernel backend
-    (``kernels`` overrides the ambient :func:`active_backend`, mainly for
-    tests).
-    """
+def config_digest(config: ExperimentConfig, version: Optional[str] = None) -> str:
+    """The content address of one sweep cell: SHA-256 over the config and
+    the code version."""
     payload = {
         "config": asdict(config),
         "code_version": version if version is not None else code_version(),
-        "kernels": kernels if kernels is not None else active_backend(),
     }
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -8,31 +8,16 @@ import pytest
 from repro.classical.channel import ClassicalChannel
 from repro.classical.control_plane import FloodingControlPlane
 from repro.classical.gossip import ChokeUnchokeGossip
-from repro.classical.messages import (
-    ClassicalMessage,
-    CountVectorMessage,
-    MessageType,
-    SwapCorrectionMessage,
-    message_size_bits,
-)
+from repro.classical.messages import MessageType, message_size_bits
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.topologies import cycle_topology
 
 
 class TestMessages:
-    def test_swap_correction_is_two_bits(self):
-        message = SwapCorrectionMessage(source=0, destination=1, bits=(1, 0)).to_message()
-        assert message.size_bits == 2
-        assert message.message_type is MessageType.SWAP_CORRECTION
-
-    def test_swap_correction_validates_bits(self):
-        with pytest.raises(ValueError):
-            SwapCorrectionMessage(source=0, destination=1, bits=(2, 0))
-
     def test_count_vector_size_scales_with_entries(self):
-        small = CountVectorMessage(source=0, destination=1, counts={1: 2}).to_message()
-        large = CountVectorMessage(source=0, destination=1, counts={i: 1 for i in range(10)}).to_message()
-        assert large.size_bits == 10 * small.size_bits
+        small = message_size_bits(MessageType.COUNT_VECTOR, entries=1)
+        large = message_size_bits(MessageType.COUNT_VECTOR, entries=10)
+        assert large == 10 * small
 
     def test_message_size_bits_types(self):
         assert message_size_bits(MessageType.HERALD) == 1
@@ -40,10 +25,6 @@ class TestMessages:
         assert message_size_bits(MessageType.PATH_RESERVATION, path_hops=3) == 3 * 16
         with pytest.raises(ValueError):
             message_size_bits(MessageType.COUNT_VECTOR, entries=-1)
-
-    def test_classical_message_validation(self):
-        with pytest.raises(ValueError):
-            ClassicalMessage(MessageType.HERALD, 0, 1, size_bits=0)
 
 
 class TestClassicalChannel:

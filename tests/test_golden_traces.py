@@ -33,7 +33,6 @@ from repro.network.demand import (
     select_consumer_pairs,
 )
 from repro.network.topologies import cycle_topology
-from repro.perf.kernels import KERNELS_ENV, available_backends
 from repro.protocols.oblivious import PathObliviousProtocol
 from repro.scenarios import build_scenario
 from repro.sim.rng import RandomStreams
@@ -164,26 +163,6 @@ def test_replay_matches_golden_trace(filename):
             f"{filename} length changed: golden {len(golden_lines)} lines, "
             f"replay {len(fresh_lines)} lines"
         )
-
-
-@pytest.mark.parametrize("backend", available_backends())
-@pytest.mark.parametrize("filename", ALL_GOLDEN_FILES)
-def test_replay_is_byte_identical_under_every_kernel_backend(
-    filename, backend, monkeypatch
-):
-    """The accelerated kernels must not move a single byte of the goldens.
-
-    This is the end-to-end half of the differential suite in
-    ``tests/test_perf_kernels.py``: the same canonical runs, replayed under
-    each backend ``REPRO_KERNELS`` can select in this environment, must
-    reproduce the stored traces exactly."""
-    path = GOLDEN_DIR / filename
-    if not path.is_file():
-        pytest.skip("golden trace not recorded yet")
-    monkeypatch.setenv(KERNELS_ENV, backend)
-    assert _record_for(filename) == path.read_text(encoding="utf-8"), (
-        f"{filename} diverges under REPRO_KERNELS={backend}"
-    )
 
 
 @pytest.mark.parametrize("filename", ALL_GOLDEN_FILES)

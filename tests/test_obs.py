@@ -192,7 +192,7 @@ class TestTelemetryHub:
         assert obs_schemas.validate_stream(records) == len(records)
         manifest = records[0]
         assert manifest["type"] == "manifest" and manifest["experiment"] == "unit"
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         types = {record["type"] for record in records}
         assert {"manifest", "span", "trace"} <= types
 

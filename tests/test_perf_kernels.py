@@ -1,10 +1,9 @@
-"""The perf subsystem: kernel differential suite, profiler, and bench.
+"""The perf subsystem: the serve-prefix scan, the profiler and its validator.
 
-The heart of this file is the **differential harness**: every kernel in
-:data:`repro.perf.kernels.KERNEL_REGISTRY` is enumerated against every
-backend available in this environment and must reproduce the pure-Python
-reference bit-for-bit on Hypothesis-generated inputs.  A new kernel or a
-new backend is covered automatically just by being registered.
+The scan is checked against the per-request loop in
+``tests/serve_prefix_oracle.py``: on Hypothesis-generated inputs, and on
+deterministic inputs longer than one 4096-code block, where running counts
+carry across blocks and the first failure can sit on a block boundary.
 """
 
 from __future__ import annotations
@@ -17,105 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
-from repro.experiments.schema import SchemaError
 from repro.network.demand import RequestSequence
 from repro.network.topologies import cycle_topology
-from repro.perf import kernels
-from repro.perf.bench import kernel_speedups, run_bench
-from repro.perf.kernels import (
-    DEFAULT_BACKEND,
-    KERNEL_BACKENDS,
-    KERNEL_REGISTRY,
-    KERNELS_ENV,
-    KernelPair,
-    active_backend,
-    available_backends,
-    get_kernel,
-    kernel_names,
-    numba_available,
-    register_kernel,
-    requested_backend,
-)
+from repro.perf.kernels import active_backend, servable_prefix
 from repro.perf.profiler import format_report, profile_experiment, smoke_params
 from repro.perf.schemas import main as schemas_main
-from repro.perf.schemas import validate_bench, validate_profile
+from repro.perf.schemas import validate_profile
 from repro.perf.timing import median_of_k
 from repro.protocols import PathObliviousProtocol
 from repro.sim.rng import RandomStreams
+from serve_prefix_oracle import serve_prefix_oracle
 
 
 # ---------------------------------------------------------------------- #
-# Backend resolution
+# The serve-prefix scan against its oracle
 # ---------------------------------------------------------------------- #
-class TestBackendResolution:
-    def test_default_backend_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV, raising=False)
-        assert requested_backend() == DEFAULT_BACKEND == "numpy"
-        assert active_backend() == "numpy"
-
-    def test_explicit_backends_resolve(self, monkeypatch):
-        for backend in ("python", "numpy"):
-            monkeypatch.setenv(KERNELS_ENV, backend)
-            assert requested_backend() == backend
-            assert active_backend() == backend
-
-    def test_unknown_backend_is_an_error(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "cuda")
-        with pytest.raises(ValueError, match="cuda"):
-            requested_backend()
-
-    def test_unavailable_numba_falls_back_to_python(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numba")
-        if numba_available():  # pragma: no cover - numba-equipped machines
-            assert active_backend() == "numba"
-        else:
-            assert active_backend() == "python"
-            # ... and every kernel dispatches to its reference implementation
-            for name in kernel_names():
-                pair = get_kernel(name)
-                assert pair.dispatch() is pair.reference
-
-    def test_available_backends_always_include_the_portable_pair(self):
-        backends = available_backends()
-        assert "python" in backends and "numpy" in backends
-        assert set(backends) <= set(KERNEL_BACKENDS)
-
-    def test_registry_rejects_duplicate_names(self):
-        pair = get_kernel(kernel_names()[0])
-        with pytest.raises(ValueError, match="registered twice"):
-            register_kernel(pair)
-
-    def test_unknown_kernel_lookup_lists_the_registry(self):
-        with pytest.raises(KeyError, match="serve-prefix"):
-            get_kernel("no-such-kernel")
-
-    def test_unknown_backend_dispatch_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_kernel("serve-prefix").implementation("fortran")
-
-
-# ---------------------------------------------------------------------- #
-# The differential harness: every kernel x every available backend
-# ---------------------------------------------------------------------- #
-@st.composite
-def candidate_block_inputs(draw):
-    k = draw(st.integers(min_value=0, max_value=10))
-    headroom = np.asarray(
-        draw(st.lists(st.integers(-3, 6), min_size=k, max_size=k)), dtype=np.int64
-    )
-    recipient = np.asarray(
-        draw(
-            st.lists(
-                st.lists(st.integers(0, 5), min_size=k, max_size=k),
-                min_size=k,
-                max_size=k,
-            )
-        ),
-        dtype=np.int64,
-    ).reshape(k, k)
-    return (headroom, recipient)
-
-
 @st.composite
 def serve_prefix_inputs(draw):
     n_pairs = draw(st.integers(min_value=1, max_value=6))
@@ -131,51 +46,74 @@ def serve_prefix_inputs(draw):
     return (codes, budgets)
 
 
-#: Input strategy per registered kernel.  Registering a kernel without an
-#: entry here fails the coverage test below, so the differential harness
-#: can never silently skip a kernel.
-KERNEL_STRATEGIES = {
-    "balancer-candidates": candidate_block_inputs(),
-    "serve-prefix": serve_prefix_inputs(),
-}
+def _random_codes(n: int, n_pairs: int = 6, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, n_pairs, n).astype(np.int64)
 
 
-def _assert_identical(expected, actual, context: str) -> None:
-    if isinstance(expected, tuple):
-        assert isinstance(actual, tuple) and len(actual) == len(expected), context
-        for want, got in zip(expected, actual):
-            _assert_identical(want, got, context)
-    elif isinstance(expected, np.ndarray):
-        assert isinstance(actual, np.ndarray), context
-        assert actual.dtype == expected.dtype, context
-        assert np.array_equal(expected, actual), context
-    else:
-        assert type(actual) is type(expected) or isinstance(actual, (int, np.integer))
-        assert expected == actual, context
+def _budgets_failing_at(codes: np.ndarray, position: int, n_pairs: int = 6) -> np.ndarray:
+    """Budgets that fund every request except the one at ``position``."""
+    budgets = np.bincount(codes, minlength=n_pairs).astype(np.int64)
+    pair = codes[position]
+    budgets[pair] = int(np.count_nonzero(codes[:position] == pair))
+    return budgets
 
 
-class TestKernelDifferential:
-    def test_every_registered_kernel_has_a_strategy(self):
-        assert set(KERNEL_STRATEGIES) == set(KERNEL_REGISTRY)
+def _assert_prefix(codes: np.ndarray, budgets: np.ndarray, expected: int) -> None:
+    assert serve_prefix_oracle(codes, budgets) == expected
+    assert servable_prefix(codes, budgets) == expected
 
-    @pytest.mark.parametrize("name", sorted(KERNEL_STRATEGIES))
+
+class TestServePrefix:
+    def test_backend_name_is_numpy(self):
+        assert active_backend() == "numpy"
+
     @settings(deadline=None, max_examples=60)
-    @given(data=st.data())
-    def test_backends_bit_identical_to_reference(self, name, data):
-        inputs = data.draw(KERNEL_STRATEGIES[name])
-        pair = get_kernel(name)
-        expected = pair.reference(*inputs)
-        for backend in available_backends():
-            actual = pair.implementation(backend)(*inputs)
-            _assert_identical(expected, actual, f"{name} diverges on backend {backend}")
+    @given(inputs=serve_prefix_inputs())
+    def test_matches_oracle_on_random_inputs(self, inputs):
+        codes, budgets = inputs
+        assert servable_prefix(codes, budgets) == serve_prefix_oracle(codes, budgets)
 
-    @pytest.mark.parametrize("name", sorted(KERNEL_STRATEGIES))
-    def test_dispatch_follows_the_environment(self, name, monkeypatch):
-        pair = get_kernel(name)
-        monkeypatch.setenv(KERNELS_ENV, "python")
-        assert pair.dispatch() is pair.reference
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        assert pair.dispatch() is pair.numpy_impl
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 10_000])
+    def test_fully_funded_stream_is_served_whole(self, n):
+        codes = _random_codes(n)
+        _assert_prefix(codes, np.bincount(codes, minlength=6).astype(np.int64), n)
+
+    @pytest.mark.parametrize(
+        "n, position",
+        [
+            (4095, 4094),  # last code of a stream one short of a block
+            (4096, 4095),  # last code of the first block
+            (4097, 4096),  # first code of the second block
+            (10_000, 8192),  # first code of the third block
+            (10_000, 4097),  # inside the second block
+            (10_000, 5000),
+            (10_000, 8191),  # last code of the second block
+            (10_000, 9_999),  # last code of a partial third block
+        ],
+    )
+    def test_fails_at_the_first_unfunded_request(self, n, position):
+        codes = _random_codes(n, seed=position)
+        _assert_prefix(codes, _budgets_failing_at(codes, position), position)
+
+    def test_budget_spent_in_block_one_fails_at_its_next_hit_in_block_two(self):
+        codes = _random_codes(10_000)
+        # Pair 6 is served three times in block one, which spends its whole
+        # budget, and asked again only in block two.
+        codes[[10, 2000, 4000, 6000]] = 6
+        budgets = np.append(np.bincount(codes[codes != 6], minlength=6), 3)
+        _assert_prefix(codes, budgets, 6000)
+
+    def test_budget_exhausted_from_the_start_fails_at_its_first_hit(self):
+        codes = _random_codes(10_000)
+        codes[8191] = 6
+        budgets = np.append(np.bincount(codes[codes != 6], minlength=6), 0)
+        _assert_prefix(codes, budgets, 8191)
+
+    def test_earliest_of_several_failures_in_one_block_wins(self):
+        codes = _random_codes(10_000)
+        codes[[9000, 8500]] = [6, 7]
+        budgets = np.append(np.bincount(codes[codes < 6], minlength=6), [0, 0])
+        _assert_prefix(codes, budgets, 8500)
 
 
 # ---------------------------------------------------------------------- #
@@ -208,25 +146,8 @@ def _result_fingerprint(result):
 
 
 class TestProtocolBackendIndependence:
-    def test_runs_identical_across_backends(self, monkeypatch):
-        fingerprints = {}
-        states = {}
-        for backend in available_backends():
-            monkeypatch.setenv(KERNELS_ENV, backend)
-            _, result, streams = _run_protocol()
-            fingerprints[backend] = _result_fingerprint(result)
-            states[backend] = {
-                name: json.dumps(stream.bit_generator.state, sort_keys=True, default=int)
-                for name, stream in streams._streams.items()
-            }
-        reference_fingerprint = fingerprints.pop("python")
-        reference_states = states.pop("python")
-        for backend, fingerprint in fingerprints.items():
-            assert fingerprint == reference_fingerprint, backend
-        # Identical end states of every named RNG stream: the accelerated
-        # paths consumed exactly the same random draws as the reference.
-        for backend, stream_states in states.items():
-            assert stream_states == reference_states, backend
+    """Results do not depend on whether the serve-prefix scan or the
+    per-request loop sizes a round's consumption burst."""
 
     def test_fast_path_matches_the_base_loop(self):
         protocol, fast_result, _ = _run_protocol()
@@ -311,31 +232,6 @@ class TestProfiler:
 
 
 # ---------------------------------------------------------------------- #
-# Bench trajectory
-# ---------------------------------------------------------------------- #
-class TestBench:
-    def test_quick_trajectory_is_schema_valid_and_fast_kernels_win(self):
-        payload = run_bench(repeats=2, warmup=1, quick=True)
-        validate_bench(payload)
-        assert payload["kind"] == "bench" and payload["issue"] == 10
-        names = {entry["name"] for entry in payload["benchmarks"]}
-        assert {f"kernel.{name}" for name in kernel_names()} <= names
-        assert "serve.roundtrip" in names
-        speedups = kernel_speedups(payload)
-        assert set(speedups) == set(kernel_names())
-        # The acceptance criterion: >= 3x on at least two hotspot kernels
-        # (quick sizes are smaller than the checked-in trajectory's, so the
-        # bar is the criterion, not the full margin).
-        assert sum(speedup >= 3.0 for speedup in speedups.values()) >= 2
-
-    def test_schema_rejects_a_broken_payload(self):
-        payload = run_bench(repeats=1, warmup=0, quick=True)
-        del payload["git_rev"]
-        with pytest.raises(SchemaError):
-            validate_bench(payload)
-
-
-# ---------------------------------------------------------------------- #
 # CLI surface and the standalone validator
 # ---------------------------------------------------------------------- #
 class TestPerfCli:
@@ -345,24 +241,12 @@ class TestPerfCli:
         payload = json.loads(target.read_text())
         validate_profile(payload)
         assert "profile of experiment 'figure4'" in capsys.readouterr().out
+        assert schemas_main([str(target)]) == 0
 
     def test_profile_rejects_unknown_experiment(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["profile", "does-not-exist"])
         assert "unknown experiment" in capsys.readouterr().err
-
-    def test_bench_subcommand_round_trips_through_the_validator(self, tmp_path, capsys):
-        target = tmp_path / "bench.json"
-        assert (
-            cli_main(
-                ["bench", "--quick", "--repeats", "1", "--warmup", "0",
-                 "--output", str(target), "--format", "json"]
-            )
-            == 0
-        )
-        assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["kind"] == "bench"
-        assert schemas_main([str(target), "--kind", "bench"]) == 0
-        assert schemas_main([str(target)]) == 0  # kind auto-detected
 
     def test_output_refuses_to_overwrite_without_force(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -378,6 +262,6 @@ class TestPerfCli:
         assert "schema violation" in capsys.readouterr().err
         not_json = tmp_path / "not.json"
         not_json.write_text("{nope")
-        assert schemas_main([str(not_json), "--kind", "profile"]) == 1
+        assert schemas_main([str(not_json)]) == 1
         assert schemas_main([]) == 2
-        assert schemas_main([str(bad), "--kind", "nonsense"]) == 2
+        assert schemas_main([str(bad), str(not_json)]) == 2

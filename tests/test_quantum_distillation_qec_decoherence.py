@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.quantum.decoherence import (
-    CutoffPolicy,
-    ExponentialDecoherence,
-    NoDecoherence,
-    survival_probability,
-)
+from repro.quantum.decoherence import ExponentialDecoherence, NoDecoherence
 from repro.quantum.distillation import (
     DistillationProtocol,
     bbpssw_output_fidelity,
@@ -143,19 +135,10 @@ class TestQEC:
 
 
 class TestDecoherence:
-    def test_survival_probability(self):
-        assert survival_probability(0.0, 10.0) == pytest.approx(1.0)
-        assert survival_probability(10.0, 10.0) == pytest.approx(math.exp(-1))
-        with pytest.raises(ValueError):
-            survival_probability(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            survival_probability(1.0, 0.0)
-
     def test_no_decoherence_model(self):
         model = NoDecoherence()
         assert model.fidelity_after(0.9, 1e9) == pytest.approx(0.9)
         assert model.loss_factor(1e9) == 1.0
-        assert math.isinf(model.sample_lifetime(np.random.default_rng(0)))
 
     def test_exponential_fidelity_decay(self):
         model = ExponentialDecoherence(coherence_time=10.0)
@@ -169,28 +152,6 @@ class TestDecoherence:
         with pytest.raises(ValueError):
             model.loss_factor(-1.0)
 
-    def test_time_to_cutoff(self):
-        model = ExponentialDecoherence(coherence_time=10.0, cutoff_fidelity=0.5)
-        time_to_cutoff = model.time_to_cutoff(0.9)
-        assert time_to_cutoff > 0
-        assert model.fidelity_after(0.9, time_to_cutoff) == pytest.approx(0.5, abs=1e-9)
-        assert model.time_to_cutoff(0.4) == 0.0
-
-    def test_sample_lifetime_positive(self):
-        model = ExponentialDecoherence(coherence_time=10.0)
-        samples = [model.sample_lifetime(np.random.default_rng(i)) for i in range(10)]
-        assert all(sample > 0 for sample in samples)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ExponentialDecoherence(coherence_time=0.0)
-        with pytest.raises(ValueError):
-            ExponentialDecoherence(coherence_time=1.0, cutoff_fidelity=0.1)
-
-    def test_cutoff_policy(self):
-        policy = CutoffPolicy(max_age=5.0)
-        assert not policy.should_discard(4.0)
-        assert policy.should_discard(6.0)
-        assert not CutoffPolicy().should_discard(1e9)
-        with pytest.raises(ValueError):
-            policy.should_discard(-1.0)

@@ -12,7 +12,6 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure4 import figure4_configs, run_figure4
-from repro.perf.kernels import KERNELS_ENV
 from repro.runtime import (
     ResultCache,
     SweepRunner,
@@ -146,21 +145,6 @@ class TestResultCache:
         config = _tiny_configs()[0]
         assert config_digest(config, version="aaaa") != config_digest(config, version="bbbb")
         assert len(code_version()) == 16
-
-    def test_key_depends_on_kernel_backend(self, monkeypatch):
-        """Regression: switching ``REPRO_KERNELS`` must change the cache key
-        (defence in depth against a backend bug hiding behind a cache hit),
-        while staying stable for repeated digests under one backend."""
-        config = _tiny_configs()[0]
-        monkeypatch.setenv(KERNELS_ENV, "python")
-        python_key = config_digest(config, version="vvvv")
-        assert config_digest(config, version="vvvv") == python_key
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        numpy_key = config_digest(config, version="vvvv")
-        assert numpy_key != python_key
-        assert config_digest(config, version="vvvv") == numpy_key
-        # The explicit override pins the key regardless of the environment.
-        assert config_digest(config, version="vvvv", kernels="python") == python_key
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
