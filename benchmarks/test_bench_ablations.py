@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import run_ablations
+from repro.experiments.registry import get_experiment
 
 
 def test_ablation_suite(benchmark):
     def run():
-        return run_ablations(
+        return get_experiment("ablations").run(
             axes=("swap-rate", "policy", "knowledge", "hybrid", "recurrence"),
             topology="random-grid",
             n_nodes=16,
@@ -42,7 +42,7 @@ def test_density_ablation(benchmark):
     """Extra generation edges (denser provisioning) should not hurt the overhead much."""
 
     def run():
-        return run_ablations(
+        return get_experiment("ablations").run(
             axes=("density",),
             topology="random-grid",
             n_nodes=16,

@@ -2,8 +2,8 @@
 
 The registry lookup plus the auto-generated subparser construction is the
 machinery every ``repro <experiment>`` invocation pays compared to calling
-a legacy ``run_*`` wrapper directly; this suite holds that overhead under
-5 ms so the API redesign never shows up in experiment wall-clock.
+``get_experiment(name).run(...)`` directly; this suite holds that overhead
+under 5 ms so the CLI layer never shows up in experiment wall-clock.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ DISPATCH_BUDGET = 0.005
 
 def test_registry_dispatch_plus_subparser_construction_under_budget(median_time):
     """Looking an experiment up and building the full subcommand parser --
-    the work `repro figure4 ...` adds over calling run_figure4 directly --
+    the work `repro figure4 ...` adds over calling the experiment directly --
     stays under 5 ms."""
     build_parser()  # warm import/bytecode paths once
 
@@ -31,8 +31,8 @@ def test_registry_dispatch_plus_subparser_construction_under_budget(median_time)
 
 def test_param_resolution_overhead_under_budget(median_time):
     """Resolving and normalising a full ParamSpec table for every
-    registered experiment (the Experiment.run preamble the legacy wrappers
-    skip straight past) is well under the 5 ms budget."""
+    registered experiment (the Experiment.run preamble) is well under the
+    5 ms budget."""
 
     def resolve_all():
         for name in experiment_names():

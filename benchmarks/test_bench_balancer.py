@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.analysis.fairness import balanced_fixed_point
 from repro.core.maxmin import IncrementalMaxMinBalancer, MaxMinBalancer
-from repro.experiments.scaling import build_scaling_ledger, run_scaling
+from repro.experiments.registry import get_experiment
+from repro.experiments.scaling import build_scaling_ledger
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from balancer_oracle import OracleBalancer  # noqa: E402
@@ -85,10 +86,9 @@ def test_incremental_engine_scales_to_1000_nodes():
 
 def test_grid_and_erdos_renyi_cells_agree():
     """The other two topology families: identical fixed points, reported speedup."""
-    result = run_scaling(
+    result = get_experiment("scaling").run(
         topologies=("grid", "erdos-renyi"),
         sizes=(200,),
-        engines=("naive", "incremental"),
         **WORKLOAD,
     )
     print()

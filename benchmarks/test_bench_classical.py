@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.classical_overhead import run_classical_overhead
+from repro.experiments.registry import get_experiment
 
 
 def test_classical_overhead_report(benchmark):
     def run():
-        return run_classical_overhead(
+        return get_experiment("classical").run(
             topology_name="random-grid", n_nodes=16, rounds=40, gossip_fanouts=(2, 4)
         )
 

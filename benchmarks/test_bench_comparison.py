@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.comparison import run_comparison
+from repro.experiments.registry import get_experiment
 
 
 @pytest.mark.parametrize("topology,n_nodes", [("cycle", 16), ("random-grid", 16)])
 def test_protocol_comparison(benchmark, topology, n_nodes, quick_requests):
     def run():
-        return run_comparison(
+        return get_experiment("comparison").run(
             topology=topology,
             n_nodes=n_nodes,
             distillation=1.0,

@@ -14,8 +14,8 @@ from repro.experiments.figure4 import (
     FIGURE4_TOPOLOGIES,
     FULL_DISTILLATION_VALUES,
     QUICK_DISTILLATION_VALUES,
-    run_figure4,
 )
+from repro.experiments.registry import get_experiment
 
 
 def _distillation_values():
@@ -28,7 +28,7 @@ def test_figure4_series_per_topology(benchmark, topology, quick_requests):
     """One Figure-4 line (overhead vs D) for a single topology family."""
 
     def run():
-        return run_figure4(
+        return get_experiment("figure4").run(
             n_nodes=25,
             distillation_values=_distillation_values(),
             topologies=(topology,),
@@ -55,7 +55,7 @@ def test_figure4_combined_report(benchmark, quick_requests):
     """The full Figure 4 (all topologies) printed as one table."""
 
     def run():
-        return run_figure4(
+        return get_experiment("figure4").run(
             n_nodes=16,
             distillation_values=(1.0, 2.0),
             topologies=FIGURE4_TOPOLOGIES,

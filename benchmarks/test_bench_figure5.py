@@ -10,7 +10,8 @@ import pytest
 
 from repro.experiments.config import full_mode_enabled
 from repro.experiments.figure4 import FIGURE4_TOPOLOGIES
-from repro.experiments.figure5 import FULL_NETWORK_SIZES, QUICK_NETWORK_SIZES, run_figure5
+from repro.experiments.figure5 import FULL_NETWORK_SIZES, QUICK_NETWORK_SIZES
+from repro.experiments.registry import get_experiment
 
 
 def _network_sizes():
@@ -20,7 +21,7 @@ def _network_sizes():
 @pytest.mark.figure
 def test_figure5_overhead_vs_network_size(benchmark, quick_requests):
     def run():
-        return run_figure5(
+        return get_experiment("figure5").run(
             distillation=1.0,
             network_sizes=_network_sizes(),
             topologies=FIGURE4_TOPOLOGIES,

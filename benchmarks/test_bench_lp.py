@@ -13,7 +13,7 @@ from repro.core.lp.extensions import PairOverheads
 from repro.core.lp.formulation import PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import solve_flow_program
-from repro.experiments.lp_validation import run_lp_validation
+from repro.experiments.registry import get_experiment
 from repro.network.demand import select_consumer_pairs, uniform_demand
 from repro.network.topologies import grid_topology
 from repro.sim.rng import RandomStreams
@@ -23,7 +23,9 @@ def test_lp_validation_report(benchmark):
     """The full E3 table: every objective on cycle and grid, D in {1, 2}."""
 
     def run():
-        return run_lp_validation(topologies=("cycle", "grid"), n_nodes=16, demand_pairs=8, demand_rate=0.1)
+        return get_experiment("lp").run(
+            topologies=("cycle", "grid"), n_nodes=16, demand_pairs=8, demand_rate=0.1
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -17,15 +17,12 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis import starvation_report, swap_overhead_from_result
 from repro.analysis.reporting import format_table
-from repro.experiments.runner import build_protocol
-from repro.experiments.config import ExperimentConfig
-from repro.experiments import run_comparison
+from repro.experiments import get_experiment
 
 
 def main() -> None:
-    comparison = run_comparison(
+    comparison = get_experiment("comparison").run(
         topology="dumbbell",
         n_nodes=14,
         distillation=1.0,

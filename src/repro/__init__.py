@@ -9,10 +9,10 @@ the paper's evaluation figures.
 
 Quick start::
 
-    from repro.experiments import get_experiment, run_figure4
-    print(run_figure4(n_nodes=25, distillation_values=[1, 2]).format_report())
-    # or, through the experiment registry, as machine-readable JSON:
-    print(get_experiment("figure4").run(n_nodes=25, distillation_values=[1, 2]).to_json())
+    from repro.experiments import get_experiment
+    result = get_experiment("figure4").run(n_nodes=25, distillation_values=[1, 2])
+    print(result.format_report())
+    print(result.to_json())  # the same result, machine-readable
 
 See README.md for the package layout, docs/architecture.md for the
 simulation pipeline, runtime layer and experiment API, and

@@ -547,6 +547,23 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+def _given_params(
+    experiment: Experiment, namespace: argparse.Namespace, argv: List[str]
+) -> Dict[str, Any]:
+    """The experiment parameters whose flags appear in ``argv``.
+
+    Flags left out take their ParamSpec defaults in ``resolve_params``, so
+    only values the user typed reach the experiment -- and only those can
+    conflict with ``--smoke``.  Exact matching is sound because every
+    parser here sets ``allow_abbrev=False``.
+    """
+    return {
+        spec.name: getattr(namespace, spec.dest)
+        for spec in experiment.cli_specs()
+        if any(token == spec.cli_flag or token.startswith(spec.cli_flag + "=") for token in argv)
+    }
+
+
 def _render_served_payload(payload: Dict[str, Any], format: str) -> str:
     """Render a daemon result payload in the uniform output formats."""
     if format == "json":
@@ -580,8 +597,7 @@ def _run_submit(
     )
     for spec in experiment.cli_specs():
         spec.add_to_parser(spec_parser)
-    overrides = spec_parser.parse_args(extras)
-    params = {spec.name: getattr(overrides, spec.dest) for spec in experiment.cli_specs()}
+    params = _given_params(experiment, spec_parser.parse_args(extras), extras)
 
     try:
         client = ServeClient(args.connect, client=args.client)
@@ -718,13 +734,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_tool(args, parser, extras)
 
     experiment = get_experiment(args.experiment)
-    params = {spec.name: getattr(args, spec.dest) for spec in experiment.cli_specs()}
+    params = _given_params(experiment, args, sys.argv[1:] if argv is None else argv)
     try:
-        # Pre-flight the parameter validation (bad scenario spec, unknown
-        # engine, ...) so it surfaces as a CLI usage error; the actual run
-        # below re-resolves the same params, so it cannot fail validation,
-        # and any later exception is a real bug that tracebacks normally.
-        experiment.normalize(experiment.resolve_params(params))
+        # Pre-flight every input check (bad scenario spec, smoke conflict,
+        # a grid cell ExperimentConfig rejects, ...) so it surfaces as a CLI
+        # usage error; the actual run below plans the same params again, so
+        # it cannot fail them, and any later exception is a real bug that
+        # tracebacks normally.
+        experiment.plan(params)
     except ValueError as error:
         parser.error(f"{args.experiment}: {error}")
     run_kwargs = {}

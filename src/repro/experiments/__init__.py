@@ -8,7 +8,9 @@ subclass: a ``name``, a one-line ``summary``, a typed
 the docs gates and programmatic callers iterate -- adding a workload means
 registering one class, nothing else.
 
-One module per experiment of the per-experiment index in DESIGN.md:
+One module per experiment of the per-experiment index in
+``docs/reproducing.md`` (the API itself is described in
+``docs/architecture.md``):
 
 * :mod:`repro.experiments.figure4` -- swap overhead vs distillation
   overhead ``D`` (paper Figure 4),
@@ -33,15 +35,15 @@ One module per experiment of the per-experiment index in DESIGN.md:
 Results satisfy the uniform :class:`~repro.experiments.api.ExperimentResult`
 contract: ``series()`` / ``rows()`` / ``format_report()`` plus the
 machine-readable ``to_json()`` / ``to_csv()`` / ``write()`` surface
-(schema: :mod:`repro.experiments.schema`).  The historical ``run_*``
-functions remain as thin wrappers over the registered classes and return
-bit-identical reports.
+(schema: :mod:`repro.experiments.schema`).  ``get_experiment(name).run(...)``
+is the one way to run an experiment, from the CLI, ``repro serve`` and
+Python alike.
 
 Sweep-style experiments execute through the runtime layer
-(:mod:`repro.runtime`) -- ``RuntimeOptions(workers=..., cache=...)`` (or
-the legacy ``n_workers``/``cache`` keywords) parallelise trials across
-processes and skip cells already present in the content-addressed result
-cache, without changing a single reported number.
+(:mod:`repro.runtime`) -- ``run(runtime=RuntimeOptions(workers=...,
+cache=...))`` parallelises trials across processes and skips cells
+already present in the content-addressed result cache, without changing a
+single reported number.
 """
 
 from repro.experiments.api import (
@@ -63,28 +65,19 @@ from repro.experiments.registry import (
     register,
 )
 from repro.experiments.runner import run_many, run_trial
-from repro.experiments.figure4 import Figure4Experiment, Figure4Result, run_figure4
-from repro.experiments.figure5 import Figure5Experiment, Figure5Result, run_figure5
-from repro.experiments.lp_validation import (
-    LPValidationExperiment,
-    LPValidationResult,
-    run_lp_validation,
-)
-from repro.experiments.comparison import ComparisonExperiment, ComparisonResult, run_comparison
-from repro.experiments.ablations import AblationResult, AblationsExperiment, run_ablations
+from repro.experiments.figure4 import Figure4Experiment, Figure4Result
+from repro.experiments.figure5 import Figure5Experiment, Figure5Result
+from repro.experiments.lp_validation import LPValidationExperiment, LPValidationResult
+from repro.experiments.comparison import ComparisonExperiment, ComparisonResult
+from repro.experiments.ablations import AblationResult, AblationsExperiment
 from repro.experiments.classical_overhead import (
     ClassicalOverheadExperiment,
     ClassicalOverheadResult,
-    run_classical_overhead,
 )
-from repro.experiments.multicast import (
-    MulticastExperiment,
-    MulticastResult,
-    run_multicast,
-)
-from repro.experiments.resilience import ResilienceExperiment, ResilienceResult, run_resilience
-from repro.experiments.scaling import ScalingExperiment, ScalingResult, run_scaling
-from repro.experiments.traffic import TrafficExperiment, TrafficResult, run_traffic
+from repro.experiments.multicast import MulticastExperiment, MulticastResult
+from repro.experiments.resilience import ResilienceExperiment, ResilienceResult
+from repro.experiments.scaling import ScalingExperiment, ScalingResult
+from repro.experiments.traffic import TrafficExperiment, TrafficResult
 
 __all__ = [
     "AblationResult",
@@ -119,16 +112,6 @@ __all__ = [
     "iter_experiments",
     "register",
     "resolve_trial_seeds",
-    "run_ablations",
-    "run_classical_overhead",
-    "run_comparison",
-    "run_figure4",
-    "run_figure5",
-    "run_lp_validation",
     "run_many",
-    "run_multicast",
-    "run_resilience",
-    "run_scaling",
-    "run_traffic",
     "run_trial",
 ]

@@ -1,4 +1,7 @@
-"""Experiment E5: ablations over the design choices DESIGN.md calls out.
+"""Experiment E5: ablations over the protocol's design choices (Sections 4 and 6).
+
+The axes are indexed in ``docs/reproducing.md``; how an experiment plugs
+into the registry is described in ``docs/architecture.md``.
 
 Each ablation varies exactly one knob of the path-oblivious protocol on a
 fixed workload:
@@ -21,7 +24,7 @@ fixed workload:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.experiments.api import (
@@ -29,7 +32,6 @@ from repro.experiments.api import (
     ExperimentResult,
     ParamSpec,
     RowTable,
-    RuntimeOptions,
     columns_of,
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome
@@ -122,7 +124,7 @@ def _record(result: AblationResult, axis: str, variant: str, outcome: TrialOutco
 def ablation_variants(
     base: ExperimentConfig, axes: Sequence[str] = ABLATION_AXES
 ) -> List[Tuple[str, str, ExperimentConfig]]:
-    """The flat ``(axis, variant, config)`` grid behind :func:`run_ablations`."""
+    """The flat ``(axis, variant, config)`` grid behind :class:`AblationsExperiment`."""
     unknown = [axis for axis in axes if axis not in ABLATION_AXES]
     if unknown:
         raise ValueError(f"unknown ablation axes {unknown}; choose from {ABLATION_AXES}")
@@ -259,32 +261,3 @@ class AblationsExperiment(Experiment):
             )
 
         return result
-
-
-def run_ablations(
-    axes: Sequence[str] = ABLATION_AXES,
-    topology: str = "random-grid",
-    n_nodes: int = 16,
-    distillation: float = 2.0,
-    n_requests: int = 30,
-    n_consumer_pairs: int = 15,
-    seed: int = 5,
-    n_workers: Optional[int] = 1,
-    cache=None,
-    balancer: str = "naive",
-) -> AblationResult:
-    """Run the requested ablation axes on a shared base workload.
-
-    Backward-compatible wrapper over :class:`AblationsExperiment`.
-    """
-    return AblationsExperiment().run(
-        runtime=RuntimeOptions(workers=n_workers, cache=cache),
-        axes=tuple(axes),
-        topology=topology,
-        n_nodes=n_nodes,
-        distillation=distillation,
-        n_requests=n_requests,
-        n_consumer_pairs=n_consumer_pairs,
-        seed=seed,
-        balancer=balancer,
-    )

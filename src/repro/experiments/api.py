@@ -14,6 +14,10 @@ choices, and the CLI flag each one becomes), and three hooks --
 * :meth:`Experiment.reduce` folds the outcomes into an
   :class:`ExperimentResult`.
 
+:meth:`Experiment.plan` (resolve, normalize, ``build_grid``) is every check
+an input can fail; ``run`` starts with it, and the CLI and ``repro serve``
+run it as their pre-flight.
+
 Registering the class (:func:`repro.experiments.registry.register`) is all
 it takes to gain a CLI subcommand: :mod:`repro.cli` generates one subparser
 per registered experiment straight from its ParamSpec table, so flags that
@@ -63,8 +67,7 @@ class ParamSpec:
     ``name`` is the keyword :meth:`Experiment.run` accepts; ``flag`` is the
     CLI long option the parameter becomes (default: ``--<name>`` with
     underscores dashed).  ``cli=False`` keeps a parameter programmatic-only
-    (available to :meth:`Experiment.run` and the legacy ``run_*`` wrappers
-    but not exposed as a flag).
+    (available to :meth:`Experiment.run` but not exposed as a flag).
     """
 
     name: str
@@ -121,12 +124,30 @@ class ParamSpec:
         return value
 
 
+@dataclass(frozen=True)
+class SmokeCap:
+    """A smoke-preset entry that lowers a parameter instead of replacing it.
+
+    ``smoke=True`` brings a number down to at most ``limit``, or a sequence
+    (an explicit seed list, say) down to at most ``limit`` entries.
+    """
+
+    limit: int
+
+    def exceeded_by(self, value: Any) -> bool:
+        return (len(value) if isinstance(value, (list, tuple)) else value) > self.limit
+
+    def lower(self, value: Any) -> Any:
+        if isinstance(value, (list, tuple)):
+            return value[: self.limit]
+        return min(value, self.limit)
+
+
 @dataclass
 class RuntimeOptions:
     """How a sweep executes: worker processes and the optional result cache.
 
-    Threaded from the CLI's ``--workers`` / ``--cache`` flags (or from the
-    legacy ``n_workers=`` / ``cache=`` keyword arguments) into
+    Threaded from the CLI's ``--workers`` / ``--cache`` flags into
     :meth:`Experiment.execute`.  Never changes any reported number.
     """
 
@@ -271,6 +292,12 @@ class Experiment:
     #: Whether the experiment runs through the parallel runtime layer
     #: (gains ``--workers`` / ``--cache`` / ``--cache-dir`` on the CLI).
     supports_runtime: ClassVar[bool] = False
+    #: What ``smoke=True`` does to other parameters: each entry maps a
+    #: parameter to the value smoke puts in its place, or to a
+    #: :class:`SmokeCap` smoke lowers it to.  :meth:`resolve_params` rejects
+    #: an explicit value smoke would replace or lower; ``normalize`` puts the
+    #: preset in place with :meth:`apply_smoke`.
+    smoke_preset: ClassVar[Mapping[str, Any]] = {}
 
     # -- parameter handling -------------------------------------------------
 
@@ -282,7 +309,8 @@ class Experiment:
         """Merge ``overrides`` into the parameter defaults, strictly.
 
         Unknown parameter names raise :class:`TypeError`; values violating
-        a spec's ``choices`` raise :class:`ValueError`.
+        a spec's ``choices`` raise :class:`ValueError`, and so does an
+        explicit value a smoke run would silently override.
         """
         known = {spec.name: spec for spec in self.params}
         unknown = sorted(set(overrides) - set(known))
@@ -294,11 +322,53 @@ class Experiment:
         values = {name: spec.default for name, spec in known.items()}
         for name, value in overrides.items():
             values[name] = known[name].validate(value)
+        if values.get("smoke"):
+            self._reject_smoke_conflicts(overrides)
         return values
+
+    def _reject_smoke_conflicts(self, explicit: Mapping[str, Any]) -> None:
+        """Refuse explicit values a smoke run would replace or lower.
+
+        A value smoke keeps -- the preset value itself, or one at or under
+        a :class:`SmokeCap` -- passes, and so does ``None`` (every table's
+        "use the default" spelling).
+        """
+        conflicts = []
+        for name, preset in self.smoke_preset.items():
+            value = explicit.get(name)
+            if value is None:
+                continue
+            if isinstance(preset, SmokeCap):
+                if preset.exceeded_by(value):
+                    conflicts.append(f"{name}={value!r} (smoke caps it at {preset.limit})")
+            elif (tuple(value) if isinstance(value, list) else value) != preset:
+                conflicts.append(f"{name}={value!r} (smoke sets {preset!r})")
+        if conflicts:
+            raise ValueError(
+                f"smoke would override {', '.join(conflicts)}; drop smoke or these values"
+            )
+
+    def apply_smoke(self, params: Dict[str, Any]) -> None:
+        """Put :attr:`smoke_preset` in place when ``params`` asks for smoke.
+
+        ``normalize`` calls this itself, at the point its derivations expect:
+        traffic, for one, puts its smoke workload in only after validating
+        the requested specs, so the reported spec string stays verbatim.
+        """
+        if not params.get("smoke"):
+            return
+        for name, preset in self.smoke_preset.items():
+            params[name] = preset.lower(params[name]) if isinstance(preset, SmokeCap) else preset
 
     def normalize(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Derive internal parameters (seed tuples, preset grids) in place."""
         return params
+
+    def plan(self, overrides: Mapping[str, Any]) -> Tuple[Dict[str, Any], Any]:
+        """Resolve, normalize and build the grid: every check an input can
+        fail, before any trial runs.  Returns ``(params, grid)``."""
+        params = self.normalize(self.resolve_params(overrides))
+        return params, self.build_grid(params)
 
     # -- the three hooks ----------------------------------------------------
 
@@ -319,8 +389,7 @@ class Experiment:
     def run(self, *, runtime: Optional[RuntimeOptions] = None, **overrides) -> ExperimentResult:
         """Run the experiment: resolve params, build, execute, reduce."""
         with span("experiment.run", experiment=self.name):
-            params = self.normalize(self.resolve_params(overrides))
-            grid = self.build_grid(params)
+            params, grid = self.plan(overrides)
             outcomes = self.execute(grid, runtime or RuntimeOptions())
             with span("experiment.reduce", experiment=self.name):
                 return self.reduce(outcomes, params)

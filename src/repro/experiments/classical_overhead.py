@@ -16,7 +16,7 @@ gossip the knowledge quality it buys (coverage and staleness error).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.classical.control_plane import FloodingControlPlane
 from repro.classical.gossip import ChokeUnchokeGossip
 from repro.core.maxmin.balancer import MaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
-from repro.network.demand import RequestSequence, select_consumer_pairs
 from repro.network.generation import DeterministicGeneration
 from repro.network.topologies import topology_from_name, validate_topology_sizes
 from repro.sim.rng import RandomStreams
@@ -186,23 +185,3 @@ class ClassicalOverheadExperiment(Experiment):
         return ClassicalOverheadResult(
             topology=topology_label, n_nodes=params["n_nodes"], rows=rows
         )
-
-
-def run_classical_overhead(
-    topology_name: str = "random-grid",
-    n_nodes: int = 16,
-    rounds: int = 50,
-    gossip_fanouts: Sequence[int] = (2, 4),
-    seed: int = 11,
-) -> ClassicalOverheadResult:
-    """Run a balancing workload and account dissemination costs for each strategy.
-
-    Backward-compatible wrapper over :class:`ClassicalOverheadExperiment`.
-    """
-    return ClassicalOverheadExperiment().run(
-        topology_name=topology_name,
-        n_nodes=n_nodes,
-        rounds=rounds,
-        gossip_fanouts=gossip_fanouts,
-        seed=seed,
-    )

@@ -12,10 +12,10 @@ quantified rather than asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import format_table
-from repro.experiments.api import Experiment, ExperimentResult, ParamSpec, RuntimeOptions
+from repro.experiments.api import Experiment, ExperimentResult, ParamSpec
 from repro.experiments.config import ExperimentConfig, TrialOutcome
 from repro.experiments.registry import register
 from repro.experiments.runner import PROTOCOL_NAMES
@@ -139,36 +139,3 @@ class ComparisonExperiment(Experiment):
             distillation=params["distillation"],
             outcomes=outcomes,
         )
-
-
-def run_comparison(
-    topology: str = "cycle",
-    n_nodes: int = 16,
-    distillation: float = 1.0,
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    n_requests: int = 40,
-    n_consumer_pairs: int = 20,
-    seed: int = 2,
-    max_rounds: int = 200_000,
-    n_workers: Optional[int] = 1,
-    cache=None,
-    balancer: str = "naive",
-) -> ComparisonResult:
-    """Run every protocol on the identical workload and collect the outcomes.
-
-    Backward-compatible wrapper over :class:`ComparisonExperiment`;
-    ``balancer`` selects the path-oblivious balancing engine (the planned
-    baselines ignore it).
-    """
-    return ComparisonExperiment().run(
-        runtime=RuntimeOptions(workers=n_workers, cache=cache),
-        topology=topology,
-        n_nodes=n_nodes,
-        distillation=distillation,
-        protocols=protocols,
-        n_requests=n_requests,
-        n_consumer_pairs=n_consumer_pairs,
-        seed=seed,
-        max_rounds=max_rounds,
-        balancer=balancer,
-    )

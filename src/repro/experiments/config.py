@@ -31,7 +31,8 @@ def full_mode_enabled() -> bool:
 class ExperimentConfig:
     """One simulation trial's full parameterisation.
 
-    Attributes mirror Section 5 of the paper; see DESIGN.md for the mapping.
+    Attributes mirror Section 5 of the paper; ``docs/reproducing.md`` maps
+    them to the experiments and ``docs/architecture.md`` to the pipeline.
     """
 
     topology: str = "cycle"

@@ -18,7 +18,6 @@ from repro.experiments.api import (
     Experiment,
     ExperimentResult,
     ParamSpec,
-    RuntimeOptions,
     resolve_trial_seeds,
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome, full_mode_enabled
@@ -168,12 +167,10 @@ class Figure4Experiment(Experiment):
             is_flag=True,
         ),
     )
+    smoke_preset = {"n_nodes": 9, "n_requests": 6, "distillation_values": (1.0,)}
 
     def normalize(self, params):
-        if params["smoke"]:
-            params["n_nodes"] = 9
-            params["n_requests"] = 6
-            params["distillation_values"] = (1.0,)
+        self.apply_smoke(params)
         params["seeds"] = resolve_trial_seeds(params["seeds"], params["master_seed"])
         if not params["distillation_values"]:
             params["distillation_values"] = None  # bare --distillation means "use the preset"
@@ -199,32 +196,3 @@ class Figure4Experiment(Experiment):
             topologies=tuple(params["topologies"]),
             outcomes=outcomes,
         )
-
-
-def run_figure4(
-    n_nodes: int = 25,
-    distillation_values: Optional[Sequence[float]] = None,
-    topologies: Sequence[str] = FIGURE4_TOPOLOGIES,
-    seeds: Sequence[int] = (1,),
-    n_requests: int = 50,
-    n_consumer_pairs: int = 35,
-    n_workers: Optional[int] = 1,
-    cache=None,
-    balancer: str = "naive",
-) -> Figure4Result:
-    """Run the Figure 4 sweep and return the collected series.
-
-    Backward-compatible wrapper over :class:`Figure4Experiment`;
-    ``n_workers`` and ``cache`` thread into :class:`RuntimeOptions` and the
-    series stay bit-identical for any worker count or balancing engine.
-    """
-    return Figure4Experiment().run(
-        runtime=RuntimeOptions(workers=n_workers, cache=cache),
-        n_nodes=n_nodes,
-        distillation_values=distillation_values,
-        topologies=topologies,
-        seeds=seeds,
-        n_requests=n_requests,
-        n_consumer_pairs=n_consumer_pairs,
-        balancer=balancer,
-    )

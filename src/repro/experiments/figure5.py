@@ -17,7 +17,6 @@ from repro.experiments.api import (
     Experiment,
     ExperimentResult,
     ParamSpec,
-    RuntimeOptions,
     resolve_trial_seeds,
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome, full_mode_enabled
@@ -173,32 +172,3 @@ class Figure5Experiment(Experiment):
             topologies=tuple(params["topologies"]),
             outcomes=outcomes,
         )
-
-
-def run_figure5(
-    distillation: float = 1.0,
-    network_sizes: Optional[Sequence[int]] = None,
-    topologies: Sequence[str] = FIGURE4_TOPOLOGIES,
-    seeds: Sequence[int] = (1,),
-    n_requests: int = 50,
-    n_consumer_pairs: int = 35,
-    n_workers: Optional[int] = 1,
-    cache=None,
-    balancer: str = "naive",
-) -> Figure5Result:
-    """Run the Figure 5 sweep and return the collected series.
-
-    Backward-compatible wrapper over :class:`Figure5Experiment`;
-    ``n_workers`` and ``cache`` thread into :class:`RuntimeOptions` and the
-    series stay bit-identical for any worker count or balancing engine.
-    """
-    return Figure5Experiment().run(
-        runtime=RuntimeOptions(workers=n_workers, cache=cache),
-        distillation=distillation,
-        network_sizes=network_sizes,
-        topologies=topologies,
-        seeds=seeds,
-        n_requests=n_requests,
-        n_consumer_pairs=n_consumer_pairs,
-        balancer=balancer,
-    )

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.reporting import format_table
 from repro.experiments.api import Experiment, ExperimentResult, ParamSpec, RowTable, columns_of
 from repro.experiments.registry import register
@@ -244,31 +242,3 @@ class LPValidationExperiment(Experiment):
 
     def reduce(self, outcomes: List[LPValidationRow], params) -> LPValidationResult:
         return LPValidationResult(rows=outcomes)
-
-
-def run_lp_validation(
-    topologies: Sequence[str] = ("cycle", "grid"),
-    n_nodes: int = 16,
-    demand_pairs: int = 10,
-    demand_rate: float = 0.2,
-    distillation_values: Sequence[float] = (1.0, 2.0),
-    loss_values: Sequence[float] = (1.0,),
-    qec_overheads: Sequence[float] = (1.0,),
-    objectives: Sequence[Objective] = tuple(Objective),
-    seed: int = 3,
-) -> LPValidationResult:
-    """Solve the LP grid and verify steady-state consistency of every solution.
-
-    Backward-compatible wrapper over :class:`LPValidationExperiment`.
-    """
-    return LPValidationExperiment().run(
-        topologies=topologies,
-        n_nodes=n_nodes,
-        demand_pairs=demand_pairs,
-        demand_rate=demand_rate,
-        distillation_values=distillation_values,
-        loss_values=loss_values,
-        qec_overheads=qec_overheads,
-        objectives=objectives,
-        seed=seed,
-    )

@@ -22,7 +22,7 @@ so their numbers must coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.analysis.fairness import jains_index
 from repro.analysis.reporting import format_table
@@ -31,7 +31,7 @@ from repro.experiments.api import (
     ExperimentResult,
     ParamSpec,
     RowTable,
-    RuntimeOptions,
+    SmokeCap,
     columns_of,
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome
@@ -181,6 +181,13 @@ class MulticastExperiment(Experiment):
         ParamSpec("seed", int, 1, "workload seed", cli=False),
         ParamSpec("max_rounds", int, 20_000, "safety cap on simulated rounds", cli=False),
     )
+    smoke_preset = {
+        "group_sizes": (3,),
+        "n_nodes": SmokeCap(9),
+        "n_requests": SmokeCap(12),
+        "n_consumer_pairs": SmokeCap(6),
+        "max_rounds": SmokeCap(3000),
+    }
 
     def normalize(self, params):
         sizes = tuple(int(size) for size in params["group_sizes"])
@@ -194,12 +201,7 @@ class MulticastExperiment(Experiment):
             raise ValueError(
                 f"group_fraction must be within [0, 1], got {params['group_fraction']}"
             )
-        if params["smoke"]:
-            params["group_sizes"] = (3,)
-            params["n_nodes"] = min(params["n_nodes"], 9)
-            params["n_requests"] = min(params["n_requests"], 12)
-            params["n_consumer_pairs"] = min(params["n_consumer_pairs"], 6)
-            params["max_rounds"] = min(params["max_rounds"], 3000)
+        self.apply_smoke(params)
         validate_topology_sizes((params["topology"],), (params["n_nodes"],))
         return params
 
@@ -263,36 +265,3 @@ class MulticastExperiment(Experiment):
                 )
             )
         return result
-
-
-def run_multicast(
-    group_sizes: Sequence[int] = DEFAULT_GROUP_SIZES,
-    strategies: Sequence[str] = GROUP_STRATEGIES,
-    topology: str = "cycle",
-    n_nodes: int = 16,
-    n_requests: int = 40,
-    n_consumer_pairs: int = 10,
-    group_fraction: float = DEFAULT_GROUP_FRACTION,
-    rate: float = 2.0,
-    seed: int = 1,
-    smoke: bool = False,
-    max_rounds: int = 20_000,
-    n_workers: Optional[int] = 1,
-    cache=None,
-) -> MulticastResult:
-    """Run the GHZ strategy comparison (wrapper over
-    :class:`MulticastExperiment`)."""
-    return MulticastExperiment().run(
-        runtime=RuntimeOptions(workers=n_workers, cache=cache),
-        group_sizes=tuple(group_sizes),
-        strategies=tuple(strategies),
-        topology=topology,
-        n_nodes=n_nodes,
-        n_requests=n_requests,
-        n_consumer_pairs=n_consumer_pairs,
-        group_fraction=group_fraction,
-        rate=rate,
-        seed=seed,
-        smoke=smoke,
-        max_rounds=max_rounds,
-    )

@@ -23,7 +23,7 @@ Reported per cell:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.fairness import jains_index
 from repro.analysis.reporting import format_table
@@ -32,7 +32,7 @@ from repro.experiments.api import (
     ExperimentResult,
     ParamSpec,
     RowTable,
-    RuntimeOptions,
+    SmokeCap,
     columns_of,
     resolve_trial_seeds,
 )
@@ -230,28 +230,26 @@ class ResilienceExperiment(Experiment):
             "shrink the sweep to one small fast cell (CI gate)",
             is_flag=True,
         ),
-        ParamSpec("balancers", tuple, None, "explicit engine list (overrides balancer)", cli=False),
         ParamSpec("max_rounds", int, 20_000, "safety cap on simulated rounds", cli=False),
     )
+    smoke_preset = {
+        "sizes": SMOKE_SIZES,
+        "seeds": SmokeCap(1),
+        "n_requests": SmokeCap(20),
+        "max_rounds": SmokeCap(3000),
+    }
 
     def normalize(self, params):
         scenario = validate_scenario_spec(params["scenario"])
         if scenario == NO_SCENARIO:
             raise ValueError("the resilience experiment needs a real scenario, not 'none'")
         params["scenario"] = scenario
-        balancers = params["balancers"]
-        if balancers is None:
-            balancer = params["balancer"]
-            balancers = (balancer,) if balancer else ("naive", "incremental")
-        params["balancers"] = tuple(balancers)
+        balancer = params["balancer"]
+        params["balancers"] = (balancer,) if balancer else ("naive", "incremental")
+        self.apply_smoke(params)
         seeds = resolve_trial_seeds(params["seeds"], params["master_seed"])
         sizes = params["sizes"]
-        if params["smoke"]:
-            sizes = SMOKE_SIZES
-            seeds = seeds[:1] or (1,)
-            params["n_requests"] = min(params["n_requests"], 20)
-            params["max_rounds"] = min(params["max_rounds"], 3000)
-        elif not sizes:  # None or a bare --sizes: use the preset
+        if not sizes:  # None or a bare --sizes: use the preset
             sizes = FULL_RESILIENCE_SIZES if full_mode_enabled() else QUICK_RESILIENCE_SIZES
         params["sizes"] = tuple(int(size) for size in sizes)
         params["seeds"] = tuple(int(seed) for seed in seeds)
@@ -315,33 +313,3 @@ class ResilienceExperiment(Experiment):
                         f"{other.config.balancer}"
                     )
         return result
-
-
-def run_resilience(
-    sizes: Optional[Sequence[int]] = None,
-    scenario: str = DEFAULT_RESILIENCE_SCENARIO,
-    seeds: Sequence[int] = (1,),
-    n_requests: int = 50,
-    topology: str = "cycle",
-    balancers: Sequence[str] = ("naive", "incremental"),
-    smoke: bool = False,
-    max_rounds: int = 20_000,
-    n_workers: Optional[int] = 1,
-    cache=None,
-) -> ResilienceResult:
-    """Run the fault-and-churn sweep (static baseline vs ``scenario``).
-
-    Backward-compatible wrapper over :class:`ResilienceExperiment`; when
-    several balancer engines run, every cell is cross-checked bit-identical.
-    """
-    return ResilienceExperiment().run(
-        runtime=RuntimeOptions(workers=n_workers, cache=cache),
-        sizes=sizes,
-        scenario=scenario,
-        seeds=seeds,
-        n_requests=n_requests,
-        topology=topology,
-        balancers=tuple(balancers),
-        smoke=smoke,
-        max_rounds=max_rounds,
-    )

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.fairness import balanced_fixed_point, count_imbalance
 from repro.analysis.reporting import format_table
-from repro.core.maxmin.incremental import BALANCER_ENGINES
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.experiments.api import Experiment, ExperimentResult, ParamSpec, RowTable, columns_of
 from repro.experiments.config import full_mode_enabled
@@ -281,7 +280,6 @@ class ScalingExperiment(Experiment):
             metavar="SEED",
         ),
         ParamSpec("topologies", tuple, SCALING_TOPOLOGIES, "topology families to sweep", cli=False),
-        ParamSpec("engines", tuple, None, "explicit engine list (overrides balancer)", cli=False),
         ParamSpec("seed", int, 1, "workload seed", cli=False),
         ParamSpec("distillation", float, 1.0, "distillation overhead D", cli=False),
         ParamSpec("max_rounds", int, 200_000, "safety cap on balancing rounds", cli=False),
@@ -291,20 +289,17 @@ class ScalingExperiment(Experiment):
     )
 
     def normalize(self, params):
-        engines = params["engines"]
-        if engines is None:
-            balancer = params["balancer"]
-            engines = (balancer,) if balancer else ("naive", "incremental")
-        params["engines"] = tuple(engines)
-        unknown = [engine for engine in params["engines"] if engine not in BALANCER_ENGINES]
-        if unknown:
-            raise ValueError(f"unknown balancer engines {unknown}; choose from {BALANCER_ENGINES}")
+        balancer = params["balancer"]
+        params["engines"] = (balancer,) if balancer else ("naive", "incremental")
         if params["master_seed"] is not None:
             params["seed"] = seed_grid(params["master_seed"], 1)[0]
         sizes = params["sizes"]
         if not sizes:  # None or a bare --sizes: use the preset
             sizes = FULL_SCALING_SIZES if full_mode_enabled() else QUICK_SCALING_SIZES
         params["sizes"] = tuple(int(size) for size in sizes)
+        too_small = [size for size in params["sizes"] if size < 3]
+        if too_small:
+            raise ValueError(f"sizes must be at least 3 nodes, got {too_small}")
         return params
 
     def build_grid(self, params) -> List[Dict]:
@@ -338,33 +333,3 @@ class ScalingExperiment(Experiment):
         for cell_rows in outcomes:
             result.rows.extend(cell_rows)
         return result
-
-
-def run_scaling(
-    topologies: Sequence[str] = SCALING_TOPOLOGIES,
-    sizes: Optional[Sequence[int]] = None,
-    engines: Sequence[str] = ("naive", "incremental"),
-    seed: int = 1,
-    distillation: float = 1.0,
-    max_rounds: int = 200_000,
-    base_pairs: int = 4,
-    hot_fraction: float = 0.02,
-    hot_depth: int = 300,
-) -> ScalingResult:
-    """Run the large-topology balancing sweep.
-
-    Backward-compatible wrapper over :class:`ScalingExperiment`; every
-    engine balances an identical copy of each cell's ledger, and when both
-    engines run their fixed points are asserted identical.
-    """
-    return ScalingExperiment().run(
-        topologies=topologies,
-        sizes=sizes,
-        engines=tuple(engines),
-        seed=seed,
-        distillation=distillation,
-        max_rounds=max_rounds,
-        base_pairs=base_pairs,
-        hot_fraction=hot_fraction,
-        hot_depth=hot_depth,
-    )

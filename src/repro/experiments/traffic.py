@@ -18,7 +18,7 @@ one small fast cell (the CI gate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.experiments.api import (
@@ -26,7 +26,7 @@ from repro.experiments.api import (
     ExperimentResult,
     ParamSpec,
     RowTable,
-    RuntimeOptions,
+    SmokeCap,
     columns_of,
 )
 from repro.experiments.config import ExperimentConfig, TrialOutcome
@@ -189,6 +189,15 @@ class TrafficExperiment(Experiment):
         ParamSpec("seed", int, 1, "workload seed", cli=False),
         ParamSpec("max_rounds", int, 20_000, "safety cap on simulated rounds", cli=False),
     )
+    smoke_preset = {
+        "workload": None,
+        "workloads": (SMOKE_WORKLOAD,),
+        "protocols": SMOKE_PROTOCOLS,
+        "n_nodes": SmokeCap(9),
+        "n_requests": SmokeCap(12),
+        "n_consumer_pairs": SmokeCap(6),
+        "max_rounds": SmokeCap(3000),
+    }
 
     def normalize(self, params):
         workloads = params["workloads"]
@@ -221,13 +230,7 @@ class TrafficExperiment(Experiment):
                     f"{', '.join(planned)} or the group-emitting workload "
                     f"({', '.join(group_specs)})"
                 )
-        if params["smoke"]:
-            params["workloads"] = (SMOKE_WORKLOAD,)
-            params["protocols"] = SMOKE_PROTOCOLS
-            params["n_nodes"] = min(params["n_nodes"], 9)
-            params["n_requests"] = min(params["n_requests"], 12)
-            params["n_consumer_pairs"] = min(params["n_consumer_pairs"], 6)
-            params["max_rounds"] = min(params["max_rounds"], 3000)
+        self.apply_smoke(params)
         validate_topology_sizes((params["topology"],), (params["n_nodes"],))
         return params
 
@@ -275,32 +278,3 @@ class TrafficExperiment(Experiment):
                     )
                 )
         return result
-
-
-def run_traffic(
-    workloads: Optional[Sequence[str]] = None,
-    protocols: Sequence[str] = PROTOCOL_NAMES,
-    topology: str = "cycle",
-    n_nodes: int = 16,
-    n_requests: int = 40,
-    n_consumer_pairs: int = 12,
-    seed: int = 1,
-    smoke: bool = False,
-    max_rounds: int = 20_000,
-    n_workers: Optional[int] = 1,
-    cache=None,
-) -> TrafficResult:
-    """Run the arrival-load protocol comparison (wrapper over
-    :class:`TrafficExperiment`)."""
-    return TrafficExperiment().run(
-        runtime=RuntimeOptions(workers=n_workers, cache=cache),
-        workloads=tuple(workloads) if workloads is not None else None,
-        protocols=tuple(protocols),
-        topology=topology,
-        n_nodes=n_nodes,
-        n_requests=n_requests,
-        n_consumer_pairs=n_consumer_pairs,
-        seed=seed,
-        smoke=smoke,
-        max_rounds=max_rounds,
-    )

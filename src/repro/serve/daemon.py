@@ -9,9 +9,9 @@ newline-delimited JSON protocol of :mod:`repro.serve.protocol`.
 Request flow for a ``submit``:
 
 1. **Validation** -- the experiment must be registered and the parameters
-   must resolve through its ParamSpec table (``normalize`` included), so a
-   bad submission fails with a ``400``/``404`` payload before it can ever
-   occupy a worker.
+   must plan through its ParamSpec table (``normalize`` and ``build_grid``
+   included), so a bad submission fails with a ``400``/``404`` payload
+   before it can ever occupy a worker.
 2. **Coalescing** -- submissions are content-addressed over
    ``(experiment, normalized params)``.  A digest that matches a finished
    job is answered from the in-memory result memo immediately (a *result
@@ -424,7 +424,7 @@ class ServeDaemon:
         raw_params = request.get("params") or {}
         try:
             params = coerce_params(experiment.params, dict(raw_params))
-            normalized = experiment.normalize(experiment.resolve_params(params))
+            normalized, _grid = experiment.plan(params)
         except (TypeError, ValueError) as error:
             raise ProtocolError(400, f"invalid parameters for {name!r}: {error}") from None
         digest = submission_digest(name, normalized)

@@ -233,8 +233,7 @@ class WorkerPool:
 
     def _run_attempt(self, job: Job, started: float) -> None:
         experiment = get_experiment(job.experiment)
-        params = experiment.normalize(experiment.resolve_params(dict(job.params)))
-        grid = experiment.build_grid(params)
+        params, grid = experiment.plan(dict(job.params))
         job.total = len(grid)
         job.completed = 0
         job.cached_trials = 0

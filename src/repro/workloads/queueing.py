@@ -137,10 +137,6 @@ class TimedRequestSequence(RequestSequence):
         self.release_until(float(round_index))
         return None
 
-    def arrival_times(self) -> List[int]:
-        """Distinct arrival rounds, sorted."""
-        return sorted({request.arrival_round for request in self._requests})
-
     # ------------------------------------------------------------------ #
     # The head-of-line interface the protocols drive
     # ------------------------------------------------------------------ #

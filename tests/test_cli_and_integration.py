@@ -165,6 +165,53 @@ class TestSubcommandRedesign:
             main(["resilience", "--smoke", "--scenario", "quantum-tornado"])
         assert excinfo.value.code != 0
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["figure4", "--smoke", "--nodes", "16", "--requests", "30"], "n_nodes=16"),
+            (["figure4", "--smoke", "--nodes", "10"], "n_nodes=10"),
+            (["resilience", "--smoke", "--sizes", "9"], "sizes"),
+            (["resilience", "--smoke", "--seeds", "2"], "seeds=2"),
+            (["traffic", "--smoke", "--workload", "bursty"], "workload="),
+            (["traffic", "--smoke", "--nodes", "16"], "n_nodes=16"),
+            (["multicast", "--smoke", "--requests", "40"], "n_requests=40"),
+        ],
+    )
+    def test_smoke_conflict_is_a_usage_error(self, argv, named, capsys):
+        """--smoke used to overwrite these values silently; even a value
+        equal to the parameter's default counts once it is typed."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--format", "json"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "repro: error:" in error and "smoke" in error and named in error
+        assert "Traceback" not in error
+
+    def test_smoke_accepts_the_values_it_keeps(self, capsys):
+        assert main(["figure4", "--smoke", "--format", "json"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["figure4", "--smoke", "--nodes", "9", "--requests", "6", "--format", "json"]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["figure4", "--nodes", "9", "--requests", "0"], "n_requests must be positive"),
+            (["comparison", "--nodes", "9", "--requests", "0"], "n_requests must be positive"),
+            (["resilience", "--requests", "0"], "n_requests must be positive"),
+            (["traffic", "--requests", "0"], "n_requests must be positive"),
+            (["scaling", "--sizes", "0"], "at least 3 nodes"),
+        ],
+    )
+    def test_grid_build_error_is_a_usage_error(self, argv, message, capsys):
+        """ExperimentConfig's checks run in the pre-flight, not mid-run."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert f"repro: error: {argv[0]}: " in error and message in error
+        assert "Traceback" not in error
+
     def test_clear_cache_still_works_at_top_level(self, tmp_path, capsys):
         assert main(["--clear-cache", "--cache-dir", str(tmp_path / "cache")]) == 0
         assert "removed 0 cached trial(s)" in capsys.readouterr().out

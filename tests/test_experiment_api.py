@@ -44,8 +44,8 @@ SMALL_PARAMS = {
         n_consumer_pairs=4,
     ),
     "classical": dict(topology_name="cycle", n_nodes=9, rounds=8, gossip_fanouts=(2,)),
-    "scaling": dict(sizes=(36,), engines=("incremental",), topologies=("grid",)),
-    "resilience": dict(smoke=True, n_requests=10, balancers=("naive",)),
+    "scaling": dict(sizes=(36,), balancer="incremental", topologies=("grid",)),
+    "resilience": dict(smoke=True, n_requests=10, balancer="naive"),
     "traffic": dict(smoke=True, n_requests=10),
     "multicast": dict(smoke=True, n_requests=10),
 }
@@ -111,6 +111,87 @@ class TestParamResolution:
         assert len(derived) == 2 and all(seed > 3 for seed in derived)
         with pytest.raises(ValueError):
             resolve_trial_seeds(0, None)
+
+
+class TestSmokePreset:
+    """``smoke=True`` never silently overrides an explicit value."""
+
+    @pytest.mark.parametrize(
+        "name, overrides, named",
+        [
+            ("figure4", {"n_nodes": 16, "n_requests": 30}, "n_requests=30"),
+            ("figure4", {"n_nodes": 10}, "n_nodes=10"),
+            ("figure4", {"distillation_values": (2.0,)}, "distillation_values"),
+            ("resilience", {"sizes": (9,)}, "sizes"),
+            ("resilience", {"seeds": (1, 2)}, "seeds"),
+            ("resilience", {"n_requests": 30}, "n_requests=30"),
+            ("resilience", {"max_rounds": 20_000}, "max_rounds"),
+            ("traffic", {"workload": "bursty"}, "workload="),
+            ("traffic", {"workloads": ("poisson",)}, "workloads"),
+            ("traffic", {"n_nodes": 16}, "n_nodes=16"),
+            ("traffic", {"protocols": ("path-oblivious",)}, "protocols"),
+            ("multicast", {"group_sizes": (2, 3)}, "group_sizes"),
+            ("multicast", {"n_requests": 40}, "n_requests=40"),
+        ],
+    )
+    def test_explicit_value_smoke_would_change_is_rejected(self, name, overrides, named):
+        with pytest.raises(ValueError, match="smoke") as excinfo:
+            get_experiment(name).plan({"smoke": True, **overrides})
+        assert named in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "name, overrides, expected",
+        [
+            ("figure4", {"n_nodes": 9, "n_requests": 6}, {"n_nodes": 9, "n_requests": 6}),
+            ("figure4", {"distillation_values": [1.0]}, {"distillation_values": (1.0,)}),
+            ("resilience", {"n_requests": 10, "seeds": (7,)}, {"n_requests": 10, "seeds": (7,)}),
+            ("resilience", {"sizes": [25]}, {"sizes": (25,)}),
+            ("traffic", {"n_nodes": 9, "n_requests": 10}, {"n_nodes": 9, "n_requests": 10}),
+            ("multicast", {"group_sizes": [3], "n_requests": 12}, {"group_sizes": (3,), "n_requests": 12}),
+        ],
+    )
+    def test_value_smoke_would_keep_passes(self, name, overrides, expected):
+        params, _ = get_experiment(name).plan({"smoke": True, **overrides})
+        for key, value in expected.items():
+            assert params[key] == value
+
+    def test_defaults_are_replaced_and_capped(self):
+        params, _ = get_experiment("traffic").plan({"smoke": True})
+        assert (params["n_nodes"], params["n_requests"], params["max_rounds"]) == (9, 12, 3000)
+        params, _ = get_experiment("resilience").plan({"smoke": True, "master_seed": 4})
+        assert params["sizes"] == (25,) and len(params["seeds"]) == 1
+
+    def test_without_smoke_the_preset_is_inert(self):
+        params, _ = get_experiment("figure4").plan({"n_nodes": 16, "n_requests": 30})
+        assert (params["n_nodes"], params["n_requests"]) == (16, 30)
+
+    def test_every_preset_names_a_parameter_of_a_smoke_experiment(self):
+        for experiment in iter_experiments():
+            names = {spec.name for spec in experiment.params}
+            if experiment.smoke_preset:
+                assert "smoke" in names, experiment.name
+            assert set(experiment.smoke_preset) <= names, experiment.name
+
+
+class TestPlan:
+    """``plan`` runs every input check before any trial: the grid too."""
+
+    @pytest.mark.parametrize("name", ["figure4", "comparison", "resilience", "traffic"])
+    def test_config_errors_surface_in_plan(self, name):
+        overrides = {"n_requests": 0}
+        if name in ("figure4", "comparison"):
+            overrides["n_nodes"] = 9
+        with pytest.raises(ValueError, match="n_requests must be positive"):
+            get_experiment(name).plan(overrides)
+
+    def test_scaling_rejects_sizes_it_cannot_build(self):
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            get_experiment("scaling").plan({"sizes": (0,)})
+
+    def test_plan_returns_the_grid_run_executes(self):
+        params, grid = get_experiment("figure4").plan(SMALL_PARAMS["figure4"])
+        assert params["n_nodes"] == 9
+        assert [config.topology for config in grid] == ["cycle"]
 
 
 class TestResultContract:
@@ -272,30 +353,3 @@ class TestSchemaCLIEntry:
             "sys.stdin", io_module.StringIO(small_results["figure4"].to_json())
         )
         assert schema.main(["-"]) == 0
-
-
-class TestLegacyWrappers:
-    """The run_* functions stay thin wrappers with bit-identical reports."""
-
-    def test_run_figure4_matches_registry_run(self):
-        from repro.experiments import run_figure4
-
-        legacy = run_figure4(
-            n_nodes=9,
-            distillation_values=(1.0,),
-            topologies=("cycle",),
-            n_requests=6,
-            n_consumer_pairs=4,
-        )
-        registry = get_experiment("figure4").run(**SMALL_PARAMS["figure4"])
-        assert legacy.format_report() == registry.format_report()
-        assert legacy.to_csv() == registry.to_csv()
-
-    def test_run_classical_matches_registry_run(self):
-        from repro.experiments import run_classical_overhead
-
-        legacy = run_classical_overhead(
-            topology_name="cycle", n_nodes=9, rounds=8, gossip_fanouts=(2,)
-        )
-        registry = get_experiment("classical").run(**SMALL_PARAMS["classical"])
-        assert legacy.format_report() == registry.format_report()

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import run_ablations
-from repro.experiments.classical_overhead import run_classical_overhead
-from repro.experiments.comparison import run_comparison
 from repro.experiments.config import ExperimentConfig, full_mode_enabled
-from repro.experiments.figure4 import figure4_configs, run_figure4
-from repro.experiments.figure5 import figure5_configs, run_figure5
-from repro.experiments.lp_validation import run_lp_validation
+from repro.experiments.figure4 import figure4_configs
+from repro.experiments.figure5 import figure5_configs
+from repro.experiments.registry import get_experiment
 from repro.experiments.runner import build_protocol, build_requests, build_topology, run_trial
 from repro.protocols.oblivious import PathObliviousProtocol
 from repro.protocols.planned import ConnectionOrientedProtocol
@@ -136,7 +133,7 @@ class TestFigureSweeps:
         assert all(config.n_nodes == 25 for config in configs)
 
     def test_figure4_small_run(self):
-        result = run_figure4(
+        result = get_experiment("figure4").run(
             n_nodes=9,
             distillation_values=(1.0,),
             topologies=("cycle", "grid"),
@@ -155,7 +152,7 @@ class TestFigureSweeps:
         assert [config.n_nodes for config in configs] == [9, 16]
 
     def test_figure5_small_run(self):
-        result = run_figure5(
+        result = get_experiment("figure5").run(
             network_sizes=(9,),
             topologies=("cycle",),
             n_requests=8,
@@ -167,7 +164,9 @@ class TestFigureSweeps:
 
 class TestOtherExperiments:
     def test_lp_validation_runs_and_checks_steady_state(self):
-        result = run_lp_validation(topologies=("cycle",), n_nodes=9, demand_pairs=4, demand_rate=0.1)
+        result = get_experiment("lp").run(
+            topologies=("cycle",), n_nodes=9, demand_pairs=4, demand_rate=0.1
+        )
         assert result.rows
         feasible_rows = [row for row in result.rows if row.feasible]
         assert feasible_rows
@@ -175,7 +174,9 @@ class TestOtherExperiments:
         assert "E3" in result.format_report()
 
     def test_comparison_covers_all_protocols(self):
-        result = run_comparison(topology="cycle", n_nodes=9, n_requests=10, n_consumer_pairs=5)
+        result = get_experiment("comparison").run(
+            topology="cycle", n_nodes=9, n_requests=10, n_consumer_pairs=5
+        )
         assert len(result.outcomes) == 4
         by_protocol = result.by_protocol()
         assert by_protocol["planned-connection-oriented"].overhead_exact == pytest.approx(1.0)
@@ -183,7 +184,7 @@ class TestOtherExperiments:
         assert "E4" in result.format_report()
 
     def test_ablations_selected_axes(self):
-        result = run_ablations(
+        result = get_experiment("ablations").run(
             axes=("swap-rate", "recurrence"),
             topology="cycle",
             n_nodes=9,
@@ -197,11 +198,11 @@ class TestOtherExperiments:
 
     def test_ablations_unknown_axis(self):
         with pytest.raises(ValueError):
-            run_ablations(axes=("coffee",), n_nodes=9)
+            get_experiment("ablations").run(axes=("coffee",), n_nodes=9, n_requests=30)
 
     def test_ablations_balancer_axis_reports_identical_physics(self):
         """The naive/incremental axis is an end-to-end equivalence check."""
-        result = run_ablations(
+        result = get_experiment("ablations").run(
             axes=("balancer",),
             topology="cycle",
             n_nodes=9,
@@ -218,7 +219,9 @@ class TestOtherExperiments:
         assert naive.satisfied == incremental.satisfied
 
     def test_classical_overhead_gossip_cheaper(self):
-        result = run_classical_overhead(topology_name="cycle", n_nodes=9, rounds=10, gossip_fanouts=(2,))
+        result = get_experiment("classical").run(
+            topology_name="cycle", n_nodes=9, rounds=10, gossip_fanouts=(2,)
+        )
         strategies = {row.strategy: row for row in result.rows}
         assert strategies["gossip-fanout2"].bits < strategies["flooding"].bits
         assert strategies["flooding"].mean_coverage == 1.0
@@ -226,13 +229,11 @@ class TestOtherExperiments:
 
     def test_classical_overhead_validation(self):
         with pytest.raises(ValueError):
-            run_classical_overhead(rounds=0)
+            get_experiment("classical").run(n_nodes=16, rounds=0)
 
 
 class TestMulticastExperiment:
     def _small(self, **overrides):
-        from repro.experiments.multicast import run_multicast
-
         params = dict(
             group_sizes=(2, 3),
             topology="cycle",
@@ -242,7 +243,7 @@ class TestMulticastExperiment:
             max_rounds=3000,
         )
         params.update(overrides)
-        return run_multicast(**params)
+        return get_experiment("multicast").run(**params)
 
     def test_size2_rows_identical_across_strategies(self):
         """Group size 2 is the degenerate sanity row: both strategies spend
@@ -268,7 +269,7 @@ class TestMulticastExperiment:
         assert shared.pairs_consumed < independent.pairs_consumed
 
     def test_smoke_shrinks_the_sweep(self):
-        result = self._small(smoke=True)
+        result = get_experiment("multicast").run(smoke=True)
         assert result.group_sizes == (3,)
         assert len(result.rows) == 2
         assert all(row.effective_groups > 0 for row in result.rows)

@@ -10,8 +10,10 @@ import time
 
 import pytest
 
+from repro.experiments.api import RuntimeOptions
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figure4 import figure4_configs, run_figure4
+from repro.experiments.figure4 import figure4_configs
+from repro.experiments.registry import get_experiment
 from repro.runtime import (
     ResultCache,
     SweepRunner,
@@ -237,12 +239,12 @@ class TestSweepRunner:
             topologies=("cycle",),
             n_requests=8,
             n_consumer_pairs=5,
-            cache=cache,
         )
-        first = run_figure4(**kwargs)
+        runtime = RuntimeOptions(cache=cache)
+        first = get_experiment("figure4").run(runtime=runtime, **kwargs)
         stores_after_first = cache.stats.stores
         assert stores_after_first == 2
-        second = run_figure4(**kwargs)
+        second = get_experiment("figure4").run(runtime=runtime, **kwargs)
         assert cache.stats.stores == stores_after_first  # zero recomputed trials
         assert second.series("exact") == first.series("exact")
 

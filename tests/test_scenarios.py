@@ -12,7 +12,7 @@ from repro.classical.gossip import ChokeUnchokeGossip
 from repro.core.maxmin.incremental import IncrementalMaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.resilience import run_resilience
+from repro.experiments.registry import get_experiment
 from repro.experiments.runner import run_trial
 from repro.network.demand import DemandMatrix, RequestSequence
 from repro.network.topologies import cycle_topology, grid_topology
@@ -417,7 +417,7 @@ class TestScenarioTracing:
 # ---------------------------------------------------------------------- #
 class TestResilienceExperiment:
     def test_smoke_runs_and_cross_checks_engines(self):
-        result = run_resilience(smoke=True, seeds=(1,))
+        result = get_experiment("resilience").run(smoke=True, seeds=(1,))
         assert result.sizes == (25,)
         assert {row.scenario for row in result.rows} == {"none", "link-churn"}
         assert {row.balancer for row in result.rows} == {"naive", "incremental"}
@@ -428,7 +428,7 @@ class TestResilienceExperiment:
 
     def test_rejects_the_none_scenario(self):
         with pytest.raises(ValueError):
-            run_resilience(scenario="none", smoke=True)
+            get_experiment("resilience").run(scenario="none", smoke=True)
 
     def test_scenario_changes_the_outcome(self):
         static = run_trial(

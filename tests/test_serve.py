@@ -385,6 +385,23 @@ class TestServeDaemon:
             stats = daemon.stats_snapshot()
         assert stats["jobs_by_state"] == {}
 
+    def test_grid_build_error_and_smoke_conflict_are_400s(self):
+        """Both used to pass submit: the first crashed a worker (500), the
+        second ran a smoke job that ignored the explicit values."""
+        with serve_daemon() as daemon:
+            with ServeClient(daemon.address) as client:
+                for params, message in (
+                    ({"n_nodes": 9, "n_requests": 0}, "n_requests must be positive"),
+                    ({"smoke": True, "n_nodes": "16"}, "smoke would override n_nodes=16"),
+                ):
+                    with pytest.raises(ServeError) as excinfo:
+                        client.submit("figure4", params)
+                    assert excinfo.value.code == 400
+                    assert message in excinfo.value.response["error"]["message"]
+                    validate_payload(excinfo.value.response, schema=RESPONSE_SCHEMA)
+            stats = daemon.stats_snapshot()
+        assert stats["jobs_by_state"] == {}
+
     def test_malformed_json_line_gets_a_schema_valid_error(self):
         with serve_daemon() as daemon:
             response = _raw_request(daemon.address, b'{"op": "submit",\n')

@@ -1,11 +1,10 @@
-"""Tests for repro.sim.clock and repro.sim.events."""
+"""Tests for repro.sim.clock."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.sim.clock import SimulationClock
-from repro.sim.events import EventType, SimEvent, make_timer
 
 
 class TestSimulationClock:
@@ -49,45 +48,3 @@ class TestSimulationClock:
     def test_reset_rejects_negative(self):
         with pytest.raises(ValueError):
             SimulationClock().reset(-1.0)
-
-
-class TestSimEvent:
-    def test_ordering_by_time(self):
-        early = SimEvent(time=1.0, event_type=EventType.SWAP)
-        late = SimEvent(time=2.0, event_type=EventType.SWAP)
-        assert early < late
-
-    def test_ordering_by_priority_at_same_time(self):
-        low = SimEvent(time=1.0, event_type=EventType.SWAP, priority=0)
-        high = SimEvent(time=1.0, event_type=EventType.SWAP, priority=1)
-        assert low < high
-
-    def test_ordering_by_sequence_for_ties(self):
-        first = SimEvent(time=1.0, event_type=EventType.SWAP)
-        second = SimEvent(time=1.0, event_type=EventType.SWAP)
-        assert first < second
-        assert first.sequence < second.sequence
-
-    def test_cancel(self):
-        event = SimEvent(time=1.0, event_type=EventType.GENERATION)
-        assert not event.cancelled
-        event.cancel()
-        assert event.cancelled
-
-    def test_describe_mentions_type(self):
-        event = SimEvent(time=1.0, event_type=EventType.CONSUMPTION, payload={"pair": (0, 1)})
-        assert "consumption" in event.describe()
-
-    def test_make_timer_payload(self):
-        timer = make_timer(4.0, "balance", interval=2.0)
-        assert timer.event_type is EventType.TIMER
-        assert timer.payload["name"] == "balance"
-        assert timer.payload["interval"] == 2.0
-
-    def test_make_timer_without_interval(self):
-        timer = make_timer(4.0, "once")
-        assert "interval" not in timer.payload
-
-    def test_event_types_are_distinct(self):
-        values = [event_type.value for event_type in EventType]
-        assert len(values) == len(set(values))

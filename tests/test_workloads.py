@@ -14,7 +14,8 @@ from repro.experiments.runner import (
     build_topology,
     run_trial,
 )
-from repro.experiments.traffic import TrafficExperiment, run_traffic
+from repro.experiments.registry import get_experiment
+from repro.experiments.traffic import TrafficExperiment
 from repro.network.demand import RequestSequence, select_consumer_pairs
 from repro.network.topologies import topology_from_name
 from repro.runtime.cache import config_digest
@@ -307,13 +308,6 @@ class TestTimedRequestSequence:
         remapped = sequence.remap_pending(lambda request: (5, 6))
         assert remapped == 2  # the queued survivor and the future arrival
         assert sequence.requests()[0].pair == (0, 1)  # history untouched
-
-    def test_arrival_times_are_distinct_sorted(self):
-        sequence = TimedRequestSequence(
-            [_timed(0, (0, 1), 4), _timed(1, (1, 2), 1), _timed(2, (2, 3), 4)]
-        )
-        assert sequence.arrival_times() == [1, 4]
-
 
 # ---------------------------------------------------------------------- #
 # SLO metrics
@@ -636,7 +630,7 @@ class TestRoundBasedIntegration:
 # ---------------------------------------------------------------------- #
 class TestTrafficExperiment:
     def test_smoke_run_and_schema(self):
-        result = run_traffic(smoke=True)
+        result = get_experiment("traffic").run(smoke=True)
         assert result.rows, "smoke run should produce SLO rows"
         assert {row.protocol for row in result.rows} == {
             "path-oblivious",
@@ -648,7 +642,7 @@ class TestTrafficExperiment:
         validate_payload(json.loads(result.to_json()))
 
     def test_single_workload_flag(self):
-        result = run_traffic(
+        result = get_experiment("traffic").run(
             workloads=["poisson:rate=2"],
             protocols=["path-oblivious"],
             n_nodes=9,
@@ -669,7 +663,7 @@ class TestTrafficExperiment:
             TrafficExperiment().run(workload="tsunami")
 
     def test_report_renders(self):
-        result = run_traffic(smoke=True)
+        result = get_experiment("traffic").run(smoke=True)
         report = result.format_report()
         assert "SLO attainment" in report
         assert "p95" in report
@@ -678,7 +672,7 @@ class TestTrafficExperiment:
         # The planned baselines serve 2-party requests only: a
         # group-emitting workload must drop them from the default
         # protocol set instead of tripping their guard mid-trial.
-        result = run_traffic(
+        result = get_experiment("traffic").run(
             workloads=["poisson:rate=2,group_fraction=0.5,group_size=3"],
             n_nodes=9,
             n_requests=8,
@@ -688,7 +682,7 @@ class TestTrafficExperiment:
 
     def test_group_workload_with_explicit_planned_protocol_is_a_config_error(self):
         with pytest.raises(ValueError, match="2-party"):
-            run_traffic(
+            get_experiment("traffic").run(
                 workloads=["poisson:rate=2,group_fraction=0.5"],
                 protocols=["planned-connectionless"],
                 n_nodes=9,
