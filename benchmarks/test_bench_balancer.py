@@ -6,7 +6,8 @@ Two claims are kept honest here:
   few hot edges draining into a lightly-stocked network), the engine's
   skip mode (``incremental``) converges at least **10x** faster than the
   per-pair reference enumeration it replaced (the test oracle in
-  ``tests/balancer_oracle.py``), and
+  ``tests/balancer_oracle.py``, run on the nested-dict store of
+  ``tests/ledger_oracle.py`` that the count matrix replaced), and
 * the speedup is *free*: both reach bit-identical ledger fixed points,
   swap counts and round counts under the deterministic policy.
 
@@ -29,6 +30,7 @@ from repro.experiments.scaling import build_scaling_ledger
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from balancer_oracle import OracleBalancer  # noqa: E402
+from ledger_oracle import DictPairCountLedger  # noqa: E402
 
 #: The benchmark's 500-node workload: background of 1-2 pairs per edge,
 #: ~0.6% of edges holding 500-pair buffers.  The long redistribution tail
@@ -37,8 +39,8 @@ WORKLOAD = dict(base_pairs=2, hot_fraction=0.006, hot_depth=500)
 
 
 def _oracle_fixed_point(ledger, seed: int = 1, max_rounds: int = 200_000):
-    """``balanced_fixed_point`` with the reference oracle as the engine."""
-    working = ledger.copy()
+    """``balanced_fixed_point`` with the reference oracle, on the dict store, as the engine."""
+    working = DictPairCountLedger.from_ledger(ledger)
     oracle = OracleBalancer(working, rng=np.random.default_rng(seed), keep_records=False)
     return working, oracle, oracle.balance_to_convergence(max_rounds=max_rounds)
 

@@ -32,8 +32,7 @@ def _warm_balancer(n_nodes: int = 25, warmup_rounds: int = 30) -> MaxMinBalancer
     balancer = MaxMinBalancer(ledger, overheads=1.0, rng=np.random.default_rng(0), keep_records=False)
     rng = np.random.default_rng(1)
     for round_index in range(warmup_rounds):
-        for edge, count in generation.pairs_for_round(round_index, rng).items():
-            ledger.add(edge[0], edge[1], count)
+        ledger.add_pairs(*generation.draw(round_index, rng))
         balancer.run_round(round_index)
     return balancer
 
@@ -47,8 +46,7 @@ def test_balancing_round_throughput(benchmark):
 
     def one_round():
         round_index = state["round"]
-        for edge, count in generation.pairs_for_round(round_index, rng).items():
-            balancer.ledger.add(edge[0], edge[1], count)
+        balancer.ledger.add_pairs(*generation.draw(round_index, rng))
         balancer.run_round(round_index)
         state["round"] += 1
 

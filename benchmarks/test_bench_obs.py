@@ -32,17 +32,19 @@ def test_enabled_span_overhead_under_five_percent():
     is the median over the twenty-five adjacent (plain, instrumented)
     pairs: the two trials of a pair run under the same machine load, so a
     change in load, between blocks of trials or from one trial to the
-    next, cancels out of each pair's ratio.
+    next, cancels out of each pair's ratio.  Each trial is timed on this
+    process's CPU clock, so time the process spends descheduled while
+    other processes run is not counted against either side.
     """
     samples = {False: [], True: []}
     try:
         for repeat in range(27):
             for enabled in samples:
                 enable(enabled)
-                start = time.perf_counter()
+                start = time.process_time()
                 run_trial(TRIAL)
                 SPAN_BUFFER.clear()
-                elapsed = time.perf_counter() - start
+                elapsed = time.process_time() - start
                 if repeat >= 2:  # the first two rounds are the warmup
                     samples[enabled].append(elapsed)
     finally:

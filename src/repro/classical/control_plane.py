@@ -95,7 +95,7 @@ class FloodingControlPlane(ControlPlane):
     def run_round(self, round_index: int) -> None:
         nodes = self.topology.nodes
         for source in nodes:
-            counts = self.ledger.snapshot_for(source)
+            counts = self.ledger.partners(source)
             size = message_size_bits(MessageType.COUNT_VECTOR, entries=len(counts))
             for destination in nodes:
                 if destination == source:

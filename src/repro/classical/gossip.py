@@ -94,7 +94,7 @@ class ChokeUnchokeGossip(ControlPlane):
             self._rotate_peers()
 
         for source in self.topology.nodes:
-            counts = self.ledger.snapshot_for(source)
+            counts = self.ledger.partners(source)
             size = message_size_bits(MessageType.COUNT_VECTOR, entries=len(counts))
             for destination in self._unchoked[source]:
                 self.total_messages += 1
@@ -158,7 +158,7 @@ class ChokeUnchokeGossip(ControlPlane):
             return float("nan")
         errors: List[float] = []
         for peer, cached in views.items():
-            truth = self.ledger.snapshot_for(peer)
+            truth = self.ledger.partners(peer)
             partners = set(cached) | set(truth)
             for partner in partners:
                 errors.append(abs(cached.get(partner, 0) - truth.get(partner, 0)))

@@ -34,10 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - scipy is imported where a matrix is buil
 
 NodeId = Hashable
 
-#: Per balance row (one per pair): the swap columns consuming the pair and
-#: the swap columns creating it.
-SwapColumns = List[Tuple[List[int], List[int]]]
-
 
 class VariableIndex:
     """Maps structured variable names to dense column indices."""
@@ -79,7 +75,8 @@ class LinearProgram:
     """A linear program in the form scipy's ``linprog`` expects.
 
     ``minimize c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
-    and per-variable ``bounds``.  ``maximize`` objectives are encoded by
+    and per-variable ``bounds``, an ``(n, 2)`` array of ``(lower, upper)``
+    rows with ``inf`` for no upper bound.  ``maximize`` objectives are encoded by
     negating ``objective`` and setting ``sense`` so the solver can report
     the natural (non-negated) optimum.
     """
@@ -90,7 +87,7 @@ class LinearProgram:
     b_ub: np.ndarray
     a_eq: Optional[sparse.csr_matrix] = None
     b_eq: Optional[np.ndarray] = None
-    bounds: List[Tuple[float, Optional[float]]] = field(default_factory=list)
+    bounds: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     sense: str = "min"
     metadata: Dict[str, object] = field(default_factory=dict)
 
@@ -145,7 +142,7 @@ class PathObliviousFlowProgram:
         self.nodes: List[NodeId] = list(topology.nodes)
         self.pairs: List[EdgeKey] = sorted(topology.node_pairs(), key=repr)
         self._pair_set = set(self.pairs)
-        self._swap_structure: Optional[Tuple[VariableIndex, SwapColumns]] = None
+        self._swap_structure: Optional[Tuple[VariableIndex, np.ndarray, np.ndarray]] = None
 
         for pair in demand.pairs():
             if pair[0] not in topology or pair[1] not in topology:
@@ -162,32 +159,29 @@ class PathObliviousFlowProgram:
         """``kappa_{x,y}``: the desired consumption rate of a pair."""
         return self.demand.rate(*pair)
 
-    def swap_triples(self) -> List[Tuple[NodeId, EdgeKey]]:
-        """All ``(repeater, pair)`` combinations for which a swap variable exists."""
-        triples: List[Tuple[NodeId, EdgeKey]] = []
-        for pair in self.pairs:
-            for node in self.nodes:
-                if node not in pair:
-                    triples.append((node, pair))
-        return triples
-
-    def _swap_columns(self) -> Tuple[VariableIndex, SwapColumns]:
-        """The swap-rate variables and, per pair, the swap columns of its balance row.
+    def _swap_columns(self) -> Tuple[VariableIndex, np.ndarray, np.ndarray]:
+        """The swap-rate variables and the swap part of every pair's balance row.
 
         Every objective starts with the same swap variables in the same
-        order, so this is computed once per program.  For pair ``(x, y)``
-        the first list holds the swaps at ``x`` or ``y`` that consume it,
-        the second the swaps at third nodes that create it.
+        order and the same swap entries in each balance row, so this is
+        computed once per program.  Row ``r`` (pair ``(x, y)``) holds
+        ``D_{x,y}`` at the swaps at ``x`` or ``y`` that consume the pair
+        and ``-L_{x,y}`` at the swaps at third nodes that create it; the
+        two arrays give those columns, ascending, and their values.
         """
         if self._swap_structure is None:
+            # One swap variable per (repeater, pair) with the repeater outside the pair.
             variables = VariableIndex()
-            for node, pair in self.swap_triples():
-                variables.add(("sigma", node, pair))
+            for pair in self.pairs:
+                for node in self.nodes:
+                    if node not in pair:
+                        variables.add(("sigma", node, pair))
             column = variables._index
             canonical: Dict[Tuple[NodeId, NodeId], EdgeKey] = {}
             for pair in self.pairs:
                 canonical[pair] = canonical[(pair[1], pair[0])] = pair
-            per_pair: SwapColumns = []
+            columns: List[List[int]] = []
+            values: List[List[float]] = []
             for pair in self.pairs:
                 x, y = pair
                 consuming: List[int] = []
@@ -198,8 +192,19 @@ class PathObliviousFlowProgram:
                     consuming.append(column[("sigma", x, canonical[(node, y)])])
                     consuming.append(column[("sigma", y, canonical[(node, x)])])
                     creating.append(column[("sigma", node, pair)])
-                per_pair.append((consuming, creating))
-            self._swap_structure = (variables, per_pair)
+                columns.append(consuming + creating)
+                values.append(
+                    [self.overheads.distillation_for(x, y)] * len(consuming)
+                    + [-self.overheads.loss_for(x, y)] * len(creating)
+                )
+            indices = np.array(columns, dtype=np.int32).reshape(len(self.pairs), -1)
+            data = np.array(values, dtype=float).reshape(indices.shape)
+            order = np.argsort(indices, axis=1)
+            self._swap_structure = (
+                variables,
+                np.take_along_axis(indices, order, axis=1),
+                np.take_along_axis(data, order, axis=1),
+            )
         return self._swap_structure
 
     # ------------------------------------------------------------------ #
@@ -207,15 +212,16 @@ class PathObliviousFlowProgram:
     # ------------------------------------------------------------------ #
     def build(self, objective: Objective) -> LinearProgram:
         """Construct the :class:`LinearProgram` for the requested objective."""
-        swap_variables, swap_columns = self._swap_columns()
-        # Swap-rate variables exist for every objective.
+        swap_variables, swap_indices, swap_data = self._swap_columns()
+        # Swap-rate variables exist for every objective, all in [0, inf).
         variables = swap_variables.copy()
-        bounds: List[Tuple[float, Optional[float]]] = [(0.0, None)] * len(variables)
+        n_swaps = len(variables)
+        extra_bounds: List[Tuple[float, float]] = []
 
-        def add_variable(name: Tuple, lower: float, upper: Optional[float]) -> int:
+        def add_variable(name: Tuple, lower: float, upper: float) -> int:
             index = variables.add(name)
-            if index == len(bounds):
-                bounds.append((lower, upper))
+            if index == n_swaps + len(extra_bounds):
+                extra_bounds.append((lower, upper))
             return index
 
         generation_is_variable = objective.generation_is_variable()
@@ -233,26 +239,28 @@ class PathObliviousFlowProgram:
                 if kappa > 0:
                     add_variable(("c", pair), 0.0, kappa)
         if uses_alpha:
-            add_variable(("alpha",), 0.0, None)
+            add_variable(("alpha",), 0.0, np.inf)
         if objective is Objective.MIN_MAX_GENERATION:
-            add_variable(("max_generation",), 0.0, None)
+            add_variable(("max_generation",), 0.0, np.inf)
         if objective is Objective.MAX_MIN_CONSUMPTION:
-            add_variable(("min_consumption",), 0.0, None)
+            add_variable(("min_consumption",), 0.0, np.inf)
+        bounds = np.empty((len(variables), 2))
+        bounds[:n_swaps] = (0.0, np.inf)
+        bounds[n_swaps:] = np.array(extra_bounds).reshape(-1, 2)
 
+        # Each row's entries beyond the swap part of the balance rows.
         rows: List[Dict[int, float]] = []
         rhs: List[float] = []
 
-        # Per-pair steady-state balance: departures <= arrivals.
-        for pair, (consuming, creating) in zip(self.pairs, swap_columns):
+        # Per-pair steady-state balance: departures <= arrivals.  Swaps at
+        # x or y consume the pair (departures, weighted by D); swaps at third
+        # nodes create it (arrivals, weighted by L).  Those entries come from
+        # the swap part; the objective's own variables follow them.
+        for pair in self.pairs:
             x, y = pair
             distillation = self.overheads.distillation_for(x, y)
             loss = self.overheads.loss_for(x, y)
-            # Swaps at x or y consume this pair (departures, weighted by D);
-            # swaps at third nodes create it (arrivals, weighted by L).  The
-            # two column sets are disjoint from each other and from the
-            # objective's own variables below.
-            row: Dict[int, float] = dict.fromkeys(consuming, distillation)
-            row.update(dict.fromkeys(creating, -loss))
+            row: Dict[int, float] = {}
             constant = 0.0
 
             # Departures: consumption ...
@@ -291,7 +299,7 @@ class PathObliviousFlowProgram:
                     rows.append({min_index: 1.0, variables.index_of(("c", pair)): -1.0})
                     rhs.append(0.0)
 
-        a_ub = _csr_from_rows(rows, len(variables))
+        a_ub = _csr_from_rows(rows, len(variables), swap_indices, swap_data)
         b_ub = np.array(rhs, dtype=float)
 
         objective_vector, sense = objective.build_objective_vector(variables, self)
@@ -312,12 +320,19 @@ class PathObliviousFlowProgram:
         )
 
 
-def _csr_from_rows(rows: Sequence[Dict[int, float]], n_columns: int) -> sparse.csr_matrix:
-    """The CSR matrix whose row ``r`` holds the ``{column: value}`` entries of ``rows[r]``.
+def _csr_from_rows(
+    rows: Sequence[Dict[int, float]],
+    n_columns: int,
+    prefix_indices: np.ndarray,
+    prefix_data: np.ndarray,
+) -> sparse.csr_matrix:
+    """The CSR matrix whose row ``r`` holds prefix row ``r`` (if any) and ``rows[r]``.
 
-    Columns are sorted within each row and zero values are not stored,
-    which is exactly what assembling through ``lil_matrix`` and ``tocsr``
-    produces, so the solver sees the same arrays.
+    The prefix rows (ascending ``prefix_indices[r]``, non-zero
+    ``prefix_data[r]``) and the ``{column: value}`` entries of ``rows[r]``
+    are disjoint.  Columns are sorted within each row and zero values are
+    not stored, which is exactly what assembling through ``lil_matrix`` and
+    ``tocsr`` produces, so the solver sees the same arrays.
     """
     # scipy is imported on use, off the start-up path (tests/test_startup.py).
     from scipy import sparse
@@ -332,7 +347,10 @@ def _csr_from_rows(rows: Sequence[Dict[int, float]], n_columns: int) -> sparse.c
                 indices.append(column)
                 data.append(value)
         indptr[position + 1] = len(indices)
+    shape = (len(rows), n_columns)
+    n_prefix, width = prefix_indices.shape
+    prefix_indptr = np.minimum(np.arange(len(rows) + 1), n_prefix) * width
+    # Disjoint canonical matrices: their sum is the sorted union of entries.
     return sparse.csr_matrix(
-        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
-        shape=(len(rows), n_columns),
-    )
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr), shape=shape
+    ) + sparse.csr_matrix((prefix_data.ravel(), prefix_indices.ravel(), prefix_indptr), shape=shape)

@@ -142,8 +142,7 @@ def solve_flow_program(
     consumption_rates: Dict[EdgeKey, float] = {}
     alpha: Optional[float] = None
 
-    for name in linear_program.variables.names():
-        value = float(solution_vector[linear_program.variables.index_of(name)])
+    for name, value in zip(linear_program.variables.names(), solution_vector.tolist()):
         if name[0] == "sigma":
             if value > RATE_EPSILON:
                 swap_rates[(name[1], name[2])] = value

@@ -20,23 +20,23 @@ Count accounting for one executed swap (consistent with equations (3)/(4)):
 
 and the swap counts as **one** swap operation toward the overhead metric.
 
-The engine is array-native.  It mirrors the ledger into a dense ``int64``
-count matrix whose rows and columns are the nodes in ``repr`` order, plus
-the matching headroom matrix ``count - D``, kept current through
-:meth:`PairCountLedger.subscribe`.  A node's turn is one vector step: its
-headroom row gives the eligible donors (headroom >= 1), the recipient
-sub-block over those donors is masked with ``recipient < min(h_y, h_y')``
-on the upper triangle, and the paper's rule is a row-major ``argmin``.
-Because the donors are in ``repr`` order, row-major order *is* the order of
-``repr(produced_pair)``, so the argmin reproduces the
-``(recipient_count, repr(produced_pair))`` tie-break exactly.  Other
+The engine is array-native: it works in index space on the ledger's own
+count matrix, whose rows and columns are the nodes in ``repr`` order.  A
+node's turn is one vector step: its headroom row ``counts[x] - D`` gives
+the eligible donors (headroom >= 1), the recipient sub-block over those
+donors is masked with ``recipient < min(h_y, h_y')`` on the upper triangle,
+and the paper's rule is a row-major ``argmin``.  Because the donors are in
+``repr`` order, row-major order *is* the order of ``repr(produced_pair)``,
+so the argmin reproduces the ``(recipient_count, repr(produced_pair))``
+tie-break exactly, and the chosen swap is six writes to the matrix.  Other
 policies and knowledge models receive the same candidate list, in the same
 order, as a per-pair enumeration would produce.
 
 With ``skip_idle=True`` (the ``incremental`` engine) a node whose last turn
 found no candidate is skipped until a mutation touches its row or the
 block of its donors; the result is identical, only fewer turns are
-evaluated.
+evaluated.  The mutations reach it through the ledger's mutated-index log
+(:attr:`PairCountLedger.mutated`), which is on only while skipping.
 """
 
 from __future__ import annotations
@@ -132,17 +132,17 @@ class MaxMinBalancer:
         self.swaps_performed = 0
         self.swaps_by_node: Dict[NodeId, int] = {}
         self.records: List[SwapRecord] = []
-        self._cost_cache: Dict[EdgeKey, int] = {}
         # Uniform overheads collapse every distillation cost to one int.
         self._uniform_cost: Optional[int] = (
             None
             if overheads.distillation
             else int(math.ceil(overheads.default_distillation))
         )
-        self._upper: Dict[int, np.ndarray] = {}
-        self._build_mirror()
+        self._lower: Dict[int, np.ndarray] = {}  # block size -> lower triangle + diagonal
+        self._log: Optional[List[int]] = None  # the skip mode's log, while the ledger's
+        self._counts: Optional[np.ndarray] = None
+        self._sync()
         self.knowledge = knowledge if knowledge is not None else GlobalKnowledge(ledger)
-        ledger.subscribe(self._on_mutation)
 
     # The knowledge model is settable after construction (the experiment
     # runner swaps in gossip knowledge that way).
@@ -158,58 +158,40 @@ class MaxMinBalancer:
         # override recipient_count.
         self._global = type(model) is GlobalKnowledge and model.ledger is self.ledger
         self._skipping = self._skip_idle and self._global
+        if self._skipping:
+            self._log = self.ledger.mutated = []
+        elif self._log is not None:
+            if self.ledger.mutated is self._log:
+                self.ledger.mutated = None
+            self._log = None
         self._dirty[:] = True
-        self._mutated.clear()
-
-    def detach(self) -> None:
-        """Stop observing the ledger (the engine must not be used afterwards)."""
-        self.ledger.unsubscribe(self._on_mutation)
 
     # ------------------------------------------------------------------ #
-    # The dense mirror of the ledger
+    # The ledger's layout
     # ------------------------------------------------------------------ #
-    def _build_mirror(self) -> None:
-        nodes = sorted(self.ledger.nodes, key=repr)
-        index = {node: position for position, node in enumerate(nodes)}
-        size = len(nodes)
-        counts = np.zeros((size, size), dtype=np.int64)
-        for node in nodes:
-            row = index[node]
-            for partner, count in self.ledger.partner_view(node).items():
-                counts[row, index[partner]] = count
+    def _sync(self) -> None:
+        """Pick up a re-laid-out count matrix (a node joined the ledger)."""
+        counts = self.ledger.counts
+        if counts is self._counts:
+            return
+        self._counts = counts
+        self._nodes = self.ledger.order
+        self._index = self.ledger.index
+        size = len(self._nodes)
+        # The integer cost D of every pair, in the matrix's layout.
         costs = np.full(
             (size, size), int(math.ceil(self.overheads.default_distillation)), dtype=np.int64
         )
         for node_a, node_b in self.overheads.distillation:
-            if node_a in index and node_b in index and node_a != node_b:
-                cost = self.distillation_cost(node_a, node_b)
-                costs[index[node_a], index[node_b]] = costs[index[node_b], index[node_a]] = cost
-        self._nodes = nodes
-        self._index = index
-        self._counts = counts
+            row_a, row_b = self._index.get(node_a), self._index.get(node_b)
+            if row_a is not None and row_b is not None and node_a != node_b:
+                costs[row_a, row_b] = costs[row_b, row_a] = self.distillation_cost(node_a, node_b)
         self._costs = costs
-        self._headroom = counts - costs
-        # Nodes whose candidate set may be non-empty, and the ends of the
-        # pairs mutated since the marks were last brought up to date
-        # (``a0, b0, a1, b1, ...``).
+        # Nodes whose candidate set may be non-empty; the log's indices
+        # belong to the old layout, and every mark is set anyway.
         self._dirty = np.ones(size, dtype=bool)
-        self._mutated: List[int] = []
-
-    def _on_mutation(self, node_a: NodeId, node_b: NodeId, old: int, new: int) -> None:
-        index = self._index
-        row_a = index.get(node_a)
-        row_b = index.get(node_b)
-        if row_a is None or row_b is None:
-            self._build_mirror()  # a node joined the ledger after construction
-            return
-        counts = self._counts
-        counts[row_a, row_b] = counts[row_b, row_a] = new
-        cost = self._uniform_cost
-        if cost is None:
-            cost = int(self._costs[row_a, row_b])
-        self._headroom[row_a, row_b] = self._headroom[row_b, row_a] = new - cost
-        if self._skipping:
-            self._mutated += (row_a, row_b)
+        if self._log is not None:
+            self._log.clear()
 
     def _mark_dirty(self) -> None:
         """Fold the pending mutations into the dirty marks.
@@ -220,9 +202,9 @@ class MaxMinBalancer:
         headroom ``x`` has towards ``a`` changes only by a mutation of
         ``(x, a)``, which marks ``x`` itself, so reading it now is exact.
         """
-        ends = np.array(self._mutated, dtype=np.intp)
-        self._mutated.clear()
-        donors = self._headroom[ends] > 0
+        ends = np.array(self._log, dtype=np.intp)
+        self._log.clear()
+        donors = self._counts[ends] > self._costs[ends]
         self._dirty |= (donors[0::2] & donors[1::2]).any(axis=0)
         self._dirty[ends] = True
 
@@ -233,12 +215,7 @@ class MaxMinBalancer:
         """Integer count cost of using one ``(node_a, node_b)`` pair."""
         if self._uniform_cost is not None:
             return self._uniform_cost
-        key = edge_key(node_a, node_b)
-        cost = self._cost_cache.get(key)
-        if cost is None:
-            cost = int(math.ceil(self.overheads.distillation_for(node_a, node_b)))
-            self._cost_cache[key] = cost
-        return cost
+        return int(math.ceil(self.overheads.distillation_for(node_a, node_b)))
 
     def can_consume(self, node_a: NodeId, node_b: NodeId) -> bool:
         """Whether a consumption of pair ``(node_a, node_b)`` can be served right now."""
@@ -296,39 +273,42 @@ class MaxMinBalancer:
     def _turn_block(
         self, repeater: NodeId, row: int
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``(donors, recipient, preferable)`` for one turn, or ``None`` when empty.
+        """``(donors, recipient, blocked)`` for one turn, or ``None`` when empty.
 
         ``donors`` are the matrix indices of the partners with headroom
-        >= 1, ascending (= ``repr`` order); ``preferable[r, c]`` marks the
-        candidates ``donors[r] <- repeater -> donors[c]``, upper triangle
-        only, with believed produced-pair count ``recipient[r, c]``.
+        >= 1, ascending (= ``repr`` order); the candidates are the cells
+        ``donors[r] <- repeater -> donors[c]`` that ``blocked`` leaves
+        clear, all on the upper triangle, with believed produced-pair count
+        ``recipient[r, c]``.  ``recipient`` is a fresh array.
         """
-        headroom = self._headroom[row]
+        headroom = self._counts[row] - self._costs[row]
         donors = (headroom > 0).nonzero()[0]
         size = donors.size
         if size < 2:
             return None
         donor_headroom = headroom.take(donors)
         if self._global:
-            upper = self._upper.get(size)
-            if upper is None:
-                upper = self._upper[size] = np.triu(np.ones((size, size), dtype=bool), 1)
             recipient = self._counts.take(donors, 0).take(donors, 1)
-            preferable = recipient < np.minimum.outer(donor_headroom, donor_headroom)
-            preferable &= upper
+            lower = self._lower.get(size)
+            if lower is None:
+                lower = self._lower[size] = ~np.triu(np.ones((size, size), dtype=bool), 1)
         else:
-            recipient, known = self._believed_block(repeater, donors)
-            preferable = recipient < np.minimum.outer(donor_headroom, donor_headroom)
-            preferable &= known
-        return donors, recipient, preferable
+            recipient, lower = self._believed_block(repeater, donors)
+        # Not preferable: C_y(y') + 1 > min(h_y, h_y').
+        blocked = recipient >= np.minimum(donor_headroom[:, None], donor_headroom)
+        blocked |= lower
+        return donors, recipient, blocked
 
     def _believed_block(
         self, repeater: NodeId, donors: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Recipient counts as ``repeater`` believes them, and which are known."""
+        """Recipient counts as ``repeater`` believes them, and which are unknown.
+
+        Only the upper triangle is filled; the rest counts as unknown.
+        """
         size = donors.size
         recipient = np.zeros((size, size), dtype=np.int64)
-        known = np.zeros((size, size), dtype=bool)
+        unknown = np.ones((size, size), dtype=bool)
         nodes = [self._nodes[position] for position in donors.tolist()]
         recipient_count = self.knowledge.recipient_count
         for r in range(size):
@@ -336,21 +316,27 @@ class MaxMinBalancer:
                 believed = recipient_count(repeater, nodes[r], nodes[c])
                 if believed is not None:
                     recipient[r, c] = believed
-                    known[r, c] = True
-        return recipient, known
+                    unknown[r, c] = False
+        return recipient, unknown
 
-    def _candidate(
-        self, repeater: NodeId, row: int, donors: np.ndarray, recipient: np.ndarray, r: int, c: int
-    ) -> SwapCandidate:
-        left, right = int(donors[r]), int(donors[c])
-        return SwapCandidate(
-            repeater=repeater,
-            left=self._nodes[left],
-            right=self._nodes[right],
-            recipient_count=int(recipient[r, c]),
-            left_count=int(self._counts[row, left]),
-            right_count=int(self._counts[row, right]),
-        )
+    def _candidates(
+        self, repeater: NodeId, row: int, block: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> List[SwapCandidate]:
+        donors, recipient, blocked = block
+        rows, cols = np.nonzero(~blocked)
+        indices = donors.tolist()
+        counts = self._counts[row]
+        return [
+            SwapCandidate(
+                repeater=repeater,
+                left=self._nodes[indices[r]],
+                right=self._nodes[indices[c]],
+                recipient_count=int(recipient[r, c]),
+                left_count=int(counts[indices[r]]),
+                right_count=int(counts[indices[c]]),
+            )
+            for r, c in zip(rows.tolist(), cols.tolist())
+        ]
 
     def preferable_candidates(self, repeater: NodeId) -> List[SwapCandidate]:
         """All preferable swaps ``repeater`` could perform right now.
@@ -358,80 +344,78 @@ class MaxMinBalancer:
         Ordered by ``(repr(left), repr(right))`` with ``left`` before
         ``right`` in ``repr`` order.
         """
+        self._sync()
         row = self._index.get(repeater)
         block = None if row is None else self._turn_block(repeater, row)
-        if block is None:
-            return []
-        donors, recipient, preferable = block
-        rows, cols = np.nonzero(preferable)
-        return [
-            self._candidate(repeater, row, donors, recipient, r, c)
-            for r, c in zip(rows.tolist(), cols.tolist())
-        ]
+        return [] if block is None else self._candidates(repeater, row, block)
 
-    def _choose(self, repeater: NodeId) -> Optional[SwapCandidate]:
-        """The swap ``repeater``'s policy picks this turn (``None``: nothing to do)."""
-        row = self._index.get(repeater)
-        if row is None:
-            return None
+    def _choose(self, repeater: NodeId, row: int) -> Optional[Tuple[int, int]]:
+        """The donor indices ``(left, right)`` of the swap the policy picks (``None``: no swap)."""
         block = self._turn_block(repeater, row)
         if block is not None:
-            donors, recipient, preferable = block
             policy = self.policy
             if type(policy) is MinRecipientCountPolicy and not policy.randomize_ties:
                 # Row-major argmin == min by (recipient, repr(produced pair)).
-                flat = int(np.where(preferable, recipient, _NO_CANDIDATE).argmin())
-                r, c = divmod(flat, donors.size)
-                if preferable[r, c]:
-                    return self._candidate(repeater, row, donors, recipient, r, c)
+                donors, recipient, blocked = block
+                recipient[blocked] = _NO_CANDIDATE
+                flat = int(recipient.argmin())
+                if recipient.item(flat) != _NO_CANDIDATE:
+                    r, c = divmod(flat, donors.size)
+                    return donors.item(r), donors.item(c)
             else:
-                rows, cols = np.nonzero(preferable)
-                if rows.size:
-                    candidates = [
-                        self._candidate(repeater, row, donors, recipient, r, c)
-                        for r, c in zip(rows.tolist(), cols.tolist())
-                    ]
-                    return policy.choose(candidates, self.rng)
+                candidates = self._candidates(repeater, row, block)
+                if candidates:
+                    choice = policy.choose(candidates, self.rng)
+                    if choice is not None:
+                        return self._index[choice.left], self._index[choice.right]
+                    return None
         self._dirty[row] = False  # no candidate: idle until a mutation marks it
         return None
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def perform_swap(self, candidate: SwapCandidate, round_index: int = 0) -> SwapRecord:
-        """Execute ``candidate``: update the ledger and the swap counters."""
-        self.ledger.remove(candidate.repeater, candidate.left, self.distillation_cost(candidate.repeater, candidate.left))
-        self.ledger.remove(candidate.repeater, candidate.right, self.distillation_cost(candidate.repeater, candidate.right))
-        self.ledger.add(candidate.left, candidate.right, 1)
+    def _swap(self, repeater: NodeId, row: int, left: int, right: int, round_index: int) -> None:
+        """Execute ``left <- repeater -> right`` on the matrix and count it."""
+        counts, costs = self._counts, self._costs
+        counts[row, left] = counts[left, row] = counts[row, left] - costs[row, left]
+        counts[row, right] = counts[right, row] = counts[row, right] - costs[row, right]
+        counts[left, right] = counts[right, left] = counts[left, right] + 1
+        if self.ledger.mutated is not None:
+            self.ledger.mutated += (row, left, row, right, left, right)
         self.swaps_performed += 1
-        self.swaps_by_node[candidate.repeater] = self.swaps_by_node.get(candidate.repeater, 0) + 1
-        record = SwapRecord(
-            repeater=candidate.repeater,
-            left=candidate.left,
-            right=candidate.right,
-            round_index=round_index,
-        )
+        self.swaps_by_node[repeater] = self.swaps_by_node.get(repeater, 0) + 1
         if self.keep_records:
-            self.records.append(record)
-        return record
+            self.records.append(
+                SwapRecord(repeater, self._nodes[left], self._nodes[right], round_index)
+            )
 
-    def run_node(self, repeater: NodeId, round_index: int = 0) -> List[SwapRecord]:
-        """Give ``repeater`` its turn: up to ``swaps_per_node_per_round`` preferable swaps."""
-        performed: List[SwapRecord] = []
+    def _turn(self, repeater: NodeId, row: int, round_index: int) -> int:
+        performed = 0
         for _ in range(self.swaps_per_node_per_round):
-            choice = self._choose(repeater)
+            choice = self._choose(repeater, row)
             if choice is None:
                 break
-            performed.append(self.perform_swap(choice, round_index))
+            self._swap(repeater, row, choice[0], choice[1], round_index)
+            performed += 1
         return performed
+
+    def run_node(self, repeater: NodeId, round_index: int = 0) -> int:
+        """Give ``repeater`` its turn: up to ``swaps_per_node_per_round`` preferable swaps.
+
+        Returns how many swaps it performed.
+        """
+        self._sync()
+        row = self._index.get(repeater)
+        return 0 if row is None else self._turn(repeater, row, round_index)
 
     def run_round(
         self,
         round_index: int = 0,
         node_order: Optional[Sequence[NodeId]] = None,
         refresh_knowledge: bool = True,
-    ) -> List[SwapRecord]:
-        """Run one full balancing round over every node.
+    ) -> int:
+        """Run one full balancing round over every node; returns the swaps performed.
 
         Nodes act sequentially within the round (the paper's algorithm is
         asynchronous; sequential execution with a rotating order is the
@@ -441,18 +425,16 @@ class MaxMinBalancer:
         """
         if refresh_knowledge:
             self.knowledge.refresh(round_index, self.rng)
+        self._sync()
         nodes = list(node_order) if node_order is not None else self._rotated_nodes(round_index)
-        performed: List[SwapRecord] = []
-        if not self._skipping:
-            for node in nodes:
-                performed.extend(self.run_node(node, round_index))
-            return performed
+        index, dirty, skipping = self._index, self._dirty, self._skipping
+        performed = 0
         for node in nodes:
-            if self._mutated:
+            if self._log:  # only ever non-empty while skipping
                 self._mark_dirty()
-            row = self._index.get(node)
-            if row is not None and self._dirty[row]:
-                performed.extend(self.run_node(node, round_index))
+            row = index.get(node)
+            if row is not None and (dirty[row] or not skipping):
+                performed += self._turn(node, row, round_index)
         return performed
 
     def _rotated_nodes(self, round_index: int) -> List[NodeId]:
@@ -467,14 +449,15 @@ class MaxMinBalancer:
     # ------------------------------------------------------------------ #
     def has_preferable_swap(self) -> bool:
         """Whether any node still has a preferable swap candidate."""
-        if self._mutated:
+        self._sync()
+        if self._log:
             self._mark_dirty()
         for node in self.ledger.nodes:
-            row = self._index.get(node)
-            if row is None or (self._skipping and not self._dirty[row]):
+            row = self._index[node]
+            if self._skipping and not self._dirty[row]:
                 continue
             block = self._turn_block(node, row)
-            if block is not None and block[2].any():
+            if block is not None and not block[2].all():
                 return True
             self._dirty[row] = False
         return False
@@ -487,7 +470,6 @@ class MaxMinBalancer:
         count can be increased without decreasing an already-smaller one.
         """
         for round_index in range(max_rounds):
-            performed = self.run_round(round_index)
-            if not performed:
+            if not self.run_round(round_index):
                 return round_index
         raise RuntimeError(f"balancing did not converge within {max_rounds} rounds")

@@ -65,9 +65,9 @@ class GlobalKnowledge(KnowledgeModel):
             return
         nodes = self.ledger.nodes
         fanout = len(nodes) - 1
-        # A node's broadcast carries one entry per partner; the live view
-        # holds exactly the non-zero counts, so its length is that number.
-        entries = sum(len(self.ledger.partner_view(node)) for node in nodes)
+        # A node's broadcast carries one entry per partner: one per non-zero
+        # entry of its row of the count matrix.
+        entries = int(np.count_nonzero(self.ledger.counts))
         self.messages_sent += len(nodes) * fanout
         self.entries_sent += entries * fanout
 
@@ -112,7 +112,7 @@ class GossipKnowledge(KnowledgeModel):
             views = self._cache.setdefault(observer, {})
             for index in chosen:
                 peer = others[int(index)]
-                snapshot = self.ledger.snapshot_for(peer)
+                snapshot = self.ledger.partners(peer)
                 views[peer] = snapshot
                 self.messages_sent += 1
                 self.entries_sent += len(snapshot)

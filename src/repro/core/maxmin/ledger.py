@@ -6,23 +6,21 @@ other node ``y``, and by symmetry ``C_x(y) = C_y(x)``.
 :class:`PairCountLedger` is the authoritative, symmetric count table used by
 the count-level simulations; the knowledge models in
 :mod:`repro.core.maxmin.knowledge` decide how much of it each node can see.
+
+The table is a dense ``int64`` matrix with the nodes in ``repr`` order; the
+balancer and the generation phase work on it in index space, everything
+else through the node-keyed methods.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
-from repro.network.topology import EdgeKey, GroupKey, edge_key, group_key
+import numpy as np
+
+from repro.network.topology import EdgeKey, GroupKey, group_key
 
 NodeId = Hashable
-
-#: Signature of a mutation listener: ``(node_a, node_b, old_count, new_count)``.
-MutationListener = Callable[[NodeId, NodeId, int, int], None]
-
-#: Signature of a group-keyed mutation listener: ``(group, old_count, new_count)``.
-#: Pair mutations arrive with the size-2 canonical group key; GHZ mutations
-#: with the full k-party key.
-GroupMutationListener = Callable[[GroupKey, int, int], None]
 
 
 class PairCountLedger:
@@ -31,85 +29,61 @@ class PairCountLedger:
     Counts are non-negative integers; every mutation keeps the two
     directions consistent (``C_x(y) == C_y(x)`` always holds).
 
-    Observers (e.g. the incremental balancing engine) can :meth:`subscribe`
-    to be notified after every :meth:`add`/:meth:`remove`, which is what
-    makes O(affected) candidate invalidation possible without the ledger
-    knowing anything about balancing.
+    ``counts[index[x], index[y]]`` is ``C_x(y)``; ``order`` maps rows back
+    to nodes.  A node that joins after construction re-lays the matrix out,
+    which replaces the ``counts`` array.  ``mutated`` is ``None`` or a list
+    every pair mutation appends the two rows of its pair to (a skip-mode
+    balancer switches it on and drains it; one such balancer per ledger).
 
     Beyond pairs, the ledger also tracks *group* (GHZ) states: counts keyed
     by a canonical :data:`~repro.network.topology.GroupKey` of three or more
-    members.  Size-2 groups are not stored separately -- the group API
-    (:meth:`add_group`, :meth:`remove_group`, :meth:`group_count`) dispatches
-    them straight to the pair table, so the pair-keyed API remains the
-    authoritative view for Bell pairs and group-size-2 behavior is
-    bit-identical to the pair path.
+    members, in a side dict.  Size-2 groups are not stored separately -- the
+    group API (:meth:`add_group`, :meth:`remove_group`, :meth:`group_count`)
+    dispatches them straight to the pair table.
     """
 
     def __init__(self, nodes: Optional[Iterable[NodeId]] = None):
-        self._counts: Dict[NodeId, Dict[NodeId, int]] = {}
+        self._nodes: List[NodeId] = []
+        self.order: List[NodeId] = []
+        self.index: Dict[NodeId, int] = {}
+        self.counts = np.zeros((0, 0), dtype=np.int64)
+        self.mutated: Optional[List[int]] = None
         self._group_counts: Dict[GroupKey, int] = {}
         self._group_membership: Dict[NodeId, Set[GroupKey]] = {}
-        self._listeners: List[MutationListener] = []
-        self._group_listeners: List[GroupMutationListener] = []
-        for node in nodes or []:
-            self.ensure_node(node)
-
-    # ------------------------------------------------------------------ #
-    # Mutation listeners
-    # ------------------------------------------------------------------ #
-    def subscribe(self, listener: MutationListener) -> None:
-        """Register ``listener`` to be called after every count mutation."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def unsubscribe(self, listener: MutationListener) -> None:
-        """Remove a previously subscribed listener (no-op if absent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def subscribe_groups(self, listener: GroupMutationListener) -> None:
-        """Register a group-keyed listener (sees pair and GHZ mutations alike)."""
-        if listener not in self._group_listeners:
-            self._group_listeners.append(listener)
-
-    def unsubscribe_groups(self, listener: GroupMutationListener) -> None:
-        """Remove a previously subscribed group listener (no-op if absent)."""
-        if listener in self._group_listeners:
-            self._group_listeners.remove(listener)
-
-    def _notify(self, node_a: NodeId, node_b: NodeId, old_count: int, new_count: int) -> None:
-        for listener in self._listeners:
-            listener(node_a, node_b, old_count, new_count)
-        if self._group_listeners:
-            # edge_key inlined (this runs once per mutation); a stored pair
-            # never has equal ends, so its self-loop check is moot here.
-            key = (node_a, node_b) if repr(node_a) <= repr(node_b) else (node_b, node_a)
-            for group_listener in self._group_listeners:
-                group_listener(key, old_count, new_count)
-
-    def _notify_group(self, group: GroupKey, old_count: int, new_count: int) -> None:
-        for group_listener in self._group_listeners:
-            group_listener(group, old_count, new_count)
+        # (pairs, counts, their rows) of the last add_pairs call.
+        self._pair_rows: tuple = (None, None, None)
+        self._relayout(list(dict.fromkeys(nodes or [])))
 
     # ------------------------------------------------------------------ #
     # Node management
     # ------------------------------------------------------------------ #
+    def _relayout(self, nodes: List[NodeId]) -> None:
+        """Lay the matrix out for ``nodes`` (insertion order), keeping every count."""
+        order = sorted(nodes, key=repr)
+        index = {node: row for row, node in enumerate(order)}
+        counts = np.zeros((len(order), len(order)), dtype=np.int64)
+        if self.order:
+            rows = [index[node] for node in self.order]
+            counts[np.ix_(rows, rows)] = self.counts
+        self._nodes, self.order, self.index, self.counts = nodes, order, index, counts
+
     def ensure_node(self, node: NodeId) -> None:
         """Register ``node`` (idempotent)."""
-        self._counts.setdefault(node, {})
+        if node not in self.index:
+            self._relayout(self._nodes + [node])
 
     @property
     def nodes(self) -> List[NodeId]:
-        return list(self._counts)
+        """All nodes, in insertion order."""
+        return list(self._nodes)
 
     # ------------------------------------------------------------------ #
     # Counts
     # ------------------------------------------------------------------ #
     def count(self, node_a: NodeId, node_b: NodeId) -> int:
         """The count ``C_a(b) = C_b(a)`` (zero for unknown nodes or pairs)."""
-        if node_a == node_b:
-            return 0
-        return self._counts.get(node_a, {}).get(node_b, 0)
+        row, column = self.index.get(node_a), self.index.get(node_b)
+        return 0 if row is None or column is None else self.counts.item(row, column)
 
     def add(self, node_a: NodeId, node_b: NodeId, amount: int = 1) -> int:
         """Add ``amount`` pairs between the two nodes; returns the new count."""
@@ -119,13 +93,7 @@ class PairCountLedger:
             raise ValueError(f"amount must be positive, got {amount}")
         self.ensure_node(node_a)
         self.ensure_node(node_b)
-        old_count = self.count(node_a, node_b)
-        new_count = old_count + int(amount)
-        self._counts[node_a][node_b] = new_count
-        self._counts[node_b][node_a] = new_count
-        if self._listeners or self._group_listeners:
-            self._notify(node_a, node_b, old_count, new_count)
-        return new_count
+        return self._set(node_a, node_b, self.count(node_a, node_b) + int(amount))
 
     def remove(self, node_a: NodeId, node_b: NodeId, amount: int = 1) -> int:
         """Remove ``amount`` pairs; raises when fewer than ``amount`` exist."""
@@ -137,16 +105,34 @@ class PairCountLedger:
                 f"cannot remove {amount} pairs between {node_a!r} and {node_b!r}; "
                 f"only {current} present"
             )
-        new_count = current - int(amount)
-        if new_count == 0:
-            self._counts[node_a].pop(node_b, None)
-            self._counts[node_b].pop(node_a, None)
-        else:
-            self._counts[node_a][node_b] = new_count
-            self._counts[node_b][node_a] = new_count
-        if self._listeners or self._group_listeners:
-            self._notify(node_a, node_b, current, new_count)
-        return new_count
+        return self._set(node_a, node_b, current - int(amount))
+
+    def _set(self, node_a: NodeId, node_b: NodeId, value: int) -> int:
+        row, column = self.index[node_a], self.index[node_b]
+        self.counts[row, column] = self.counts[column, row] = value
+        if self.mutated is not None:
+            self.mutated += (row, column)
+        return value
+
+    def add_pairs(self, pairs: Sequence[EdgeKey], amounts: np.ndarray) -> int:
+        """Add ``amounts[i]`` pairs across ``pairs[i]`` in one scatter-add.
+
+        ``pairs`` must be distinct; returns the number of pairs added.  The
+        rows of the last ``pairs`` object are kept, so a caller that passes
+        the same sequence every round maps it to rows only once.
+        """
+        cached_pairs, cached_counts, ends = self._pair_rows
+        if cached_pairs is not pairs or cached_counts is not self.counts:
+            for node in (node for pair in pairs for node in pair):
+                self.ensure_node(node)
+            ends = np.array([[self.index[a], self.index[b]] for a, b in pairs], np.intp)
+            ends = ends.reshape(-1, 2)
+            self._pair_rows = (pairs, self.counts, ends)
+        self.counts[ends[:, 0], ends[:, 1]] += amounts
+        self.counts[ends[:, 1], ends[:, 0]] += amounts
+        if self.mutated is not None:
+            self.mutated += ends[amounts.nonzero()[0]].ravel().tolist()
+        return int(amounts.sum())
 
     # ------------------------------------------------------------------ #
     # Group (GHZ) counts -- size-2 groups dispatch to the pair table
@@ -162,8 +148,7 @@ class PairCountLedger:
         """Add ``amount`` GHZ states over ``nodes``; returns the new count.
 
         A size-2 group is exactly a Bell pair: the mutation lands in the
-        pair table and notifies pair listeners, keeping the two APIs one
-        authoritative store.
+        pair table, keeping the two APIs one authoritative store.
         """
         key = group_key(*nodes)
         if len(key) == 2:
@@ -172,13 +157,10 @@ class PairCountLedger:
             raise ValueError(f"amount must be positive, got {amount}")
         for node in key:
             self.ensure_node(node)
-        old_count = self._group_counts.get(key, 0)
-        new_count = old_count + int(amount)
+        new_count = self._group_counts.get(key, 0) + int(amount)
         self._group_counts[key] = new_count
         for node in key:
             self._group_membership.setdefault(node, set()).add(key)
-        if self._group_listeners:
-            self._notify_group(key, old_count, new_count)
         return new_count
 
     def remove_group(self, nodes: Iterable[NodeId], amount: int = 1) -> int:
@@ -204,8 +186,6 @@ class PairCountLedger:
                         self._group_membership.pop(node, None)
         else:
             self._group_counts[key] = new_count
-        if self._group_listeners:
-            self._notify_group(key, current, new_count)
         return new_count
 
     def nonzero_groups(self) -> Dict[GroupKey, int]:
@@ -226,60 +206,51 @@ class PairCountLedger:
     # Views
     # ------------------------------------------------------------------ #
     def partners(self, node: NodeId) -> Dict[NodeId, int]:
-        """Nodes with which ``node`` currently shares pairs, and the counts."""
-        return {partner: count for partner, count in self._counts.get(node, {}).items() if count > 0}
-
-    def partner_view(self, node: NodeId) -> Dict[NodeId, int]:
-        """Live read-only view of :meth:`partners` (no copy — do not mutate).
-
-        Zero-count entries are never stored, so the view always matches
-        :meth:`partners`; hot paths (the incremental balancer) use it to
-        avoid rebuilding a dict per lookup.
-        """
-        return self._counts.get(node, {})
+        """Nodes with which ``node`` currently shares pairs, and the counts (``repr`` order)."""
+        row = self.index.get(node)
+        if row is None:
+            return {}
+        columns = self.counts[row].nonzero()[0]
+        partners = [self.order[column] for column in columns.tolist()]
+        return dict(zip(partners, self.counts[row, columns].tolist()))
 
     def entanglement_degree(self, node: NodeId) -> int:
         """Number of distinct partners ``node`` shares at least one pair with."""
         return len(self.partners(node))
 
     def nonzero_pairs(self) -> Dict[EdgeKey, int]:
-        """Every pair with a positive count, keyed canonically."""
-        result: Dict[EdgeKey, int] = {}
-        for node, partners in self._counts.items():
-            for partner, count in partners.items():
-                if count > 0:
-                    result[edge_key(node, partner)] = count
-        return result
+        """Every pair with a positive count, keyed canonically (row-major ``repr`` order)."""
+        rows, columns = np.triu(self.counts, 1).nonzero()
+        # order is repr-sorted and row < column: (order[row], order[column])
+        # is already the canonical edge key.
+        order = self.order
+        keys = [(order[row], order[column]) for row, column in zip(rows.tolist(), columns.tolist())]
+        return dict(zip(keys, self.counts[rows, columns].tolist()))
 
     def total_pairs(self) -> int:
         """Total number of Bell pairs currently in the network."""
-        return sum(self.nonzero_pairs().values())
+        return int(self.counts.sum()) // 2
 
     def minimum_count(self) -> int:
         """Smallest positive count (0 when the ledger is empty)."""
-        counts = list(self.nonzero_pairs().values())
-        return min(counts) if counts else 0
+        return min(self.nonzero_pairs().values(), default=0)
 
     def maximum_count(self) -> int:
         """Largest count (0 when the ledger is empty)."""
-        counts = list(self.nonzero_pairs().values())
-        return max(counts) if counts else 0
-
-    def snapshot_for(self, node: NodeId) -> Dict[NodeId, int]:
-        """A copy of ``node``'s count vector (what a gossip message would carry)."""
-        return dict(self.partners(node))
+        return max(self.nonzero_pairs().values(), default=0)
 
     def copy(self) -> "PairCountLedger":
         """A deep copy (used by dry-run planners)."""
-        clone = PairCountLedger(self.nodes)
-        for (node_a, node_b), count in self.nonzero_pairs().items():
-            clone.add(node_a, node_b, count)
-        for group, count in self._group_counts.items():
-            clone.add_group(group, count)
+        clone = PairCountLedger(self._nodes)
+        clone.counts = self.counts.copy()
+        clone._group_counts = dict(self._group_counts)
+        clone._group_membership = {
+            node: set(keys) for node, keys in self._group_membership.items()
+        }
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"PairCountLedger(nodes={len(self._counts)}, pairs={len(self.nonzero_pairs())}, "
+            f"PairCountLedger(nodes={len(self._nodes)}, pairs={len(self.nonzero_pairs())}, "
             f"total={self.total_pairs()})"
         )

@@ -110,8 +110,7 @@ def _account_overheads(
     }
 
     for round_index in range(rounds):
-        for edge, count in generation.pairs_for_round(round_index, streams.get("generation")).items():
-            ledger.add(edge[0], edge[1], count)
+        ledger.add_pairs(*generation.draw(round_index, streams.get("generation")))
         balancer.run_round(round_index)
         flooding.run_round(round_index)
         for gossip in gossips.values():

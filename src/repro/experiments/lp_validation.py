@@ -22,9 +22,8 @@ from repro.core.lp.formulation import PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import InfeasibleProgramError, LPSolution, solve_flow_program
 from repro.core.lp.steady_state import compute_rates, verify_steady_state
-from repro.network.demand import DemandMatrix, select_consumer_pairs, uniform_demand
+from repro.network.demand import select_consumer_pairs, uniform_demand
 from repro.network.topologies import topology_from_name, validate_topology_sizes
-from repro.network.topology import Topology
 from repro.sim.rng import RandomStreams
 
 
@@ -105,22 +104,15 @@ class LPValidationResult(ExperimentResult):
 
 
 def _solve_and_check(
-    topology: Topology,
-    demand: DemandMatrix,
-    objective: Objective,
-    overheads: PairOverheads,
-    qec_overhead: float,
+    program: PathObliviousFlowProgram, objective: Objective
 ) -> Tuple[LPSolution, bool]:
-    program = PathObliviousFlowProgram(
-        topology, demand, overheads=overheads, qec_overhead=qec_overhead
-    )
     solution = solve_flow_program(program, objective)
     rates = compute_rates(
-        topology.nodes,
+        program.topology.nodes,
         solution.generation_rates,
         solution.consumption_rates,
         solution.swap_rates,
-        overheads=overheads,
+        overheads=program.overheads,
     )
     verify_steady_state(rates)
     return solution, rates.is_consistent
@@ -142,7 +134,8 @@ def _solve_rows(
     One in-process loop sharing a single :class:`RandomStreams` across the
     grid (the topology draw order is part of the experiment's determinism
     contract), so this stays a single ``execute`` unit rather than a
-    parallel sweep.
+    parallel sweep.  Each (topology, D, L, R) point builds one program and
+    solves every objective on it, so its swap structure is built once.
     """
     rows: List[LPValidationRow] = []
     streams = RandomStreams(seed)
@@ -154,11 +147,12 @@ def _solve_rows(
             for loss in loss_values:
                 overheads = PairOverheads.uniform(distillation=distillation, loss=loss)
                 for qec in qec_overheads:
+                    program = PathObliviousFlowProgram(
+                        topology, demand, overheads=overheads, qec_overhead=qec
+                    )
                     for objective in objectives:
                         try:
-                            solution, consistent = _solve_and_check(
-                                topology, demand, objective, overheads, qec
-                            )
+                            solution, consistent = _solve_and_check(program, objective)
                         except InfeasibleProgramError:
                             # The demanded consumption exceeds what generation can
                             # support under these overheads -- exactly the regime

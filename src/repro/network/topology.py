@@ -80,8 +80,8 @@ class Topology:
         self.name = name
         self._adjacency: Dict[NodeId, Dict[NodeId, float]] = {}
         self._positions: Dict[NodeId, Tuple[float, float]] = dict(positions or {})
-        # generation_rates() result; add_edge/remove_edge drop it.
-        self._rates: Optional[Dict[EdgeKey, float]] = None
+        # generation_edges() result; add_edge/remove_edge drop it.
+        self._edge_rates: Optional[Tuple[Tuple[EdgeKey, ...], Tuple[float, ...]]] = None
         for node in nodes or []:
             self.add_node(node)
 
@@ -114,7 +114,7 @@ class Topology:
         self.add_node(node_b)
         self._adjacency[node_a][node_b] = float(generation_rate)
         self._adjacency[node_b][node_a] = float(generation_rate)
-        self._rates = None
+        self._edge_rates = None
 
     def remove_edge(self, node_a: NodeId, node_b: NodeId) -> None:
         """Remove a generation edge (raises ``KeyError`` if absent)."""
@@ -122,7 +122,7 @@ class Topology:
             raise KeyError(f"edge ({node_a!r}, {node_b!r}) not in topology")
         del self._adjacency[node_a][node_b]
         del self._adjacency[node_b][node_a]
-        self._rates = None
+        self._edge_rates = None
 
     # ------------------------------------------------------------------ #
     # Basic queries
@@ -171,11 +171,20 @@ class Topology:
         """The rate ``g(x, y)``; zero when the pair is not a generation edge."""
         return self._adjacency.get(node_a, {}).get(node_b, 0.0)
 
+    def generation_edges(self) -> Tuple[Tuple[EdgeKey, ...], Tuple[float, ...]]:
+        """Every generation edge, in :meth:`edges` order, and the aligned rates.
+
+        The same two tuples come back until an edge or a rate changes, so a
+        caller can cache what it derives from them by identity.
+        """
+        if self._edge_rates is None:
+            edges = tuple(self.edges())
+            self._edge_rates = (edges, tuple(self.generation_rate(*key) for key in edges))
+        return self._edge_rates
+
     def generation_rates(self) -> Dict[EdgeKey, float]:
         """All positive generation rates keyed by canonical edge, in :meth:`edges` order."""
-        if self._rates is None:
-            self._rates = {key: self.generation_rate(*key) for key in self.edges()}
-        return dict(self._rates)
+        return dict(zip(*self.generation_edges()))
 
     def position(self, node: NodeId) -> Optional[Tuple[float, float]]:
         return self._positions.get(node)

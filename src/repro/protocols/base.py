@@ -17,7 +17,7 @@ import abc
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -177,16 +177,16 @@ class SwappingProtocol(abc.ABC):
     # Phases
     # ------------------------------------------------------------------ #
     def _generation_phase(self, round_index: int) -> Optional[bool]:
-        rng = self.streams.get("generation")
-        for edge, count in self.generation.pairs_for_round(round_index, rng).items():
-            if self._edge_generates(edge, round_index):
-                self.ledger.add(edge[0], edge[1], count)
-                self.pairs_generated += count
+        edges, counts = self.generation.draw(round_index, self.streams.get("generation"))
+        counts = self._generated(edges, counts, round_index)
+        self.pairs_generated += self.ledger.add_pairs(edges, counts)
         return None
 
-    def _edge_generates(self, edge: EdgeKey, round_index: int) -> bool:
+    def _generated(
+        self, edges: Sequence[EdgeKey], counts: np.ndarray, round_index: int
+    ) -> np.ndarray:
         """Hook letting subclasses suppress generation (e.g. the on-demand baseline)."""
-        return True
+        return counts
 
     @abc.abstractmethod
     def _action_phase(self, round_index: int) -> Optional[bool]:

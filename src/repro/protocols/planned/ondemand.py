@@ -10,7 +10,9 @@ needs to accumulate.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Union
+
+import numpy as np
 
 from repro.core.lp.extensions import PairOverheads
 from repro.network.demand import ConsumptionRequest, RequestSequence
@@ -78,8 +80,11 @@ class OnDemandProtocol(SwappingProtocol):
     # ------------------------------------------------------------------ #
     # Phases
     # ------------------------------------------------------------------ #
-    def _edge_generates(self, edge: EdgeKey, round_index: int) -> bool:
-        return edge in self._active_path_edges()
+    def _generated(
+        self, edges: Sequence[EdgeKey], counts: np.ndarray, round_index: int
+    ) -> np.ndarray:
+        active = self._active_path_edges()
+        return counts * np.fromiter((edge in active for edge in edges), bool, len(edges))
 
     def _action_phase(self, round_index: int) -> Optional[bool]:
         return None

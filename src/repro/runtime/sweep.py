@@ -6,8 +6,10 @@
 order, by combining three mechanisms:
 
 1. **Cache lookup** -- cells whose content address is already in the
-   :class:`~repro.runtime.cache.ResultCache` are not recomputed at all.
-2. **Process fan-out** -- the remaining cells are mapped across a
+   :class:`~repro.runtime.cache.ResultCache` are not recomputed at all,
+   and of the rest each distinct config is computed once (a grid may hold
+   the same cell several times; its copies get a copy of the outcome).
+2. **Process fan-out** -- the distinct cells are mapped across a
    ``multiprocessing`` pool using the ``spawn`` start method, the only one
    that is safe on every platform and immune to fork-time state leakage
    (inherited RNG state, open file handles, thread locks).
@@ -21,10 +23,11 @@ merged result is bit-identical for any ``n_workers``.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentConfig, TrialOutcome
 from repro.obs.spans import SPAN_BUFFER, SpanRecord, span, telemetry_enabled
@@ -138,7 +141,9 @@ class SweepRunner:
 
         ``on_result(index, outcome, cached)`` is invoked once per cell as
         its outcome becomes available -- cache hits first, then computed
-        cells in config order (the pool path streams them as they finish).
+        cells in config order (the pool path streams them as they finish),
+        each copy of a config right after the first cell that holds it.
+        Copies count as computed cells.
         It is the hook long-running callers (the serve daemon's worker
         pool) use to report progress or abort: an exception raised from the
         callback propagates out of the sweep after the cell's outcome has
@@ -161,13 +166,19 @@ class SweepRunner:
                 else:
                     pending.append(index)
 
-            for index, outcome in zip(pending, self._compute([configs[i] for i in pending])):
-                slots[index] = outcome
-                report.n_computed += 1
+            # Each distinct config is computed once; later equal cells copy it.
+            copies: Dict[ExperimentConfig, List[int]] = {}
+            for index in pending:
+                copies.setdefault(configs[index], []).append(index)
+            distinct = [indices[0] for indices in copies.values()]
+            for first, outcome in zip(distinct, self._compute([configs[i] for i in distinct])):
                 if self.cache is not None:
-                    self.cache.put(configs[index], outcome)
-                if on_result is not None:
-                    on_result(index, outcome, False)
+                    self.cache.put(configs[first], outcome)
+                for index in copies[configs[first]]:
+                    slots[index] = outcome if index == first else copy.deepcopy(outcome)
+                    report.n_computed += 1
+                    if on_result is not None:
+                        on_result(index, slots[index], False)
 
         unfilled = [index for index, slot in enumerate(slots) if slot is None]
         if unfilled:  # the pool yields everything or raises; a hole is a bug here

@@ -11,11 +11,10 @@ Design rules:
 * Perturbations mutate only through the context, never through globals, so
   one scenario object can drive many concurrent trials.
 * Every mutation goes through the authoritative surfaces (``Topology``,
-  ``PairCountLedger``, ``RequestSequence``) whose existing observer hooks
-  keep derived state consistent -- in particular, ledger invalidation
-  reaches the incremental balancing engine through its mutation
-  subscription, marking exactly the affected candidates dirty instead of
-  forcing a full resweep.
+  ``PairCountLedger``, ``RequestSequence``), so derived state stays
+  consistent -- in particular, the balancer reads the ledger's own count
+  matrix, and the incremental engine's mutated-index log marks exactly the
+  affected candidates dirty instead of forcing a full resweep.
 * Every perturbation can :meth:`~Perturbation.describe` itself as plain
   data, which is what scenario digests (cache keys) and trace records are
   built from.
@@ -138,7 +137,7 @@ class ScenarioContext:
         All its incident generation edges are severed and *every* ledger
         entry involving it is invalidated -- a leaving repeater's quantum
         memory is gone, including end-to-end pairs it shares with distant
-        nodes.  The ledger notifications this emits are what let the
+        nodes.  The ledger mutations this logs are what let the
         incremental balancer invalidate exactly the affected candidates.
         """
         if node in self._failed_nodes:

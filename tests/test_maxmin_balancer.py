@@ -60,8 +60,8 @@ class TestPreferableCondition:
 class TestSwapExecution:
     def test_counts_updated_per_paper_accounting(self):
         balancer = make_balancer({(0, 1): 4, (0, 2): 3, (1, 2): 1}, overheads=1.0)
-        candidate = balancer.preferable_candidates(0)[0]
-        balancer.perform_swap(candidate, round_index=7)
+        assert len(balancer.preferable_candidates(0)) == 1
+        balancer.run_node(0, round_index=7)
         ledger = balancer.ledger
         assert ledger.count(0, 1) == 3
         assert ledger.count(0, 2) == 2
@@ -73,8 +73,7 @@ class TestSwapExecution:
 
     def test_distillation_consumes_d_pairs_per_side(self):
         balancer = make_balancer({(0, 1): 6, (0, 2): 6}, overheads=2.0)
-        candidate = balancer.preferable_candidates(0)[0]
-        balancer.perform_swap(candidate)
+        balancer.run_node(0)
         assert balancer.ledger.count(0, 1) == 4
         assert balancer.ledger.count(0, 2) == 4
         assert balancer.ledger.count(1, 2) == 1
@@ -83,13 +82,13 @@ class TestSwapExecution:
         for distillation in (1.0, 2.0, 3.0):
             balancer = make_balancer({(0, 1): 10, (0, 2): 10}, overheads=distillation)
             before = balancer.ledger.total_pairs()
-            balancer.perform_swap(balancer.preferable_candidates(0)[0])
+            balancer.run_node(0)
             after = balancer.ledger.total_pairs()
             assert before - after == 2 * int(distillation) - 1
 
     def test_keep_records_false(self):
         balancer = make_balancer({(0, 1): 4, (0, 2): 4}, keep_records=False)
-        balancer.perform_swap(balancer.preferable_candidates(0)[0])
+        balancer.run_node(0)
         assert balancer.records == []
         assert balancer.swaps_performed == 1
 
@@ -97,18 +96,19 @@ class TestSwapExecution:
 class TestRounds:
     def test_run_node_respects_rate(self):
         balancer = make_balancer({(0, 1): 20, (0, 2): 20}, swaps_per_node_per_round=3)
-        performed = balancer.run_node(0)
-        assert len(performed) == 3
+        assert balancer.run_node(0) == 3
+        assert len(balancer.records) == 3
 
     def test_run_node_stops_when_nothing_preferable(self):
         balancer = make_balancer({(0, 1): 1, (0, 2): 1}, swaps_per_node_per_round=5)
-        assert balancer.run_node(0) == []
+        assert balancer.run_node(0) == 0
 
     def test_run_round_rotates_over_all_nodes(self):
         balancer = make_balancer({(0, 1): 6, (1, 2): 6, (2, 3): 6})
         performed = balancer.run_round(0)
-        assert len(performed) >= 1
-        repeaters = {record.repeater for record in performed}
+        assert performed >= 1
+        assert len(balancer.records) == performed
+        repeaters = {record.repeater for record in balancer.records}
         assert repeaters <= set(balancer.ledger.nodes)
 
     def test_invalid_swap_rate(self):

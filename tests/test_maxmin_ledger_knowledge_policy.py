@@ -79,7 +79,7 @@ class TestPairCountLedger:
     def test_snapshot_is_a_copy(self):
         ledger = PairCountLedger([0, 1])
         ledger.add(0, 1, 2)
-        snapshot = ledger.snapshot_for(0)
+        snapshot = ledger.partners(0)  # what a gossip message carries
         snapshot[1] = 99
         assert ledger.count(0, 1) == 2
 

@@ -29,7 +29,7 @@ from repro.core.maxmin import (
     RandomPreferablePolicy,
     make_balancer,
 )
-from repro.network.topology import Topology, edge_key
+from repro.network.topology import Topology
 
 from balancer_oracle import OracleBalancer
 
@@ -184,9 +184,9 @@ def test_argmin_tie_break_is_the_repr_order_of_the_produced_pair():
         ledger.add(1, partner, 6)
     balancer = MaxMinBalancer(ledger, rng=np.random.default_rng(0))
     oracle = OracleBalancer(ledger.copy(), rng=np.random.default_rng(0))
-    choice = balancer._choose(1)
-    assert choice == oracle._choose(1)
-    assert edge_key(choice.left, choice.right) == (10, 100)
+    assert balancer.run_node(1) == oracle.run_node(1) == 1
+    assert balancer.records == oracle.records
+    assert balancer.records[0].produced_pair == (10, 100)
     assert [(c.left, c.right) for c in balancer.preferable_candidates(1)][:2] == [
         (10, 100),
         (10, 11),

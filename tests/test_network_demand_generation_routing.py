@@ -346,8 +346,8 @@ class TestDemandMatrix:
 class TestGenerationProcesses:
     def test_deterministic_unit_rates(self, small_cycle, rng):
         process = DeterministicGeneration(small_cycle)
-        pairs = process.pairs_for_round(0, rng)
-        assert pairs == {edge: 1 for edge in small_cycle.edges()}
+        edges, counts = process.draw(0, rng)
+        assert dict(zip(edges, counts.tolist())) == {edge: 1 for edge in small_cycle.edges()}
 
     def test_deterministic_fractional_rates_accumulate(self, rng):
         from repro.network.topology import Topology
@@ -355,21 +355,19 @@ class TestGenerationProcesses:
         topology = Topology("t")
         topology.add_edge(0, 1, 0.5)
         process = DeterministicGeneration(topology)
-        produced = [sum(process.pairs_for_round(r, rng).values()) for r in range(10)]
+        produced = [process.draw(r, rng)[1].sum() for r in range(10)]
         assert sum(produced) == 5
 
     def test_bernoulli_respects_probability(self, small_cycle):
         process = BernoulliGeneration(small_cycle)
         rng = np.random.default_rng(0)
-        total = sum(
-            sum(process.pairs_for_round(r, rng).values()) for r in range(200)
-        )
+        total = sum(process.draw(r, rng)[1].sum() for r in range(200))
         assert total == 200 * small_cycle.n_edges  # rate 1.0 -> always succeeds
 
     def test_poisson_mean_close_to_rate(self, small_cycle):
         process = PoissonGeneration(small_cycle)
         rng = np.random.default_rng(0)
-        total = sum(sum(process.pairs_for_round(r, rng).values()) for r in range(300))
+        total = sum(process.draw(r, rng)[1].sum() for r in range(300))
         expected = 300 * small_cycle.n_edges
         assert abs(total - expected) / expected < 0.1
 

@@ -3,7 +3,7 @@
 The group-keyed refactor's contract is that size-2 groups are *the same
 thing* as pairs, not merely similar: driving a ledger through the group API
 with 2-element keys must be bit-identical to driving it through the
-historical pair API — same counts, same listener notifications, same
+historical pair API — same counts, same mutated-index log entries, same
 incremental-balancer swaps, same RNG stream consumption.
 These tests pin that contract under random operation sequences so any
 future divergence between the two key spaces fails loudly.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.maxmin.incremental import IncrementalMaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
-from repro.network.topology import edge_key, group_key
+from repro.network.topology import group_key
 
 from balancer_oracle import OracleBalancer
 
@@ -88,27 +88,28 @@ class TestGroupLedgerEquivalence:
                 assert group_ledger.count(a, b) == group_ledger.group_count(a, b)
 
     @given(ledger_ops)
-    def test_group_listener_mirrors_pair_listener_at_size2(self, operations):
-        """Every pair mutation reaches group subscribers as a size-2 key event."""
-        ledger = PairCountLedger(range(5))
-        pair_events = []
-        group_events = []
-        ledger.subscribe(lambda a, b, old, new: pair_events.append((edge_key(a, b), old, new)))
-        ledger.subscribe_groups(lambda key, old, new: group_events.append((key, old, new)))
-        _apply_pairwise(ledger, operations)
-        assert group_events == pair_events
+    def test_group_api_logs_like_the_pair_api(self, operations):
+        """Size-2 group mutations reach the mutated-index log as pair mutations."""
+        pair_ledger = PairCountLedger(range(5))
+        group_ledger = PairCountLedger(range(5))
+        pair_ledger.mutated, group_ledger.mutated = [], []
+        _apply_pairwise(pair_ledger, operations)
+        _apply_groupwise(group_ledger, operations)
+        def logged_pairs(log):
+            return [tuple(sorted(pair)) for pair in zip(log[0::2], log[1::2])]
+
+        assert logged_pairs(group_ledger.mutated) == logged_pairs(pair_ledger.mutated)
 
     @given(ledger_ops, ghz_ops)
     def test_ghz_groups_never_leak_into_pair_state(self, operations, group_operations):
         """k>=3 group mutations live in their own key space: the pair table,
-        pair listeners and nonzero_pairs() are untouched by them."""
+        the mutated-index log and nonzero_pairs() are untouched by them."""
         plain = PairCountLedger(range(6))
         mixed = PairCountLedger(range(6))
-        pair_events = []
-        mixed.subscribe(lambda a, b, old, new: pair_events.append((edge_key(a, b), old, new)))
+        mixed.mutated = []
         _apply_pairwise(plain, operations)
         _apply_pairwise(mixed, operations)
-        baseline_events = list(pair_events)
+        baseline_log = list(mixed.mutated)
         for op, members, amount in group_operations:
             key = group_key(*sorted(members))
             if op == "add":
@@ -117,7 +118,7 @@ class TestGroupLedgerEquivalence:
                 mixed.remove_group(key, amount)
         assert mixed.nonzero_pairs() == plain.nonzero_pairs()
         assert mixed.total_pairs() == plain.total_pairs()
-        assert pair_events == baseline_events
+        assert mixed.mutated == baseline_log
         ghz_keys = [key for key in mixed.nonzero_groups() if len(key) > 2]
         for key in ghz_keys:
             assert mixed.group_count(*key) > 0
@@ -199,12 +200,16 @@ class TestIncrementalGroupSubscription:
         assert plain.rng.bit_generator.state == mixed.rng.bit_generator.state
 
     @given(initial_counts)
-    def test_detach_unsubscribes_the_group_listener(self, counts):
+    def test_ghz_mutations_stay_off_the_log(self, counts):
+        """The skip mode's log records pair mutations only."""
         ledger = PairCountLedger(range(6))
         balancer = IncrementalMaxMinBalancer(ledger, rng=np.random.default_rng(0))
-        balancer.detach()
-        # After detach, mutations must not reach the balancer's listener.
+        assert ledger.mutated == []
+        ledger.add_group(group_key(0, 1, 2), 2)
+        ledger.remove_group(group_key(0, 1, 2), 1)
+        assert ledger.mutated == []
         for (a, b), value in counts.items():
             ledger.add(a, b, value)
-        ledger.add_group(group_key(0, 1, 2), 2)
-        assert not ledger._group_listeners
+        assert len(ledger.mutated) == 2 * len(counts)
+        assert balancer.has_preferable_swap() == OracleBalancer(ledger.copy()).has_preferable_swap()
+        assert ledger.mutated == []  # drained into the dirty marks

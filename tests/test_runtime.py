@@ -295,6 +295,35 @@ class TestOnResultCallback:
         for index, outcome in seen.items():
             assert _fingerprint(outcome) == _fingerprint(report.outcomes[index])
 
+    def test_repeated_configs_are_computed_once(self, monkeypatch):
+        """A config repeated in the grid runs once; every copy still gets its
+        own outcome, its own callback and counts as computed."""
+        from repro.runtime import sweep
+
+        configs = _tiny_configs()
+        computed = []
+
+        def counting_trial(config):
+            computed.append(config)
+            return original(config)
+
+        original = sweep._compute_trial
+        monkeypatch.setattr(sweep, "_compute_trial", counting_trial)
+        grid = [configs[0], configs[1], configs[0], configs[2], configs[1], configs[0]]
+        calls = []
+        report = SweepRunner(n_workers=1).run_with_report(
+            grid, on_result=lambda i, o, c: calls.append((i, c))
+        )
+        assert computed == [configs[0], configs[1], configs[2]]
+        assert sorted(index for index, _ in calls) == list(range(len(grid)))
+        assert not any(cached for _, cached in calls)
+        assert (report.n_computed, report.n_cached) == (len(grid), 0)
+        assert report.outcomes[0] is not report.outcomes[2]
+        for index, config in enumerate(grid):
+            assert _fingerprint(report.outcomes[index]) == _fingerprint(
+                report.outcomes[grid.index(config)]
+            )
+
     def test_callback_abort_never_loses_completed_work(self, tmp_path):
         """An exception from the callback (the daemon's cancel/timeout path)
         propagates only after the finished cell was written through the

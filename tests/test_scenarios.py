@@ -296,9 +296,11 @@ class TestIncrementalUnderChurn:
                     [balancer.preferable_candidates(node) for node in ledger.nodes]
                 )
                 trajectory.append(balancer.run_round(round_index))
-            runs.append((trajectory, ledger.nonzero_pairs(), balancer.swaps_performed))
+            runs.append(
+                (trajectory, balancer.records, ledger.nonzero_pairs(), balancer.swaps_performed)
+            )
         assert runs[0] == runs[1]
-        assert runs[0][2] > 0
+        assert runs[0][3] > 0
 
 
 # ---------------------------------------------------------------------- #
