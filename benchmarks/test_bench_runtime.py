@@ -25,14 +25,14 @@ def test_cached_sweep_rerun_skips_all_simulation(tmp_path, benchmark):
     runner = SweepRunner(n_workers=1, cache=cache)
 
     start = time.perf_counter()
-    runner.run(configs)
+    runner.run_with_report(configs)
     cold_seconds = time.perf_counter() - start
 
     report = benchmark.pedantic(
         lambda: runner.run_with_report(configs), rounds=3, iterations=1
     )
     start = time.perf_counter()
-    runner.run(configs)
+    runner.run_with_report(configs)
     warm_seconds = time.perf_counter() - start
 
     print(f"\nsweep of {len(configs)} cells: cold {cold_seconds*1e3:.0f} ms, "

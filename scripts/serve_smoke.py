@@ -12,7 +12,10 @@ Pins the whole serve contract in one subprocess session:
    one coalesced/memo-hit answer.
 4. Scrape the ``metrics`` verb and check the Prometheus-style exposition
    parses and agrees with ``stats`` on the counters it mirrors.
-5. Send SIGTERM and check the daemon drains and exits 0 within a timeout.
+5. Submit ``lp --nodes 9`` (an experiment with its own in-process
+   ``execute``) and check the served payload is byte-identical to a
+   one-shot in-process run, with one progress unit per LP program.
+6. Send SIGTERM and check the daemon drains and exits 0 within a timeout.
 
 Exit status 0 means the contract holds; any assertion failure or timeout
 is a non-zero exit.  Usage::
@@ -44,6 +47,7 @@ from repro.serve.protocol import RESPONSE_SCHEMA  # noqa: E402
 STARTUP_TIMEOUT = 30.0
 DRAIN_TIMEOUT = 30.0
 PARAMS = {"smoke": True}
+LP_PARAMS = {"n_nodes": 9}
 
 
 def wait_for_health(address: str) -> None:
@@ -117,6 +121,17 @@ def main() -> int:
             assert sample_name(gauge) in samples, (gauge, sorted(samples))
         assert samples[sample_name("serve.uptime.seconds")] > 0.0, samples
         print(f"smoke ok: metrics exposition parsed ({len(samples)} samples)")
+
+        # The Section 3 LP runs its own in-process execute; it is served too.
+        lp_local = get_experiment("lp").run(**LP_PARAMS).to_json()
+        with ServeClient(socket_path, client="smoke-lp") as client:
+            response = client.run("lp", LP_PARAMS, timeout=240)
+            status = client.status(response["job"])
+        validate_payload(response["result"])
+        lp_served = json.dumps(response["result"], indent=2, allow_nan=False)
+        assert lp_served == lp_local, "served lp result differs from the one-shot run"
+        assert status["completed"] == status["total"] == 4, status
+        print("smoke ok: lp served byte-identical to the one-shot run (4 programs)")
 
         daemon.send_signal(signal.SIGTERM)
         daemon.wait(timeout=DRAIN_TIMEOUT)

@@ -289,8 +289,8 @@ def _populate_serve(serve: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="S",
-        help="wall-clock budget per job in seconds, checked between trials "
-        "(default: unlimited)",
+        help="wall-clock budget per job in seconds, checked between units of "
+        "work (default: unlimited)",
     )
     serve.add_argument(
         "--job-retries",
@@ -344,7 +344,8 @@ def _populate_submit(submit: argparse.ArgumentParser) -> None:
     submit.add_argument(
         "--stream",
         action="store_true",
-        help="print per-trial progress events to stderr while the job runs",
+        help="print a progress event per unit of work (trial, LP program, "
+        "scaling cell) to stderr while the job runs",
     )
     submit.add_argument(
         "--wait-timeout",
@@ -613,7 +614,7 @@ def _run_submit(
                     if event["event"] == "progress":
                         print(
                             f"progress {submitted['job']}: "
-                            f"{event['completed']}/{event['total']} trial(s) "
+                            f"{event['completed']}/{event['total']} unit(s) "
                             f"({event['cached_trials']} cached)",
                             file=sys.stderr,
                         )

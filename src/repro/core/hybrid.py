@@ -33,7 +33,10 @@ def entanglement_graph(
     """Adjacency of the current entanglement graph.
 
     Two nodes are adjacent when they currently share at least
-    ``minimum_count`` Bell pairs.
+    ``minimum_count`` Bell pairs.  Each neighbour list is in ascending
+    ``repr`` order: it is read off :meth:`PairCountLedger.nonzero_pairs`,
+    which walks the ``repr``-sorted count matrix row by row, so it depends
+    neither on the order pairs were added in nor on dict order.
     """
     if minimum_count <= 0:
         raise ValueError(f"minimum_count must be positive, got {minimum_count}")
@@ -51,7 +54,13 @@ def shortest_entanglement_path(
     target: NodeId,
     minimum_count: int = 1,
 ) -> Optional[List[NodeId]]:
-    """BFS shortest path between ``source`` and ``target`` over the entanglement graph."""
+    """BFS shortest path between ``source`` and ``target`` over the entanglement graph.
+
+    Ties are broken by ``repr``: BFS expands each node's neighbours in
+    ascending ``repr`` order (see :func:`entanglement_graph`), so among
+    equally short paths the one returned is the least when paths are
+    compared node by node from ``source`` by ``repr`` (``"10" < "2"``).
+    """
     if source == target:
         return [source]
     adjacency = entanglement_graph(ledger, minimum_count)

@@ -64,7 +64,7 @@ from repro.experiments.registry import (
     iter_experiments,
     register,
 )
-from repro.experiments.runner import run_many, run_trial
+from repro.experiments.runner import run_trial
 from repro.experiments.figure4 import Figure4Experiment, Figure4Result
 from repro.experiments.figure5 import Figure5Experiment, Figure5Result
 from repro.experiments.lp_validation import LPValidationExperiment, LPValidationResult
@@ -112,6 +112,5 @@ __all__ = [
     "iter_experiments",
     "register",
     "resolve_trial_seeds",
-    "run_many",
     "run_trial",
 ]

@@ -203,7 +203,6 @@ class AblationsExperiment(Experiment):
 
     name = "ablations"
     summary = "One-knob-at-a-time ablations of the protocol's design choices (E5, Sections 4/6)."
-    supports_runtime = True
     params = (
         ParamSpec("n_nodes", int, 25, "number of nodes |N|", flag="--nodes"),
         ParamSpec("n_requests", int, 50, "length of the consumption request sequence", flag="--requests"),

@@ -5,18 +5,22 @@ Every experiment in :mod:`repro.experiments` is a subclass of
 :class:`ParamSpec` table describing its parameters (defaults, help text,
 choices, and the CLI flag each one becomes), and three hooks --
 
-* :meth:`Experiment.build_grid` turns resolved parameters into the unit-of-
-  work grid (for sweep experiments, a list of
-  :class:`~repro.experiments.config.ExperimentConfig` cells),
-* :meth:`Experiment.execute` runs the grid (defaulting to
-  :func:`repro.experiments.runner.run_many` with the
+* :meth:`Experiment.build_grid` turns resolved parameters into the list of
+  work units (for sweep experiments,
+  :class:`~repro.experiments.config.ExperimentConfig` cells; for the
+  in-process ones, the LP points, the one classical workload or the
+  scaling cells),
+* :meth:`Experiment.execute` runs the grid, one outcome per unit
+  (defaulting to :class:`~repro.runtime.sweep.SweepRunner` with the
   :class:`RuntimeOptions` workers/cache threaded through), and
 * :meth:`Experiment.reduce` folds the outcomes into an
   :class:`ExperimentResult`.
 
+:meth:`Experiment.run` is the one execution path: the CLI, the profiler,
+perfbench and the ``repro serve`` workers all call it.
 :meth:`Experiment.plan` (resolve, normalize, ``build_grid``) is every check
 an input can fail; ``run`` starts with it, and the CLI and ``repro serve``
-run it as their pre-flight.
+run it as their pre-flight (``len(grid)`` is the size a served job reports).
 
 Registering the class (:func:`repro.experiments.registry.register`) is all
 it takes to gain a CLI subcommand: :mod:`repro.cli` generates one subparser
@@ -49,7 +53,6 @@ from typing import (
 )
 
 from repro.analysis.reporting import json_safe, render_csv
-from repro.experiments.runner import run_many
 from repro.obs.spans import span
 from repro.runtime.seeding import seed_grid
 
@@ -145,14 +148,19 @@ class SmokeCap:
 
 @dataclass
 class RuntimeOptions:
-    """How a sweep executes: worker processes and the optional result cache.
+    """How a grid executes: worker processes, result cache, progress hook.
 
-    Threaded from the CLI's ``--workers`` / ``--cache`` flags into
-    :meth:`Experiment.execute`.  Never changes any reported number.
+    Threaded from the CLI's ``--workers`` / ``--cache`` flags (and the serve
+    workers) into :meth:`Experiment.execute`.  Never changes any reported
+    number.  ``on_result(index, outcome, cached)`` is called once per grid
+    unit as its outcome lands; an exception it raises aborts the run (the
+    serve workers' cancel and timeout).  Workers and cache apply to sweep
+    experiments only; in-process experiments ignore them.
     """
 
     workers: Optional[int] = 1
     cache: Optional[Any] = None  # repro.runtime.ResultCache
+    on_result: Optional[Callable[[int, Any, bool], None]] = None
 
 
 def resolve_trial_seeds(seeds: Union[int, Sequence[int]], master_seed: Optional[int]) -> Tuple[int, ...]:
@@ -278,9 +286,10 @@ class Experiment:
 
     Subclasses set ``name``, ``summary`` and ``params`` and implement
     :meth:`build_grid` and :meth:`reduce`; sweep-style experiments inherit
-    the default :meth:`execute` (``run_many`` with the runtime options
-    threaded through), while in-process experiments (LP validation,
-    classical accounting, scaling) override it.
+    the default :meth:`execute` (a :class:`~repro.runtime.sweep.SweepRunner`
+    with the runtime options threaded through), while in-process
+    experiments (LP validation, classical accounting, scaling) override it
+    with :meth:`execute_in_process`.
     """
 
     #: Registry / CLI subcommand name.
@@ -289,15 +298,19 @@ class Experiment:
     summary: ClassVar[str] = ""
     #: The typed parameter table.
     params: ClassVar[Tuple[ParamSpec, ...]] = ()
-    #: Whether the experiment runs through the parallel runtime layer
-    #: (gains ``--workers`` / ``--cache`` / ``--cache-dir`` on the CLI).
-    supports_runtime: ClassVar[bool] = False
     #: What ``smoke=True`` does to other parameters: each entry maps a
     #: parameter to the value smoke puts in its place, or to a
     #: :class:`SmokeCap` smoke lowers it to.  :meth:`resolve_params` rejects
     #: an explicit value smoke would replace or lower; ``normalize`` puts the
     #: preset in place with :meth:`apply_smoke`.
     smoke_preset: ClassVar[Mapping[str, Any]] = {}
+
+    @property
+    def supports_runtime(self) -> bool:
+        """Whether the grid runs through the parallel runtime layer (the
+        class keeps the default :meth:`execute`); such experiments gain
+        ``--workers`` / ``--cache`` / ``--cache-dir`` on the CLI."""
+        return type(self).execute is Experiment.execute
 
     # -- parameter handling -------------------------------------------------
 
@@ -372,13 +385,31 @@ class Experiment:
 
     # -- the three hooks ----------------------------------------------------
 
-    def build_grid(self, params: Dict[str, Any]):
-        """Resolved parameters -> the grid of work units."""
+    def build_grid(self, params: Dict[str, Any]) -> List:
+        """Resolved parameters -> the list of work units."""
         raise NotImplementedError
 
-    def execute(self, grid, runtime: RuntimeOptions):
-        """Run the grid.  Default: the parallel runtime layer."""
-        return run_many(grid, n_workers=runtime.workers, cache=runtime.cache)
+    def execute(self, grid, runtime: RuntimeOptions) -> List:
+        """Run the grid, one outcome per unit.  Default: the parallel runtime layer."""
+        # Imported here: repro.runtime.sweep imports the experiment configs.
+        from repro.runtime.sweep import SweepRunner
+
+        runner = SweepRunner(n_workers=runtime.workers, cache=runtime.cache)
+        return runner.run_with_report(grid, on_result=runtime.on_result).outcomes
+
+    def execute_in_process(self, grid, runtime: RuntimeOptions, work) -> List:
+        """``work(**unit)`` for each grid unit, in order, in this process.
+
+        The ``execute`` of the in-process experiments (LP, classical,
+        scaling): each outcome is reported through ``runtime.on_result`` as
+        it lands, never as cached.
+        """
+        outcomes = []
+        for index, unit in enumerate(grid):
+            outcomes.append(work(**unit))
+            if runtime.on_result is not None:
+                runtime.on_result(index, outcomes[-1], False)
+        return outcomes
 
     def reduce(self, outcomes, params: Dict[str, Any]) -> ExperimentResult:
         """Fold the executed outcomes into the experiment's result."""

@@ -16,7 +16,7 @@ gossip the knowledge quality it buys (coverage and staleness error).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -154,7 +154,6 @@ class ClassicalOverheadExperiment(Experiment):
 
     name = "classical"
     summary = "Classical control-plane cost: flooding vs choke/unchoke gossip on one workload (E6)."
-    supports_runtime = False
     params = (
         ParamSpec("n_nodes", int, 25, "number of nodes |N|", flag="--nodes"),
         ParamSpec("topology_name", str, "random-grid", "topology family of the workload", cli=False),
@@ -167,20 +166,16 @@ class ClassicalOverheadExperiment(Experiment):
         validate_topology_sizes((params["topology_name"],), (params["n_nodes"],))
         return params
 
-    def build_grid(self, params):
-        return params
+    def build_grid(self, params) -> List[Dict]:
+        # One unit: the whole workload is a single in-process run.
+        names = ("topology_name", "n_nodes", "rounds", "gossip_fanouts", "seed")
+        return [{name: params[name] for name in names}]
 
-    def execute(self, grid, runtime) -> Tuple[str, List[ClassicalOverheadRow]]:
-        return _account_overheads(
-            topology_name=grid["topology_name"],
-            n_nodes=grid["n_nodes"],
-            rounds=grid["rounds"],
-            gossip_fanouts=grid["gossip_fanouts"],
-            seed=grid["seed"],
-        )
+    def execute(self, grid, runtime) -> List[Tuple[str, List[ClassicalOverheadRow]]]:
+        return self.execute_in_process(grid, runtime, _account_overheads)
 
     def reduce(self, outcomes, params) -> ClassicalOverheadResult:
-        topology_label, rows = outcomes
+        [(topology_label, rows)] = outcomes
         return ClassicalOverheadResult(
             topology=topology_label, n_nodes=params["n_nodes"], rows=rows
         )

@@ -90,7 +90,6 @@ class ComparisonExperiment(Experiment):
 
     name = "comparison"
     summary = "Path-oblivious vs planned-path protocols on one identical workload (E4 trade-off)."
-    supports_runtime = True
     params = (
         ParamSpec("topology", str, "cycle", "topology family for the shared workload"),
         ParamSpec("n_nodes", int, 25, "number of nodes |N|", flag="--nodes"),

@@ -123,7 +123,6 @@ class Figure4Experiment(Experiment):
 
     name = "figure4"
     summary = "Swap overhead vs distillation overhead D on the paper's three topologies (Figure 4)."
-    supports_runtime = True
     params = (
         ParamSpec("n_nodes", int, 25, "number of nodes |N|", flag="--nodes"),
         ParamSpec(

@@ -108,7 +108,6 @@ class Figure5Experiment(Experiment):
 
     name = "figure5"
     summary = "Swap overhead vs network size |N| at D=1 on the paper's three topologies (Figure 5)."
-    supports_runtime = True
     params = (
         ParamSpec(
             "network_sizes",

@@ -22,8 +22,9 @@ from repro.core.lp.formulation import PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import InfeasibleProgramError, LPSolution, solve_flow_program
 from repro.core.lp.steady_state import compute_rates, verify_steady_state
-from repro.network.demand import select_consumer_pairs, uniform_demand
+from repro.network.demand import DemandMatrix, select_consumer_pairs, uniform_demand
 from repro.network.topologies import topology_from_name, validate_topology_sizes
+from repro.network.topology import Topology
 from repro.sim.rng import RandomStreams
 
 
@@ -118,80 +119,61 @@ def _solve_and_check(
     return solution, rates.is_consistent
 
 
-def _solve_rows(
-    topologies: Sequence[str],
+def _solve_point(
+    topology_name: str,
     n_nodes: int,
-    demand_pairs: int,
-    demand_rate: float,
-    distillation_values: Sequence[float],
-    loss_values: Sequence[float],
-    qec_overheads: Sequence[float],
+    topology: Topology,
+    demand: DemandMatrix,
+    distillation: float,
+    loss: float,
+    qec: float,
     objectives: Sequence[Objective],
-    seed: int,
 ) -> List[LPValidationRow]:
-    """Solve the LP grid and verify steady-state consistency of every solution.
-
-    One in-process loop sharing a single :class:`RandomStreams` across the
-    grid (the topology draw order is part of the experiment's determinism
-    contract), so this stays a single ``execute`` unit rather than a
-    parallel sweep.  Each (topology, D, L, R) point builds one program and
-    solves every objective on it, so its swap structure is built once.
-    """
+    """Build one program and solve every objective on it, steady-state-checked."""
+    overheads = PairOverheads.uniform(distillation=distillation, loss=loss)
+    program = PathObliviousFlowProgram(topology, demand, overheads=overheads, qec_overhead=qec)
+    point = dict(
+        topology=topology_name,
+        n_nodes=n_nodes,
+        distillation=distillation,
+        loss=loss,
+        qec_overhead=qec,
+    )
     rows: List[LPValidationRow] = []
-    streams = RandomStreams(seed)
-    for topology_name in topologies:
-        topology = topology_from_name(topology_name, n_nodes, rng=streams.get("topology"))
-        pairs = select_consumer_pairs(topology, demand_pairs, streams.get("consumers"))
-        demand = uniform_demand(pairs, rate=demand_rate)
-        for distillation in distillation_values:
-            for loss in loss_values:
-                overheads = PairOverheads.uniform(distillation=distillation, loss=loss)
-                for qec in qec_overheads:
-                    program = PathObliviousFlowProgram(
-                        topology, demand, overheads=overheads, qec_overhead=qec
-                    )
-                    for objective in objectives:
-                        try:
-                            solution, consistent = _solve_and_check(program, objective)
-                        except InfeasibleProgramError:
-                            # The demanded consumption exceeds what generation can
-                            # support under these overheads -- exactly the regime
-                            # the paper's consumption-maximising objectives exist
-                            # for.  Record the infeasibility instead of failing.
-                            rows.append(
-                                LPValidationRow(
-                                    topology=topology_name,
-                                    n_nodes=n_nodes,
-                                    objective=objective.value,
-                                    distillation=distillation,
-                                    loss=loss,
-                                    qec_overhead=qec,
-                                    objective_value=float("nan"),
-                                    alpha=None,
-                                    total_swap_rate=float("nan"),
-                                    total_generation_rate=float("nan"),
-                                    total_consumption_rate=float("nan"),
-                                    steady_state_ok=False,
-                                    feasible=False,
-                                )
-                            )
-                            continue
-                        rows.append(
-                            LPValidationRow(
-                                topology=topology_name,
-                                n_nodes=n_nodes,
-                                objective=objective.value,
-                                distillation=distillation,
-                                loss=loss,
-                                qec_overhead=qec,
-                                objective_value=solution.objective_value,
-                                alpha=solution.alpha,
-                                total_swap_rate=solution.total_swap_rate(),
-                                total_generation_rate=solution.total_generation_rate(),
-                                total_consumption_rate=solution.total_consumption_rate(),
-                                steady_state_ok=consistent,
-                            )
-                        )
+    for objective in objectives:
+        try:
+            solution, consistent = _solve_and_check(program, objective)
+        except InfeasibleProgramError:
+            # The demanded consumption exceeds what generation can support
+            # under these overheads -- exactly the regime the paper's
+            # consumption-maximising objectives exist for.  Record the
+            # infeasibility instead of failing.
+            rows.append(
+                LPValidationRow(
+                    **point,
+                    objective=objective.value,
+                    objective_value=float("nan"),
+                    alpha=None,
+                    total_swap_rate=float("nan"),
+                    total_generation_rate=float("nan"),
+                    total_consumption_rate=float("nan"),
+                    steady_state_ok=False,
+                    feasible=False,
+                )
+            )
+            continue
+        rows.append(
+            LPValidationRow(
+                **point,
+                objective=objective.value,
+                objective_value=solution.objective_value,
+                alpha=solution.alpha,
+                total_swap_rate=solution.total_swap_rate(),
+                total_generation_rate=solution.total_generation_rate(),
+                total_consumption_rate=solution.total_consumption_rate(),
+                steady_state_ok=consistent,
+            )
+        )
     return rows
 
 
@@ -201,7 +183,6 @@ class LPValidationExperiment(Experiment):
 
     name = "lp"
     summary = "Validate the Section 3 LP: every objective, steady-state-checked, with D/L/R extensions."
-    supports_runtime = False
     params = (
         ParamSpec("n_nodes", int, 25, "number of nodes |N|", flag="--nodes"),
         ParamSpec("topologies", tuple, ("cycle", "grid"), "topology families to solve on", cli=False),
@@ -218,21 +199,40 @@ class LPValidationExperiment(Experiment):
         validate_topology_sizes(params["topologies"], (params["n_nodes"],))
         return params
 
-    def build_grid(self, params):
-        return params
+    def build_grid(self, params) -> List[Dict]:
+        """One unit per (topology, D, L, R) program.
 
-    def execute(self, grid, runtime) -> List[LPValidationRow]:
-        return _solve_rows(
-            topologies=grid["topologies"],
-            n_nodes=grid["n_nodes"],
-            demand_pairs=grid["demand_pairs"],
-            demand_rate=grid["demand_rate"],
-            distillation_values=grid["distillation_values"],
-            loss_values=grid["loss_values"],
-            qec_overheads=grid["qec_overheads"],
-            objectives=grid["objectives"],
-            seed=grid["seed"],
-        )
+        Topologies and consumer pairs are drawn here, in grid order, from
+        one :class:`RandomStreams` shared across the grid (that draw order
+        is part of the experiment's determinism contract).
+        """
+        points: List[Dict] = []
+        streams = RandomStreams(params["seed"])
+        for topology_name in params["topologies"]:
+            topology = topology_from_name(
+                topology_name, params["n_nodes"], rng=streams.get("topology")
+            )
+            pairs = select_consumer_pairs(topology, params["demand_pairs"], streams.get("consumers"))
+            demand = uniform_demand(pairs, rate=params["demand_rate"])
+            points.extend(
+                dict(
+                    topology_name=topology_name,
+                    n_nodes=params["n_nodes"],
+                    topology=topology,
+                    demand=demand,
+                    distillation=distillation,
+                    loss=loss,
+                    qec=qec,
+                    objectives=params["objectives"],
+                )
+                for distillation in params["distillation_values"]
+                for loss in params["loss_values"]
+                for qec in params["qec_overheads"]
+            )
+        return points
 
-    def reduce(self, outcomes: List[LPValidationRow], params) -> LPValidationResult:
-        return LPValidationResult(rows=outcomes)
+    def execute(self, grid, runtime) -> List[List[LPValidationRow]]:
+        return self.execute_in_process(grid, runtime, _solve_point)
+
+    def reduce(self, outcomes: List[List[LPValidationRow]], params) -> LPValidationResult:
+        return LPValidationResult(rows=[row for rows in outcomes for row in rows])

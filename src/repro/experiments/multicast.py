@@ -150,7 +150,6 @@ class MulticastExperiment(Experiment):
         "Shared (star-of-pairs + fusion) vs independent-sessions GHZ serving "
         "over group sizes 2-5: throughput, fairness, swap and fusion cost."
     )
-    supports_runtime = True
     params = (
         ParamSpec("topology", str, "cycle", "topology family of every cell"),
         ParamSpec("n_nodes", int, 16, "number of nodes |N|", flag="--nodes"),

@@ -182,7 +182,6 @@ class ResilienceExperiment(Experiment):
 
     name = "resilience"
     summary = "Recovery time and fairness under fault-and-churn scenarios vs the static baseline."
-    supports_runtime = True
     params = (
         ParamSpec(
             "sizes",

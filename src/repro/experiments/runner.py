@@ -3,18 +3,14 @@
 :func:`run_trial` is the runtime layer's unit of work: a *pure function of
 its config* (every random draw derives from ``config.seed`` via named
 streams), which is what lets :class:`repro.runtime.SweepRunner` parallelise
-and cache trials without changing any result.  :func:`run_many` is the
-sweep entry point every experiment module goes through.
+and cache trials without changing any result.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.runtime.cache import ResultCache
 
 from repro.analysis.overhead import swap_overhead_from_result
 from repro.analysis.starvation import starvation_report
@@ -230,20 +226,3 @@ def _reduce_trial(config, topology, workload, requests, protocol, result) -> Tri
         fusions_performed=result.fusions_performed,
         trace_dropped=result.trace_dropped,
     )
-
-
-def run_many(
-    configs: Iterable[ExperimentConfig],
-    n_workers: Optional[int] = 1,
-    cache: Optional["ResultCache"] = None,
-) -> List[TrialOutcome]:
-    """Run every config and return outcomes in config order.
-
-    Delegates to :class:`repro.runtime.SweepRunner`: trials fan out across
-    ``n_workers`` processes (``None`` = one per CPU) and, when a ``cache``
-    is supplied, already-computed cells are skipped.  Results are
-    bit-identical regardless of ``n_workers`` or cache state.
-    """
-    from repro.runtime.sweep import SweepRunner
-
-    return SweepRunner(n_workers=n_workers, cache=cache).run(list(configs))

@@ -255,7 +255,6 @@ class ScalingExperiment(Experiment):
 
     name = "scaling"
     summary = "Max-min balancing on 200-1000-node topologies: naive vs incremental engine speedup."
-    supports_runtime = False
     params = (
         ParamSpec(
             "sizes",
@@ -322,7 +321,7 @@ class ScalingExperiment(Experiment):
     def execute(self, grid, runtime) -> List[List[ScalingRow]]:
         # Wall-clock per engine is the measurement, so cells run in-process
         # and sequentially (a process pool would skew the timings).
-        return [_run_scaling_cell(**cell) for cell in grid]
+        return self.execute_in_process(grid, runtime, _run_scaling_cell)
 
     def reduce(self, outcomes: List[List[ScalingRow]], params) -> ScalingResult:
         result = ScalingResult(

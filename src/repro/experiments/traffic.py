@@ -156,7 +156,6 @@ class TrafficExperiment(Experiment):
 
     name = "traffic"
     summary = "Protocol comparison under Poisson/bursty/diurnal arrival load with SLO metrics."
-    supports_runtime = True
     params = (
         ParamSpec(
             "workload",

@@ -25,8 +25,8 @@ the cache.
 """
 
 from repro.runtime.cache import ResultCache, atomic_write_bytes, code_version, config_digest
-from repro.runtime.seeding import replicate_config, replicate_grid, seed_grid, trial_seed
-from repro.runtime.sweep import SweepReport, SweepRunner, run_sweep
+from repro.runtime.seeding import seed_grid, trial_seed
+from repro.runtime.sweep import SweepReport, SweepRunner
 
 __all__ = [
     "ResultCache",
@@ -35,9 +35,6 @@ __all__ = [
     "SweepRunner",
     "code_version",
     "config_digest",
-    "replicate_config",
-    "replicate_grid",
-    "run_sweep",
     "seed_grid",
     "trial_seed",
 ]

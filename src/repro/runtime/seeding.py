@@ -14,9 +14,8 @@ named stream inside a trial.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List
 
-from repro.experiments.config import ExperimentConfig
 from repro.sim.rng import derive_seed
 
 
@@ -43,31 +42,3 @@ def seed_grid(master_seed: int, n_trials: int, salt: str = "trial") -> List[int]
     if n_trials <= 0:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     return [trial_seed(master_seed, index, salt=salt) for index in range(n_trials)]
-
-
-def replicate_config(
-    config: ExperimentConfig, n_trials: int, master_seed: int, salt: str = "trial"
-) -> List[ExperimentConfig]:
-    """``n_trials`` copies of ``config``, each with an independent derived seed.
-
-    This is the bridge between "run this configuration 50 times" and the
-    flat config list a :class:`~repro.runtime.sweep.SweepRunner` consumes.
-    """
-    return [config.with_(seed=seed) for seed in seed_grid(master_seed, n_trials, salt=salt)]
-
-
-def replicate_grid(
-    configs: Iterable[ExperimentConfig], n_trials: int, master_seed: int
-) -> List[ExperimentConfig]:
-    """Replicate every config in a grid, salting by grid position.
-
-    Cell ``i`` of the grid draws its trial seeds from the family
-    ``f"cell-{i}"``, so adding or removing a cell never perturbs the seeds
-    of the others.
-    """
-    replicated: List[ExperimentConfig] = []
-    for index, config in enumerate(configs):
-        replicated.extend(
-            replicate_config(config, n_trials, master_seed, salt=f"cell-{index}")
-        )
-    return replicated

@@ -18,7 +18,8 @@ order, by combining three mechanisms:
 
 Because :func:`repro.experiments.runner.run_trial` derives every random
 draw from ``config.seed`` alone, the map is embarrassingly parallel and the
-merged result is bit-identical for any ``n_workers``.
+merged result is bit-identical for any ``n_workers``.  The default
+:meth:`repro.experiments.api.Experiment.execute` is its one caller.
 """
 
 from __future__ import annotations
@@ -82,18 +83,10 @@ class SweepReport:
     outcomes: List[TrialOutcome] = field(default_factory=list)
     n_cached: int = 0
     n_computed: int = 0
-    n_workers: int = 1
 
     @property
     def total(self) -> int:
         return len(self.outcomes)
-
-    def summary(self) -> str:
-        """One-line provenance summary, e.g. for CLI footers."""
-        return (
-            f"{self.total} trials: {self.n_cached} from cache, "
-            f"{self.n_computed} computed on {self.n_workers} worker(s)"
-        )
 
 
 class SweepRunner:
@@ -128,10 +121,6 @@ class SweepRunner:
         self.cache = cache
         self.chunksize = chunksize
 
-    def run(self, configs: Sequence[ExperimentConfig]) -> List[TrialOutcome]:
-        """All outcomes, in config order (see :meth:`run_with_report`)."""
-        return self.run_with_report(configs).outcomes
-
     def run_with_report(
         self,
         configs: Sequence[ExperimentConfig],
@@ -151,7 +140,7 @@ class SweepRunner:
         loses completed work.
         """
         configs = list(configs)
-        report = SweepReport(n_workers=self.n_workers)
+        report = SweepReport()
         slots: List[Optional[TrialOutcome]] = [None] * len(configs)
 
         with span("sweep.run", cells=len(configs), workers=self.n_workers):
@@ -226,12 +215,3 @@ class SweepRunner:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SweepRunner(n_workers={self.n_workers}, cache={self.cache!r})"
-
-
-def run_sweep(
-    configs: Sequence[ExperimentConfig],
-    n_workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-) -> List[TrialOutcome]:
-    """Convenience wrapper: one-shot :class:`SweepRunner` over ``configs``."""
-    return SweepRunner(n_workers=n_workers, cache=cache).run(configs)

@@ -21,9 +21,11 @@ Request flow for a ``submit``:
 3. **Admission** -- per-client token buckets plus the bounded queue depth
    (:mod:`repro.serve.admission`); a rejected submission gets an explicit
    ``429`` payload with a ``retry_after`` hint.
-4. **Execution** -- the worker pool (:mod:`repro.serve.worker`) streams
-   ``progress`` events to subscribers as trials complete and parks crashes
-   as structured ``error`` payloads.
+4. **Execution** -- the worker pool (:mod:`repro.serve.worker`) runs the
+   job through ``Experiment.run``, streams ``progress`` events to
+   subscribers as its units of work complete (``total`` is ``len(grid)``
+   from the submit-time plan) and parks crashes as structured ``error``
+   payloads.
 
 Lifecycle: ``SIGTERM``/``SIGINT`` (or :meth:`ServeDaemon.shutdown`) flips
 the daemon to **draining** -- new submissions are rejected with ``503``,
@@ -424,7 +426,7 @@ class ServeDaemon:
         raw_params = request.get("params") or {}
         try:
             params = coerce_params(experiment.params, dict(raw_params))
-            normalized, _grid = experiment.plan(params)
+            normalized, grid = experiment.plan(params)
         except (TypeError, ValueError) as error:
             raise ProtocolError(400, f"invalid parameters for {name!r}: {error}") from None
         digest = submission_digest(name, normalized)
@@ -479,6 +481,7 @@ class ServeDaemon:
                 experiment=name,
                 params={key: value for key, value in params.items()},
                 digest=digest,
+                total=len(grid),
                 priority=int(request.get("priority") or 0),
                 client=client,
             )

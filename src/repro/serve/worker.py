@@ -1,17 +1,19 @@
 """The daemon's worker pool: threads executing jobs off the queue.
 
 Each worker pops a :class:`~repro.serve.queue.Job`, resolves its experiment
-through the registry, and executes the grid through the PR-1
-:class:`~repro.runtime.sweep.SweepRunner` -- one shared, content-addressed
-:class:`~repro.runtime.cache.ResultCache` across every worker, so trials
-one client computed are cache hits for everyone else.  The sweep's
-``on_result`` callback is the progress spine: after every trial it updates
-the job's counters, broadcasts a ``progress`` event to streaming
-subscribers, and enforces the per-job **cancel** flag and **timeout**
-(raising out of the sweep between trials; completed trials are already in
-the cache, so nothing is lost).
+through the registry, and runs it with
+:meth:`~repro.experiments.api.Experiment.run` -- the same path as the CLI,
+so every registered experiment is served.  Sweep experiments share one
+content-addressed :class:`~repro.runtime.cache.ResultCache` across every
+worker, so trials one client computed are cache hits for everyone else.
+The :class:`~repro.experiments.api.RuntimeOptions` ``on_result`` hook is
+the progress spine: after every unit of work (a trial, an LP program, a
+scaling cell, the one classical workload) it updates the job's counters,
+broadcasts a ``progress`` event to streaming subscribers, and enforces the
+per-job **cancel** flag and **timeout** (raising out of the run between
+units; completed trials are already in the cache, so nothing is lost).
 
-Crash containment: an exception escaping a trial fails the *attempt*, not
+Crash containment: an exception escaping a run fails the *attempt*, not
 the daemon.  The job is retried up to ``retries`` more times (cache hits
 make retries resume where the crash happened) and then parked in the
 ``error`` state with a structured ``500``-style payload the protocol
@@ -25,26 +27,26 @@ import time
 import traceback
 from typing import Callable, List, Optional
 
+from repro.experiments.api import RuntimeOptions
 from repro.experiments.registry import get_experiment
 from repro.experiments.schema import validate_payload
 from repro.obs.spans import emit as emit_span
 from repro.obs.spans import span, telemetry_enabled
 from repro.runtime.cache import ResultCache
-from repro.runtime.sweep import SweepRunner
 from repro.serve.queue import Job, JobQueue
 from repro.sim.metrics import MetricRegistry
 
 
 class JobCancelled(Exception):
-    """Raised inside the sweep when a running job's cancel flag is set."""
+    """Raised inside the run when a running job's cancel flag is set."""
 
 
 class JobTimeout(Exception):
-    """Raised inside the sweep when a running job exceeds its time budget."""
+    """Raised inside the run when a running job exceeds its time budget."""
 
 
 class WorkerPool:
-    """N daemon threads executing queued jobs through the sweep runner.
+    """N daemon threads executing queued jobs through ``Experiment.run``.
 
     Parameters
     ----------
@@ -55,18 +57,14 @@ class WorkerPool:
     cache:
         Optional shared trial cache every worker writes through.
     job_timeout:
-        Wall-clock budget per job attempt in seconds (checked between
-        trials; ``None`` disables it).
+        Wall-clock budget per job attempt in seconds (checked after each
+        unit of work; ``None`` disables it).
     retries:
         How many times a crashed job is re-attempted before it is parked
         in the ``error`` state.
     on_event:
         ``on_event(job)`` called after every progress step and on every
         terminal transition; the daemon broadcasts from here.
-    sweep_factory:
-        ``sweep_factory(cache)`` returning the runner to execute one
-        attempt with -- injectable so tests can simulate crashes
-        deterministically.  Defaults to an in-process ``SweepRunner``.
     metrics:
         Optional shared :class:`MetricRegistry` (the daemon's): workers
         count job starts on ``serve.jobs.running`` there.
@@ -80,7 +78,6 @@ class WorkerPool:
         job_timeout: Optional[float] = None,
         retries: int = 1,
         on_event: Optional[Callable[[Job], None]] = None,
-        sweep_factory: Optional[Callable[[Optional[ResultCache]], SweepRunner]] = None,
         metrics: Optional[MetricRegistry] = None,
     ):
         if n_workers < 1:
@@ -93,9 +90,6 @@ class WorkerPool:
         self.job_timeout = job_timeout
         self.retries = retries
         self.on_event = on_event
-        self.sweep_factory = sweep_factory or (
-            lambda cache: SweepRunner(n_workers=1, cache=cache)
-        )
         self.metrics = metrics
         self._threads: List[threading.Thread] = []
         self._busy = 0
@@ -207,7 +201,7 @@ class WorkerPool:
                     "kind": "wait-timeout",
                     "message": (
                         f"job {job.job_id} exceeded its {self.job_timeout:.1f}s budget "
-                        f"after {job.completed}/{job.total} trial(s)"
+                        f"after {job.completed}/{job.total} unit(s) of work"
                     ),
                 }
                 job.done_event.set()
@@ -232,9 +226,6 @@ class WorkerPool:
         self._emit(job)
 
     def _run_attempt(self, job: Job, started: float) -> None:
-        experiment = get_experiment(job.experiment)
-        params, grid = experiment.plan(dict(job.params))
-        job.total = len(grid)
         job.completed = 0
         job.cached_trials = 0
 
@@ -248,9 +239,8 @@ class WorkerPool:
                 raise JobTimeout(job.job_id)
             self._emit(job)
 
-        runner = self.sweep_factory(self.cache)
-        report = runner.run_with_report(grid, on_result=on_result)
-        result = experiment.reduce(report.outcomes, params)
+        runtime = RuntimeOptions(workers=1, cache=self.cache, on_result=on_result)
+        result = get_experiment(job.experiment).run(runtime=runtime, **job.params)
         payload = result.to_payload()
         # Defence in depth: never put a schema-violating payload on the wire.
         validate_payload(payload)

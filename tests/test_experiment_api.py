@@ -194,6 +194,18 @@ class TestPlan:
         assert [config.topology for config in grid] == ["cycle"]
 
 
+class TestExecutionPath:
+    """``supports_runtime`` is derived: the class keeps the default ``execute``."""
+
+    def test_runtime_flags_follow_the_execute_override(self, monkeypatch):
+        sweeps = {"ablations", "comparison", "figure4", "figure5", "multicast", "resilience", "traffic"}
+        assert {e.name for e in iter_experiments() if e.supports_runtime} == sweeps
+        # Wrapping one instance's execute (as perfbench does) changes nothing.
+        figure4 = get_experiment("figure4")
+        monkeypatch.setitem(vars(figure4), "execute", figure4.execute)
+        assert figure4.supports_runtime
+
+
 class TestResultContract:
     def test_results_are_experiment_results(self, small_results):
         for name, result in small_results.items():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.hybrid import HybridPlanner, entanglement_graph, shortest_entanglement_path
@@ -148,6 +150,16 @@ class TestEntanglementGraph:
         path = shortest_entanglement_path(ledger, 0, 3)
         assert path == [0, 3]
         assert shortest_entanglement_path(ledger, 0, 0) == [0]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_equal_length_paths_tie_break_by_repr(self, order):
+        """0-2-3 and 0-10-3 are equally short; "10" < "2" picks 0-10-3
+        whatever order the pairs arrive in."""
+        pairs = [(0, 2), (2, 3), (0, 10), (10, 3)]
+        ledger = PairCountLedger([0, 10, 2, 3])
+        for index in order:
+            ledger.add(*pairs[index])
+        assert shortest_entanglement_path(ledger, 0, 3) == [0, 10, 3]
 
     def test_unreachable_returns_none(self):
         ledger = PairCountLedger([0, 1, 2])

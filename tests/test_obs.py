@@ -137,7 +137,7 @@ class TestTrialInstrumentation:
         from repro.runtime.sweep import SweepRunner
 
         configs = [TINY, TINY.with_(seed=1)]
-        SweepRunner(n_workers=1).run(configs)
+        SweepRunner(n_workers=1).run_with_report(configs)
         names = [record.name for record in telemetry.snapshot()]
         assert names.count("sweep.run") == 1
         assert names.count("sweep.trial") == len(configs)

@@ -56,7 +56,7 @@ def test_sweep_outcomes_identical_across_telemetry_and_workers():
     def outcomes(workers: int):
         return [
             (o.rounds, o.swaps_performed, o.overhead_exact, o.trace_dropped)
-            for o in SweepRunner(n_workers=workers).run(configs)
+            for o in SweepRunner(n_workers=workers).run_with_report(configs).outcomes
         ]
 
     spans_mod.enable(False)
@@ -86,7 +86,7 @@ def test_cache_addresses_and_hits_unaffected_by_telemetry(tmp_path):
     spans_mod.enable(False)
     digest_off = config_digest(config)
     cache = ResultCache(tmp_path / "cache")
-    SweepRunner(n_workers=1, cache=cache).run([config])
+    SweepRunner(n_workers=1, cache=cache).run_with_report([config])
     assert cache.stats.stores == 1
 
     spans_mod.enable(True)

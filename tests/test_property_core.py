@@ -12,7 +12,8 @@ from repro.core.maxmin.balancer import MaxMinBalancer
 from repro.core.maxmin.incremental import IncrementalMaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_many, run_trial
+from repro.experiments.runner import run_trial
+from repro.runtime.sweep import SweepRunner
 from repro.protocols.nested import nested_swap_count, sequential_swap_count
 from repro.sim.metrics import Histogram
 
@@ -244,8 +245,8 @@ class TestScenarioProperties:
             for seed in (1, 2)
             for balancer in ("naive", "incremental")
         ]
-        serial = run_many(configs, n_workers=1)
-        parallel = run_many(configs, n_workers=2)
+        serial = SweepRunner(n_workers=1).run_with_report(configs).outcomes
+        parallel = SweepRunner(n_workers=2).run_with_report(configs).outcomes
         assert [_outcome_key(outcome) for outcome in serial] == [
             _outcome_key(outcome) for outcome in parallel
         ]

@@ -20,13 +20,10 @@ from repro.runtime import (
     atomic_write_bytes,
     code_version,
     config_digest,
-    replicate_config,
-    run_sweep,
     seed_grid,
     trial_seed,
 )
-from repro.runtime.seeding import replicate_grid
-from repro.runtime.sweep import SweepReport, default_workers
+from repro.runtime.sweep import default_workers
 
 
 def _tiny_configs(n_requests: int = 8):
@@ -86,22 +83,6 @@ class TestSeeding:
         with pytest.raises(ValueError):
             trial_seed(1, -1)
 
-    def test_replicate_config_assigns_derived_seeds(self):
-        base = ExperimentConfig(topology="cycle", n_nodes=9, seed=0)
-        replicas = replicate_config(base, 5, master_seed=42)
-        assert len(replicas) == 5
-        assert len({config.seed for config in replicas}) == 5
-        assert all(config.topology == "cycle" for config in replicas)
-
-    def test_replicate_grid_is_position_stable(self):
-        base = ExperimentConfig(topology="cycle", n_nodes=9)
-        grid = [base.with_(distillation=d) for d in (1.0, 2.0)]
-        replicated = replicate_grid(grid, n_trials=3, master_seed=9)
-        assert len(replicated) == 6
-        # Cell 1's seeds do not depend on cell 0's existence beyond position.
-        tail = replicate_grid(grid, n_trials=3, master_seed=9)[3:]
-        assert [config.seed for config in replicated[3:]] == [config.seed for config in tail]
-
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
@@ -109,7 +90,7 @@ class TestResultCache:
         config = _tiny_configs()[0]
         assert cache.get(config) is None
         assert cache.stats.misses == 1
-        outcome = SweepRunner(n_workers=1).run([config])[0]
+        outcome = SweepRunner(n_workers=1).run_with_report([config]).outcomes[0]
         cache.put(config, outcome)
         assert config in cache
         restored = cache.get(config)
@@ -132,12 +113,12 @@ class TestResultCache:
         assert config_digest(config) != config_digest(churned)
         assert config_digest(churned) != config_digest(tuned)
         cache = ResultCache(tmp_path)
-        outcome = SweepRunner(n_workers=1).run([config])[0]
+        outcome = SweepRunner(n_workers=1).run_with_report([config]).outcomes[0]
         cache.put(config, outcome)
         assert config in cache
         assert churned not in cache
         assert cache.get(churned) is None, "scenario trials must not hit static entries"
-        churned_outcome = SweepRunner(n_workers=1).run([churned])[0]
+        churned_outcome = SweepRunner(n_workers=1).run_with_report([churned]).outcomes[0]
         cache.put(churned, churned_outcome)
         assert _fingerprint(cache.get(config)) == _fingerprint(outcome)
         assert _fingerprint(cache.get(churned)) == _fingerprint(churned_outcome)
@@ -151,7 +132,7 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = _tiny_configs()[0]
-        outcome = SweepRunner(n_workers=1).run([config])[0]
+        outcome = SweepRunner(n_workers=1).run_with_report([config]).outcomes[0]
         cache.put(config, outcome)
         entry = next(tmp_path.glob("*.pkl"))
         entry.write_bytes(b"not a pickle")
@@ -164,7 +145,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         assert len(cache) == 0
         config = _tiny_configs()[0]
-        outcome = SweepRunner(n_workers=1).run([config])[0]
+        outcome = SweepRunner(n_workers=1).run_with_report([config]).outcomes[0]
         cache.put(config, outcome)
         assert len(cache) == 1
         assert cache.clear() == 1
@@ -175,7 +156,7 @@ class TestResultCache:
         ``*.tmp`` file that ``clear()`` used to skip forever."""
         cache = ResultCache(tmp_path)
         config = _tiny_configs()[0]
-        outcome = SweepRunner(n_workers=1).run([config])[0]
+        outcome = SweepRunner(n_workers=1).run_with_report([config]).outcomes[0]
         cache.put(config, outcome)
         orphan = tmp_path / "tmpdead.tmp"
         orphan.write_bytes(b"half-written pickle")
@@ -200,14 +181,14 @@ class TestSweepRunner:
 
     def test_outcomes_in_config_order(self):
         configs = _tiny_configs()
-        outcomes = run_sweep(configs)
+        outcomes = SweepRunner().run_with_report(configs).outcomes
         assert [outcome.config for outcome in outcomes] == configs
 
     def test_parallel_matches_sequential_bit_for_bit(self):
         """The headline guarantee: n_workers=4 == n_workers=1, exactly."""
         configs = _tiny_configs()
-        sequential = SweepRunner(n_workers=1).run(configs)
-        parallel = SweepRunner(n_workers=4).run(configs)
+        sequential = SweepRunner(n_workers=1).run_with_report(configs).outcomes
+        parallel = SweepRunner(n_workers=4).run_with_report(configs).outcomes
         assert [_fingerprint(o) for o in parallel] == [_fingerprint(o) for o in sequential]
 
     def test_cached_rerun_recomputes_nothing(self, tmp_path):
@@ -226,7 +207,7 @@ class TestSweepRunner:
         configs = _tiny_configs()
         cache = ResultCache(tmp_path)
         runner = SweepRunner(n_workers=1, cache=cache)
-        runner.run([configs[0], configs[2]])
+        runner.run_with_report([configs[0], configs[2]])
         report = runner.run_with_report(configs)
         assert report.n_cached == 2 and report.n_computed == 2
 
@@ -247,11 +228,6 @@ class TestSweepRunner:
         second = get_experiment("figure4").run(runtime=runtime, **kwargs)
         assert cache.stats.stores == stores_after_first  # zero recomputed trials
         assert second.series("exact") == first.series("exact")
-
-    def test_report_summary_mentions_provenance(self):
-        report = SweepReport(outcomes=[], n_cached=3, n_computed=1, n_workers=2)
-        summary = report.summary()
-        assert "3 from cache" in summary and "2 worker" in summary
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -278,7 +254,7 @@ class TestOnResultCallback:
         configs = _tiny_configs()
         cache = ResultCache(tmp_path)
         runner = SweepRunner(n_workers=1, cache=cache)
-        runner.run([configs[0], configs[2]])  # pre-warm two of the four cells
+        runner.run_with_report([configs[0], configs[2]])  # pre-warm two of the four cells
         calls = []
         runner.run_with_report(configs, on_result=lambda i, o, c: calls.append((i, c)))
         # Cache hits fire first, then computed cells, each group in config order.

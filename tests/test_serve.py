@@ -17,9 +17,8 @@ import time
 
 import pytest
 
-from repro.experiments.registry import get_experiment
+from repro.experiments.registry import experiment_names, get_experiment
 from repro.experiments.schema import SchemaError, validate_payload
-from repro.runtime.sweep import SweepRunner
 from repro.serve import (
     Job,
     JobQueue,
@@ -53,6 +52,19 @@ from repro.serve.protocol import (
 TINY = {"smoke": True, "topologies": ["cycle"]}
 #: The CI smoke point proper (three topologies).
 SMOKE = {"smoke": True}
+#: Small inputs for every registered experiment (about two seconds in all).
+SMALL_PARAMS = {
+    "ablations": {"n_nodes": 9},
+    "classical": {"n_nodes": 9},
+    "comparison": {"n_nodes": 9},
+    "figure4": SMOKE,
+    "figure5": {"network_sizes": [9]},
+    "lp": {"n_nodes": 9},
+    "multicast": SMOKE,
+    "resilience": SMOKE,
+    "scaling": {"sizes": [36]},
+    "traffic": SMOKE,
+}
 
 
 def _tiny_variant(master_seed: int) -> dict:
@@ -75,16 +87,33 @@ def serve_daemon(**kwargs):
         shutil.rmtree(sock_dir, ignore_errors=True)
 
 
-class _GatedSweep:
-    """A sweep runner that blocks until ``gate`` is set (holds a worker busy)."""
+def _patch_execute(monkeypatch, replacement, name: str = "figure4"):
+    """Swap the registered experiment's ``execute`` for ``replacement(execute,
+    grid, runtime)``, where ``execute`` is the real one (undone at teardown)."""
+    experiment = get_experiment(name)
+    execute = experiment.execute
+    monkeypatch.setitem(
+        vars(experiment), "execute", lambda grid, runtime: replacement(execute, grid, runtime)
+    )
 
-    def __init__(self, cache, gate: threading.Event):
-        self.gate = gate
-        self.inner = SweepRunner(n_workers=1, cache=cache)
 
-    def run_with_report(self, grid, on_result=None):
-        assert self.gate.wait(timeout=30), "test gate never opened"
-        return self.inner.run_with_report(grid, on_result=on_result)
+def _gate_execute(monkeypatch, gate: threading.Event) -> None:
+    """Block every figure4 run until ``gate`` is set (holds a worker busy)."""
+
+    def gated(execute, grid, runtime):
+        assert gate.wait(timeout=30), "test gate never opened"
+        return execute(grid, runtime)
+
+    _patch_execute(monkeypatch, gated)
+
+
+def _crash(message: str):
+    """An ``execute`` replacement that raises ``RuntimeError(message)``."""
+
+    def crash(execute, grid, runtime):
+        raise RuntimeError(message)
+
+    return crash
 
 
 def _raw_request(address: str, data: bytes) -> dict:
@@ -282,15 +311,19 @@ class TestCoercionAndDigest:
 
 
 class TestWorkerPool:
-    def _submit(self, pool_kwargs, params=TINY):
-        """Run one job through a throwaway pool; return the finished job."""
+    def _submit(self, pool_kwargs, params=TINY, experiment="figure4"):
+        """Run one job through a throwaway pool; return the finished job.
+
+        ``total`` comes from the submit-time plan, as the daemon sets it.
+        """
         queue = JobQueue(depth=4)
         pool = WorkerPool(queue, n_workers=1, **pool_kwargs)
         job = Job(
             job_id="j-000001",
-            experiment="figure4",
+            experiment=experiment,
             params=dict(params),
-            digest=submission_digest("figure4", params),
+            digest=submission_digest(experiment, params),
+            total=len(get_experiment(experiment).plan(params)[1]),
         )
         pool.start()
         try:
@@ -306,27 +339,26 @@ class TestWorkerPool:
         assert job.completed == job.total == 1
         validate_payload(job.result)
 
-    def test_crash_parks_structured_error_not_a_hang(self):
-        def factory(cache):
-            raise RuntimeError("injected crash")
-
-        job = self._submit({"retries": 1, "sweep_factory": factory})
+    def test_crash_parks_structured_error_not_a_hang(self, monkeypatch):
+        _patch_execute(monkeypatch, _crash("injected crash"))
+        job = self._submit({"retries": 1})
         assert job.state == "error"
         assert job.attempts == 2  # first run plus one retry
         assert job.error["code"] == 500 and job.error["kind"] == "worker-error"
         assert "injected crash" in job.error["message"]
         assert "injected crash" in job.error["traceback"]
 
-    def test_crash_then_success_within_retry_budget(self):
+    def test_crash_then_success_within_retry_budget(self, monkeypatch):
         calls = []
 
-        def factory(cache):
+        def crash_once(execute, grid, runtime):
             calls.append(1)
             if len(calls) == 1:
                 raise RuntimeError("transient crash")
-            return SweepRunner(n_workers=1, cache=cache)
+            return execute(grid, runtime)
 
-        job = self._submit({"retries": 1, "sweep_factory": factory})
+        _patch_execute(monkeypatch, crash_once)
+        job = self._submit({"retries": 1})
         assert job.state == "done" and job.attempts == 2
         validate_payload(job.result)
 
@@ -335,6 +367,11 @@ class TestWorkerPool:
         assert job.state == "error"
         assert job.error["code"] == 408 and job.error["kind"] == "wait-timeout"
         assert job.completed >= 1  # the budget is checked between trials
+
+    def test_lp_timeout_parks_a_408_after_the_first_program(self):
+        job = self._submit({"job_timeout": 0.0}, params={"n_nodes": 9}, experiment="lp")
+        assert job.state == "error" and job.error["code"] == 408
+        assert (job.completed, job.total) == (1, 4)  # 2 topologies x 2 D
 
     def test_cancel_between_pop_and_start(self):
         pool = WorkerPool(JobQueue(depth=1), n_workers=1)
@@ -485,10 +522,10 @@ class TestServeDaemon:
         assert again["cached"] is True
         assert events == [{"event": "end", "job": first["job"], "state": "done"}]
 
-    def test_client_disconnect_midstream_does_not_kill_the_job(self):
+    def test_client_disconnect_midstream_does_not_kill_the_job(self, monkeypatch):
         gate = threading.Event()
+        _gate_execute(monkeypatch, gate)
         with serve_daemon(workers=1) as daemon:
-            daemon.pool.sweep_factory = lambda cache: _GatedSweep(cache, gate)
             watcher = ServeClient(daemon.address, client="watcher")
             subscriber = ServeClient(daemon.address, client="quitter")
             try:
@@ -509,10 +546,10 @@ class TestServeDaemon:
                 watcher.close()
                 subscriber.close()
 
-    def test_queue_full_draining_and_cancel(self):
+    def test_queue_full_draining_and_cancel(self, monkeypatch):
         gate = threading.Event()
+        _gate_execute(monkeypatch, gate)
         with serve_daemon(workers=1, queue_depth=1) as daemon:
-            daemon.pool.sweep_factory = lambda cache: _GatedSweep(cache, gate)
             with ServeClient(daemon.address) as client:
                 running = client.submit("figure4", _tiny_variant(1))
                 _wait_for(
@@ -568,12 +605,9 @@ class TestServeDaemon:
                 stats = client.stats()
         assert stats["rejected_admission"] == 1
 
-    def test_worker_crash_surfaces_on_the_wire_as_structured_500(self):
-        def factory(cache):
-            raise RuntimeError("boom")
-
+    def test_worker_crash_surfaces_on_the_wire_as_structured_500(self, monkeypatch):
+        _patch_execute(monkeypatch, _crash("boom"))
         with serve_daemon(workers=1, retries=0) as daemon:
-            daemon.pool.sweep_factory = factory
             with ServeClient(daemon.address) as client:
                 submitted = client.submit("figure4", TINY)
                 with pytest.raises(ServeError) as excinfo:
@@ -584,10 +618,10 @@ class TestServeDaemon:
         assert error.response["state"] == "error"
         validate_payload(error.response, schema=RESPONSE_SCHEMA)
 
-    def test_result_conflict_and_wait_timeout(self):
+    def test_result_conflict_and_wait_timeout(self, monkeypatch):
         gate = threading.Event()
+        _gate_execute(monkeypatch, gate)
         with serve_daemon(workers=1) as daemon:
-            daemon.pool.sweep_factory = lambda cache: _GatedSweep(cache, gate)
             with ServeClient(daemon.address) as client:
                 submitted = client.submit("figure4", TINY)
                 with pytest.raises(ServeError) as conflict:
@@ -709,6 +743,46 @@ class TestServeDaemon:
             ServeDaemon(socket_path="/tmp/x.sock", port=7777)
 
 
+def _without_wall_time(name: str, payload: dict) -> dict:
+    """``payload`` minus the columns that measure wall time (scaling's ``seconds``)."""
+    if name != "scaling":
+        return payload
+    keep = [index for index, column in enumerate(payload["columns"]) if column != "seconds"]
+    return dict(
+        payload,
+        columns=[payload["columns"][index] for index in keep],
+        rows=[[row[index] for index in keep] for row in payload["rows"]],
+    )
+
+
+class TestServeEveryExperiment:
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_served_payload_is_byte_identical_to_a_local_run(self, name):
+        params = SMALL_PARAMS[name]
+        experiment = get_experiment(name)
+        grid = experiment.plan(params)[1]
+        local = _without_wall_time(name, experiment.run(**params).to_payload())
+        with serve_daemon(workers=1) as daemon:
+            with ServeClient(daemon.address) as client:
+                submitted = client.submit(name, params)
+                response = client.result(submitted["job"], wait=True, timeout=120)
+                status = client.status(submitted["job"])
+        assert response["state"] == "done"
+        served = _without_wall_time(name, response["result"])
+        assert json.dumps(served) == json.dumps(local)
+        assert status["completed"] == status["total"] == len(grid)
+
+    def test_lp_job_reports_one_unit_per_program(self):
+        with serve_daemon(workers=1) as daemon:
+            with ServeClient(daemon.address) as client:
+                submitted = client.submit("lp", {"n_nodes": 9}, stream=True)
+                events = list(client.events())
+                status = client.status(submitted["job"])
+        assert status["completed"] == status["total"] == 4  # 2 topologies x 2 D
+        progress = [event["completed"] for event in events if event["event"] == "progress"]
+        assert progress == [1, 2, 3, 4]
+
+
 class TestServeCLI:
     def test_submit_matches_one_shot_cli_bit_for_bit(self, capsys):
         """Acceptance criterion at the CLI layer: `repro submit` delivers the
@@ -750,14 +824,11 @@ class TestServeCLI:
             main(["submit", "figure4", "--connect", str(tmp_path / "nope.sock")])
         assert excinfo.value.code == 2
 
-    def test_submit_surfaces_daemon_errors_on_stderr(self, capsys):
+    def test_submit_surfaces_daemon_errors_on_stderr(self, capsys, monkeypatch):
         from repro.cli import main
 
-        def factory(cache):
-            raise RuntimeError("boom")
-
+        _patch_execute(monkeypatch, _crash("boom"))
         with serve_daemon(workers=1, retries=0) as daemon:
-            daemon.pool.sweep_factory = factory
             assert main(
                 ["submit", "figure4", "--smoke", "--connect", daemon.address]
             ) == 1
