@@ -3,8 +3,7 @@
 Everything needed to turn raw protocol results into the quantities the paper
 reports (and a few it should have): the swap-overhead metric of Section 5,
 max-min fairness checks for the balancer's fixed points, starvation/wait
-statistics, summary statistics with confidence intervals, and plain-text
-table rendering for experiment reports.
+statistics, and plain-text table rendering for experiment reports.
 """
 
 from repro.analysis.fairness import is_max_min_fair, jains_index, lexicographic_min
@@ -17,28 +16,18 @@ from repro.analysis.overhead import (
 )
 from repro.analysis.reporting import format_table, render_series
 from repro.analysis.starvation import StarvationReport, starvation_report
-from repro.analysis.statistics import (
-    SummaryStatistics,
-    bootstrap_confidence_interval,
-    mean_confidence_interval,
-    summarize,
-)
 
 __all__ = [
     "OverheadBreakdown",
     "StarvationReport",
-    "SummaryStatistics",
-    "bootstrap_confidence_interval",
     "format_table",
     "is_max_min_fair",
     "jains_index",
     "lexicographic_min",
-    "mean_confidence_interval",
     "optimal_swaps_for_requests",
     "render_series",
     "request_path_lengths",
     "starvation_report",
-    "summarize",
     "swap_overhead",
     "swap_overhead_from_result",
 ]

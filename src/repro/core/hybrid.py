@@ -54,12 +54,16 @@ def shortest_entanglement_path(
     target: NodeId,
     minimum_count: int = 1,
 ) -> Optional[List[NodeId]]:
-    """BFS shortest path between ``source`` and ``target`` over the entanglement graph.
+    """BFS shortest path of two or more hops from ``source`` to ``target``.
 
-    Ties are broken by ``repr``: BFS expands each node's neighbours in
-    ascending ``repr`` order (see :func:`entanglement_graph`), so among
-    equally short paths the one returned is the least when paths are
-    compared node by node from ``source`` by ``repr`` (``"10" < "2"``).
+    The path runs over the entanglement graph without the direct
+    ``(source, target)`` edge: the planner searches only when that edge
+    holds fewer pairs than one consumption needs, so the shortfall has to
+    come over other edges.  Ties are broken by ``repr``: BFS expands each
+    node's neighbours in ascending ``repr`` order (see
+    :func:`entanglement_graph`), so among equally short paths the one
+    returned is the least when paths are compared node by node from
+    ``source`` by ``repr`` (``"10" < "2"``).
     """
     if source == target:
         return [source]
@@ -72,7 +76,7 @@ def shortest_entanglement_path(
     while frontier:
         node = frontier.popleft()
         for neighbor in adjacency[node]:
-            if neighbor in visited:
+            if neighbor in visited or (node == source and neighbor == target):
                 continue
             visited.add(neighbor)
             predecessors[neighbor] = node
@@ -163,13 +167,16 @@ class HybridPlanner:
         affordable entanglement-graph path exists right now.  On success the
         ledger holds at least ``D_{source,target}`` pairs of
         ``(source, target)`` ready to be consumed by the caller.
+
+        The deficit is topped up over a path of two or more hops (see
+        :func:`shortest_entanglement_path`).
         """
         required = self._cost(source, target)
         deficit = required - self.ledger.count(source, target)
         if deficit <= 0:
             return []
 
-        path = shortest_entanglement_path(self.ledger, source, target, minimum_count=1)
+        path = shortest_entanglement_path(self.ledger, source, target)
         if path is None or len(path) < 2:
             self.requests_declined += 1
             return None
@@ -184,7 +191,8 @@ class HybridPlanner:
                 return None
 
         records = self._execute(path, deficit, round_index)
-        self.requests_completed += 1
+        if self.ledger.count(source, target) >= required:
+            self.requests_completed += 1
         return records
 
     def _execute(self, path: Sequence[NodeId], multiplicity: int, round_index: int) -> List[SwapRecord]:

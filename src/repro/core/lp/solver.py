@@ -66,28 +66,11 @@ class LPSolution:
         """Total swap rate across all repeaters and pairs."""
         return sum(self.swap_rates.values())
 
-    def swap_rate_at(self, node: NodeId) -> float:
-        """Total swap rate performed at one repeater."""
-        return sum(rate for (repeater, _), rate in self.swap_rates.items() if repeater == node)
-
-    def swap_load_by_node(self) -> Dict[NodeId, float]:
-        """Swap rate per repeater (the LP's prediction of where swap work concentrates)."""
-        load: Dict[NodeId, float] = {}
-        for (repeater, _), rate in self.swap_rates.items():
-            load[repeater] = load.get(repeater, 0.0) + rate
-        return load
-
     def total_generation_rate(self) -> float:
         return sum(self.generation_rates.values())
 
     def total_consumption_rate(self) -> float:
         return sum(self.consumption_rates.values())
-
-    def served_fraction(self, demanded_total: float) -> float:
-        """Fraction of the demanded consumption rate actually served."""
-        if demanded_total <= 0:
-            return 1.0
-        return self.total_consumption_rate() / demanded_total
 
 
 def solve_linear_program(program: LinearProgram) -> Tuple[np.ndarray, float, int, str]:

@@ -3,13 +3,8 @@
 Given any assignment of generation, consumption and swap rates -- whether
 produced by the LP solver or measured from a simulation run -- compute the
 arrival rate ``r+(x, y)`` and departure rate ``r-(x, y)`` for every pair and
-check the steady-state conditions the paper derives:
-
-* ``r-(x, y) <= r+(x, y)`` for every pair (pairs cannot depart faster than
-  they arrive),
-* per-node budget ``sum_y c(x, y) <= sum_y g(x, y)`` (a node can never
-  consume more than it generates, because swaps never increase the number
-  of pairs held at a node).
+check the steady-state condition the paper derives: ``r-(x, y) <=
+r+(x, y)`` for every pair (pairs cannot depart faster than they arrive).
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.core.lp.extensions import PairOverheads
-from repro.network.topology import EdgeKey, Topology, edge_key
+from repro.network.topology import EdgeKey, edge_key
 
 NodeId = Hashable
 SwapRates = Mapping[Tuple[NodeId, EdgeKey], float]
@@ -40,12 +35,6 @@ class SteadyStateRates:
     @property
     def is_consistent(self) -> bool:
         return not self.violations
-
-    def total_arrival_rate(self) -> float:
-        return sum(self.arrivals.values())
-
-    def total_departure_rate(self) -> float:
-        return sum(self.departures.values())
 
 
 def compute_rates(
@@ -104,53 +93,3 @@ def verify_steady_state(
                 f"arrivals {rates.arrivals.get(pair, 0.0):.6f} by {-slack:.6f}"
             )
     return rates
-
-
-def node_budget_violations(
-    topology: Topology,
-    generation: PairRates,
-    consumption: PairRates,
-    tolerance: float = 1e-6,
-) -> List[str]:
-    """Check the per-node budget ``sum_y c(x,y) <= sum_y g(x,y)`` (paper, §3).
-
-    A node that consumes more than it generates in aggregate can never keep
-    up, regardless of how swaps are arranged, because a swap never increases
-    the number of Bell-pair halves stored at any single node.
-    """
-    violations: List[str] = []
-    for node in topology.nodes:
-        generated = sum(rate for pair, rate in generation.items() if node in pair)
-        consumed = sum(rate for pair, rate in consumption.items() if node in pair)
-        if consumed > generated + tolerance:
-            violations.append(
-                f"node {node!r}: aggregate consumption {consumed:.6f} exceeds "
-                f"aggregate generation {generated:.6f}"
-            )
-    return violations
-
-
-def max_feasible_uniform_demand(
-    topology: Topology,
-    demand_pairs: List[EdgeKey],
-    overheads: Optional[PairOverheads] = None,
-    qec_overhead: float = 1.0,
-) -> float:
-    """Largest uniform per-pair rate ``kappa`` the network can serve on ``demand_pairs``.
-
-    A convenience built on the ``MAX_PROPORTIONAL_ALPHA`` objective with unit
-    demand on every listed pair; used by capacity-planning examples.
-    """
-    from repro.core.lp.formulation import PathObliviousFlowProgram
-    from repro.core.lp.objectives import Objective
-    from repro.core.lp.solver import solve_flow_program
-    from repro.network.demand import uniform_demand
-
-    if not demand_pairs:
-        raise ValueError("demand_pairs must be non-empty")
-    demand = uniform_demand(demand_pairs, rate=1.0)
-    program = PathObliviousFlowProgram(
-        topology, demand, overheads=overheads, qec_overhead=qec_overhead
-    )
-    solution = solve_flow_program(program, Objective.MAX_PROPORTIONAL_ALPHA)
-    return solution.alpha if solution.alpha is not None else 0.0

@@ -14,11 +14,11 @@ else through the node-keyed methods.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.network.topology import EdgeKey, GroupKey, group_key
+from repro.network.topology import EdgeKey
 
 NodeId = Hashable
 
@@ -34,12 +34,6 @@ class PairCountLedger:
     which replaces the ``counts`` array.  ``mutated`` is ``None`` or a list
     every pair mutation appends the two rows of its pair to (a skip-mode
     balancer switches it on and drains it; one such balancer per ledger).
-
-    Beyond pairs, the ledger also tracks *group* (GHZ) states: counts keyed
-    by a canonical :data:`~repro.network.topology.GroupKey` of three or more
-    members, in a side dict.  Size-2 groups are not stored separately -- the
-    group API (:meth:`add_group`, :meth:`remove_group`, :meth:`group_count`)
-    dispatches them straight to the pair table.
     """
 
     def __init__(self, nodes: Optional[Iterable[NodeId]] = None):
@@ -48,8 +42,6 @@ class PairCountLedger:
         self.index: Dict[NodeId, int] = {}
         self.counts = np.zeros((0, 0), dtype=np.int64)
         self.mutated: Optional[List[int]] = None
-        self._group_counts: Dict[GroupKey, int] = {}
-        self._group_membership: Dict[NodeId, Set[GroupKey]] = {}
         # (pairs, counts, their rows) of the last add_pairs call.
         self._pair_rows: tuple = (None, None, None)
         self._relayout(list(dict.fromkeys(nodes or [])))
@@ -135,74 +127,6 @@ class PairCountLedger:
         return int(amounts.sum())
 
     # ------------------------------------------------------------------ #
-    # Group (GHZ) counts -- size-2 groups dispatch to the pair table
-    # ------------------------------------------------------------------ #
-    def group_count(self, *nodes: NodeId) -> int:
-        """The count of k-party GHZ states over ``nodes`` (pairs for k=2)."""
-        key = group_key(*nodes)
-        if len(key) == 2:
-            return self.count(key[0], key[1])
-        return self._group_counts.get(key, 0)
-
-    def add_group(self, nodes: Iterable[NodeId], amount: int = 1) -> int:
-        """Add ``amount`` GHZ states over ``nodes``; returns the new count.
-
-        A size-2 group is exactly a Bell pair: the mutation lands in the
-        pair table, keeping the two APIs one authoritative store.
-        """
-        key = group_key(*nodes)
-        if len(key) == 2:
-            return self.add(key[0], key[1], amount)
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        for node in key:
-            self.ensure_node(node)
-        new_count = self._group_counts.get(key, 0) + int(amount)
-        self._group_counts[key] = new_count
-        for node in key:
-            self._group_membership.setdefault(node, set()).add(key)
-        return new_count
-
-    def remove_group(self, nodes: Iterable[NodeId], amount: int = 1) -> int:
-        """Remove ``amount`` GHZ states; raises when fewer than ``amount`` exist."""
-        key = group_key(*nodes)
-        if len(key) == 2:
-            return self.remove(key[0], key[1], amount)
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        current = self._group_counts.get(key, 0)
-        if current < amount:
-            raise ValueError(
-                f"cannot remove {amount} group states over {key!r}; only {current} present"
-            )
-        new_count = current - int(amount)
-        if new_count == 0:
-            self._group_counts.pop(key, None)
-            for node in key:
-                members = self._group_membership.get(node)
-                if members is not None:
-                    members.discard(key)
-                    if not members:
-                        self._group_membership.pop(node, None)
-        else:
-            self._group_counts[key] = new_count
-        return new_count
-
-    def nonzero_groups(self) -> Dict[GroupKey, int]:
-        """Every group with a positive count: pairs (as size-2 keys) plus GHZ."""
-        result: Dict[GroupKey, int] = dict(self.nonzero_pairs())
-        result.update(self._group_counts)
-        return result
-
-    def groups_involving(self, node: NodeId) -> Dict[GroupKey, int]:
-        """GHZ groups (size >= 3) that include ``node``, with counts."""
-        return {
-            key: self._group_counts[key]
-            for key in self._group_membership.get(node, ())
-            if key in self._group_counts
-        }
-
-    # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
     def partners(self, node: NodeId) -> Dict[NodeId, int]:
@@ -213,10 +137,6 @@ class PairCountLedger:
         columns = self.counts[row].nonzero()[0]
         partners = [self.order[column] for column in columns.tolist()]
         return dict(zip(partners, self.counts[row, columns].tolist()))
-
-    def entanglement_degree(self, node: NodeId) -> int:
-        """Number of distinct partners ``node`` shares at least one pair with."""
-        return len(self.partners(node))
 
     def nonzero_pairs(self) -> Dict[EdgeKey, int]:
         """Every pair with a positive count, keyed canonically (row-major ``repr`` order)."""
@@ -231,22 +151,10 @@ class PairCountLedger:
         """Total number of Bell pairs currently in the network."""
         return int(self.counts.sum()) // 2
 
-    def minimum_count(self) -> int:
-        """Smallest positive count (0 when the ledger is empty)."""
-        return min(self.nonzero_pairs().values(), default=0)
-
-    def maximum_count(self) -> int:
-        """Largest count (0 when the ledger is empty)."""
-        return max(self.nonzero_pairs().values(), default=0)
-
     def copy(self) -> "PairCountLedger":
         """A deep copy (used by dry-run planners)."""
         clone = PairCountLedger(self._nodes)
         clone.counts = self.counts.copy()
-        clone._group_counts = dict(self._group_counts)
-        clone._group_membership = {
-            node: set(keys) for node, keys in self._group_membership.items()
-        }
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,16 +3,15 @@
 Everything about the *classical structure* of the quantum network lives
 here: which nodes exist, which node pairs can generate elementary Bell
 pairs (the paper's *generation graph* ``G``), at what rates, which node
-pairs want to consume pairs (the demand), and how to compute paths over
-those graphs for the planned-path baselines.
+pairs want to consume pairs (the paper's ordered request sequence and the
+LP's average rates), and how to compute paths over those graphs for the
+planned-path baselines.
 """
 
 from repro.network.demand import (
     ConsumptionRequest,
     DemandMatrix,
     RequestSequence,
-    gravity_demand,
-    hotspot_demand,
     select_consumer_pairs,
     uniform_demand,
 )
@@ -50,9 +49,7 @@ __all__ = [
     "cycle_topology",
     "dumbbell_topology",
     "erdos_renyi_topology",
-    "gravity_demand",
     "grid_topology",
-    "hotspot_demand",
     "line_topology",
     "random_connected_grid_topology",
     "random_tree_topology",

@@ -11,8 +11,7 @@ This module provides
 * :func:`select_consumer_pairs` -- the paper's consumer-pair draw,
 * :class:`RequestSequence` -- the ordered, head-of-line-blocking request
   stream,
-* :class:`DemandMatrix` plus constructors (:func:`uniform_demand`,
-  :func:`gravity_demand`, :func:`hotspot_demand`) -- average consumption
+* :class:`DemandMatrix` and :func:`uniform_demand` -- average consumption
   rates ``c(x, y)`` for the LP formulation and steady-state analyses.
 """
 
@@ -22,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -373,16 +372,9 @@ class RequestSequence:
 # ---------------------------------------------------------------------- #
 @dataclass
 class DemandMatrix:
-    """Average consumption rates keyed by unordered node pair (plus groups).
-
-    ``rates`` is the paper's pair-keyed table ``c(x, y)``; ``group_rates``
-    carries multicast demand keyed by canonical :data:`~repro.network.
-    topology.GroupKey` for groups of three or more parties (size-2 group
-    demand lives in ``rates`` -- :meth:`set_group_rate` dispatches).
-    """
+    """Average consumption rates ``c(x, y)`` keyed by unordered node pair."""
 
     rates: Dict[EdgeKey, float] = field(default_factory=dict)
-    group_rates: Dict[GroupKey, float] = field(default_factory=dict)
 
     def rate(self, node_a: NodeId, node_b: NodeId) -> float:
         """The rate ``c(x, y)`` (zero when the pair has no demand)."""
@@ -405,53 +397,6 @@ class DemandMatrix:
         """All pairs with positive demand."""
         return [pair for pair, rate in self.rates.items() if rate > 0]
 
-    # -------------------------------------------------------------- #
-    # Group-valued demand (multicast)
-    # -------------------------------------------------------------- #
-    def group_rate(self, *nodes: NodeId) -> float:
-        """The multicast rate of the group over ``nodes`` (zero when absent)."""
-        key = group_key(*nodes)
-        if len(key) == 2:
-            return self.rate(key[0], key[1])
-        return self.group_rates.get(key, 0.0)
-
-    def set_group_rate(self, nodes: Iterable[NodeId], rate: float) -> None:
-        """Set the demand rate of one group (size-2 groups land in ``rates``)."""
-        key = group_key(*nodes)
-        if rate < 0:
-            raise ValueError(f"consumption rate must be non-negative, got {rate}")
-        if len(key) == 2:
-            self.set_rate(key[0], key[1], rate)
-            return
-        if rate == 0:
-            self.group_rates.pop(key, None)
-        else:
-            self.group_rates[key] = float(rate)
-
-    def groups(self) -> List[GroupKey]:
-        """Every demand key with positive rate: pairs first, then larger groups."""
-        return self.pairs() + [
-            group for group, rate in self.group_rates.items() if rate > 0
-        ]
-
-    def total_rate(self) -> float:
-        return sum(self.rates.values()) + sum(self.group_rates.values())
-
-    def node_rate(self, node: NodeId) -> float:
-        """Total consumption rate involving ``node`` (the LP's per-node budget check)."""
-        return sum(rate for (a, b), rate in self.rates.items() if node in (a, b)) + sum(
-            rate for group, rate in self.group_rates.items() if node in group
-        )
-
-    def scaled(self, factor: float) -> "DemandMatrix":
-        """A copy with every rate multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError(f"factor must be non-negative, got {factor}")
-        return DemandMatrix(
-            {pair: rate * factor for pair, rate in self.rates.items()},
-            {group: rate * factor for group, rate in self.group_rates.items()},
-        )
-
 
 def uniform_demand(pairs: Iterable[EdgeKey], rate: float = 1.0) -> DemandMatrix:
     """Equal demand ``rate`` on every listed pair."""
@@ -460,51 +405,4 @@ def uniform_demand(pairs: Iterable[EdgeKey], rate: float = 1.0) -> DemandMatrix:
     demand = DemandMatrix()
     for node_a, node_b in pairs:
         demand.set_rate(node_a, node_b, rate)
-    return demand
-
-
-def gravity_demand(
-    topology: Topology,
-    node_weights: Mapping[NodeId, float],
-    total_rate: float = 1.0,
-) -> DemandMatrix:
-    """Gravity-model demand: pair rate proportional to the product of node weights."""
-    if total_rate <= 0:
-        raise ValueError(f"total_rate must be positive, got {total_rate}")
-    for node, weight in node_weights.items():
-        if weight < 0:
-            raise ValueError(f"node weight for {node!r} must be non-negative, got {weight}")
-    raw: Dict[EdgeKey, float] = {}
-    for node_a, node_b in topology.node_pairs():
-        weight = node_weights.get(node_a, 0.0) * node_weights.get(node_b, 0.0)
-        if weight > 0:
-            raw[edge_key(node_a, node_b)] = weight
-    total_weight = sum(raw.values())
-    if total_weight == 0:
-        raise ValueError("gravity demand requires at least one pair of positive-weight nodes")
-    return DemandMatrix({pair: total_rate * weight / total_weight for pair, weight in raw.items()})
-
-
-def hotspot_demand(
-    topology: Topology,
-    hotspot: NodeId,
-    rate_per_pair: float = 1.0,
-    n_partners: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> DemandMatrix:
-    """Demand concentrated on one hotspot node (e.g. a data-centre end point)."""
-    if hotspot not in topology:
-        raise KeyError(f"hotspot node {hotspot!r} not in topology")
-    if rate_per_pair <= 0:
-        raise ValueError(f"rate_per_pair must be positive, got {rate_per_pair}")
-    partners = [node for node in topology.nodes if node != hotspot]
-    if n_partners is not None:
-        if n_partners <= 0:
-            raise ValueError(f"n_partners must be positive, got {n_partners}")
-        generator = rng if rng is not None else np.random.default_rng()
-        chosen = generator.choice(len(partners), size=min(n_partners, len(partners)), replace=False)
-        partners = [partners[int(i)] for i in chosen]
-    demand = DemandMatrix()
-    for partner in partners:
-        demand.set_rate(hotspot, partner, rate_per_pair)
     return demand

@@ -5,18 +5,13 @@ edges are the node pairs ``(x, y)`` with positive elementary generation rate
 ``g(x, y) > 0``.  :class:`Topology` stores exactly that -- nodes, undirected
 edges, per-edge generation rates and optional node positions -- plus the
 graph queries (connectivity, shortest paths, neighbourhoods) the protocols
-and baselines need.
-
-The class is self-contained (its own BFS/Dijkstra) so the core library does
-not *require* networkx, but :meth:`Topology.to_networkx` is provided for
-interoperability and is used by some analyses.
+and baselines need, each a plain BFS over the adjacency.
 """
 
 from __future__ import annotations
 
 import collections
-import heapq
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 NodeId = Hashable
 EdgeKey = Tuple[NodeId, NodeId]
@@ -216,24 +211,6 @@ class Topology:
                     frontier.append(neighbor)
         return len(visited) == len(self._adjacency)
 
-    def connected_components(self) -> List[List[NodeId]]:
-        """All connected components, each as a node list."""
-        remaining = set(self._adjacency)
-        components: List[List[NodeId]] = []
-        while remaining:
-            start = next(iter(remaining))
-            component = {start}
-            frontier = collections.deque([start])
-            while frontier:
-                node = frontier.popleft()
-                for neighbor in self._adjacency[node]:
-                    if neighbor not in component:
-                        component.add(neighbor)
-                        frontier.append(neighbor)
-            components.append(sorted(component, key=repr))
-            remaining -= component
-        return components
-
     def shortest_path(self, source: NodeId, target: NodeId) -> Optional[List[NodeId]]:
         """Unweighted (hop-count) shortest path, or ``None`` when unreachable."""
         if source not in self._adjacency or target not in self._adjacency:
@@ -265,44 +242,6 @@ class Topology:
             return None
         return len(path) - 1
 
-    def weighted_shortest_path(
-        self, source: NodeId, target: NodeId, weights: Mapping[EdgeKey, float]
-    ) -> Optional[Tuple[List[NodeId], float]]:
-        """Dijkstra shortest path under explicit per-edge weights.
-
-        Used by planned-path baselines that route around congested or
-        low-rate links rather than purely by hop count.
-        """
-        if source not in self._adjacency or target not in self._adjacency:
-            raise KeyError(f"both endpoints must be topology nodes: {source!r}, {target!r}")
-        distances: Dict[NodeId, float] = {source: 0.0}
-        predecessors: Dict[NodeId, NodeId] = {}
-        heap: List[Tuple[float, int, NodeId]] = [(0.0, 0, source)]
-        counter = 1
-        finished = set()
-        while heap:
-            distance, _, node = heapq.heappop(heap)
-            if node in finished:
-                continue
-            finished.add(node)
-            if node == target:
-                path = [target]
-                while path[-1] != source:
-                    path.append(predecessors[path[-1]])
-                return list(reversed(path)), distance
-            for neighbor in self._adjacency[node]:
-                key = edge_key(node, neighbor)
-                weight = weights.get(key, 1.0)
-                if weight < 0:
-                    raise ValueError(f"negative edge weight {weight} for {key}")
-                candidate = distance + weight
-                if candidate < distances.get(neighbor, float("inf")):
-                    distances[neighbor] = candidate
-                    predecessors[neighbor] = node
-                    heapq.heappush(heap, (candidate, counter, neighbor))
-                    counter += 1
-        return None
-
     def all_pairs_shortest_path_lengths(self) -> Dict[EdgeKey, int]:
         """Hop-count distances for every unordered node pair (BFS from each node)."""
         lengths: Dict[EdgeKey, int] = {}
@@ -321,24 +260,9 @@ class Topology:
                 lengths[edge_key(source, target)] = distance
         return lengths
 
-    def diameter(self) -> int:
-        """The largest finite shortest-path length (0 for trivial graphs)."""
-        lengths = self.all_pairs_shortest_path_lengths()
-        return max(lengths.values()) if lengths else 0
-
     # ------------------------------------------------------------------ #
-    # Interop and utilities
+    # Utilities
     # ------------------------------------------------------------------ #
-    def to_networkx(self):
-        """Export to a :class:`networkx.Graph` with ``generation_rate`` edge attributes."""
-        import networkx as nx
-
-        graph = nx.Graph(name=self.name)
-        graph.add_nodes_from(self.nodes)
-        for (node_a, node_b), rate in self.generation_rates().items():
-            graph.add_edge(node_a, node_b, generation_rate=rate)
-        return graph
-
     def copy(self, name: Optional[str] = None) -> "Topology":
         """A deep copy (optionally renamed)."""
         clone = Topology(name=name or self.name, positions=self._positions)

@@ -1,10 +1,7 @@
-"""Performance layer: the serve-prefix scan and the profiling harness.
+"""Performance layer: the profiling harness and run provenance.
 
 Split across five modules:
 
-* :mod:`repro.perf.kernels` — :func:`~repro.perf.kernels.servable_prefix`,
-  the consumption phase's blockwise NumPy scan.  Import-light on purpose:
-  the protocol layer imports it on every run.
 * :mod:`repro.perf.timing` — warmup + median-of-k wall-clock timing for the
   ``benchmarks/`` gates.
 * :mod:`repro.perf.profiler` — ``repro profile <experiment>``: run a
@@ -13,11 +10,8 @@ Split across five modules:
   ``python -m repro.perf.schemas`` validator.
 * :mod:`repro.perf.bench` — run provenance (git revision, machine
   fingerprint) for the telemetry manifest and the ``perfbench/`` reports.
+* :mod:`repro.perf.kernels` — the kernel backend name those reports record.
 
-Only the scan is re-exported here; the profiler imports the experiment
-layer and is loaded on demand by the CLI.
+Nothing is re-exported here: the profiler imports the experiment layer
+and is loaded on demand by the CLI.
 """
-
-from repro.perf.kernels import servable_prefix
-
-__all__ = ["servable_prefix"]

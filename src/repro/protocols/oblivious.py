@@ -14,9 +14,7 @@ Each round:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Hashable, Optional, Union
 
 from repro.core.hybrid import HybridPlanner
 from repro.core.lp.extensions import PairOverheads
@@ -26,8 +24,7 @@ from repro.core.maxmin.knowledge import GlobalKnowledge, KnowledgeModel
 from repro.core.maxmin.policy import BalancingPolicy
 from repro.network.demand import ConsumptionRequest, RequestSequence
 from repro.network.generation import GenerationProcess
-from repro.network.topology import EdgeKey, Topology
-from repro.perf.kernels import servable_prefix
+from repro.network.topology import Topology
 from repro.protocols.base import SwappingProtocol
 from repro.protocols.fusion import DEFAULT_GROUP_STRATEGY, fusions_required, group_sessions
 from repro.sim.rng import RandomStreams
@@ -114,25 +111,6 @@ class PathObliviousProtocol(SwappingProtocol):
             if use_hybrid_fallback
             else None
         )
-        # The serve-prefix scan can size a round's whole consumption burst
-        # in one call only when serving is exactly "head pair holds >= D
-        # pairs" and the request list is immutable: no hybrid fallback, no
-        # per-round consumption cap, no scenario (demand drift may rewrite
-        # pending pairs), and the plain ordered sequence (timed subclasses
-        # release requests dynamically).
-        self._prefix_fast_path = (
-            self.hybrid is None
-            and self.consumptions_per_round is None
-            and self.scenario is None
-            and type(self.requests) is RequestSequence
-        )
-        self._encoded_requests: Optional[
-            Tuple[np.ndarray, List[Tuple[NodeId, NodeId]], List[int]]
-        ] = None
-        # Group-aware fast-path caches (used only when the immutable stream
-        # contains at least one multicast request).
-        self._contains_groups: Optional[bool] = None
-        self._encoded_group_requests: Optional[List[List[Tuple[EdgeKey, int]]]] = None
         self._fusions = 0
 
     # ------------------------------------------------------------------ #
@@ -172,135 +150,6 @@ class PathObliviousProtocol(SwappingProtocol):
         self.pairs_consumed += self.balancer.consume_sessions(sessions)
         self._fusions += fusions_required(request.pair, strategy)
         return True
-
-    def _encode_requests(self):
-        """Cache the immutable request stream as per-pair integer codes."""
-        if self._encoded_requests is None:
-            pair_code: Dict[Tuple[NodeId, NodeId], int] = {}
-            pairs: List[Tuple[NodeId, NodeId]] = []
-            codes = np.empty(len(self.requests), dtype=np.int64)
-            for position, request in enumerate(self.requests.requests()):
-                code = pair_code.get(request.pair)
-                if code is None:
-                    code = len(pairs)
-                    pair_code[request.pair] = code
-                    pairs.append(request.pair)
-                codes[position] = code
-            costs = [self.balancer.distillation_cost(a, b) for a, b in pairs]
-            self._encoded_requests = (codes, pairs, costs)
-        return self._encoded_requests
-
-    def _encode_group_requests(self) -> List[List[Tuple[EdgeKey, int]]]:
-        """Cache each request's ``(session pair, cost)`` list for the prefix scan."""
-        if self._encoded_group_requests is None:
-            encoded: List[List[Tuple[EdgeKey, int]]] = []
-            for request in self.requests.requests():
-                strategy = request.strategy or DEFAULT_GROUP_STRATEGY
-                encoded.append(
-                    [
-                        (pair, self.balancer.distillation_cost(*pair))
-                        for pair in group_sessions(request.pair, strategy)
-                    ]
-                )
-            self._encoded_group_requests = encoded
-        return self._encoded_group_requests
-
-    def _consumption_phase(self, round_index: int) -> Optional[bool]:
-        if not self._prefix_fast_path:
-            return super()._consumption_phase(round_index)
-        if self._contains_groups is None:
-            self._contains_groups = any(
-                len(request.pair) != 2 for request in self.requests.requests()
-            )
-        if self._contains_groups:
-            return self._group_consumption_phase(round_index)
-        requests = self.requests
-        head = requests.head()
-        if head is None:
-            return True if requests.all_satisfied else None
-        requests.note_head_issued(round_index)
-        if not self.balancer.can_consume(*head.pair):
-            return None
-        # The head is servable: size the whole burst with the serve-prefix
-        # scan instead of re-checking can_consume per request.  Serving a
-        # request only spends its own pair's ledger count, so each pair
-        # funds exactly count // cost consumptions this round.  The window
-        # doubles so a round serving k requests costs O(k), not O(pending).
-        codes, pairs, costs = self._encode_requests()
-        start = requests.satisfied_count
-        total = len(codes)
-        window = 16
-        while True:
-            stop = min(start + window, total)
-            budgets = np.array(
-                [self.ledger.count(a, b) // cost for (a, b), cost in zip(pairs, costs)],
-                dtype=np.int64,
-            )
-            prefix = servable_prefix(codes[start:stop], budgets)
-            if prefix < stop - start or stop == total:
-                break
-            window *= 2
-        for _ in range(prefix):
-            request = requests.head()
-            requests.note_head_issued(round_index)
-            self.pairs_consumed += self.balancer.consume(*request.pair)
-            requests.mark_head_satisfied(round_index)
-        head = requests.head()
-        if head is None:
-            return True if requests.all_satisfied else None
-        requests.note_head_issued(round_index)
-        return None
-
-    def _group_consumption_phase(self, round_index: int) -> Optional[bool]:
-        """Serve-prefix sizing for streams containing multicast requests.
-
-        The pair-only scan cannot express "a request spends several
-        sessions at once", so mixed streams use the same ordered-prefix
-        bookkeeping in plain Python: walk forward from the head, charging a
-        local budget table per session, and stop at the first request whose
-        sessions are not all affordable.  Cost is O(prefix), matching the
-        scan path's amortised behaviour.
-        """
-        requests = self.requests
-        head = requests.head()
-        if head is None:
-            return True if requests.all_satisfied else None
-        requests.note_head_issued(round_index)
-        encoded = self._encode_group_requests()
-        start = requests.satisfied_count
-        budgets: Dict[EdgeKey, int] = {}
-        prefix = 0
-        for sessions in encoded[start:]:
-            needed: Dict[EdgeKey, int] = {}
-            for pair, cost in sessions:
-                needed[pair] = needed.get(pair, 0) + cost
-            affordable = True
-            for pair, amount in needed.items():
-                if pair not in budgets:
-                    budgets[pair] = self.ledger.count(pair[0], pair[1])
-                if budgets[pair] < amount:
-                    affordable = False
-                    break
-            if not affordable:
-                break
-            for pair, amount in needed.items():
-                budgets[pair] -= amount
-            prefix += 1
-        if prefix == 0:
-            return None
-        for _ in range(prefix):
-            request = requests.head()
-            requests.note_head_issued(round_index)
-            for pair, _cost in encoded[requests.satisfied_count]:
-                self.pairs_consumed += self.balancer.consume(pair[0], pair[1])
-            strategy = request.strategy or DEFAULT_GROUP_STRATEGY
-            self._fusions += fusions_required(request.pair, strategy)
-            requests.mark_head_satisfied(round_index)
-        head = requests.head()
-        if head is None:
-            return True if requests.all_satisfied else None
-        requests.note_head_issued(round_index)
-        return None
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -6,13 +6,11 @@ that matches the count-level dynamics described in Section 5 of the paper
 rounds).
 
 Shared infrastructure lives alongside it: deterministic named RNG streams
-(:mod:`repro.sim.rng`), simulation clocks (:mod:`repro.sim.clock`), metric
-collectors (:mod:`repro.sim.metrics`) and structured trace recording
-(:mod:`repro.sim.tracing`).
+(:mod:`repro.sim.rng`), metric collectors (:mod:`repro.sim.metrics`) and
+structured trace recording (:mod:`repro.sim.tracing`).
 """
 
-from repro.sim.clock import SimulationClock
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry, TimeSeries
+from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim.rounds import RoundBasedSimulator, RoundHook, RoundPhase
 from repro.sim.tracing import TraceEvent, TraceRecorder
@@ -26,8 +24,6 @@ __all__ = [
     "RoundBasedSimulator",
     "RoundHook",
     "RoundPhase",
-    "SimulationClock",
-    "TimeSeries",
     "TraceEvent",
     "TraceRecorder",
     "derive_seed",

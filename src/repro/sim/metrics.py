@@ -8,7 +8,6 @@ in ``repro.analysis.reporting`` can be generated uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -153,42 +152,13 @@ class Histogram:
         self._samples.clear()
 
 
-@dataclass
-class TimeSeries:
-    """A sequence of ``(time, value)`` observations."""
-
-    name: str
-    description: str = ""
-    points: List[Tuple[float, float]] = field(default_factory=list)
-
-    def record(self, time: float, value: float) -> None:
-        if self.points and time < self.points[-1][0]:
-            raise ValueError(
-                f"time series {self.name!r} observations must be non-decreasing in time"
-            )
-        self.points.append((float(time), float(value)))
-
-    def times(self) -> List[float]:
-        return [time for time, _ in self.points]
-
-    def values(self) -> List[float]:
-        return [value for _, value in self.points]
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self.points[-1] if self.points else None
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 class MetricRegistry:
-    """A namespace of counters, gauges, histograms and time series."""
+    """A namespace of counters, gauges and histograms."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._series: Dict[str, TimeSeries] = {}
 
     def counter(self, name: str, description: str = "") -> Counter:
         if name not in self._counters:
@@ -204,11 +174,6 @@ class MetricRegistry:
         if name not in self._histograms:
             self._histograms[name] = Histogram(name, description)
         return self._histograms[name]
-
-    def time_series(self, name: str, description: str = "") -> TimeSeries:
-        if name not in self._series:
-            self._series[name] = TimeSeries(name, description)
-        return self._series[name]
 
     def counters(self) -> Dict[str, float]:
         return {name: counter.value for name, counter in self._counters.items()}
@@ -244,5 +209,3 @@ class MetricRegistry:
         for collection in (self._counters, self._gauges, self._histograms):
             for metric in collection.values():
                 metric.reset()
-        for series in self._series.values():
-            series.points.clear()

@@ -13,7 +13,8 @@ Each round executes three phases in a fixed order:
 3. ``CONSUMPTION``  -- the head-of-line consumption requests are served.
 
 Protocol code attaches :class:`RoundHook` callbacks to phases; the simulator
-owns the loop, the clock and the termination conditions.
+owns the loop, the round count and the termination conditions; trace
+records are stamped with the index of the round that made them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.spans import telemetry_enabled
-from repro.sim.clock import SimulationClock
 from repro.sim.metrics import MetricRegistry
 from repro.sim.tracing import TraceRecorder
 
@@ -76,7 +76,6 @@ class RoundBasedSimulator:
         if max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {max_rounds}")
         self.max_rounds = int(max_rounds)
-        self.clock = SimulationClock()
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.trace = trace
         self._hooks: Dict[RoundPhase, List[RoundHook]] = {phase: [] for phase in RoundPhase}
@@ -146,7 +145,6 @@ class RoundBasedSimulator:
                     if outcome:
                         stop_requested = True
             if self.trace is not None:
-                self.trace.record(self.clock.now, f"phase.{key}", {"round": round_index})
+                self.trace.record(float(round_index), f"phase.{key}", {"round": round_index})
         self.completed_rounds += 1
-        self.clock.advance_by(1.0)
         return RoundResult(round_index=round_index, stop_requested=stop_requested)

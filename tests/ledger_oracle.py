@@ -11,17 +11,16 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional
 
-from repro.network.topology import EdgeKey, GroupKey, edge_key, group_key
+from repro.network.topology import EdgeKey, edge_key
 
 NodeId = Hashable
 
 
 class DictPairCountLedger:
-    """Symmetric ``C_x(y)`` table in nested dicts, plus GHZ group counts."""
+    """Symmetric ``C_x(y)`` table in nested dicts."""
 
     def __init__(self, nodes: Optional[Iterable[NodeId]] = None):
         self._counts: Dict[NodeId, Dict[NodeId, int]] = {}
-        self._group_counts: Dict[GroupKey, int] = {}
         for node in nodes or []:
             self.ensure_node(node)
 
@@ -72,45 +71,6 @@ class DictPairCountLedger:
             self._counts[node_a][node_b] = self._counts[node_b][node_a] = new_count
         return new_count
 
-    def group_count(self, *nodes: NodeId) -> int:
-        key = group_key(*nodes)
-        if len(key) == 2:
-            return self.count(*key)
-        return self._group_counts.get(key, 0)
-
-    def add_group(self, nodes: Iterable[NodeId], amount: int = 1) -> int:
-        key = group_key(*nodes)
-        if len(key) == 2:
-            return self.add(key[0], key[1], amount)
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        for node in key:
-            self.ensure_node(node)
-        self._group_counts[key] = self._group_counts.get(key, 0) + int(amount)
-        return self._group_counts[key]
-
-    def remove_group(self, nodes: Iterable[NodeId], amount: int = 1) -> int:
-        key = group_key(*nodes)
-        if len(key) == 2:
-            return self.remove(key[0], key[1], amount)
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        current = self._group_counts.get(key, 0)
-        if current < amount:
-            raise ValueError(
-                f"cannot remove {amount} group states over {key!r}; only {current} present"
-            )
-        if current == amount:
-            del self._group_counts[key]
-        else:
-            self._group_counts[key] = current - int(amount)
-        return current - int(amount)
-
-    def nonzero_groups(self) -> Dict[GroupKey, int]:
-        result: Dict[GroupKey, int] = dict(self.nonzero_pairs())
-        result.update(self._group_counts)
-        return result
-
     def partners(self, node: NodeId) -> Dict[NodeId, int]:
         return dict(self._counts.get(node, {}))
 
@@ -125,6 +85,4 @@ class DictPairCountLedger:
         return sum(self.nonzero_pairs().values())
 
     def copy(self) -> "DictPairCountLedger":
-        clone = DictPairCountLedger.from_ledger(self)
-        clone._group_counts = dict(self._group_counts)
-        return clone
+        return DictPairCountLedger.from_ledger(self)

@@ -1,4 +1,4 @@
-"""Tests for the analysis layer (overhead metric, fairness, starvation, stats, reporting)."""
+"""Tests for the analysis layer (overhead metric, fairness, starvation, reporting)."""
 
 from __future__ import annotations
 
@@ -22,12 +22,6 @@ from repro.analysis.overhead import (
 )
 from repro.analysis.reporting import format_table, render_series
 from repro.analysis.starvation import starvation_report
-from repro.analysis.statistics import (
-    bootstrap_confidence_interval,
-    geometric_mean,
-    mean_confidence_interval,
-    summarize,
-)
 from repro.core.maxmin.balancer import MaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.demand import ConsumptionRequest
@@ -154,64 +148,6 @@ class TestStarvation:
         report = starvation_report(topology, result)
         assert report.mean_wait_by_distance == {}
         assert math.isnan(report.starvation_ratio)
-
-
-#: The sample containers every statistics helper accepts.
-SAMPLE_KINDS = (list, tuple, np.array)
-
-
-class TestStatistics:
-    def test_mean_confidence_interval_contains_mean(self):
-        for kind in SAMPLE_KINDS:
-            mean, low, high = mean_confidence_interval(kind([1.0, 2.0, 3.0, 4.0]))
-            assert low <= mean <= high
-            assert mean == pytest.approx(2.5)
-
-    def test_single_sample_degenerate_interval(self):
-        for kind in SAMPLE_KINDS:
-            assert mean_confidence_interval(kind([5.0])) == (5.0, 5.0, 5.0)
-            assert mean_confidence_interval(kind([0.0])) == (0.0, 0.0, 0.0)
-
-    def test_constant_sample_zero_width(self):
-        for kind in SAMPLE_KINDS:
-            mean, low, high = mean_confidence_interval(kind([2.0, 2.0, 2.0]))
-            assert low == high == mean == 2.0
-
-    def test_invalid_inputs(self):
-        for kind in SAMPLE_KINDS:
-            with pytest.raises(ValueError, match="empty"):
-                mean_confidence_interval(kind([]))
-            with pytest.raises(ValueError, match="empty"):
-                bootstrap_confidence_interval(kind([]))
-            with pytest.raises(ValueError, match="empty"):
-                summarize(kind([]))
-            with pytest.raises(ValueError, match="confidence"):
-                mean_confidence_interval(kind([1.0]), confidence=1.5)
-
-    def test_bootstrap_interval(self):
-        for kind in SAMPLE_KINDS:
-            sample = kind([1.0, 2.0, 3.0, 4.0])
-            mean, low, high = bootstrap_confidence_interval(sample, n_resamples=200)
-            assert low <= mean <= high
-            assert bootstrap_confidence_interval(kind([0.0])) == (0.0, 0.0, 0.0)
-
-    def test_summarize_fields(self):
-        for kind in SAMPLE_KINDS:
-            stats = summarize(kind([1.0, 2.0, 3.0]))
-            assert stats.count == 3
-            assert stats.minimum == 1.0
-            assert stats.maximum == 3.0
-            assert stats.ci_low <= stats.mean <= stats.ci_high
-            assert stats.as_row()[0] == stats.mean
-            assert summarize(kind([0.0])).as_row() == (0.0, 0.0, 0.0)
-
-    def test_geometric_mean(self):
-        for kind in SAMPLE_KINDS:
-            assert geometric_mean(kind([1.0, 4.0])) == pytest.approx(2.0)
-            with pytest.raises(ValueError, match="positive"):
-                geometric_mean(kind([0.0, 1.0]))
-            with pytest.raises(ValueError, match="empty"):
-                geometric_mean(kind([]))
 
 
 class TestReporting:

@@ -218,6 +218,17 @@ class TestOtherExperiments:
         assert naive.overhead_exact == incremental.overhead_exact
         assert naive.satisfied == incremental.satisfied
 
+    def test_ablations_hybrid_fallback_acts_when_d_exceeds_one(self):
+        """At D=2 a consumer pair holding one pair is topped up over a
+        longer path, so the fallback row is not a copy of pure balancing."""
+        result = get_experiment("ablations").run(
+            axes=("hybrid",), n_nodes=9, n_requests=6, distillation=2.0
+        )
+        rows = {row.variant: row for row in result.rows_for("hybrid")}
+        pure, fallback = rows["pure-oblivious"], rows["with-fallback"]
+        assert pure.satisfied == fallback.satisfied == "6/6"
+        assert (fallback.swaps, fallback.rounds) != (pure.swaps, pure.rounds)
+
     def test_classical_overhead_gossip_cheaper(self):
         result = get_experiment("classical").run(
             topology_name="cycle", n_nodes=9, rounds=10, gossip_fanouts=(2,)

@@ -1,11 +1,10 @@
-"""Unit tests for the group-keyed core: keys, fusion strategies, ledger
-group API, demand matrices, session-aware balancing, admission and the
-planned-protocol guard.
+"""Unit tests for the group-keyed core: keys, fusion strategies, group
+requests, session-aware balancing, admission and the planned-protocol
+guard.
 
-The deeper equivalence properties (size-2 group API bit-identical to the
-pair API, GHZ mutations inert to the incremental balancer) live in
-``test_property_groups.py``; the multicast end-to-end behaviour is pinned
-by ``test_golden_traces.py`` and the experiment tests.
+Groups are served as Bell-pair sessions over the pair ledger; the
+multicast end-to-end behaviour is pinned by ``test_golden_traces.py`` and
+the experiment tests.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.core.maxmin.balancer import MaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.demand import (
     ConsumptionRequest,
-    DemandMatrix,
     RequestSequence,
 )
 from repro.network.topology import edge_key, group_key, group_size
@@ -89,69 +87,6 @@ class TestFusionStrategies:
         for strategy in GROUP_STRATEGIES:
             assert group_sessions(group, strategy) == [edge_key(4, 7)]
             assert fusions_required(group, strategy) == 0
-
-
-# ---------------------------------------------------------------------- #
-# Ledger group API
-# ---------------------------------------------------------------------- #
-class TestLedgerGroupApi:
-    def test_nonzero_groups_spans_both_key_spaces(self):
-        ledger = PairCountLedger(range(5))
-        ledger.add(0, 1, 2)
-        ledger.add_group(group_key(1, 2, 3), 1)
-        groups = ledger.nonzero_groups()
-        assert groups[group_key(0, 1)] == 2
-        assert groups[group_key(1, 2, 3)] == 1
-
-    def test_groups_involving_reports_memberships(self):
-        ledger = PairCountLedger(range(5))
-        ledger.add_group(group_key(0, 1, 2), 1)
-        ledger.add_group(group_key(2, 3, 4), 1)
-        involving = ledger.groups_involving(2)
-        assert group_key(0, 1, 2) in involving
-        assert group_key(2, 3, 4) in involving
-        assert ledger.groups_involving(0) == {group_key(0, 1, 2): 1}
-
-    def test_remove_group_floors_at_zero_membership(self):
-        ledger = PairCountLedger(range(5))
-        ledger.add_group(group_key(0, 1, 2), 2)
-        ledger.remove_group(group_key(0, 1, 2), 2)
-        assert ledger.group_count(0, 1, 2) == 0
-        assert ledger.groups_involving(0) == {}
-        assert group_key(0, 1, 2) not in ledger.nonzero_groups()
-
-    def test_ghz_state_does_not_count_as_bell_pairs(self):
-        ledger = PairCountLedger(range(5))
-        ledger.add_group(group_key(0, 1, 2), 4)
-        assert ledger.total_pairs() == 0
-        assert ledger.count(0, 1) == 0
-
-
-# ---------------------------------------------------------------------- #
-# Demand matrices with group-valued demands
-# ---------------------------------------------------------------------- #
-class TestDemandMatrixGroups:
-    def test_group_rate_roundtrip_and_size2_dispatch(self):
-        demand = DemandMatrix({})
-        demand.set_group_rate(group_key(0, 1, 2), 2.0)
-        demand.set_group_rate(group_key(3, 4), 1.5)  # dispatches to the pair table
-        assert demand.group_rate(0, 1, 2) == pytest.approx(2.0)
-        assert demand.rate(3, 4) == pytest.approx(1.5)
-        assert group_key(0, 1, 2) in demand.groups()
-
-    def test_total_and_node_rates_span_groups(self):
-        demand = DemandMatrix({edge_key(0, 1): 1.0})
-        demand.set_group_rate(group_key(1, 2, 3), 2.0)
-        assert demand.total_rate() == pytest.approx(3.0)
-        assert demand.node_rate(1) == pytest.approx(3.0)
-        assert demand.node_rate(3) == pytest.approx(2.0)
-
-    def test_scaled_preserves_group_demands(self):
-        demand = DemandMatrix({edge_key(0, 1): 1.0})
-        demand.set_group_rate(group_key(1, 2, 3), 2.0)
-        doubled = demand.scaled(2.0)
-        assert doubled.rate(0, 1) == pytest.approx(2.0)
-        assert doubled.group_rate(1, 2, 3) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------- #

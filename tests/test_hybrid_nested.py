@@ -145,10 +145,11 @@ class TestEntanglementGraph:
             entanglement_graph(ledger, minimum_count=0)
 
     def test_shortest_entanglement_path(self):
-        ledger = chain_ledger(4, 1)
+        ledger = chain_ledger(5, 1)
         ledger.add(0, 3, 1)  # a long shortcut edge created by earlier balancing
-        path = shortest_entanglement_path(ledger, 0, 3)
-        assert path == [0, 3]
+        assert shortest_entanglement_path(ledger, 0, 4) == [0, 3, 4]
+        # The direct edge is never the path: it is short of pairs.
+        assert shortest_entanglement_path(ledger, 0, 3) == [0, 1, 2, 3]
         assert shortest_entanglement_path(ledger, 0, 0) == [0]
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
@@ -190,6 +191,24 @@ class TestHybridPlanner:
         assert planner.try_satisfy(0, 3) is None
         assert ledger.nonzero_pairs() == before
         assert planner.requests_declined == 1
+
+    def test_tops_up_a_direct_edge_short_of_d_over_two_hops(self):
+        ledger = chain_ledger(3, 4)
+        ledger.add(0, 2, 1)  # one direct pair; D=2 needs two
+        planner = HybridPlanner(ledger, overheads=2.0)
+        records = planner.try_satisfy(0, 2)
+        assert [record.repeater for record in records] == [1]
+        assert ledger.count(0, 2) == 2
+        assert ledger.count(0, 1) == ledger.count(1, 2) == 2
+        assert planner.requests_completed == 1
+
+    def test_a_short_direct_edge_alone_is_declined(self):
+        ledger = PairCountLedger([0, 1, 2])
+        ledger.add(0, 2, 1)
+        planner = HybridPlanner(ledger, overheads=2.0)
+        assert planner.try_satisfy(0, 2) is None
+        assert ledger.count(0, 2) == 1
+        assert (planner.requests_completed, planner.requests_declined) == (0, 1)
 
     def test_builds_with_distillation_when_enough_pairs(self):
         ledger = chain_ledger(3, 8)

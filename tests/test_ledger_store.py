@@ -2,10 +2,10 @@
 
 The same random operation sequences drive :class:`PairCountLedger` and
 :class:`ledger_oracle.DictPairCountLedger`; after every operation the two
-must agree on every count, every partner map, the non-zero pairs, the group
-counts and the total.  The sequences mix pair and group (GHZ) mutations,
-removals that fail, and nodes that join the ledger mid-run (which re-lays
-the matrix out).
+must agree on every count, every partner map, the non-zero pairs and the
+total.  The sequences mix single-pair mutations, batched adds, removals
+that fail, and nodes that join the ledger mid-run (which re-lays the matrix
+out).
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ INITIAL = IDS[:6]
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(("add", "remove", "group-add", "group-remove", "pairs")),
+        st.sampled_from(("add", "remove", "pairs")),
         st.lists(st.sampled_from(IDS), min_size=3, max_size=3, unique=True),
         st.integers(min_value=1, max_value=5),
-        st.integers(min_value=2, max_value=3),
     ),
     max_size=40,
 )
@@ -35,16 +34,12 @@ operations = st.lists(
 
 def _apply(ledger, operation):
     """Run one operation; returns its result or the type of error it raised."""
-    kind, members, amount, size = operation
+    kind, members, amount = operation
     try:
         if kind == "add":
             return ledger.add(members[0], members[1], amount)
         if kind == "remove":
             return ledger.remove(members[0], members[1], amount)
-        if kind == "group-add":
-            return ledger.add_group(members[:size], amount)
-        if kind == "group-remove":
-            return ledger.remove_group(members[:size], amount)
     except ValueError as error:
         return type(error)
     # "pairs": a generation-style batch over two distinct pairs.
@@ -65,7 +60,6 @@ def _assert_same(store, oracle):
         for node_b in IDS:
             assert store.count(node_a, node_b) == oracle.count(node_a, node_b)
     assert store.nonzero_pairs() == oracle.nonzero_pairs()
-    assert store.nonzero_groups() == oracle.nonzero_groups()
     assert store.total_pairs() == oracle.total_pairs()
 
 

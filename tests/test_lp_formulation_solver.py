@@ -12,8 +12,6 @@ from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import InfeasibleProgramError, solve_flow_program
 from repro.core.lp.steady_state import (
     compute_rates,
-    max_feasible_uniform_demand,
-    node_budget_violations,
     verify_steady_state,
 )
 from repro.network.demand import uniform_demand
@@ -206,7 +204,6 @@ class TestSolverOnKnownCases:
             PathObliviousFlowProgram(topology, demand), Objective.MAX_TOTAL_CONSUMPTION
         )
         assert solution.total_consumption_rate() == pytest.approx(0.2, abs=1e-6)
-        assert solution.served_fraction(0.2) == pytest.approx(1.0, abs=1e-6)
 
     def test_max_min_consumption_fairness(self):
         # One short pair and one long pair competing: max-min should not starve the long one.
@@ -226,18 +223,6 @@ class TestSolverOnKnownCases:
             PathObliviousFlowProgram(topology, demand), Objective.MIN_MAX_GENERATION
         )
         assert solution.objective_value <= 0.2 + 1e-6  # both directions around the cycle share load
-
-    def test_swap_load_by_node(self):
-        topology = line_topology(4)
-        solution = solve_flow_program(
-            PathObliviousFlowProgram(topology, uniform_demand([(0, 3)], 0.3)),
-            Objective.MIN_TOTAL_SWAPS,
-        )
-        load = solution.swap_load_by_node()
-        assert set(load) <= {1, 2}
-        assert solution.swap_rate_at(1) + solution.swap_rate_at(2) == pytest.approx(
-            solution.total_swap_rate()
-        )
 
 
 class TestSteadyState:
@@ -282,20 +267,6 @@ class TestSteadyState:
     def test_degenerate_swap_rejected(self):
         with pytest.raises(ValueError):
             compute_rates([0, 1], {}, {}, {(0, (0, 1)): 0.5})
-
-    def test_node_budget_violations(self):
-        topology = line_topology(3)
-        violations = node_budget_violations(
-            topology, generation={(0, 1): 0.1, (1, 2): 0.1}, consumption={(0, 2): 0.5}
-        )
-        assert violations  # node 0 consumes 0.5 but only generates 0.1
-
-    def test_max_feasible_uniform_demand(self):
-        topology = cycle_topology(6)
-        alpha = max_feasible_uniform_demand(topology, [(0, 3)])
-        assert alpha > 0
-        with pytest.raises(ValueError):
-            max_feasible_uniform_demand(topology, [])
 
 
 def _lil_constraint_matrix(program, lp, objective):

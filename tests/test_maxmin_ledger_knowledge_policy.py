@@ -56,18 +56,14 @@ class TestPairCountLedger:
         ledger.add(0, 1, 2)
         ledger.add(0, 2, 1)
         assert ledger.partners(0) == {1: 2, 2: 1}
-        assert ledger.entanglement_degree(0) == 2
-        assert ledger.entanglement_degree(3) == 0
+        assert ledger.partners(3) == {}
 
     def test_totals_and_extrema(self):
         ledger = PairCountLedger([0, 1, 2])
         assert ledger.total_pairs() == 0
-        assert ledger.minimum_count() == 0
         ledger.add(0, 1, 2)
         ledger.add(1, 2, 5)
         assert ledger.total_pairs() == 7
-        assert ledger.minimum_count() == 2
-        assert ledger.maximum_count() == 5
 
     def test_copy_is_independent(self):
         ledger = PairCountLedger([0, 1])

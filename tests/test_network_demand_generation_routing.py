@@ -12,8 +12,6 @@ from repro.network.demand import (
     ConsumptionRequest,
     DemandMatrix,
     RequestSequence,
-    gravity_demand,
-    hotspot_demand,
     select_consumer_groups,
     select_consumer_pairs,
     uniform_demand,
@@ -297,7 +295,7 @@ class TestDemandMatrix:
         demand.set_rate(0, 3, 0.5)
         assert demand.rate(3, 0) == 0.5
         assert demand.rate(0, 0) == 0.0
-        assert demand.total_rate() == 0.5
+        assert demand.rates == {(0, 3): 0.5}
 
     def test_zero_rate_removes_pair(self):
         demand = DemandMatrix()
@@ -312,35 +310,9 @@ class TestDemandMatrix:
         with pytest.raises(ValueError):
             demand.set_rate(0, 1, -0.5)
 
-    def test_node_rate(self):
-        demand = uniform_demand([(0, 1), (0, 2)], rate=0.3)
-        assert demand.node_rate(0) == pytest.approx(0.6)
-        assert demand.node_rate(1) == pytest.approx(0.3)
-
-    def test_scaled(self):
-        demand = uniform_demand([(0, 1)], rate=0.4).scaled(2.0)
-        assert demand.rate(0, 1) == pytest.approx(0.8)
-
     def test_uniform_demand_validation(self):
         with pytest.raises(ValueError):
             uniform_demand([(0, 1)], rate=0.0)
-
-    def test_gravity_demand_proportional(self, small_cycle):
-        demand = gravity_demand(small_cycle, {0: 2.0, 1: 1.0, 2: 1.0}, total_rate=4.0)
-        assert demand.total_rate() == pytest.approx(4.0)
-        assert demand.rate(0, 1) == pytest.approx(2.0 * demand.rate(1, 2))
-
-    def test_gravity_demand_needs_positive_weights(self, small_cycle):
-        with pytest.raises(ValueError):
-            gravity_demand(small_cycle, {0: 0.0}, total_rate=1.0)
-
-    def test_hotspot_demand(self, small_cycle, rng):
-        demand = hotspot_demand(small_cycle, hotspot=0, rate_per_pair=0.2)
-        assert demand.node_rate(0) == pytest.approx(0.2 * 5)
-        limited = hotspot_demand(small_cycle, hotspot=0, rate_per_pair=0.2, n_partners=2, rng=rng)
-        assert len(limited.pairs()) == 2
-        with pytest.raises(KeyError):
-            hotspot_demand(small_cycle, hotspot=99)
 
 
 class TestGenerationProcesses:

@@ -30,7 +30,7 @@ class TestTopologyProperties:
         topology = cycle_topology(n)
         assert topology.n_nodes == topology.n_edges == n
         assert topology.is_connected()
-        assert topology.diameter() == n // 2
+        assert max(topology.all_pairs_shortest_path_lengths().values()) == n // 2
 
     @given(st.sampled_from([4, 9, 16, 25]), seeds)
     def test_random_grid_always_connected_subgraph(self, n, seed):

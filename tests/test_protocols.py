@@ -7,8 +7,9 @@ import pytest
 from repro.analysis.overhead import swap_overhead_from_result
 from repro.core.maxmin.knowledge import GossipKnowledge
 from repro.core.maxmin.ledger import PairCountLedger
-from repro.network.demand import RequestSequence
+from repro.network.demand import ConsumptionRequest, RequestSequence
 from repro.network.topologies import cycle_topology, line_topology
+from repro.network.topology import group_key
 from repro.protocols import (
     ConnectionOrientedProtocol,
     ConnectionlessProtocol,
@@ -132,6 +133,64 @@ class TestPathObliviousProtocol:
         protocol = PathObliviousProtocol(topology, requests, streams=streams)
         result = protocol.run()
         assert result.classical_overhead["messages"] > 0
+
+
+class TestConsumptionLoop:
+    """The one ordered serving loop every protocol runs each round."""
+
+    @staticmethod
+    def _protocol(pairs, counts, **kwargs):
+        topology = cycle_topology(6)
+        requests = RequestSequence(
+            [ConsumptionRequest(index, pair) for index, pair in enumerate(pairs)]
+        )
+        protocol = PathObliviousProtocol(topology, requests, streams=RandomStreams(0), **kwargs)
+        for (a, b), value in counts.items():
+            protocol.ledger.add(a, b, value)
+        return protocol
+
+    def test_serving_stops_at_the_first_unaffordable_request(self):
+        protocol = self._protocol([(0, 1), (0, 3), (0, 1)], {(0, 1): 5})
+        assert protocol._consumption_phase(4) is None
+        first, blocked, behind = protocol.requests.requests()
+        assert (first.issued_round, first.satisfied_round) == (4, 4)
+        # The head (0, 3) holds no pairs: it is issued but not served, and
+        # the affordable (0, 1) request behind it waits.
+        assert (blocked.issued_round, blocked.satisfied_round) == (4, None)
+        assert (behind.issued_round, behind.satisfied_round) == (None, None)
+        assert protocol.ledger.count(0, 1) == 4
+
+    def test_a_group_is_charged_all_of_its_sessions_or_none(self):
+        group = group_key(0, 1, 2)
+        protocol = self._protocol([group], {(0, 1): 1})
+        assert protocol._consumption_phase(0) is None
+        assert protocol.ledger.count(0, 1) == 1  # nothing charged
+        assert protocol.fusions_performed() == 0
+        protocol.ledger.add(0, 2, 1)
+        assert protocol._consumption_phase(1) is True
+        assert protocol.ledger.count(0, 1) == protocol.ledger.count(0, 2) == 0
+        assert protocol.fusions_performed() == 1
+        (request,) = protocol.requests.requests()
+        assert (request.issued_round, request.satisfied_round) == (0, 1)
+
+    def test_each_request_is_issued_in_the_round_its_predecessor_is_served(self):
+        requests = RequestSequence.round_robin([(0, 4), (1, 5), (2, 6)], 12)
+        result = PathObliviousProtocol(
+            cycle_topology(8),
+            requests,
+            overheads=2.0,
+            streams=RandomStreams(7),
+            balancer_engine="incremental",
+        ).run()
+        served = result.satisfied_requests
+        assert [request.index for request in served] == list(range(12))
+        assert served[0].issued_round == 0
+        for previous, request in zip(served, served[1:]):
+            assert request.issued_round == previous.satisfied_round
+        assert [request.satisfied_round for request in served] == [
+            50, 50, 50, 61, 63, 63, 75, 75, 87, 87, 87, 99
+        ]
+        assert (result.rounds, result.pairs_consumed, result.swaps_performed) == (100, 24, 229)
 
 
 class TestPlannedProtocols:

@@ -222,7 +222,7 @@ class TestScenarioContext:
         context.shift_demand(hotspot=4, fraction=0.5)
         assert demand.rate(0, 2) == pytest.approx(0.5)
         assert demand.rate(2, 4) == pytest.approx(0.5)
-        assert demand.total_rate() == pytest.approx(1.0)
+        assert sum(demand.rates.values()) == pytest.approx(1.0)
 
     def test_decoherence_ramp_thins_generation_rates(self, small_cycle):
         context = ScenarioContext(topology=small_cycle)

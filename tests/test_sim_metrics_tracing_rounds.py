@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry, TimeSeries
+from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.sim.rounds import RoundBasedSimulator, RoundPhase
 from repro.sim.tracing import TraceRecorder
 
@@ -99,23 +99,6 @@ class TestHistogram:
         assert histogram.percentiles() == {"p50": 7.0, "p95": 7.0, "p99": 7.0}
 
 
-class TestTimeSeries:
-    def test_record_and_access(self):
-        series = TimeSeries("pairs")
-        series.record(0.0, 1.0)
-        series.record(1.0, 2.0)
-        assert series.times() == [0.0, 1.0]
-        assert series.values() == [1.0, 2.0]
-        assert series.last() == (1.0, 2.0)
-        assert len(series) == 2
-
-    def test_time_must_not_decrease(self):
-        series = TimeSeries("pairs")
-        series.record(1.0, 1.0)
-        with pytest.raises(ValueError):
-            series.record(0.5, 2.0)
-
-
 class TestMetricRegistry:
     def test_same_name_returns_same_metric(self):
         registry = MetricRegistry()
@@ -136,10 +119,10 @@ class TestMetricRegistry:
     def test_reset_clears_everything(self):
         registry = MetricRegistry()
         registry.counter("swaps").increment(2)
-        registry.time_series("pairs").record(0.0, 1.0)
+        registry.histogram("wait").observe(3.0)
         registry.reset()
         assert registry.counter("swaps").value == 0
-        assert len(registry.time_series("pairs")) == 0
+        assert registry.histogram("wait").count == 0
 
 
 class TestTraceRecorder:
@@ -205,10 +188,13 @@ class TestRoundBasedSimulator:
         simulator.add_hook(RoundPhase.CONSUMPTION, lambda r: r == 1)
         assert simulator.run() == 2
 
-    def test_clock_advances_per_round(self):
-        simulator = RoundBasedSimulator(max_rounds=5)
-        simulator.run(rounds=5)
-        assert simulator.clock.now == 5.0
+    def test_phase_records_are_stamped_with_the_round_index(self):
+        trace = TraceRecorder()
+        simulator = RoundBasedSimulator(max_rounds=5, trace=trace)
+        simulator.run(rounds=3)
+        assert simulator.completed_rounds == 3
+        assert [event.time for event in trace] == [0.0] * 4 + [1.0] * 4 + [2.0] * 4
+        assert [event.payload["round"] for event in trace] == [0] * 4 + [1] * 4 + [2] * 4
 
     def test_invalid_max_rounds(self):
         with pytest.raises(ValueError):
