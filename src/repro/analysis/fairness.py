@@ -10,7 +10,7 @@ property-based tests) and provide the standard fairness summary statistics
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 

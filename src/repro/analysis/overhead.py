@@ -13,11 +13,11 @@ events, so the metric is at least 1 (with the exact recurrence).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional
 
 from repro.core.lp.extensions import PairOverheads
 from repro.network.demand import ConsumptionRequest
-from repro.network.topology import EdgeKey, Topology
+from repro.network.topology import Topology
 from repro.protocols.base import ProtocolResult
 from repro.protocols.fusion import DEFAULT_GROUP_STRATEGY, group_sessions
 from repro.protocols.nested import nested_swap_count

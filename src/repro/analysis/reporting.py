@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 

@@ -11,7 +11,7 @@ near pairs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.overhead import request_path_lengths
 from repro.network.topology import Topology

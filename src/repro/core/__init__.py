@@ -39,7 +39,7 @@ from repro.core.maxmin import (
     SwapCandidate,
     SwapRecord,
 )
-from repro.core.hybrid import HybridPlanner, entanglement_graph
+from repro.core.hybrid import HybridPlanner
 
 __all__ = [
     "BalancingPolicy",
@@ -60,6 +60,5 @@ __all__ = [
     "SteadyStateRates",
     "SwapCandidate",
     "SwapRecord",
-    "entanglement_graph",
     "solve_flow_program",
 ]

@@ -27,55 +27,28 @@ from repro.network.topology import EdgeKey, edge_key
 NodeId = Hashable
 
 
-def entanglement_graph(
-    ledger: PairCountLedger, minimum_count: int = 1
-) -> Dict[NodeId, List[NodeId]]:
-    """Adjacency of the current entanglement graph.
-
-    Two nodes are adjacent when they currently share at least
-    ``minimum_count`` Bell pairs.  Each neighbour list is in ascending
-    ``repr`` order: it is read off :meth:`PairCountLedger.nonzero_pairs`,
-    which walks the ``repr``-sorted count matrix row by row, so it depends
-    neither on the order pairs were added in nor on dict order.
-    """
-    if minimum_count <= 0:
-        raise ValueError(f"minimum_count must be positive, got {minimum_count}")
-    adjacency: Dict[NodeId, List[NodeId]] = {node: [] for node in ledger.nodes}
-    for (node_a, node_b), count in ledger.nonzero_pairs().items():
-        if count >= minimum_count:
-            adjacency[node_a].append(node_b)
-            adjacency[node_b].append(node_a)
-    return adjacency
-
-
 def shortest_entanglement_path(
-    ledger: PairCountLedger,
-    source: NodeId,
-    target: NodeId,
-    minimum_count: int = 1,
+    ledger: PairCountLedger, source: NodeId, target: NodeId
 ) -> Optional[List[NodeId]]:
     """BFS shortest path of two or more hops from ``source`` to ``target``.
 
-    The path runs over the entanglement graph without the direct
-    ``(source, target)`` edge: the planner searches only when that edge
-    holds fewer pairs than one consumption needs, so the shortfall has to
-    come over other edges.  Ties are broken by ``repr``: BFS expands each
-    node's neighbours in ascending ``repr`` order (see
-    :func:`entanglement_graph`), so among equally short paths the one
-    returned is the least when paths are compared node by node from
-    ``source`` by ``repr`` (``"10" < "2"``).
+    The path runs over the entanglement graph (node pairs that currently
+    share at least one Bell pair) without the direct ``(source, target)``
+    edge: the planner searches only when that edge holds fewer pairs than
+    one consumption needs, so the shortfall has to come over other edges.
+    Each node's neighbours are read from :meth:`PairCountLedger.partners`
+    when the search reaches it, in ascending ``repr`` order, so among
+    equally short paths the one returned is the least when paths are
+    compared node by node from ``source`` by ``repr`` (``"10" < "2"``).
     """
     if source == target:
         return [source]
-    adjacency = entanglement_graph(ledger, minimum_count)
-    if source not in adjacency or target not in adjacency:
-        return None
     visited = {source}
     predecessors: Dict[NodeId, NodeId] = {}
     frontier = collections.deque([source])
     while frontier:
         node = frontier.popleft()
-        for neighbor in adjacency[node]:
+        for neighbor in ledger.partners(node):
             if neighbor in visited or (node == source and neighbor == target):
                 continue
             visited.add(neighbor)

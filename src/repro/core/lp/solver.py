@@ -9,7 +9,7 @@ named swap/generation/consumption rates (:class:`LPSolution`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.network.topology import EdgeKey
 from repro.scenarios.registry import NO_SCENARIO, validate_scenario_spec

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.analysis.overhead import swap_overhead_from_result
 from repro.analysis.starvation import starvation_report
 from repro.core.lp.extensions import PairOverheads
-from repro.core.maxmin.knowledge import GlobalKnowledge, GossipKnowledge, KnowledgeModel
+from repro.core.maxmin.knowledge import GossipKnowledge
 from repro.core.maxmin.policy import (
     BalancingPolicy,
     DistanceWeightedPolicy,

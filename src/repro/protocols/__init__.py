@@ -15,6 +15,12 @@ paper's evaluation:
   "water-park" strawman: generation is only switched on for links on the
   active request's path.
 
+The three baselines share
+:class:`~repro.protocols.planned.base.PlannedPathProtocol`: the shortest
+path per consumer pair, the nested build along it and one accounting of
+swaps, raw pairs consumed and classical overhead (``k`` messages per hop of
+each served path plus one per swap, ``k`` a constant of each baseline).
+
 :mod:`repro.protocols.nested` provides the nested-swapping cost model that
 both the baselines and the paper's overhead metric rely on.
 """

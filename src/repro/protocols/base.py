@@ -14,7 +14,6 @@ right now).
 from __future__ import annotations
 
 import abc
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Union
@@ -165,13 +164,6 @@ class SwappingProtocol(abc.ABC):
         self.pairs_generated = 0
         self.pairs_consumed = 0
         self.rounds_executed = 0
-
-    # ------------------------------------------------------------------ #
-    # Cost helpers shared by every protocol
-    # ------------------------------------------------------------------ #
-    def distillation_cost(self, node_a: NodeId, node_b: NodeId) -> int:
-        """Integer raw-pair cost of one use of the pair ``(node_a, node_b)``."""
-        return int(math.ceil(self.overheads.distillation_for(node_a, node_b)))
 
     # ------------------------------------------------------------------ #
     # Phases

@@ -18,7 +18,6 @@ from typing import Dict, Hashable, Optional, Union
 
 from repro.core.hybrid import HybridPlanner
 from repro.core.lp.extensions import PairOverheads
-from repro.core.maxmin.balancer import MaxMinBalancer
 from repro.core.maxmin.incremental import make_balancer
 from repro.core.maxmin.knowledge import GlobalKnowledge, KnowledgeModel
 from repro.core.maxmin.policy import BalancingPolicy

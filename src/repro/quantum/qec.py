@@ -11,7 +11,6 @@ used by examples to pick plausible values of ``R``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Tuple
 

@@ -31,7 +31,7 @@ from multiprocessing import get_context
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentConfig, TrialOutcome
-from repro.obs.spans import SPAN_BUFFER, SpanRecord, span, telemetry_enabled
+from repro.obs.spans import SPAN_BUFFER, span, telemetry_enabled
 from repro.runtime.cache import ResultCache
 
 #: Environment variable supplying the default worker count.

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.core.hybrid import HybridPlanner, entanglement_graph, shortest_entanglement_path
+from repro.core.hybrid import HybridPlanner, shortest_entanglement_path
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.protocols.nested import (
     execute_nested,
@@ -134,16 +134,6 @@ class TestExecuteNested:
 
 
 class TestEntanglementGraph:
-    def test_adjacency_reflects_counts(self):
-        ledger = PairCountLedger([0, 1, 2, 3])
-        ledger.add(0, 1, 2)
-        ledger.add(1, 2, 1)
-        graph = entanglement_graph(ledger, minimum_count=2)
-        assert 1 in graph[0]
-        assert 2 not in graph[1]
-        with pytest.raises(ValueError):
-            entanglement_graph(ledger, minimum_count=0)
-
     def test_shortest_entanglement_path(self):
         ledger = chain_ledger(5, 1)
         ledger.add(0, 3, 1)  # a long shortcut edge created by earlier balancing

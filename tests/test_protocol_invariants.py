@@ -139,7 +139,8 @@ class TestProtocolLaws:
             assert spent == result.pairs_consumed + swap_loss
         else:
             # A planned request spends the nested build's raw link pairs on
-            # its shortest path, swaps included, and nothing else is spent.
+            # its shortest path, swaps included, nothing else is spent, and
+            # the protocol counts every one of them as consumed.
             per_request = [
                 sum(
                     required_link_pairs(
@@ -149,6 +150,7 @@ class TestProtocolLaws:
                 for request in result.satisfied_requests
             ]
             assert spent == sum(per_request)
+            assert result.pairs_consumed == spent
 
     def test_every_swap_is_attributed_to_its_node(
         self, protocol_name, topology_name, distillation

@@ -249,6 +249,21 @@ class TestPlannedProtocols:
         result = protocol.run()
         assert result.all_requests_satisfied
 
+    @pytest.mark.parametrize(
+        "protocol_class, k",
+        [(ConnectionOrientedProtocol, 1), (ConnectionlessProtocol, 0), (OnDemandProtocol, 2)],
+    )
+    def test_classical_overhead_is_k_messages_per_hop_plus_swaps(self, protocol_class, k):
+        """Three requests of 4 hops and three of 1 hop: 15 hops and, at D=2,
+        3 x 10 nested swaps; messages 45, 30 and 60."""
+        topology = cycle_topology(8)
+        requests = RequestSequence.round_robin([(0, 4), (2, 3)], 6)
+        result = protocol_class(topology, requests, overheads=2.0, streams=RandomStreams(2)).run()
+        assert result.requests_satisfied == 6
+        assert result.swaps_performed == 30
+        messages = k * 15 + 30
+        assert result.classical_overhead == {"messages": messages, "entries": messages}
+
     def test_swaps_by_node_totals(self):
         topology = cycle_topology(8)
         requests = simple_workload(topology, [(0, 4)], n_requests=4)
