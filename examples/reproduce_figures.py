@@ -36,8 +36,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers",
         type=_positive_int,
-        default=1,
-        help="worker processes (results are identical)",
+        default=None,
+        help="worker processes (default: every usable CPU; results are identical)",
     )
     parser.add_argument(
         "--cache", action="store_true", help="reuse previously computed trials from disk"

@@ -15,9 +15,11 @@ Every subcommand also gains the uniform output surface for free:
 it to a file (``-`` keeps stdout), and ``--force`` allows overwriting.
 
 Sweep-style experiments additionally accept ``--workers N`` to fan trials
-out across a process pool and ``--cache`` to reuse previously computed
-trials from the content-addressed result cache (see :mod:`repro.runtime`);
-both leave the reported numbers bit-identical.
+out across the process-wide worker pool (default: ``$REPRO_WORKERS`` or
+every usable CPU; ``--workers 1`` stays in-process) and ``--cache`` to
+reuse previously computed trials from the content-addressed result cache
+(see :mod:`repro.runtime`); ``lp`` takes ``--workers`` for its objective
+solves.  Both leave the reported numbers bit-identical.
 """
 
 from __future__ import annotations
@@ -55,17 +57,21 @@ def _positive_int(value: str) -> int:
     return workers
 
 
-def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-runtime knobs sweep experiments share."""
+def _add_runtime_flags(parser: argparse.ArgumentParser, cache: bool) -> None:
+    """The parallel-runtime knobs: ``--workers``, plus the trial cache's
+    flags when ``cache`` (the sweep experiments)."""
     group = parser.add_argument_group("runtime options")
     group.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="worker processes for the sweep (default: 1, i.e. in-process; "
-        "results are identical for any value)",
+        help="worker processes, shared by every run in this process (default: "
+        "$REPRO_WORKERS, else every usable CPU; 1 runs in-process; results are "
+        "identical for any value)",
     )
+    if not cache:
+        return
     group.add_argument(
         "--cache",
         action="store_true",
@@ -210,8 +216,8 @@ def _populate_experiment(experiment: Experiment, subparser: argparse.ArgumentPar
     """An experiment's flags: its ParamSpec table plus the shared surfaces."""
     for spec in experiment.cli_specs():
         spec.add_to_parser(subparser)
-    if experiment.supports_runtime:
-        _add_runtime_flags(subparser)
+    if experiment.supports_workers:
+        _add_runtime_flags(subparser, cache=experiment.supports_runtime)
     _add_output_flags(subparser)
     _add_telemetry_flag(subparser)
     # `repro <name> --list` keeps the listing behaviour (distinct dest:
@@ -746,10 +752,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         parser.error(f"{args.experiment}: {error}")
     run_kwargs = {}
-    if experiment.supports_runtime:
+    if experiment.supports_workers:
         run_kwargs["runtime"] = RuntimeOptions(
-            workers=args.workers if args.workers is not None else 1,
-            cache=_cache_from(args),
+            workers=args.workers,
+            cache=_cache_from(args) if experiment.supports_runtime else None,
         )
     telemetry_file = getattr(args, "telemetry", None)
     if telemetry_file is None:

@@ -19,7 +19,7 @@ free) is decided by :class:`~repro.core.lp.objectives.Objective`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,6 +101,11 @@ class LinearProgram:
         if self.a_eq is not None:
             count += self.a_eq.shape[0]
         return count
+
+    def without_names(self) -> "LinearProgram":
+        """The same arrays without the variable names and metadata: all a
+        solver reads, and all a pool worker is sent."""
+        return replace(self, variables=VariableIndex(), metadata={})
 
 
 class PathObliviousFlowProgram:

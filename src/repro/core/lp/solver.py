@@ -118,8 +118,25 @@ def solve_flow_program(
 ) -> LPSolution:
     """Build and solve the flow program for ``objective``; return named rates."""
     linear_program = program.build(objective)
-    solution_vector, optimum, status, message = solve_linear_program(linear_program)
+    return flow_solution(
+        program, objective, linear_program, *solve_linear_program(linear_program)
+    )
 
+
+def flow_solution(
+    program: PathObliviousFlowProgram,
+    objective: Objective,
+    linear_program: LinearProgram,
+    solution_vector: np.ndarray,
+    optimum: float,
+    status: int,
+    message: str,
+) -> LPSolution:
+    """Name the raw solution of ``linear_program = program.build(objective)``.
+
+    The last four arguments are what :func:`solve_linear_program` returns,
+    so a solve can run elsewhere (a pool worker) and be named here.
+    """
     swap_rates: Dict[Tuple[NodeId, EdgeKey], float] = {}
     generation_rates: Dict[EdgeKey, float] = {}
     consumption_rates: Dict[EdgeKey, float] = {}

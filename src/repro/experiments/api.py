@@ -8,8 +8,7 @@ choices, and the CLI flag each one becomes), and three hooks --
 * :meth:`Experiment.build_grid` turns resolved parameters into the list of
   work units (for sweep experiments,
   :class:`~repro.experiments.config.ExperimentConfig` cells; for the
-  in-process ones, the LP points, the one classical workload or the
-  scaling cells),
+  others, the LP points, the one classical workload or the scaling cells),
 * :meth:`Experiment.execute` runs the grid, one outcome per unit
   (defaulting to :class:`~repro.runtime.sweep.SweepRunner` with the
   :class:`RuntimeOptions` workers/cache threaded through), and
@@ -152,13 +151,19 @@ class RuntimeOptions:
 
     Threaded from the CLI's ``--workers`` / ``--cache`` flags (and the serve
     workers) into :meth:`Experiment.execute`.  Never changes any reported
-    number.  ``on_result(index, outcome, cached)`` is called once per grid
-    unit as its outcome lands; an exception it raises aborts the run (the
-    serve workers' cancel and timeout).  Workers and cache apply to sweep
-    experiments only; in-process experiments ignore them.
+    number.  ``workers=None`` (the default) means ``$REPRO_WORKERS``, or
+    every CPU this process may run on; ``1`` keeps the run in this process.
+    Workers fan out the sweep experiments' trials and ``lp``'s objective
+    solves over the process-wide pool of :mod:`repro.runtime.pool`, whose
+    ``spawn`` workers re-import the calling script (run from a script only
+    under ``if __name__ == "__main__":``); the cache applies to sweep experiments only, and ``classical`` and
+    ``scaling`` ignore both.  ``on_result(index, outcome, cached)`` is
+    called once per grid unit as its outcome lands; an exception it raises
+    aborts the run (the serve workers' cancel and timeout) and cancels the
+    units not yet started.
     """
 
-    workers: Optional[int] = 1
+    workers: Optional[int] = None
     cache: Optional[Any] = None  # repro.runtime.ResultCache
     on_result: Optional[Callable[[int, Any, bool], None]] = None
 
@@ -287,9 +292,10 @@ class Experiment:
     Subclasses set ``name``, ``summary`` and ``params`` and implement
     :meth:`build_grid` and :meth:`reduce`; sweep-style experiments inherit
     the default :meth:`execute` (a :class:`~repro.runtime.sweep.SweepRunner`
-    with the runtime options threaded through), while in-process
-    experiments (LP validation, classical accounting, scaling) override it
-    with :meth:`execute_in_process`.
+    with the runtime options threaded through).  LP validation overrides it
+    to fan its objective solves out over the same worker pool; classical
+    accounting and scaling (which times its trials) override it with
+    :meth:`execute_in_process`.
     """
 
     #: Registry / CLI subcommand name.
@@ -304,6 +310,9 @@ class Experiment:
     #: an explicit value smoke would replace or lower; ``normalize`` puts the
     #: preset in place with :meth:`apply_smoke`.
     smoke_preset: ClassVar[Mapping[str, Any]] = {}
+    #: Whether an overridden :meth:`execute` still fans its units out over
+    #: ``RuntimeOptions.workers`` (``lp`` does).
+    parallel_execute: ClassVar[bool] = False
 
     @property
     def supports_runtime(self) -> bool:
@@ -311,6 +320,13 @@ class Experiment:
         class keeps the default :meth:`execute`); such experiments gain
         ``--workers`` / ``--cache`` / ``--cache-dir`` on the CLI."""
         return type(self).execute is Experiment.execute
+
+    @property
+    def supports_workers(self) -> bool:
+        """Whether ``RuntimeOptions.workers`` reaches the grid: the sweep
+        experiments and the :attr:`parallel_execute` ones, which gain
+        ``--workers`` on the CLI."""
+        return self.supports_runtime or self.parallel_execute
 
     # -- parameter handling -------------------------------------------------
 
@@ -400,7 +416,7 @@ class Experiment:
     def execute_in_process(self, grid, runtime: RuntimeOptions, work) -> List:
         """``work(**unit)`` for each grid unit, in order, in this process.
 
-        The ``execute`` of the in-process experiments (LP, classical,
+        The ``execute`` of the in-process experiments (classical,
         scaling): each outcome is reported through ``runtime.on_result`` as
         it lands, never as cached.
         """

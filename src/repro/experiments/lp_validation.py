@@ -11,20 +11,22 @@ it), so this experiment validates and exercises it end to end:
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.reporting import format_table
 from repro.experiments.api import Experiment, ExperimentResult, ParamSpec, RowTable, columns_of
 from repro.experiments.registry import register
+from repro.core.lp import solver
 from repro.core.lp.extensions import PairOverheads
-from repro.core.lp.formulation import PathObliviousFlowProgram
+from repro.core.lp.formulation import LinearProgram, PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
-from repro.core.lp.solver import InfeasibleProgramError, LPSolution, solve_flow_program
+from repro.core.lp.solver import InfeasibleProgramError, flow_solution
 from repro.core.lp.steady_state import compute_rates, verify_steady_state
-from repro.network.demand import DemandMatrix, select_consumer_pairs, uniform_demand
+from repro.network.demand import select_consumer_pairs, uniform_demand
 from repro.network.topologies import topology_from_name, validate_topology_sizes
-from repro.network.topology import Topology
+from repro.obs.spans import span
 from repro.sim.rng import RandomStreams
 
 
@@ -104,10 +106,56 @@ class LPValidationResult(ExperimentResult):
         return format_table(headers, rows, title="E3: path-oblivious LP (Section 3)")
 
 
-def _solve_and_check(
-    program: PathObliviousFlowProgram, objective: Objective
-) -> Tuple[LPSolution, bool]:
-    solution = solve_flow_program(program, objective)
+def _solve(linear_program: LinearProgram) -> Optional[Tuple]:
+    """Pool task: :func:`solve_linear_program`'s result, ``None`` if infeasible."""
+    with span("lp.solve", variables=len(linear_program.objective)):
+        try:
+            # Looked up on the module, so a wrapper installed there (the
+            # benchmark's solve timer) applies to in-process solves.
+            return solver.solve_linear_program(linear_program)
+        except InfeasibleProgramError:
+            return None
+
+
+def _program(unit: Dict) -> PathObliviousFlowProgram:
+    overheads = PairOverheads.uniform(distillation=unit["distillation"], loss=unit["loss"])
+    return PathObliviousFlowProgram(
+        unit["topology"], unit["demand"], overheads=overheads, qec_overhead=unit["qec"]
+    )
+
+
+def _row(
+    unit: Dict,
+    program: PathObliviousFlowProgram,
+    objective: Objective,
+    linear_program: LinearProgram,
+    solved: Optional[Tuple],
+) -> LPValidationRow:
+    """One objective's row: the solution named and steady-state-checked."""
+    point = dict(
+        topology=unit["topology_name"],
+        n_nodes=unit["n_nodes"],
+        objective=objective.value,
+        distillation=unit["distillation"],
+        loss=unit["loss"],
+        qec_overhead=unit["qec"],
+    )
+    if solved is None:
+        # The demanded consumption exceeds what generation can support
+        # under these overheads -- exactly the regime the paper's
+        # consumption-maximising objectives exist for.  Record the
+        # infeasibility instead of failing.
+        return LPValidationRow(
+            **point,
+            objective_value=float("nan"),
+            alpha=None,
+            total_swap_rate=float("nan"),
+            total_generation_rate=float("nan"),
+            total_consumption_rate=float("nan"),
+            steady_state_ok=False,
+            feasible=False,
+        )
+    solution = flow_solution(program, objective, linear_program, *solved)
     rates = compute_rates(
         program.topology.nodes,
         solution.generation_rates,
@@ -116,70 +164,21 @@ def _solve_and_check(
         overheads=program.overheads,
     )
     verify_steady_state(rates)
-    return solution, rates.is_consistent
-
-
-def _solve_point(
-    topology_name: str,
-    n_nodes: int,
-    topology: Topology,
-    demand: DemandMatrix,
-    distillation: float,
-    loss: float,
-    qec: float,
-    objectives: Sequence[Objective],
-) -> List[LPValidationRow]:
-    """Build one program and solve every objective on it, steady-state-checked."""
-    overheads = PairOverheads.uniform(distillation=distillation, loss=loss)
-    program = PathObliviousFlowProgram(topology, demand, overheads=overheads, qec_overhead=qec)
-    point = dict(
-        topology=topology_name,
-        n_nodes=n_nodes,
-        distillation=distillation,
-        loss=loss,
-        qec_overhead=qec,
+    return LPValidationRow(
+        **point,
+        objective_value=solution.objective_value,
+        alpha=solution.alpha,
+        total_swap_rate=solution.total_swap_rate(),
+        total_generation_rate=solution.total_generation_rate(),
+        total_consumption_rate=solution.total_consumption_rate(),
+        steady_state_ok=rates.is_consistent,
     )
-    rows: List[LPValidationRow] = []
-    for objective in objectives:
-        try:
-            solution, consistent = _solve_and_check(program, objective)
-        except InfeasibleProgramError:
-            # The demanded consumption exceeds what generation can support
-            # under these overheads -- exactly the regime the paper's
-            # consumption-maximising objectives exist for.  Record the
-            # infeasibility instead of failing.
-            rows.append(
-                LPValidationRow(
-                    **point,
-                    objective=objective.value,
-                    objective_value=float("nan"),
-                    alpha=None,
-                    total_swap_rate=float("nan"),
-                    total_generation_rate=float("nan"),
-                    total_consumption_rate=float("nan"),
-                    steady_state_ok=False,
-                    feasible=False,
-                )
-            )
-            continue
-        rows.append(
-            LPValidationRow(
-                **point,
-                objective=objective.value,
-                objective_value=solution.objective_value,
-                alpha=solution.alpha,
-                total_swap_rate=solution.total_swap_rate(),
-                total_generation_rate=solution.total_generation_rate(),
-                total_consumption_rate=solution.total_consumption_rate(),
-                steady_state_ok=consistent,
-            )
-        )
-    return rows
 
 
 @register
 class LPValidationExperiment(Experiment):
-    """The Section 3 LP as a registered experiment (in-process solve grid)."""
+    """The Section 3 LP as a registered experiment: programs built here,
+    objective solves fanned out over the worker pool."""
 
     name = "lp"
     summary = "Validate the Section 3 LP: every objective, steady-state-checked, with D/L/R extensions."
@@ -194,6 +193,8 @@ class LPValidationExperiment(Experiment):
         ParamSpec("objectives", tuple, tuple(Objective), "LP objectives to solve", cli=False),
         ParamSpec("seed", int, 3, "seed for topology/demand draws", cli=False),
     )
+
+    parallel_execute = True
 
     def normalize(self, params):
         validate_topology_sizes(params["topologies"], (params["n_nodes"],))
@@ -232,7 +233,36 @@ class LPValidationExperiment(Experiment):
         return points
 
     def execute(self, grid, runtime) -> List[List[LPValidationRow]]:
-        return self.execute_in_process(grid, runtime, _solve_point)
+        """One outcome per program: its rows, one per objective.
+
+        Every (program, objective) is built here; only the built arrays
+        travel to the solves, one pool task each, and each solution is
+        named and steady-state-checked here as it lands, in grid order.
+        """
+        # Imported here: repro.runtime imports the experiment configs, and
+        # the pool module stays off the start-up path.
+        from repro.runtime.pool import ordered_map
+
+        units = []
+        for unit in grid:
+            program = _program(unit)
+            built = [(objective, program.build(objective)) for objective in unit["objectives"]]
+            units.append((unit, program, built))
+        arrays = [
+            linear_program.without_names() for *_, built in units for _, linear_program in built
+        ]
+        outcomes: List[List[LPValidationRow]] = []
+        with closing(ordered_map(_solve, arrays, runtime.workers)) as solved:
+            for index, (unit, program, built) in enumerate(units):
+                outcomes.append(
+                    [
+                        _row(unit, program, objective, linear_program, next(solved))
+                        for objective, linear_program in built
+                    ]
+                )
+                if runtime.on_result is not None:
+                    runtime.on_result(index, outcomes[-1], False)
+        return outcomes
 
     def reduce(self, outcomes: List[List[LPValidationRow]], params) -> LPValidationResult:
         return LPValidationResult(rows=[row for rows in outcomes for row in rows])

@@ -7,14 +7,16 @@ A *span* is one timed region of the trial / sweep / serve lifecycle::
 
 Spans nest (the context manager maintains a per-thread stack, so a child
 records its parent's id and depth) and are process-safe: every process
-appends to its own module-global :data:`SPAN_BUFFER`, and the sweep runner
-ships worker buffers back to the parent alongside the trial outcomes, so a
-multi-process sweep still yields one merged stream.
+appends to its own module-global :data:`SPAN_BUFFER`, and the worker pool
+(:mod:`repro.runtime.pool`) ships each task's spans back to the parent
+alongside its result, so a multi-process run still yields one merged
+stream.
 
 Telemetry is **observation-only** and off by default.  The master switch is
 the ``REPRO_TELEMETRY`` environment variable (or :func:`enable` /
-:func:`disable`, which also set the variable so ``spawn``-ed sweep workers
-inherit the decision).  While disabled, :func:`span` returns a shared
+:func:`disable`, which also set the variable for child processes; the
+worker pool hands the current switch to every task it runs, so warm
+workers follow it too).  While disabled, :func:`span` returns a shared
 no-op context manager -- no allocation, no clock read, no buffer append --
 which is what keeps the disabled overhead unmeasurable
 (``benchmarks/test_bench_obs.py`` holds that floor).
@@ -63,6 +65,8 @@ SPAN_NAMES: Tuple[str, ...] = (
     "trial.consumption",
     "trial.bookkeeping",
     "trial.reduce",
+    # one LP objective solve (repro.experiments.lp_validation)
+    "lp.solve",
     # serve job stages (repro.serve.worker)
     "serve.job.queued",
     "serve.job.running",
@@ -167,10 +171,11 @@ def telemetry_enabled() -> bool:
 
 
 def enable(on: bool = True) -> None:
-    """Switch telemetry on (or off) for this process *and* its sweep workers.
+    """Switch telemetry on (or off) for this process *and* its pool workers.
 
-    The decision is mirrored into :data:`TELEMETRY_ENV` because sweep
-    workers are spawned fresh and re-read the environment on import.
+    Pool tasks carry the switch with them; the decision is also mirrored
+    into :data:`TELEMETRY_ENV` for any other child process, which reads
+    the environment on import.
     """
     global _enabled
     _enabled = bool(on)

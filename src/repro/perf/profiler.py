@@ -1,8 +1,9 @@
 """Profiling harness: run any registered experiment under cProfile.
 
 ``repro profile <experiment>`` (or :func:`profile_experiment` from code)
-executes one registered experiment with deterministic parameters, collects
-a cProfile trace, and aggregates it two ways:
+executes one registered experiment with deterministic parameters in this
+process (``workers=1``: the worker pool would hide every trial from the
+profiler), collects a cProfile trace, and aggregates it two ways:
 
 * **hotspots** — the top functions by cumulative time, each attributed to
   its dotted ``repro`` module (or the stdlib/builtin origin), and
@@ -21,6 +22,7 @@ import pstats
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.experiments.api import RuntimeOptions
 from repro.experiments.registry import get_experiment
 from repro.perf.schemas import PERF_SCHEMA_VERSION, validate_profile
 
@@ -95,7 +97,8 @@ def profile_experiment(
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        experiment.run(**run_params)
+        # In-process: cProfile sees only this process, not pool workers.
+        experiment.run(runtime=RuntimeOptions(workers=1), **run_params)
     finally:
         profiler.disable()
 

@@ -35,7 +35,9 @@ class PlannedPathProtocol(SwappingProtocol):
         self._swaps_by_node: Dict[NodeId, int] = {}
         self._path_cache: Dict[tuple, List[NodeId]] = {}
 
-    def _path_for(self, pair: tuple) -> List[NodeId]:
+    def _path_for(self, pair: tuple) -> Optional[List[NodeId]]:
+        """The pair's shortest generation-graph path, or ``None`` while a
+        scenario has cut the pair off (a miss is not cached: the cut heals)."""
         if len(pair) != 2:
             raise ValueError(
                 f"planned protocols serve 2-party requests only; got a group of {len(pair)} "
@@ -44,13 +46,16 @@ class PlannedPathProtocol(SwappingProtocol):
         if pair not in self._path_cache:
             path = self.topology.shortest_path(pair[0], pair[1])
             if path is None:
-                raise ValueError(f"no generation-graph path between {pair[0]!r} and {pair[1]!r}")
+                return None
             self._path_cache[pair] = path
         return self._path_cache[pair]
 
     def _build(self, request: ConsumptionRequest, round_index: int) -> bool:
-        """Nested-build one usable pair for ``request``; ``False`` leaves the ledger as it was."""
+        """Nested-build one usable pair for ``request``; ``False`` leaves the
+        ledger as it was (and so does a request whose pair is cut off)."""
         path = self._path_for(request.pair)
+        if path is None:
+            return False
         records = execute_nested(self.ledger, path, self.overheads, round_index)
         if records is None:
             return False

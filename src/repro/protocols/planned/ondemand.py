@@ -29,6 +29,6 @@ class OnDemandProtocol(PlannedPathProtocol):
         self, edges: Sequence[EdgeKey], counts: np.ndarray, round_index: int
     ) -> np.ndarray:
         head = self.requests.head()
-        path = self._path_for(head.pair) if head is not None else []
+        path = (self._path_for(head.pair) if head is not None else None) or []
         active = {edge_key(a, b) for a, b in zip(path, path[1:])}
         return counts * np.fromiter((edge in active for edge in edges), bool, len(edges))

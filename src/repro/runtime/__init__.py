@@ -11,9 +11,12 @@ package decides *how* to run it:
   keyed on the full trial config, its seed and the version of the
   simulation code, so regenerating a figure recomputes only the cells that
   actually changed.
+* :mod:`repro.runtime.pool` -- the one process-wide ``spawn`` worker
+  pool (lazy, sized by ``$REPRO_WORKERS`` or the usable CPUs, rebuilt
+  after a worker dies, shut down at exit) and its in-order map.
 * :mod:`repro.runtime.sweep` -- :class:`SweepRunner`, which fans trial
-  configs out across a spawn-safe :mod:`multiprocessing` pool and merges
-  cached and freshly computed outcomes back into config order.
+  configs out across that pool and merges cached and freshly computed
+  outcomes back into config order.
 
 The contract that makes all of this safe is that
 :func:`repro.experiments.runner.run_trial` is a *pure function of its

@@ -9,10 +9,12 @@ order, by combining three mechanisms:
    :class:`~repro.runtime.cache.ResultCache` are not recomputed at all,
    and of the rest each distinct config is computed once (a grid may hold
    the same cell several times; its copies get a copy of the outcome).
-2. **Process fan-out** -- the distinct cells are mapped across a
-   ``multiprocessing`` pool using the ``spawn`` start method, the only one
-   that is safe on every platform and immune to fork-time state leakage
-   (inherited RNG state, open file handles, thread locks).
+2. **Process fan-out** -- the distinct cells are mapped across the
+   process-wide ``spawn`` pool of :mod:`repro.runtime.pool` (``spawn`` is
+   the one start method that is safe on every platform and immune to
+   fork-time state leakage: inherited RNG state, open file handles, thread
+   locks).  The pool starts on the first multi-cell sweep and stays warm
+   for every later one in the process.
 3. **Deterministic merge** -- outcomes are reassembled into config order,
    so the caller cannot observe worker count, scheduling, or cache state.
 
@@ -26,12 +28,12 @@ from __future__ import annotations
 
 import copy
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentConfig, TrialOutcome
-from repro.obs.spans import SPAN_BUFFER, span, telemetry_enabled
+from repro.obs.spans import span, telemetry_enabled
 from repro.runtime.cache import ResultCache
 
 #: Environment variable supplying the default worker count.
@@ -39,7 +41,8 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 
 def default_workers() -> int:
-    """The default worker count: ``$REPRO_WORKERS`` or the machine's CPU count."""
+    """The default worker count: ``$REPRO_WORKERS``, else the CPUs this
+    process may run on (its affinity mask, else the CPU count)."""
     value = os.environ.get(WORKERS_ENV, "").strip()
     if value:
         try:
@@ -49,7 +52,19 @@ def default_workers() -> int:
         if workers <= 0:
             raise ValueError(f"{WORKERS_ENV} must be positive, got {workers}")
         return workers
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """A worker count as given, or :func:`default_workers` for ``None``;
+    a count below 1 raises ``ValueError``."""
+    resolved = default_workers() if workers is None else int(workers)
+    if resolved <= 0:
+        raise ValueError(f"workers must be positive, got {workers}")
+    return resolved
 
 
 def _compute_trial(config: ExperimentConfig) -> TrialOutcome:
@@ -59,21 +74,6 @@ def _compute_trial(config: ExperimentConfig) -> TrialOutcome:
     from repro.experiments.runner import run_trial
 
     return run_trial(config)
-
-
-def _compute_trial_with_spans(config: ExperimentConfig):
-    """Telemetry worker entry: the trial outcome plus its span records.
-
-    Spawned workers inherit ``REPRO_TELEMETRY`` through the environment and
-    fill their own process-local buffer; draining it per trial ships the
-    spans back with the outcome so the parent merges them into one stream.
-    The outcome itself is untouched -- telemetry rides alongside, never
-    inside, the cacheable result.
-    """
-    from repro.experiments.runner import run_trial
-
-    outcome = run_trial(config)
-    return outcome, tuple(SPAN_BUFFER.drain())
 
 
 @dataclass
@@ -95,9 +95,10 @@ class SweepRunner:
     Parameters
     ----------
     n_workers:
-        Process count for the compute phase.  ``1`` (the default) runs
-        in-process with zero multiprocessing overhead; ``None`` uses
-        :func:`default_workers`.
+        Process count for the compute phase.  ``None`` (the default) uses
+        :func:`default_workers`: ``$REPRO_WORKERS``, or every CPU this
+        process may run on.  ``1`` runs in-process with zero
+        multiprocessing overhead, and so does a sweep of one cell.
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching entirely.
     chunksize:
@@ -108,16 +109,13 @@ class SweepRunner:
 
     def __init__(
         self,
-        n_workers: Optional[int] = 1,
+        n_workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         chunksize: int = 1,
     ):
-        resolved = default_workers() if n_workers is None else int(n_workers)
-        if resolved <= 0:
-            raise ValueError(f"n_workers must be positive, got {n_workers}")
         if chunksize <= 0:
             raise ValueError(f"chunksize must be positive, got {chunksize}")
-        self.n_workers = resolved
+        self.n_workers = resolve_workers(n_workers)
         self.cache = cache
         self.chunksize = chunksize
 
@@ -160,14 +158,15 @@ class SweepRunner:
             for index in pending:
                 copies.setdefault(configs[index], []).append(index)
             distinct = [indices[0] for indices in copies.values()]
-            for first, outcome in zip(distinct, self._compute([configs[i] for i in distinct])):
-                if self.cache is not None:
-                    self.cache.put(configs[first], outcome)
-                for index in copies[configs[first]]:
-                    slots[index] = outcome if index == first else copy.deepcopy(outcome)
-                    report.n_computed += 1
-                    if on_result is not None:
-                        on_result(index, slots[index], False)
+            with closing(self._compute([configs[i] for i in distinct])) as computed:
+                for first, outcome in zip(distinct, computed):
+                    if self.cache is not None:
+                        self.cache.put(configs[first], outcome)
+                    for index in copies[configs[first]]:
+                        slots[index] = outcome if index == first else copy.deepcopy(outcome)
+                        report.n_computed += 1
+                        if on_result is not None:
+                            on_result(index, slots[index], False)
 
         unfilled = [index for index, slot in enumerate(slots) if slot is None]
         if unfilled:  # the pool yields everything or raises; a hole is a bug here
@@ -188,30 +187,19 @@ class SweepRunner:
         return report
 
     def _compute(self, configs: List[ExperimentConfig]) -> Iterator[TrialOutcome]:
-        # A pool is pure overhead for a single cell or a single worker.
+        # In process (one cell or one worker) each trial gets its own
+        # ``sweep.trial`` span, which the pool path cannot time.
         if self.n_workers == 1 or len(configs) == 1:
             for index, config in enumerate(configs):
                 with span("sweep.trial", index=index):
                     outcome = _compute_trial(config)
                 yield outcome
             return
-        context = get_context("spawn")
-        workers = min(self.n_workers, len(configs))
-        with context.Pool(processes=workers) as pool:
-            # imap (not map): identical ordered results, but streamed as
-            # they finish so per-cell callbacks fire without a barrier.
-            if telemetry_enabled():
-                # Workers inherit REPRO_TELEMETRY via the environment and
-                # ship their span buffers back with each outcome; merging
-                # here keeps one stream across the whole process tree.
-                for outcome, spans in pool.imap(
-                    _compute_trial_with_spans, configs, chunksize=self.chunksize
-                ):
-                    SPAN_BUFFER.extend(spans)
-                    yield outcome
-            else:
-                for outcome in pool.imap(_compute_trial, configs, chunksize=self.chunksize):
-                    yield outcome
+        # Imported here: the pool module stays off the start-up path.
+        from repro.runtime.pool import ordered_map
+
+        with closing(ordered_map(_compute_trial, configs, self.n_workers, self.chunksize)) as outcomes:
+            yield from outcomes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SweepRunner(n_workers={self.n_workers}, cache={self.cache!r})"

@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -302,13 +305,23 @@ def test_checked_in_result_schema_matches_canonical():
     assert checked_in == RESULT_SCHEMA
 
 
-def test_readme_quickstart_snippet_runs():
-    """The README's API quickstart must execute as written."""
+def test_readme_quickstart_snippet_runs(tmp_path):
+    """The README's API quickstart must run as written, saved as a script
+    (with the default worker count, so pool workers re-import it)."""
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
     assert blocks, "README should contain a python quickstart block"
-    for block in blocks:
-        exec(compile(block, "<README quickstart>", "exec"), {})
+    env = dict(os.environ)
+    env.pop("REPRO_WORKERS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    for number, block in enumerate(blocks):
+        script = tmp_path / f"quickstart_{number}.py"
+        script.write_text(block, encoding="utf-8")
+        completed = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip(), "the quickstart should print its report"
 
 
 def test_package_layout_table_matches_tree():

@@ -200,6 +200,8 @@ class TestExecutionPath:
     def test_runtime_flags_follow_the_execute_override(self, monkeypatch):
         sweeps = {"ablations", "comparison", "figure4", "figure5", "multicast", "resilience", "traffic"}
         assert {e.name for e in iter_experiments() if e.supports_runtime} == sweeps
+        # lp overrides execute but fans its solves out over the workers.
+        assert {e.name for e in iter_experiments() if e.supports_workers} == sweeps | {"lp"}
         # Wrapping one instance's execute (as perfbench does) changes nothing.
         figure4 = get_experiment("figure4")
         monkeypatch.setitem(vars(figure4), "execute", figure4.execute)

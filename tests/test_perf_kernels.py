@@ -55,6 +55,15 @@ class TestProfiler:
         text = format_report(report, top=5)
         assert "figure4" in text and "cumtime" in text
 
+    def test_profile_runs_the_trials_in_process(self, monkeypatch):
+        """With pool workers the trials would run out of cProfile's sight;
+        the balancer, the hot loop of every trial, must show."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        report = profile_experiment("figure4", smoke=True, top=50)
+        balancer = "repro.core.maxmin.balancer"
+        assert balancer in {entry["module"] for entry in report["hotspots"]}
+        assert balancer in [entry["module"] for entry in report["modules"][:5]]
+
     def test_smoke_params_shrink_only_declared_parameters(self):
         from repro.experiments.registry import get_experiment
 

@@ -271,6 +271,29 @@ class TestPlannedProtocols:
         result = protocol.run()
         assert sum(result.swaps_by_node.values()) == result.swaps_performed
 
+    @pytest.mark.parametrize("protocol", ["planned-connection-oriented", "planned-on-demand"])
+    def test_pair_cut_off_by_link_churn_waits_for_the_repair(self, protocol):
+        """Churn cuts consumer pairs 0-13 and 0-7 off the generation graph for
+        a while; the head request waits (the miss is not cached) instead of
+        ending the trial with ``no generation-graph path``."""
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run_trial
+
+        outcome = run_trial(
+            ExperimentConfig(
+                protocol=protocol,
+                topology="grid",
+                n_nodes=16,
+                n_requests=30,
+                seed=3,
+                distillation=2,
+                max_rounds=2000,
+                scenario="link-churn:start=3,period=8,downtime=50,count=4,drop_pairs=true",
+            )
+        )
+        assert outcome.requests_total == 30
+        assert outcome.requests_satisfied == 30
+
 
 class TestProtocolResult:
     def test_mean_waiting_and_swaps_per_request(self, streams):
