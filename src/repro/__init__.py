@@ -10,9 +10,15 @@ the paper's evaluation figures.
 Quick start::
 
     from repro.experiments import get_experiment
-    result = get_experiment("figure4").run(n_nodes=25, distillation_values=[1, 2])
-    print(result.format_report())
-    print(result.to_json())  # the same result, machine-readable
+
+    if __name__ == "__main__":  # pool workers re-import this script
+        result = get_experiment("figure4").run(n_nodes=25, distillation_values=[1, 2])
+        print(result.format_report())
+        print(result.to_json())  # the same result, machine-readable
+
+Runs with more than one worker use a ``spawn`` process pool whose workers
+re-import the calling script, so a script must run experiments under the
+``__main__`` guard (or pass ``runtime=RuntimeOptions(workers=1)``).
 
 See README.md for the package layout, docs/architecture.md for the
 simulation pipeline, runtime layer and experiment API, and

@@ -4,30 +4,25 @@ Everything needed to turn raw protocol results into the quantities the paper
 reports (and a few it should have): the swap-overhead metric of Section 5,
 max-min fairness checks for the balancer's fixed points, starvation/wait
 statistics, and plain-text table rendering for experiment reports.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.analysis.fairness import is_max_min_fair, jains_index, lexicographic_min
-from repro.analysis.overhead import (
-    OverheadBreakdown,
-    optimal_swaps_for_requests,
-    request_path_lengths,
-    swap_overhead,
-    swap_overhead_from_result,
-)
-from repro.analysis.reporting import format_table, render_series
-from repro.analysis.starvation import StarvationReport, starvation_report
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "OverheadBreakdown",
-    "StarvationReport",
-    "format_table",
-    "is_max_min_fair",
-    "jains_index",
-    "lexicographic_min",
-    "optimal_swaps_for_requests",
-    "render_series",
-    "request_path_lengths",
-    "starvation_report",
-    "swap_overhead",
-    "swap_overhead_from_result",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.fairness": ("is_max_min_fair", "jains_index", "lexicographic_min"),
+        "repro.analysis.overhead": (
+            "OverheadBreakdown",
+            "optimal_swaps_for_requests",
+            "request_path_lengths",
+            "swap_overhead",
+            "swap_overhead_from_result",
+        ),
+        "repro.analysis.reporting": ("format_table", "render_series"),
+        "repro.analysis.starvation": ("StarvationReport", "starvation_report"),
+    },
+)

@@ -10,16 +10,18 @@ overheads" and §6).  This package models those classical costs explicitly:
   count table with per-round byte accounting,
 * :mod:`repro.classical.gossip` -- the BitTorrent-like choke/unchoke
   rotation sketched in Section 6.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.classical.control_plane import ControlPlane, FloodingControlPlane
-from repro.classical.gossip import ChokeUnchokeGossip
-from repro.classical.messages import MessageType, message_size_bits
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ChokeUnchokeGossip",
-    "ControlPlane",
-    "FloodingControlPlane",
-    "MessageType",
-    "message_size_bits",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.classical.control_plane": ("ControlPlane", "FloodingControlPlane"),
+        "repro.classical.gossip": ("ChokeUnchokeGossip",),
+        "repro.classical.messages": ("MessageType", "message_size_bits"),
+    },
+)

@@ -30,17 +30,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.experiments.api import RESULT_FORMATS, Experiment, RuntimeOptions
-from repro.experiments.registry import get_experiment, iter_experiments
-from repro.runtime import ResultCache
-
-#: Registered experiments by name (kept for backward compatibility; the
-#: registry is the source of truth).
-EXPERIMENTS: Dict[str, Experiment] = {
-    experiment.name: experiment for experiment in iter_experiments()
-}
+from repro.experiments.registry import experiment_names, get_experiment, iter_experiments
+from repro.runtime.cache import ResultCache
 
 #: Tool subcommands that are not experiments: the profiling harness
 #: (see :mod:`repro.perf`), service mode --
@@ -178,6 +172,26 @@ class _DeferredParsers(dict):
         return [(name, self[name]) for name in self]
 
 
+class _ListedSubcommand(argparse._SubParsersAction._ChoicesPseudoAction):
+    """A subcommand's line in ``repro --help``, its text read when printed.
+
+    An experiment's summary lives in its module, so the listing imports
+    every experiment, and only ``--help`` prints the listing.
+    """
+
+    def __init__(self, name: str, help: Callable[[], str]) -> None:
+        self._read_help = help
+        super().__init__(name, (), None)
+
+    @property
+    def help(self) -> str:
+        return self._read_help()
+
+    @help.setter
+    def help(self, _value: Optional[str]) -> None:
+        """Ignored: argparse's constructor assigns ``help``, which is read on demand."""
+
+
 class _DeferredSubcommands(argparse._SubParsersAction):
     """The subcommand action, building a subcommand's parser only when used.
 
@@ -194,15 +208,18 @@ class _DeferredSubcommands(argparse._SubParsersAction):
         self,
         name: str,
         populate: Callable[[argparse.ArgumentParser], None],
-        help: str,
+        help: Union[str, Callable[[], str]],
         **kwargs: Any,
     ) -> None:
         """Register subcommand ``name``; ``populate`` adds its arguments on first use.
 
-        ``kwargs`` are :class:`argparse.ArgumentParser` arguments, as for
-        ``add_parser``.
+        ``help`` is the listing line, or a callable read only when the
+        listing is printed.  ``kwargs`` are :class:`argparse.ArgumentParser`
+        arguments, as for ``add_parser``.
         """
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._choices_actions.append(
+            _ListedSubcommand(name, help if callable(help) else lambda: help)
+        )
 
         def build() -> argparse.ArgumentParser:
             parser = self._parser_class(prog=f"{self._prog_prefix} {name}", **kwargs)
@@ -212,8 +229,11 @@ class _DeferredSubcommands(argparse._SubParsersAction):
         self.choices.defer(name, build)
 
 
-def _populate_experiment(experiment: Experiment, subparser: argparse.ArgumentParser) -> None:
-    """An experiment's flags: its ParamSpec table plus the shared surfaces."""
+def _populate_experiment(name: str, subparser: argparse.ArgumentParser) -> None:
+    """An experiment's flags: its ParamSpec table plus the shared surfaces
+    (the first use of ``repro <name>`` imports that one experiment)."""
+    experiment = get_experiment(name)
+    subparser.description = experiment.summary
     for spec in experiment.cli_specs():
         spec.add_to_parser(subparser)
     if experiment.supports_workers:
@@ -453,16 +473,19 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(
         dest="experiment", metavar="experiment", action=_DeferredSubcommands
     )
-    for experiment in iter_experiments():
+    for name in experiment_names():
         subparsers.add_deferred_parser(
-            experiment.name,
-            help=experiment.summary,
-            description=experiment.summary,
+            name,
+            help=functools.partial(_summary, name),
             allow_abbrev=False,
-            populate=functools.partial(_populate_experiment, experiment),
+            populate=functools.partial(_populate_experiment, name),
         )
     _add_tool_subcommands(subparsers)
     return parser
+
+
+def _summary(name: str) -> str:
+    return get_experiment(name).summary
 
 
 def _print_listing() -> None:
@@ -705,7 +728,7 @@ def _run_tool(
         return _run_obs(args, parser)
     from repro.perf import profiler
 
-    if args.target not in EXPERIMENTS:
+    if args.target not in experiment_names():
         parser.error(
             f"profile: unknown experiment {args.target!r} "
             f"(run 'repro --list' to see the registered experiments)"

@@ -15,50 +15,38 @@ Two halves, mirroring Sections 3 and 4 of the paper:
 :mod:`repro.core.hybrid` implements the Section 6 extension that falls back
 to minimal planning (shortest path over the *current entanglement graph*)
 when a consumption request cannot be served immediately.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): a trial's
+balancer imports without the LP formulation and solver.
 """
 
-from repro.core.lp import (
-    LinearProgram,
-    LPSolution,
-    Objective,
-    PairOverheads,
-    PathObliviousFlowProgram,
-    SteadyStateRates,
-    solve_flow_program,
-)
-from repro.core.maxmin import (
-    BalancingPolicy,
-    DistanceWeightedPolicy,
-    GossipKnowledge,
-    GlobalKnowledge,
-    KnowledgeModel,
-    MaxMinBalancer,
-    MinRecipientCountPolicy,
-    PairCountLedger,
-    RandomPreferablePolicy,
-    SwapCandidate,
-    SwapRecord,
-)
-from repro.core.hybrid import HybridPlanner
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BalancingPolicy",
-    "DistanceWeightedPolicy",
-    "GlobalKnowledge",
-    "GossipKnowledge",
-    "HybridPlanner",
-    "KnowledgeModel",
-    "LPSolution",
-    "LinearProgram",
-    "MaxMinBalancer",
-    "MinRecipientCountPolicy",
-    "Objective",
-    "PairCountLedger",
-    "PairOverheads",
-    "PathObliviousFlowProgram",
-    "RandomPreferablePolicy",
-    "SteadyStateRates",
-    "SwapCandidate",
-    "SwapRecord",
-    "solve_flow_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.lp": (
+            "LinearProgram",
+            "LPSolution",
+            "Objective",
+            "PairOverheads",
+            "PathObliviousFlowProgram",
+            "SteadyStateRates",
+            "solve_flow_program",
+        ),
+        "repro.core.maxmin": (
+            "BalancingPolicy",
+            "DistanceWeightedPolicy",
+            "GossipKnowledge",
+            "GlobalKnowledge",
+            "KnowledgeModel",
+            "MaxMinBalancer",
+            "MinRecipientCountPolicy",
+            "PairCountLedger",
+            "RandomPreferablePolicy",
+            "SwapCandidate",
+            "SwapRecord",
+        ),
+        "repro.core.hybrid": ("HybridPlanner",),
+    },
+)

@@ -1,21 +1,22 @@
-"""Path-oblivious linear-program formulation (paper, Section 3)."""
+"""Path-oblivious linear-program formulation (paper, Section 3).
 
-from repro.core.lp.extensions import PairOverheads
-from repro.core.lp.formulation import LinearProgram, PathObliviousFlowProgram, VariableIndex
-from repro.core.lp.objectives import Objective
-from repro.core.lp.solver import LPSolution, solve_flow_program, solve_linear_program
-from repro.core.lp.steady_state import SteadyStateRates, compute_rates, verify_steady_state
+Every public name below is a lazy export (:mod:`repro.lazy`): the trial
+path reads ``PairOverheads`` without the formulation and solver.
+"""
 
-__all__ = [
-    "LPSolution",
-    "LinearProgram",
-    "Objective",
-    "PairOverheads",
-    "PathObliviousFlowProgram",
-    "SteadyStateRates",
-    "VariableIndex",
-    "compute_rates",
-    "solve_flow_program",
-    "solve_linear_program",
-    "verify_steady_state",
-]
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.lp.extensions": ("PairOverheads",),
+        "repro.core.lp.formulation": (
+            "LinearProgram",
+            "PathObliviousFlowProgram",
+            "VariableIndex",
+        ),
+        "repro.core.lp.objectives": ("Objective",),
+        "repro.core.lp.solver": ("LPSolution", "solve_flow_program", "solve_linear_program"),
+        "repro.core.lp.steady_state": ("SteadyStateRates", "compute_rates", "verify_steady_state"),
+    },
+)

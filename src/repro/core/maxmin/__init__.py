@@ -14,37 +14,30 @@ the *preferable* swap that most helps its worst-off entanglement partner.
 * :mod:`repro.core.maxmin.incremental` -- the engines by name
   (:func:`make_balancer`): ``naive``, or ``incremental``, which skips idle
   nodes and executes the same swaps.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.core.maxmin.balancer import MaxMinBalancer, SwapRecord
-from repro.core.maxmin.incremental import (
-    BALANCER_ENGINES,
-    IncrementalMaxMinBalancer,
-    make_balancer,
-)
-from repro.core.maxmin.knowledge import GlobalKnowledge, GossipKnowledge, KnowledgeModel
-from repro.core.maxmin.ledger import PairCountLedger
-from repro.core.maxmin.policy import (
-    BalancingPolicy,
-    DistanceWeightedPolicy,
-    MinRecipientCountPolicy,
-    RandomPreferablePolicy,
-    SwapCandidate,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BALANCER_ENGINES",
-    "BalancingPolicy",
-    "DistanceWeightedPolicy",
-    "GlobalKnowledge",
-    "GossipKnowledge",
-    "IncrementalMaxMinBalancer",
-    "KnowledgeModel",
-    "MaxMinBalancer",
-    "MinRecipientCountPolicy",
-    "PairCountLedger",
-    "RandomPreferablePolicy",
-    "SwapCandidate",
-    "SwapRecord",
-    "make_balancer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.maxmin.balancer": ("MaxMinBalancer", "SwapRecord"),
+        "repro.core.maxmin.incremental": (
+            "BALANCER_ENGINES",
+            "IncrementalMaxMinBalancer",
+            "make_balancer",
+        ),
+        "repro.core.maxmin.knowledge": ("GlobalKnowledge", "GossipKnowledge", "KnowledgeModel"),
+        "repro.core.maxmin.ledger": ("PairCountLedger",),
+        "repro.core.maxmin.policy": (
+            "BalancingPolicy",
+            "DistanceWeightedPolicy",
+            "MinRecipientCountPolicy",
+            "RandomPreferablePolicy",
+            "SwapCandidate",
+        ),
+    },
+)

@@ -6,7 +6,13 @@ subclass: a ``name``, a one-line ``summary``, a typed
 ``build_grid`` / ``execute`` / ``reduce`` hooks.  The registry
 (:mod:`repro.experiments.registry`) is the single source of truth the CLI,
 the docs gates and programmatic callers iterate -- adding a workload means
-registering one class, nothing else.
+one registered class plus one line in the registry's ``MANIFEST``, the
+static name-to-module table that lets a caller look experiments up without
+importing any of them.
+
+Nothing below is imported with the package: every public name is a lazy
+export (PEP 562, :mod:`repro.lazy`), loaded from its module on first use,
+so ``repro <experiment>`` and a pool worker import one experiment, not ten.
 
 One module per experiment of the per-experiment index in
 ``docs/reproducing.md`` (the API itself is described in
@@ -46,71 +52,38 @@ already present in the content-addressed result cache, without changing a
 single reported number.
 """
 
-from repro.experiments.api import (
-    Experiment,
-    ExperimentResult,
-    ParamSpec,
-    RuntimeOptions,
-    resolve_trial_seeds,
-)
-from repro.experiments.config import (
-    ExperimentConfig,
-    TrialOutcome,
-    full_mode_enabled,
-)
-from repro.experiments.registry import (
-    experiment_names,
-    get_experiment,
-    iter_experiments,
-    register,
-)
-from repro.experiments.runner import run_trial
-from repro.experiments.figure4 import Figure4Experiment, Figure4Result
-from repro.experiments.figure5 import Figure5Experiment, Figure5Result
-from repro.experiments.lp_validation import LPValidationExperiment, LPValidationResult
-from repro.experiments.comparison import ComparisonExperiment, ComparisonResult
-from repro.experiments.ablations import AblationResult, AblationsExperiment
-from repro.experiments.classical_overhead import (
-    ClassicalOverheadExperiment,
-    ClassicalOverheadResult,
-)
-from repro.experiments.multicast import MulticastExperiment, MulticastResult
-from repro.experiments.resilience import ResilienceExperiment, ResilienceResult
-from repro.experiments.scaling import ScalingExperiment, ScalingResult
-from repro.experiments.traffic import TrafficExperiment, TrafficResult
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AblationResult",
-    "AblationsExperiment",
-    "ClassicalOverheadExperiment",
-    "ClassicalOverheadResult",
-    "ComparisonExperiment",
-    "ComparisonResult",
-    "Experiment",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "Figure4Experiment",
-    "Figure4Result",
-    "Figure5Experiment",
-    "Figure5Result",
-    "LPValidationExperiment",
-    "LPValidationResult",
-    "MulticastExperiment",
-    "MulticastResult",
-    "ParamSpec",
-    "ResilienceExperiment",
-    "ResilienceResult",
-    "RuntimeOptions",
-    "ScalingExperiment",
-    "ScalingResult",
-    "TrafficExperiment",
-    "TrafficResult",
-    "TrialOutcome",
-    "experiment_names",
-    "full_mode_enabled",
-    "get_experiment",
-    "iter_experiments",
-    "register",
-    "resolve_trial_seeds",
-    "run_trial",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.api": (
+            "Experiment",
+            "ExperimentResult",
+            "ParamSpec",
+            "RuntimeOptions",
+            "resolve_trial_seeds",
+        ),
+        "repro.experiments.config": ("ExperimentConfig", "TrialOutcome", "full_mode_enabled"),
+        "repro.experiments.registry": (
+            "experiment_names",
+            "get_experiment",
+            "iter_experiments",
+            "register",
+        ),
+        "repro.experiments.runner": ("run_trial",),
+        "repro.experiments.figure4": ("Figure4Experiment", "Figure4Result"),
+        "repro.experiments.figure5": ("Figure5Experiment", "Figure5Result"),
+        "repro.experiments.lp_validation": ("LPValidationExperiment", "LPValidationResult"),
+        "repro.experiments.comparison": ("ComparisonExperiment", "ComparisonResult"),
+        "repro.experiments.ablations": ("AblationResult", "AblationsExperiment"),
+        "repro.experiments.classical_overhead": (
+            "ClassicalOverheadExperiment",
+            "ClassicalOverheadResult",
+        ),
+        "repro.experiments.multicast": ("MulticastExperiment", "MulticastResult"),
+        "repro.experiments.resilience": ("ResilienceExperiment", "ResilienceResult"),
+        "repro.experiments.scaling": ("ScalingExperiment", "ScalingResult"),
+        "repro.experiments.traffic": ("TrafficExperiment", "TrafficResult"),
+    },
+)

@@ -21,8 +21,9 @@ perfbench and the ``repro serve`` workers all call it.
 an input can fail; ``run`` starts with it, and the CLI and ``repro serve``
 run it as their pre-flight (``len(grid)`` is the size a served job reports).
 
-Registering the class (:func:`repro.experiments.registry.register`) is all
-it takes to gain a CLI subcommand: :mod:`repro.cli` generates one subparser
+Registering the class (:func:`repro.experiments.registry.register`) and
+naming its module in the registry's ``MANIFEST`` is all it takes to gain a
+CLI subcommand: :mod:`repro.cli` generates one subparser
 per registered experiment straight from its ParamSpec table, so flags that
 do not belong to an experiment are hard parse errors instead of silently
 ignored namespace entries.
@@ -31,6 +32,10 @@ ignored namespace entries.
 ``rows()`` / ``format_report()`` as before, plus machine-readable
 ``to_json()`` / ``to_csv()`` and ``write(path, format=...)``, which every
 subcommand exposes as ``--format`` / ``--output`` for free.
+
+This module loads no numpy: the registry, the CLI parser and ``repro
+serve`` import it before any experiment runs, so the numpy-backed helpers
+(seed derivation, JSON sanitising, CSV rendering) are imported where used.
 """
 
 from __future__ import annotations
@@ -51,9 +56,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis.reporting import json_safe, render_csv
 from repro.obs.spans import span
-from repro.runtime.seeding import seed_grid
 
 #: Version stamp carried in every JSON payload (bump on breaking changes).
 RESULT_SCHEMA_VERSION = 1
@@ -181,6 +184,8 @@ def resolve_trial_seeds(seeds: Union[int, Sequence[int]], master_seed: Optional[
     if seeds < 1:
         raise ValueError(f"seeds must be a positive trial count, got {seeds}")
     if master_seed is not None:
+        from repro.runtime.seeding import seed_grid
+
         return tuple(seed_grid(master_seed, seeds))
     return tuple(range(1, seeds + 1))
 
@@ -236,6 +241,8 @@ class ExperimentResult:
 
     def to_payload(self) -> Dict[str, Any]:
         """The JSON-ready dict behind :meth:`to_json` (schema-versioned)."""
+        from repro.analysis.reporting import json_safe
+
         series = {
             str(name): {str(x): json_safe(y) for x, y in points.items()}
             for name, points in self.series().items()
@@ -254,6 +261,8 @@ class ExperimentResult:
 
     def to_csv(self) -> str:
         """The result's rows as CSV, headed by :meth:`columns`."""
+        from repro.analysis.reporting import render_csv
+
         return render_csv(self.columns(), self.rows())
 
     def render(self, format: str = "text") -> str:

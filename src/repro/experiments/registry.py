@@ -6,14 +6,38 @@ experiments the same treatment.  Each experiment module decorates its
 and everything downstream -- the CLI's auto-generated subparsers,
 ``repro --list``, the docs/CI coverage gates, programmatic callers using
 :func:`get_experiment` -- iterates the registry instead of hand-maintained
-tables.  Adding a workload is registering one class.
+tables.
+
+:data:`MANIFEST` names each built-in experiment's module, so the registry
+answers :func:`experiment_names` without importing any experiment (nor
+numpy): :func:`get_experiment` imports the one module it is asked for, and
+only :func:`iter_experiments` imports them all.  Adding a built-in is one
+registered class plus one manifest line; a class registered at run time
+(a plugin, a test) joins the registry without one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Type
+import importlib
+from typing import TYPE_CHECKING, Dict, List, Tuple, Type
 
-from repro.experiments.api import Experiment, ParamSpec
+if TYPE_CHECKING:
+    from repro.experiments.api import Experiment
+
+#: Every built-in experiment: its name and the module whose ``@register``
+#: defines it (``tests/test_experiment_api.py`` checks the two agree).
+MANIFEST: Dict[str, str] = {
+    "ablations": "repro.experiments.ablations",
+    "classical": "repro.experiments.classical_overhead",
+    "comparison": "repro.experiments.comparison",
+    "figure4": "repro.experiments.figure4",
+    "figure5": "repro.experiments.figure5",
+    "lp": "repro.experiments.lp_validation",
+    "multicast": "repro.experiments.multicast",
+    "resilience": "repro.experiments.resilience",
+    "scaling": "repro.experiments.scaling",
+    "traffic": "repro.experiments.traffic",
+}
 
 _REGISTRY: Dict[str, Experiment] = {}
 
@@ -24,8 +48,10 @@ def register(experiment_class: Type[Experiment]) -> Type[Experiment]:
     The class is instantiated once, eagerly, so malformed parameter tables
     fail at import time rather than mid-run.  Re-registering the same class
     (module reloads) is a no-op; a *different* class claiming a taken name
-    is an error.
+    is an error, and so is a manifest name claimed outside its module.
     """
+    from repro.experiments.api import ParamSpec
+
     instance = experiment_class()
     name = instance.name
     if not name:
@@ -44,6 +70,12 @@ def register(experiment_class: Type[Experiment]) -> Type[Experiment]:
             if spec.cli_flag in seen_flags:
                 raise ValueError(f"experiment {name!r}: duplicate CLI flag {spec.cli_flag!r}")
             seen_flags.add(spec.cli_flag)
+    home = MANIFEST.get(name)
+    if home is not None and experiment_class.__module__ != home:
+        raise ValueError(
+            f"experiment name {name!r} belongs to {home} (the manifest), "
+            f"not {experiment_class.__module__}"
+        )
     existing = _REGISTRY.get(name)
     if existing is not None and type(existing).__qualname__ != experiment_class.__qualname__:
         raise ValueError(
@@ -54,7 +86,10 @@ def register(experiment_class: Type[Experiment]) -> Type[Experiment]:
 
 
 def get_experiment(name: str) -> Experiment:
-    """The registered experiment called ``name`` (KeyError with the menu)."""
+    """The experiment called ``name``, its module imported on first use
+    (KeyError with the menu)."""
+    if name not in _REGISTRY and name in MANIFEST:
+        importlib.import_module(MANIFEST[name])
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -64,10 +99,10 @@ def get_experiment(name: str) -> Experiment:
 
 
 def experiment_names() -> Tuple[str, ...]:
-    """Every registered experiment name, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Every experiment name, sorted: the manifest plus run-time registrations."""
+    return tuple(sorted(MANIFEST.keys() | _REGISTRY.keys()))
 
 
 def iter_experiments() -> List[Experiment]:
-    """Every registered experiment instance, sorted by name."""
-    return [_REGISTRY[name] for name in experiment_names()]
+    """Every experiment instance, sorted by name (imports every module)."""
+    return [get_experiment(name) for name in experiment_names()]

@@ -9,36 +9,30 @@ random graph and the classic dumbbell.
 Every builder returns a :class:`repro.network.topology.Topology` whose
 edges all carry ``generation_rate=1.0`` unless specified otherwise,
 matching the paper's "g(x, y) = 1 for all generation edges" setting.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.network.topologies.complete import complete_topology
-from repro.network.topologies.cycle import cycle_topology
-from repro.network.topologies.dumbbell import dumbbell_topology
-from repro.network.topologies.erdos_renyi import erdos_renyi_topology
-from repro.network.topologies.grid import grid_topology
-from repro.network.topologies.line import line_topology
-from repro.network.topologies.random_grid import random_connected_grid_topology
-from repro.network.topologies.star import star_topology
-from repro.network.topologies.tree import random_tree_topology
-from repro.network.topologies.waxman import waxman_topology
-from repro.network.topologies.registry import (
-    available_topologies,
-    topology_from_name,
-    validate_topology_sizes,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "available_topologies",
-    "complete_topology",
-    "cycle_topology",
-    "dumbbell_topology",
-    "erdos_renyi_topology",
-    "grid_topology",
-    "line_topology",
-    "random_connected_grid_topology",
-    "random_tree_topology",
-    "star_topology",
-    "topology_from_name",
-    "validate_topology_sizes",
-    "waxman_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.network.topologies.complete": ("complete_topology",),
+        "repro.network.topologies.cycle": ("cycle_topology",),
+        "repro.network.topologies.dumbbell": ("dumbbell_topology",),
+        "repro.network.topologies.erdos_renyi": ("erdos_renyi_topology",),
+        "repro.network.topologies.grid": ("grid_topology",),
+        "repro.network.topologies.line": ("line_topology",),
+        "repro.network.topologies.random_grid": ("random_connected_grid_topology",),
+        "repro.network.topologies.star": ("star_topology",),
+        "repro.network.topologies.tree": ("random_tree_topology",),
+        "repro.network.topologies.waxman": ("waxman_topology",),
+        "repro.network.topologies.registry": (
+            "available_topologies",
+            "topology_from_name",
+            "validate_topology_sizes",
+        ),
+    },
+)

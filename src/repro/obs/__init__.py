@@ -16,40 +16,33 @@ section of ``docs/architecture.md``):
 
 Telemetry is strictly observation-only: enabling it never changes any
 result byte (``tests/test_obs_determinism.py`` enforces this).
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.obs.spans import (
-    SPAN_BUFFER,
-    SPAN_NAMES,
-    TELEMETRY_ENV,
-    SpanBuffer,
-    SpanRecord,
-    disable,
-    emit,
-    enable,
-    span,
-    telemetry_enabled,
-)
-from repro.obs.telemetry import (
-    HUB_METRIC_NAMES,
-    TELEMETRY,
-    TELEMETRY_SCHEMA_VERSION,
-    Telemetry,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "SPAN_BUFFER",
-    "SPAN_NAMES",
-    "TELEMETRY",
-    "TELEMETRY_ENV",
-    "TELEMETRY_SCHEMA_VERSION",
-    "HUB_METRIC_NAMES",
-    "SpanBuffer",
-    "SpanRecord",
-    "Telemetry",
-    "disable",
-    "emit",
-    "enable",
-    "span",
-    "telemetry_enabled",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.spans": (
+            "SPAN_BUFFER",
+            "SPAN_NAMES",
+            "TELEMETRY_ENV",
+            "SpanBuffer",
+            "SpanRecord",
+            "disable",
+            "emit",
+            "enable",
+            "span",
+            "telemetry_enabled",
+        ),
+        "repro.obs.telemetry": (
+            "HUB_METRIC_NAMES",
+            "TELEMETRY",
+            "TELEMETRY_SCHEMA_VERSION",
+            "Telemetry",
+        ),
+    },
+)

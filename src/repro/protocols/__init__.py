@@ -23,33 +23,29 @@ each served path plus one per swap, ``k`` a constant of each baseline).
 
 :mod:`repro.protocols.nested` provides the nested-swapping cost model that
 both the baselines and the paper's overhead metric rely on.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.protocols.base import ProtocolResult, SwappingProtocol
-from repro.protocols.nested import (
-    execute_nested,
-    nested_schedule,
-    nested_swap_count,
-    required_link_pairs,
-    sequential_swap_count,
-)
-from repro.protocols.oblivious import PathObliviousProtocol
-from repro.protocols.planned import (
-    ConnectionOrientedProtocol,
-    ConnectionlessProtocol,
-    OnDemandProtocol,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ConnectionOrientedProtocol",
-    "ConnectionlessProtocol",
-    "OnDemandProtocol",
-    "PathObliviousProtocol",
-    "ProtocolResult",
-    "SwappingProtocol",
-    "execute_nested",
-    "nested_schedule",
-    "nested_swap_count",
-    "required_link_pairs",
-    "sequential_swap_count",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.protocols.base": ("ProtocolResult", "SwappingProtocol"),
+        "repro.protocols.nested": (
+            "execute_nested",
+            "nested_schedule",
+            "nested_swap_count",
+            "required_link_pairs",
+            "sequential_swap_count",
+        ),
+        "repro.protocols.oblivious": ("PathObliviousProtocol",),
+        "repro.protocols.planned": (
+            "ConnectionOrientedProtocol",
+            "ConnectionlessProtocol",
+            "OnDemandProtocol",
+        ),
+    },
+)

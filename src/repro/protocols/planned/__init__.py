@@ -3,16 +3,19 @@
 All three share :class:`~repro.protocols.planned.base.PlannedPathProtocol`:
 nested swapping along each request's shortest generation-graph path, with
 one accounting of swaps, raw pairs consumed and classical overhead.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.protocols.planned.base import PlannedPathProtocol
-from repro.protocols.planned.connection_oriented import ConnectionOrientedProtocol
-from repro.protocols.planned.connectionless import ConnectionlessProtocol
-from repro.protocols.planned.ondemand import OnDemandProtocol
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ConnectionOrientedProtocol",
-    "ConnectionlessProtocol",
-    "OnDemandProtocol",
-    "PlannedPathProtocol",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.protocols.planned.base": ("PlannedPathProtocol",),
+        "repro.protocols.planned.connection_oriented": ("ConnectionOrientedProtocol",),
+        "repro.protocols.planned.connectionless": ("ConnectionlessProtocol",),
+        "repro.protocols.planned.ondemand": ("OnDemandProtocol",),
+    },
+)

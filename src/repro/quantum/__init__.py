@@ -16,62 +16,48 @@ factor ``L``.  This package provides the physical models behind them:
   (rate ``R`` thinning of generation) of Section 3.2.
 * :mod:`repro.quantum.decoherence` -- memory decoherence models producing
   the loss factor ``L`` of Section 3.2.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.quantum.decoherence import (
-    DecoherenceModel,
-    ExponentialDecoherence,
-    NoDecoherence,
-)
-from repro.quantum.distillation import (
-    DistillationProtocol,
-    bbpssw_output_fidelity,
-    bbpssw_success_probability,
-    dejmps_round,
-    distillation_overhead,
-    expected_pairs_for_target,
-    rounds_to_target_fidelity,
-)
-from repro.quantum.fidelity import (
-    WERNER_MINIMUM_USEFUL_FIDELITY,
-    WernerState,
-    depolarize,
-    swap_fidelity,
-    teleportation_fidelity,
-    werner_from_fidelity,
-)
-from repro.quantum.gates import CNOT, CZ, HADAMARD, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z
-from repro.quantum.qec import QECCode, apply_qec_thinning, surface_code_overhead
-from repro.quantum.states import DensityMatrix, bell_state, fidelity as state_fidelity
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CNOT",
-    "CZ",
-    "DecoherenceModel",
-    "DensityMatrix",
-    "DistillationProtocol",
-    "ExponentialDecoherence",
-    "HADAMARD",
-    "IDENTITY",
-    "NoDecoherence",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "QECCode",
-    "WERNER_MINIMUM_USEFUL_FIDELITY",
-    "WernerState",
-    "apply_qec_thinning",
-    "bbpssw_output_fidelity",
-    "bbpssw_success_probability",
-    "bell_state",
-    "dejmps_round",
-    "depolarize",
-    "distillation_overhead",
-    "expected_pairs_for_target",
-    "rounds_to_target_fidelity",
-    "state_fidelity",
-    "surface_code_overhead",
-    "swap_fidelity",
-    "teleportation_fidelity",
-    "werner_from_fidelity",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.quantum.decoherence": (
+            "DecoherenceModel",
+            "ExponentialDecoherence",
+            "NoDecoherence",
+        ),
+        "repro.quantum.distillation": (
+            "DistillationProtocol",
+            "bbpssw_output_fidelity",
+            "bbpssw_success_probability",
+            "dejmps_round",
+            "distillation_overhead",
+            "expected_pairs_for_target",
+            "rounds_to_target_fidelity",
+        ),
+        "repro.quantum.fidelity": (
+            "WERNER_MINIMUM_USEFUL_FIDELITY",
+            "WernerState",
+            "depolarize",
+            "swap_fidelity",
+            "teleportation_fidelity",
+            "werner_from_fidelity",
+        ),
+        "repro.quantum.gates": (
+            "CNOT",
+            "CZ",
+            "HADAMARD",
+            "IDENTITY",
+            "PAULI_X",
+            "PAULI_Y",
+            "PAULI_Z",
+        ),
+        "repro.quantum.qec": ("QECCode", "apply_qec_thinning", "surface_code_overhead"),
+        "repro.quantum.states": ("DensityMatrix", "bell_state", "fidelity"),
+    },
+)

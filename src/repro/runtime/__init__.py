@@ -25,19 +25,23 @@ from ``config.seed`` (see :mod:`repro.sim.rng`).  Parallelism and caching
 are therefore observationally invisible -- a sweep returns bit-identical
 outcomes whether it ran on one worker, sixteen workers, or straight out of
 the cache.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.runtime.cache import ResultCache, atomic_write_bytes, code_version, config_digest
-from repro.runtime.seeding import seed_grid, trial_seed
-from repro.runtime.sweep import SweepReport, SweepRunner
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ResultCache",
-    "atomic_write_bytes",
-    "SweepReport",
-    "SweepRunner",
-    "code_version",
-    "config_digest",
-    "seed_grid",
-    "trial_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.cache": (
+            "ResultCache",
+            "atomic_write_bytes",
+            "code_version",
+            "config_digest",
+        ),
+        "repro.runtime.seeding": ("seed_grid", "trial_seed"),
+        "repro.runtime.sweep": ("SweepReport", "SweepRunner"),
+    },
+)

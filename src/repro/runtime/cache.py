@@ -26,9 +26,10 @@ import pickle
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.experiments.config import ExperimentConfig, TrialOutcome
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentConfig, TrialOutcome
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

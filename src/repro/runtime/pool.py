@@ -4,7 +4,7 @@ One ``spawn`` :class:`~concurrent.futures.ProcessPoolExecutor` per
 interpreter, shared by every :class:`~repro.runtime.sweep.SweepRunner`
 sweep and by the ``lp`` experiment's objective solves.  Its lifetime:
 
-* **Lazy.**  Nothing spawns at import, and the registry build does not
+* **Lazy.**  Nothing spawns at import, and a registry lookup does not
   even import this module; the pool is created by the first
   :func:`ordered_map` with more than one task and more than one worker,
   and it stays warm for every later run in the process, so the

@@ -14,56 +14,41 @@ declaratively:
   every result-cache key,
 * at run time the scenario compiles down to a round hook
   (:class:`ScenarioDriver`).
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.scenarios.perturbations import (
-    Conditional,
-    DecoherenceRamp,
-    DemandShift,
-    LinkFailure,
-    LinkRepair,
-    NodeLeave,
-    NodeRejoin,
-    Perturbation,
-    ScenarioContext,
-)
-from repro.scenarios.registry import (
-    NO_SCENARIO,
-    SCENARIO_NAMES,
-    build_scenario,
-    parse_scenario_spec,
-    validate_scenario_spec,
-)
-from repro.scenarios.scenario import Scenario, ScenarioDriver, merge_scenarios
-from repro.scenarios.schedules import (
-    decoherence_ramp,
-    demand_drift,
-    deterministic_link_churn,
-    node_churn,
-    poisson_link_churn,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Conditional",
-    "DecoherenceRamp",
-    "DemandShift",
-    "LinkFailure",
-    "LinkRepair",
-    "NO_SCENARIO",
-    "NodeLeave",
-    "NodeRejoin",
-    "Perturbation",
-    "SCENARIO_NAMES",
-    "Scenario",
-    "ScenarioContext",
-    "ScenarioDriver",
-    "build_scenario",
-    "decoherence_ramp",
-    "demand_drift",
-    "deterministic_link_churn",
-    "merge_scenarios",
-    "node_churn",
-    "parse_scenario_spec",
-    "poisson_link_churn",
-    "validate_scenario_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.scenarios.perturbations": (
+            "Conditional",
+            "DecoherenceRamp",
+            "DemandShift",
+            "LinkFailure",
+            "LinkRepair",
+            "NodeLeave",
+            "NodeRejoin",
+            "Perturbation",
+            "ScenarioContext",
+        ),
+        "repro.scenarios.registry": (
+            "NO_SCENARIO",
+            "SCENARIO_NAMES",
+            "build_scenario",
+            "parse_scenario_spec",
+            "validate_scenario_spec",
+        ),
+        "repro.scenarios.scenario": ("Scenario", "ScenarioDriver", "merge_scenarios"),
+        "repro.scenarios.schedules": (
+            "decoherence_ramp",
+            "demand_drift",
+            "deterministic_link_churn",
+            "node_churn",
+            "poisson_link_churn",
+        ),
+    },
+)

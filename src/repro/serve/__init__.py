@@ -13,31 +13,21 @@ The subsystem that turns the experiment registry into a network service:
 * :mod:`repro.serve.daemon` -- the socket server tying it all together,
   with submission coalescing and graceful SIGTERM drain.
 * :mod:`repro.serve.client` -- the blocking client ``repro submit`` wraps.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest.
 """
 
-from repro.serve.admission import ServeAdmission
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.daemon import ServeDaemon
-from repro.serve.protocol import (
-    JOB_STATES,
-    SERVE_PROTOCOL_VERSION,
-    VERBS,
-    ProtocolError,
-)
-from repro.serve.queue import Job, JobQueue, QueueFull
-from repro.serve.worker import WorkerPool
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Job",
-    "JobQueue",
-    "JOB_STATES",
-    "ProtocolError",
-    "QueueFull",
-    "SERVE_PROTOCOL_VERSION",
-    "ServeAdmission",
-    "ServeClient",
-    "ServeDaemon",
-    "ServeError",
-    "VERBS",
-    "WorkerPool",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.admission": ("ServeAdmission",),
+        "repro.serve.client": ("ServeClient", "ServeError"),
+        "repro.serve.daemon": ("ServeDaemon",),
+        "repro.serve.protocol": ("JOB_STATES", "SERVE_PROTOCOL_VERSION", "VERBS", "ProtocolError"),
+        "repro.serve.queue": ("Job", "JobQueue", "QueueFull"),
+        "repro.serve.worker": ("WorkerPool",),
+    },
+)

@@ -11,7 +11,9 @@ Request flow for a ``submit``:
 1. **Validation** -- the experiment must be registered and the parameters
    must plan through its ParamSpec table (``normalize`` and ``build_grid``
    included), so a bad submission fails with a ``400``/``404`` payload
-   before it can ever occupy a worker.
+   before it can ever occupy a worker.  The daemon answers ``health``
+   before any experiment module (or numpy) is imported; the first
+   submission of an experiment imports its module here.
 2. **Coalescing** -- submissions are content-addressed over
    ``(experiment, normalized params)``.  A digest that matches a finished
    job is answered from the in-memory result memo immediately (a *result

@@ -8,23 +8,20 @@ rounds).
 Shared infrastructure lives alongside it: deterministic named RNG streams
 (:mod:`repro.sim.rng`), metric collectors (:mod:`repro.sim.metrics`) and
 structured trace recording (:mod:`repro.sim.tracing`).
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest (``repro serve`` and the telemetry
+hub read ``sim.metrics`` before any numpy is loaded).
 """
 
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry
-from repro.sim.rng import RandomStreams, derive_seed
-from repro.sim.rounds import RoundBasedSimulator, RoundHook, RoundPhase
-from repro.sim.tracing import TraceEvent, TraceRecorder
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "RandomStreams",
-    "RoundBasedSimulator",
-    "RoundHook",
-    "RoundPhase",
-    "TraceEvent",
-    "TraceRecorder",
-    "derive_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.metrics": ("Counter", "Gauge", "Histogram", "MetricRegistry"),
+        "repro.sim.rng": ("RandomStreams", "derive_seed"),
+        "repro.sim.rounds": ("RoundBasedSimulator", "RoundHook", "RoundPhase"),
+        "repro.sim.tracing": ("TraceEvent", "TraceRecorder"),
+    },
+)

@@ -22,62 +22,44 @@ The round-based simulator consumes a
 :class:`~repro.workloads.queueing.TimedRequestSequence` through a
 pre-generation release hook; admission is a pure function of the arrival
 trace, independent of when release is batched.
+
+Every public name below is a lazy export (:mod:`repro.lazy`): importing
+one submodule does not import the rest (``repro serve``'s admission
+reads ``workloads.admission`` before any numpy is loaded).
 """
 
-from repro.workloads.admission import AdmissionController
-from repro.workloads.arrivals import (
-    counts_to_rounds,
-    diurnal_rates,
-    mmpp_rates,
-    modulated_poisson_counts,
-    pareto_batch_sizes,
-    poisson_counts,
-)
-from repro.workloads.base import (
-    CLASS_MIXES,
-    DEFAULT_MIX,
-    TRAFFIC_CLASSES,
-    TimedRequest,
-    TrafficClass,
-    WorkloadBuild,
-)
-from repro.workloads.queueing import QUEUE_POLICIES, TimedRequestSequence
-from repro.workloads.registry import (
-    DEFAULT_WORKLOAD,
-    WORKLOAD_NAMES,
-    WORKLOAD_PARAMS,
-    build_workload,
-    is_timed_workload,
-    parse_workload_spec,
-    validate_workload_spec,
-)
-from repro.workloads.slo import ClassSlo, group_slo_summary, slo_as_dict, slo_summary
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "CLASS_MIXES",
-    "ClassSlo",
-    "DEFAULT_MIX",
-    "DEFAULT_WORKLOAD",
-    "QUEUE_POLICIES",
-    "TRAFFIC_CLASSES",
-    "TimedRequest",
-    "TimedRequestSequence",
-    "TrafficClass",
-    "WORKLOAD_NAMES",
-    "WORKLOAD_PARAMS",
-    "WorkloadBuild",
-    "build_workload",
-    "counts_to_rounds",
-    "diurnal_rates",
-    "group_slo_summary",
-    "is_timed_workload",
-    "mmpp_rates",
-    "modulated_poisson_counts",
-    "pareto_batch_sizes",
-    "parse_workload_spec",
-    "poisson_counts",
-    "slo_as_dict",
-    "slo_summary",
-    "validate_workload_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.admission": ("AdmissionController",),
+        "repro.workloads.arrivals": (
+            "counts_to_rounds",
+            "diurnal_rates",
+            "mmpp_rates",
+            "modulated_poisson_counts",
+            "pareto_batch_sizes",
+            "poisson_counts",
+        ),
+        "repro.workloads.base": (
+            "CLASS_MIXES",
+            "DEFAULT_MIX",
+            "TRAFFIC_CLASSES",
+            "TimedRequest",
+            "TrafficClass",
+            "WorkloadBuild",
+        ),
+        "repro.workloads.queueing": ("QUEUE_POLICIES", "TimedRequestSequence"),
+        "repro.workloads.registry": (
+            "DEFAULT_WORKLOAD",
+            "WORKLOAD_NAMES",
+            "WORKLOAD_PARAMS",
+            "build_workload",
+            "is_timed_workload",
+            "parse_workload_spec",
+            "validate_workload_spec",
+        ),
+        "repro.workloads.slo": ("ClassSlo", "group_slo_summary", "slo_as_dict", "slo_summary"),
+    },
+)

@@ -7,13 +7,13 @@ import json
 import pytest
 
 from repro.analysis.overhead import swap_overhead_from_result
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
 from repro.core.lp.extensions import PairOverheads
 from repro.core.lp.formulation import PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import solve_flow_program
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.registry import get_experiment
+from repro.experiments.registry import experiment_names, get_experiment
 from repro.experiments.runner import run_trial
 from repro.network.demand import RequestSequence, uniform_demand
 from repro.network.topologies import random_connected_grid_topology
@@ -25,7 +25,7 @@ class TestCLI:
     def test_list_mode(self, capsys):
         assert main(["--list"]) == 0
         output = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in experiment_names():
             assert name in output
 
     def test_no_arguments_lists(self, capsys):
@@ -247,7 +247,7 @@ class TestSubcommandRedesign:
     def test_internal_errors_are_not_usage_errors(self, monkeypatch):
         """Only parameter validation maps to exit-2 usage errors; a failure
         inside the run itself must traceback (not be swallowed)."""
-        from repro.experiments.registry import get_experiment
+        from repro.experiments.registry import experiment_names, get_experiment
 
         experiment = get_experiment("lp")
         monkeypatch.setattr(

@@ -9,17 +9,19 @@ fails CI instead of misleading readers.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, TOOL_COMMANDS, build_parser
+from repro.cli import TOOL_COMMANDS, build_parser
 from repro.experiments.registry import experiment_names, iter_experiments
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,7 +87,7 @@ def test_referenced_modules_import():
 def test_cli_subcommands_shown_are_real():
     shown = set(_CLI_LINE.findall(_doc_text()))
     assert shown, "docs should demonstrate CLI usage"
-    runnable = set(EXPERIMENTS) | set(TOOL_COMMANDS)
+    runnable = set(experiment_names()) | set(TOOL_COMMANDS)
     unknown = shown - runnable
     assert not unknown, f"docs show nonexistent subcommands: {sorted(unknown)}"
     # A CI step that calls a removed verb fails here, not only on the CI host.
@@ -322,6 +324,25 @@ def test_readme_quickstart_snippet_runs(tmp_path):
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip(), "the quickstart should print its report"
+
+
+def test_package_docstring_quickstart_is_guarded():
+    """The quick start in ``repro``'s docstring, saved as a script, runs its
+    experiment only under ``if __name__ == "__main__":``, like the README's:
+    pool workers re-import the script, and an unguarded run there kills them."""
+    import repro
+
+    after = repro.__doc__.split("Quick start::\n", 1)[1].splitlines()
+    block = []
+    for line in after:
+        if line.strip() and not line.startswith("    "):
+            break
+        block.append(line)
+    tree = ast.parse(textwrap.dedent("\n".join(block)))
+    guards = [statement for statement in tree.body if isinstance(statement, ast.If)]
+    assert len(guards) == 1 and ast.unparse(guards[0].test) == "__name__ == '__main__'"
+    assert "get_experiment" in ast.unparse(guards[0])
+    assert all(isinstance(s, (ast.Import, ast.ImportFrom, ast.If)) for s in tree.body)
 
 
 def test_package_layout_table_matches_tree():

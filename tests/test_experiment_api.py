@@ -10,9 +10,14 @@ header row, and ``write()`` refuses to overwrite without ``force``.
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,7 @@ from repro.experiments.api import (
     RowTable,
     resolve_trial_seeds,
 )
+from repro.experiments import registry
 from repro.experiments.registry import experiment_names, get_experiment, iter_experiments
 from repro.experiments.schema import SchemaError, validate_payload
 
@@ -88,6 +94,94 @@ class TestRegistry:
         for experiment in iter_experiments():
             flags = [spec.cli_flag for spec in experiment.cli_specs()]
             assert len(flags) == len(set(flags))
+
+
+def _registered_in_source():
+    """``{name: module}`` for every ``@register`` class under ``experiments/``, read
+    from the source without importing it."""
+    found = {}
+    for path in sorted(Path(registry.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any(isinstance(d, ast.Name) and d.id == "register" for d in node.decorator_list):
+                continue
+            for statement in node.body:
+                if (
+                    isinstance(statement, ast.Assign)
+                    and [target.id for target in statement.targets] == ["name"]
+                ):
+                    found[statement.value.value] = f"repro.experiments.{path.stem}"
+    return found
+
+
+#: Prints every experiment's name, summary and ParamSpec table as JSON, read
+#: through ``iter_experiments()`` in a fresh interpreter -- after importing
+#: every manifest module up front (``eager``, as the package once did) or
+#: from a cold registry (``lazy``).
+_MENU_PROBE = """
+import importlib, json, sys
+from dataclasses import fields
+
+from repro.experiments import registry
+
+if sys.argv[1] == "eager":
+    for module in registry.MANIFEST.values():
+        importlib.import_module(module)
+plain = lambda value: value.__qualname__ if callable(value) else repr(value)
+print(json.dumps([
+    [e.name, e.summary, [[plain(getattr(s, f.name)) for f in fields(s)] for s in e.params]]
+    for e in registry.iter_experiments()
+]))
+"""
+
+
+def _menu(mode):
+    env = dict(os.environ)
+    source = str(Path(registry.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _MENU_PROBE, mode], capture_output=True, text=True, env=env
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+class TestManifest:
+    """The static name -> module table the registry answers names from."""
+
+    def test_every_register_in_the_source_matches_its_manifest_entry(self):
+        assert _registered_in_source() == registry.MANIFEST
+
+    def test_lazy_iteration_yields_the_eagerly_imported_menu(self):
+        lazy = _menu("lazy")
+        assert [entry[0] for entry in lazy] == sorted(registry.MANIFEST)
+        assert all(entry[1] and entry[2] for entry in lazy)
+        assert lazy == _menu("eager")
+
+    def test_a_class_registered_at_run_time_joins_the_names(self, monkeypatch):
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
+        @registry.register
+        class RuntimeProbe(Experiment):
+            name = "runtime-probe"
+            summary = "Registered by a test, with no manifest line."
+
+        assert "runtime-probe" in experiment_names()
+        assert isinstance(get_experiment("runtime-probe"), RuntimeProbe)
+        assert set(registry.MANIFEST) < set(experiment_names())
+
+    def test_a_manifest_name_is_registered_by_its_own_module_only(self, monkeypatch):
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
+        class Impostor(Experiment):
+            name = "figure4"
+            summary = "Claims a built-in name from another module."
+
+        with pytest.raises(ValueError, match="repro.experiments.figure4"):
+            registry.register(Impostor)
+        assert get_experiment("figure4").summary != Impostor.summary
 
 
 class TestParamResolution:
