@@ -2,15 +2,13 @@
 
 These are classic pytest-benchmark measurements (many iterations of a small
 operation): one balancing round at the paper's network size, nested-swapping
-execution, LP construction, and the density-matrix teleportation circuit.
-They exist so performance regressions in the core loops are visible without
-re-running the full figure sweeps.
+execution and LP construction.  They exist so performance regressions in the
+core loops are visible without re-running the full figure sweeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.lp.formulation import PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
@@ -20,7 +18,6 @@ from repro.network.demand import select_consumer_pairs, uniform_demand
 from repro.network.generation import DeterministicGeneration
 from repro.network.topologies import cycle_topology, grid_topology
 from repro.protocols.nested import execute_nested, required_link_pairs
-from repro.quantum.teleportation import teleportation_circuit_fidelity
 from repro.sim.rng import RandomStreams
 
 
@@ -87,12 +84,3 @@ def test_lp_build_cost(benchmark):
 
     linear_program = benchmark(lambda: program.build(Objective.MAX_PROPORTIONAL_ALPHA))
     assert linear_program.n_variables > 6000
-
-
-def test_teleportation_circuit_cost(benchmark):
-    """The 3-qubit density-matrix teleportation circuit used for validation."""
-    rng = np.random.default_rng(0)
-    payload = np.array([1.0, 1.0j]) / np.sqrt(2)
-
-    fidelity = benchmark(lambda: teleportation_circuit_fidelity(payload, 0.9, rng=rng))
-    assert 0.5 <= fidelity <= 1.0

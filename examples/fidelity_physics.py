@@ -3,13 +3,14 @@
 
 The network-level model of the paper compresses all quantum imperfection
 into two numbers per pair: the distillation overhead ``D`` and the loss
-factor ``L``.  This example walks the chain that produces those numbers,
-using the density-matrix simulator to check the Werner-state algebra:
+factor ``L``.  This example walks the chain that produces those numbers on
+Werner pairs, each described by its fidelity ``F`` alone, in closed form:
 
 1. swapping degrades fidelity (and the degradation compounds with hops),
 2. BBPSSW purification restores fidelity at a raw-pair cost -- the ``D``,
 3. memory decoherence turns storage time into the loss factor ``L``,
-4. the teleportation fidelity an application finally sees.
+4. the Werner parameter ``w = (4F - 1)/3``, which a swap multiplies, and
+   the teleportation fidelity an application finally sees.
 
 Run with::
 
@@ -26,12 +27,10 @@ from repro.quantum.distillation import (
     expected_pairs_for_target,
 )
 from repro.quantum.fidelity import (
+    WernerState,
     fidelity_after_hops,
-    swap_fidelity,
     teleportation_fidelity,
 )
-from repro.quantum.states import bell_state, fidelity as state_fidelity
-from repro.quantum.fidelity import WernerState
 
 
 def main() -> None:
@@ -85,20 +84,27 @@ def main() -> None:
     )
     print()
 
-    # 4. What the application sees: teleportation fidelity through a Werner
-    #    resource pair, whose density matrix is checked against the Bell state.
-    resource = 0.9
-    analytic = teleportation_fidelity(resource)
-    werner_check = state_fidelity(WernerState(resource).to_density_matrix(), bell_state())
+    # 4. The Werner algebra behind every row above: a swap multiplies the
+    #    Werner parameter w = (4F - 1)/3 of its two pairs.  Teleporting
+    #    through a pair of fidelity F reaches the average fidelity (2F + 1)/3.
+    resource = WernerState(0.9)
+    link = WernerState(link_fidelity)
+    swapped = resource.swap_with(link)
+    product = resource.werner_parameter() * link.werner_parameter()
+    if abs(swapped.werner_parameter() - product) > 1e-12:
+        raise RuntimeError("a swap must multiply the Werner parameters")
+    teleported = teleportation_fidelity(resource.fidelity)
     print(
         format_table(
             ("quantity", "value"),
             [
-                ("resource pair fidelity", resource),
-                ("Werner state fidelity check", round(werner_check, 6)),
-                ("analytic teleportation fidelity (2F+1)/3", round(analytic, 4)),
+                ("resource pair fidelity F", resource.fidelity),
+                ("Werner parameter w = (4F-1)/3", round(resource.werner_parameter(), 4)),
+                ("w after a swap with the link pair", round(swapped.werner_parameter(), 4)),
+                ("product of the two pairs' w", round(product, 4)),
+                ("teleportation fidelity (2F+1)/3", round(teleported, 4)),
             ],
-            title="4. Teleportation fidelity of the resource pair",
+            title="4. Werner algebra and the teleportation fidelity of the resource pair",
         )
     )
 

@@ -615,13 +615,20 @@ def _run_submit(
     """Submit one experiment to a running daemon and deliver its result."""
     from repro.serve.client import ServeClient, ServeError
 
-    try:
-        experiment = get_experiment(args.target)
-    except KeyError:
+    if args.target not in experiment_names():
         parser.error(
             f"submit: unknown experiment {args.target!r} "
             f"(run 'repro --list' to see the registered experiments)"
         )
+    try:
+        experiment = get_experiment(args.target)
+    except Exception as error:
+        print(
+            f"repro submit: cannot load experiment {args.target!r}: "
+            f"{type(error).__name__}: {error}",
+            file=sys.stderr,
+        )
+        return 1
     spec_parser = argparse.ArgumentParser(
         prog=f"{parser.prog} submit {args.target}", allow_abbrev=False
     )

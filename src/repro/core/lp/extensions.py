@@ -10,23 +10,19 @@ The LP of Section 3.1 is extended in Section 3.2 with three knobs:
   thinning every generation rate to ``g / R``.
 
 :class:`PairOverheads` bundles the per-pair ``D`` and ``L`` maps with
-uniform defaults, and provides constructors deriving them from physical
-parameters via :mod:`repro.quantum.distillation` and
-:mod:`repro.quantum.decoherence`.  Those modules are imported by the
-constructors that use them, so the count-level path never loads
-:mod:`repro.quantum`.
+uniform defaults; ``R`` is the LP's ``qec_overhead``, and trials thin with
+:meth:`repro.network.topology.Topology.scale_generation_rates`.  All three
+arrive as numbers.  Deriving them from link fidelities and memory coherence
+is the job of :mod:`repro.quantum`, which this layer never imports
+(``examples/capacity_planning.py`` shows the bridge).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional
+from typing import Dict, Hashable
 
-from repro.network.topology import EdgeKey, Topology, edge_key
-
-if TYPE_CHECKING:  # pragma: no cover - imported where an overhead is derived
-    from repro.quantum.decoherence import DecoherenceModel
-    from repro.quantum.distillation import DistillationProtocol
+from repro.network.topology import EdgeKey, edge_key
 
 NodeId = Hashable
 
@@ -90,58 +86,7 @@ class PairOverheads:
         self._validate_loss(value)
         self.loss[edge_key(node_a, node_b)] = float(value)
 
-    # ------------------------------------------------------------------ #
-    # Constructors from physics
-    # ------------------------------------------------------------------ #
     @classmethod
     def uniform(cls, distillation: float = 1.0, loss: float = 1.0) -> "PairOverheads":
         """Uniform overheads (the paper's experimental setting)."""
         return cls(default_distillation=distillation, default_loss=loss)
-
-    @classmethod
-    def from_fidelities(
-        cls,
-        link_fidelities: Mapping[EdgeKey, float],
-        target_fidelity: float,
-        protocol: Optional[DistillationProtocol] = None,
-        default_distillation: float = 1.0,
-    ) -> "PairOverheads":
-        """Derive per-pair ``D`` from per-link fidelities and a target fidelity.
-
-        ``protocol`` defaults to BBPSSW.
-        """
-        from repro.quantum.distillation import DistillationProtocol, distillation_overhead
-
-        if protocol is None:
-            protocol = DistillationProtocol.BBPSSW
-        overheads = cls(default_distillation=default_distillation)
-        for edge, fidelity in link_fidelities.items():
-            overheads.distillation[edge_key(*edge)] = distillation_overhead(
-                fidelity, target_fidelity, protocol
-            )
-        return overheads
-
-    @classmethod
-    def with_decoherence(
-        cls,
-        decoherence: DecoherenceModel,
-        mean_storage_time: float,
-        distillation: float = 1.0,
-    ) -> "PairOverheads":
-        """Uniform overheads whose loss factor comes from a decoherence model."""
-        from repro.quantum.decoherence import NoDecoherence
-
-        model = decoherence if decoherence is not None else NoDecoherence()
-        return cls(
-            default_distillation=distillation,
-            default_loss=model.loss_factor(mean_storage_time),
-        )
-
-
-def thin_generation_for_qec(topology: Topology, qec_overhead: float) -> Topology:
-    """Apply the paper's QEC extension: every ``g(x, y)`` becomes ``g(x, y) / R``."""
-    if qec_overhead < 1.0:
-        raise ValueError(f"QEC overhead R must be >= 1, got {qec_overhead}")
-    if qec_overhead == 1.0:
-        return topology
-    return topology.scale_generation_rates(1.0 / qec_overhead)

@@ -1,21 +1,23 @@
-"""Quantum substrate.
+"""Quantum substrate: the physics behind the paper's two overheads.
 
 The paper treats Bell pairs as interchangeable, countable resources with two
 quality parameters: a distillation overhead ``D`` and a loss/decoherence
-factor ``L``.  This package provides the physical models behind them:
+factor ``L``.  This package derives them in closed form, on Werner states
+(one fidelity ``F`` per pair, Werner parameter ``w = (4F - 1)/3``), in pure
+Python with no numpy:
 
-* :mod:`repro.quantum.states` and :mod:`repro.quantum.gates` -- a small
-  density-matrix simulator used to *validate* the analytic formulas
-  (teleportation, swapping and purification circuits are executed on real
-  density matrices in the test suite).
 * :mod:`repro.quantum.fidelity` -- Werner-state fidelity algebra: swap
-  composition, depolarising decay, teleportation fidelity.
+  composition (a swap multiplies ``w``), depolarising decay, teleportation
+  fidelity.
 * :mod:`repro.quantum.distillation` -- BBPSSW and DEJMPS purification, plus
   the expected-cost model that produces the paper's ``D`` parameter.
 * :mod:`repro.quantum.qec` -- the quantum-error-correction overhead model
-  (rate ``R`` thinning of generation) of Section 3.2.
+  (the rate ``R`` that thins generation) of Section 3.2.
 * :mod:`repro.quantum.decoherence` -- memory decoherence models producing
   the loss factor ``L`` of Section 3.2.
+
+The count-level layers (``repro.core``, the protocols, the experiments)
+never import this package; they take ``D``, ``L`` and ``R`` as numbers.
 
 Every public name below is a lazy export (:mod:`repro.lazy`): importing
 one submodule does not import the rest.
@@ -46,18 +48,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "depolarize",
             "swap_fidelity",
             "teleportation_fidelity",
-            "werner_from_fidelity",
         ),
-        "repro.quantum.gates": (
-            "CNOT",
-            "CZ",
-            "HADAMARD",
-            "IDENTITY",
-            "PAULI_X",
-            "PAULI_Y",
-            "PAULI_Z",
-        ),
-        "repro.quantum.qec": ("QECCode", "apply_qec_thinning", "surface_code_overhead"),
-        "repro.quantum.states": ("DensityMatrix", "bell_state", "fidelity"),
+        "repro.quantum.qec": ("QECCode", "surface_code_overhead"),
     },
 )

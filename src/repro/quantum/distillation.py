@@ -4,21 +4,21 @@ Section 3.2 of the paper folds distillation into a single per-pair overhead
 ``D_{x,y}``: the expected number of raw Bell pairs consumed to produce one
 pair of sufficient fidelity.  This module provides
 
-* the standard BBPSSW and DEJMPS recurrence formulas (verified against the
-  density-matrix simulator in the tests),
+* the standard BBPSSW and DEJMPS recurrence formulas in closed form (the
+  tests check their fixed points, that a round improves every distillable
+  pair, success probabilities in ``(0, 1]`` and normalised DEJMPS output),
 * :func:`rounds_to_target_fidelity` / :func:`expected_pairs_for_target`,
   which derive the overhead ``D`` from physical parameters, and
-* :func:`distillation_overhead`, the convenience used by experiment configs
-  to translate "link fidelity F, target fidelity F*" into the ``D`` knob the
-  balancing protocol and the LP consume.
+* :func:`distillation_overhead`, which translates "link fidelity F, target
+  fidelity F*" into the ``D`` knob the balancing protocol and the LP consume
+  (``examples/capacity_planning.py`` derives its ``D`` values this way).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.quantum.fidelity import WERNER_MINIMUM_USEFUL_FIDELITY, _validate_fidelity
 
@@ -74,9 +74,8 @@ def dejmps_round(coefficients: Tuple[float, float, float, float]) -> Tuple[Tuple
         ``((A', B', C', D'), success_probability)`` where
 
         * ``N  = (A + D)^2 + (B + C)^2`` (the success probability),
-        * ``A' = (A^2 + D^2) / N``
-        * ``B' = 2 C D... `` -- concretely the standard recurrence
-          ``B' = (2 A D) / N``, ``C' = (B^2 + C^2)/N``, ``D' = (2 B C)/N``.
+        * ``A' = (A^2 + D^2) / N``, ``B' = (2 A D) / N``,
+        * ``C' = (B^2 + C^2) / N``, ``D' = (2 B C) / N``.
     """
     a, b, c, d = coefficients
     for weight in coefficients:
@@ -186,52 +185,3 @@ def distillation_overhead(
     if link_fidelity >= target_fidelity:
         return 1.0
     return expected_pairs_for_target(link_fidelity, target_fidelity, protocol)
-
-
-@dataclass(frozen=True)
-class DistillationSchedule:
-    """A concrete nested-purification schedule (round-by-round bookkeeping)."""
-
-    initial_fidelity: float
-    target_fidelity: float
-    protocol: DistillationProtocol
-    fidelities: Tuple[float, ...]
-    success_probabilities: Tuple[float, ...]
-    expected_raw_pairs: float
-
-    @property
-    def rounds(self) -> int:
-        return len(self.success_probabilities)
-
-
-def build_schedule(
-    initial_fidelity: float,
-    target_fidelity: float,
-    protocol: DistillationProtocol = DistillationProtocol.BBPSSW,
-    max_rounds: int = 64,
-) -> DistillationSchedule:
-    """Construct the full round-by-round schedule reaching ``target_fidelity``."""
-    rounds = rounds_to_target_fidelity(initial_fidelity, target_fidelity, protocol, max_rounds)
-    fidelities: List[float] = [initial_fidelity]
-    successes: List[float] = []
-    fidelity = initial_fidelity
-    coefficients = werner_coefficients(initial_fidelity)
-    cost = 1.0
-    for _ in range(rounds):
-        if protocol is DistillationProtocol.BBPSSW:
-            success = bbpssw_success_probability(fidelity)
-            fidelity = bbpssw_output_fidelity(fidelity)
-        else:
-            coefficients, success = dejmps_round(coefficients)
-            fidelity = coefficients[0]
-        successes.append(success)
-        fidelities.append(fidelity)
-        cost = 2.0 * cost / success
-    return DistillationSchedule(
-        initial_fidelity=initial_fidelity,
-        target_fidelity=target_fidelity,
-        protocol=protocol,
-        fidelities=tuple(fidelities),
-        success_probabilities=tuple(successes),
-        expected_raw_pairs=cost,
-    )

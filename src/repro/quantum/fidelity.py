@@ -4,9 +4,10 @@ The network layer models every Bell pair as a *Werner state*: the mixture of
 the ideal Bell state ``|Phi+>`` (with weight ``F``, the fidelity) and white
 noise.  Werner states are closed under the operations the network performs
 (entanglement swapping, depolarising memory decay, twirled purification), so
-tracking the single scalar ``F`` per pair is exact within this model.  The
-closed-form update rules below are verified against the density-matrix
-simulator in the test suite.
+tracking the single scalar ``F`` per pair is exact within this model.  In
+terms of the Werner parameter ``w = (4F - 1)/3`` a swap multiplies ``w``.
+The test suite checks the swap and teleportation rules against explicit
+4x4 density matrices (``tests/quantum_oracle.py``).
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
-
-from repro.quantum.states import DensityMatrix, bell_state
 
 #: Below this fidelity a Werner pair carries no distillable entanglement
 #: (the BBPSSW/DEJMPS protocols only improve fidelity above 1/2).
@@ -34,16 +31,7 @@ class WernerState:
     fidelity: float
 
     def __post_init__(self) -> None:
-        if not 0.25 <= self.fidelity <= 1.0 + 1e-12:
-            raise ValueError(
-                f"Werner fidelity must be within [0.25, 1], got {self.fidelity}"
-            )
-
-    def to_density_matrix(self) -> DensityMatrix:
-        """Materialise the Werner state as a 4x4 density matrix."""
-        ideal = bell_state("phi+").matrix
-        noise = (np.eye(4, dtype=complex) - ideal) / 3.0
-        return DensityMatrix(self.fidelity * ideal + (1.0 - self.fidelity) * noise)
+        _validate_fidelity(self.fidelity)
 
     def werner_parameter(self) -> float:
         """The Werner parameter ``w`` in ``rho = w |Phi+><Phi+| + (1-w) I/4``."""
@@ -60,11 +48,6 @@ class WernerState:
     def after_depolarizing(self, decay: float) -> "WernerState":
         """The Werner state after a depolarising channel with survival weight ``decay``."""
         return WernerState(depolarize(self.fidelity, decay))
-
-
-def werner_from_fidelity(fidelity: float) -> np.ndarray:
-    """Return the 4x4 Werner density matrix with the given fidelity."""
-    return WernerState(fidelity).to_density_matrix().matrix
 
 
 def swap_fidelity(fidelity_a: float, fidelity_b: float) -> float:
@@ -151,28 +134,6 @@ def fidelity_after_hops(link_fidelity: float, hops: int) -> float:
     if hops <= 0:
         raise ValueError(f"hops must be positive, got {hops}")
     return chained_swap_fidelity([link_fidelity] * hops)
-
-
-def required_link_fidelity(target: float, hops: int, tolerance: float = 1e-9) -> float:
-    """Minimum per-link fidelity such that ``hops`` swaps still meet ``target``.
-
-    Solved by bisection on the monotone map ``F_link -> fidelity_after_hops``.
-    Raises :class:`ValueError` when even perfect links cannot reach the
-    target (which never happens for ``target <= 1``).
-    """
-    _validate_fidelity(target)
-    if hops <= 0:
-        raise ValueError(f"hops must be positive, got {hops}")
-    low, high = 0.25, 1.0
-    if fidelity_after_hops(high, hops) < target - tolerance:
-        raise ValueError(f"target fidelity {target} unreachable over {hops} hops")
-    while high - low > tolerance:
-        middle = (low + high) / 2.0
-        if fidelity_after_hops(middle, hops) >= target:
-            high = middle
-        else:
-            low = middle
-    return high
 
 
 def _validate_fidelity(fidelity: float) -> None:

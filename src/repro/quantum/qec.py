@@ -5,17 +5,16 @@ applied to generated Bell pairs ... If the overhead of the QEC (i.e., the
 number of physical qubits per logical qubit) is R, we can simply thin the
 generation rate ``g(x, y)`` to be ``g(x, y) / R``."
 
-This module provides that thinning plus a small surface-code footprint model
-used by examples to pick plausible values of ``R``.
+The count-level code applies the thinning itself, from a plain
+``qec_overhead``: trials scale the topology's generation rates by ``1 / R``
+and the LP divides every generation capability by ``R``.  This module
+describes a code by its ``R`` and provides a small surface-code footprint
+model that examples use to pick plausible values of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Tuple
-
-NodeId = Hashable
-EdgeKey = Tuple[NodeId, NodeId]
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,6 @@ class QECCode:
     def rate(self) -> float:
         """The code rate ``1 / R``."""
         return 1.0 / self.physical_per_logical
-
-
-def apply_qec_thinning(
-    generation_rates: Mapping[EdgeKey, float], code: QECCode
-) -> Dict[EdgeKey, float]:
-    """Thin every generation rate by the QEC overhead ``R`` (paper, §3.2)."""
-    return {edge: rate / code.physical_per_logical for edge, rate in generation_rates.items()}
 
 
 def surface_code_overhead(
@@ -105,10 +97,3 @@ def surface_code_overhead(
         physical_per_logical=footprint,
         logical_error_rate=prefactor * ratio ** ((distance + 1) / 2.0),
     )
-
-
-def effective_generation_rate(raw_rate: float, code: QECCode) -> float:
-    """Generation rate of *logical* (encoded) Bell pairs from a raw physical rate."""
-    if raw_rate < 0:
-        raise ValueError(f"raw_rate must be non-negative, got {raw_rate}")
-    return raw_rate / code.physical_per_logical

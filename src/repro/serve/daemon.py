@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.api import ParamSpec
-from repro.experiments.registry import get_experiment
+from repro.experiments.registry import experiment_names, get_experiment
 from repro.runtime.cache import ResultCache
 from repro.serve import protocol
 from repro.serve.admission import (
@@ -423,8 +423,14 @@ class ServeDaemon:
             raise ProtocolError(400, "submit requires an 'experiment' field")
         try:
             experiment = get_experiment(name)
-        except KeyError as error:
-            raise ProtocolError(404, str(error.args[0])) from None
+        except Exception as error:
+            # Loading imports the experiment's module, which can fail with
+            # any exception, a KeyError included: only an unknown name is a 404.
+            if name not in experiment_names():
+                raise ProtocolError(404, str(error.args[0])) from None
+            raise ProtocolError(
+                500, f"cannot load experiment {name!r}: {type(error).__name__}: {error}"
+            ) from None
         raw_params = request.get("params") or {}
         try:
             params = coerce_params(experiment.params, dict(raw_params))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.lp.extensions import PairOverheads, thin_generation_for_qec
+from repro.core.lp.extensions import PairOverheads
 from repro.core.lp.formulation import PathObliviousFlowProgram, VariableIndex
 from repro.core.lp.objectives import Objective
 from repro.core.lp.solver import InfeasibleProgramError, solve_flow_program
@@ -40,26 +40,6 @@ class TestPairOverheads:
             PairOverheads(default_loss=0.0)
         with pytest.raises(ValueError):
             PairOverheads.uniform(distillation=2.0).set_loss(0, 1, 1.5)
-
-    def test_from_fidelities(self):
-        overheads = PairOverheads.from_fidelities({(0, 1): 0.8, (1, 2): 0.99}, target_fidelity=0.95)
-        assert overheads.distillation_for(0, 1) > 1.0
-        assert overheads.distillation_for(1, 2) == 1.0
-
-    def test_with_decoherence(self):
-        from repro.quantum.decoherence import ExponentialDecoherence
-
-        overheads = PairOverheads.with_decoherence(
-            ExponentialDecoherence(coherence_time=10.0), mean_storage_time=10.0
-        )
-        assert overheads.default_loss == pytest.approx(0.5)
-
-    def test_qec_thinning(self, small_cycle):
-        thinned = thin_generation_for_qec(small_cycle, 4.0)
-        assert thinned.generation_rate(0, 1) == pytest.approx(0.25)
-        assert thin_generation_for_qec(small_cycle, 1.0) is small_cycle
-        with pytest.raises(ValueError):
-            thin_generation_for_qec(small_cycle, 0.5)
 
 
 class TestVariableIndex:

@@ -9,14 +9,13 @@ from repro.quantum.distillation import (
     DistillationProtocol,
     bbpssw_output_fidelity,
     bbpssw_success_probability,
-    build_schedule,
     dejmps_round,
     distillation_overhead,
     expected_pairs_for_target,
     rounds_to_target_fidelity,
     werner_coefficients,
 )
-from repro.quantum.qec import QECCode, apply_qec_thinning, effective_generation_rate, surface_code_overhead
+from repro.quantum.qec import QECCode, surface_code_overhead
 
 
 class TestBBPSSW:
@@ -93,14 +92,6 @@ class TestOverheadDerivation:
     def test_distillation_overhead_grows_as_fidelity_drops(self):
         assert distillation_overhead(0.85, 0.95) > distillation_overhead(0.92, 0.95)
 
-    def test_build_schedule_consistency(self):
-        schedule = build_schedule(0.8, 0.95)
-        assert schedule.rounds == rounds_to_target_fidelity(0.8, 0.95)
-        assert schedule.fidelities[0] == pytest.approx(0.8)
-        assert schedule.fidelities[-1] >= 0.95
-        assert schedule.expected_raw_pairs == pytest.approx(expected_pairs_for_target(0.8, 0.95))
-        assert len(schedule.success_probabilities) == schedule.rounds
-
 
 class TestQEC:
     def test_code_validation(self):
@@ -111,17 +102,6 @@ class TestQEC:
 
     def test_rate(self):
         assert QECCode(name="x", physical_per_logical=4.0).rate == pytest.approx(0.25)
-
-    def test_thinning(self):
-        code = QECCode(name="x", physical_per_logical=2.0)
-        thinned = apply_qec_thinning({(0, 1): 1.0, (1, 2): 3.0}, code)
-        assert thinned == {(0, 1): 0.5, (1, 2): 1.5}
-
-    def test_effective_generation_rate(self):
-        code = QECCode(name="x", physical_per_logical=4.0)
-        assert effective_generation_rate(8.0, code) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            effective_generation_rate(-1.0, code)
 
     def test_surface_code_distance_grows_with_target(self):
         lenient = surface_code_overhead(0.001, 1e-6)

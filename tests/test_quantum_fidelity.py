@@ -1,4 +1,4 @@
-"""Tests for the Werner-state fidelity algebra, verified against density matrices."""
+"""Tests for the Werner-state fidelity algebra, checked against density matrices."""
 
 from __future__ import annotations
 
@@ -12,12 +12,14 @@ from repro.quantum.fidelity import (
     decohered_fidelity,
     depolarize,
     fidelity_after_hops,
-    required_link_fidelity,
     swap_fidelity,
     teleportation_fidelity,
-    werner_from_fidelity,
 )
-from repro.quantum.states import DensityMatrix, bell_measurement, bell_state, fidelity
+
+from quantum_oracle import bell_fidelity, swapped, teleported_fidelity, werner
+
+#: Spans the Werner range, from the completely mixed pair to the perfect one.
+GRID = (0.25, 0.3, 0.5, 0.75, 0.9, 0.99, 1.0)
 
 
 class TestWernerState:
@@ -27,10 +29,12 @@ class TestWernerState:
         with pytest.raises(ValueError):
             WernerState(1.1)
 
-    def test_density_matrix_has_requested_fidelity(self):
-        for value in (0.3, 0.6, 0.95, 1.0):
-            state = WernerState(value).to_density_matrix()
-            assert fidelity(state, bell_state()) == pytest.approx(value)
+    def test_swap_result_at_the_lower_bound_is_a_werner_state(self):
+        # swap_fidelity(0.332, 0.25) rounds to 0.24999999999999994: the state
+        # takes the same 1e-12 tolerance as the closed forms.
+        assert WernerState(0.332).swap_with(WernerState(0.25)).fidelity == pytest.approx(0.25)
+        with pytest.raises(ValueError):
+            WernerState(0.25 - 1e-9)
 
     def test_werner_parameter(self):
         assert WernerState(1.0).werner_parameter() == pytest.approx(1.0)
@@ -62,15 +66,21 @@ class TestSwapFidelity:
     def test_degrades_below_either_input(self):
         assert swap_fidelity(0.9, 0.9) < 0.9
 
-    def test_matches_density_matrix_simulation(self):
-        # Swap two Werner pairs via an explicit Bell measurement at the middle
-        # node and compare the resulting fidelity with the closed form.
-        f_a, f_b = 0.92, 0.81
-        joint = WernerState(f_a).to_density_matrix().tensor(WernerState(f_b).to_density_matrix())
-        # Qubits: 0 (A), 1 (B's half of pair 1), 2 (B's half of pair 2), 3 (C).
-        _, post = bell_measurement(joint, 1, 2, outcomes=(0, 0))
-        produced = post.partial_trace([0, 3])
-        assert fidelity(produced, bell_state()) == pytest.approx(swap_fidelity(f_a, f_b), abs=1e-9)
+    def test_werner_parameter_multiplies(self):
+        for f_a in GRID:
+            for f_b in GRID:
+                product = WernerState(f_a).werner_parameter() * WernerState(f_b).werner_parameter()
+                swapped_state = WernerState(f_a).swap_with(WernerState(f_b))
+                assert swapped_state.werner_parameter() == pytest.approx(product, abs=1e-12)
+
+    @pytest.mark.parametrize("f_a", GRID)
+    def test_matches_density_matrix_swap(self, f_a):
+        # A Bell measurement of the two middle qubits leaves the end qubits
+        # in the Werner state the closed form names.
+        for f_b in GRID:
+            produced = swapped(f_a, f_b)
+            assert bell_fidelity(produced) == pytest.approx(swap_fidelity(f_a, f_b), abs=1e-9)
+            assert np.allclose(produced, werner(swap_fidelity(f_a, f_b)), atol=1e-9)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -139,24 +149,22 @@ class TestTeleportationFidelity:
     def test_monotone(self):
         assert teleportation_fidelity(0.9) > teleportation_fidelity(0.7)
 
+    @pytest.mark.parametrize("pair_fidelity", GRID)
+    def test_matches_density_matrix_teleportation(self, pair_fidelity):
+        assert teleported_fidelity(pair_fidelity) == pytest.approx(
+            teleportation_fidelity(pair_fidelity), abs=1e-9
+        )
 
-class TestRequiredLinkFidelity:
-    def test_meets_target(self):
-        link = required_link_fidelity(0.9, hops=4)
-        assert fidelity_after_hops(link, 4) >= 0.9 - 1e-6
 
-    def test_tight(self):
-        link = required_link_fidelity(0.9, hops=4)
-        assert fidelity_after_hops(link - 0.01, 4) < 0.9
+class TestOracle:
+    @pytest.mark.parametrize("value", GRID)
+    def test_werner_matrix_has_its_fidelity(self, value):
+        rho = werner(value)
+        assert np.trace(rho) == pytest.approx(1.0)
+        assert bell_fidelity(rho) == pytest.approx(value, abs=1e-12)
 
-    def test_single_hop(self):
-        assert required_link_fidelity(0.9, hops=1) == pytest.approx(0.9, abs=1e-6)
-
-    def test_invalid_hops(self):
-        with pytest.raises(ValueError):
-            required_link_fidelity(0.9, hops=0)
-
-    def test_werner_from_fidelity_shape(self):
-        matrix = werner_from_fidelity(0.75)
-        assert matrix.shape == (4, 4)
-        assert np.trace(matrix).real == pytest.approx(1.0)
+    def test_oracle_sees_a_wrong_closed_form(self):
+        # The positive control: the oracle tells the true rules from
+        # plausible wrong ones.
+        assert abs(bell_fidelity(swapped(0.9, 0.8)) - 0.9 * 0.8) > 1e-3
+        assert abs(teleported_fidelity(0.9) - (0.9 + 1.0) / 2.0) > 1e-3

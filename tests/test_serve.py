@@ -396,6 +396,32 @@ class TestServeDaemon:
         assert excinfo.value.code == 404 and excinfo.value.kind == "not-found"
         validate_payload(excinfo.value.response, schema=RESPONSE_SCHEMA)
 
+    def test_experiment_that_fails_to_load_is_a_500_and_the_connection_lives(
+        self, monkeypatch
+    ):
+        """Loading imports the experiment's module; a KeyError out of that
+        import (CPython's importlib can raise ``KeyError('repro.serve')`` under
+        concurrent first imports) is a load failure, not an unknown name."""
+        import repro.serve.daemon as daemon_module
+
+        def failing_lookup(name):
+            if name == "figure4":
+                raise KeyError("repro.serve")
+            return get_experiment(name)
+
+        monkeypatch.setattr(daemon_module, "get_experiment", failing_lookup)
+        with serve_daemon() as daemon:
+            with ServeClient(daemon.address) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit("figure4", TINY)
+                assert excinfo.value.code == 500 and excinfo.value.kind == "worker-error"
+                assert "KeyError" in excinfo.value.response["error"]["message"]
+                validate_payload(excinfo.value.response, schema=RESPONSE_SCHEMA)
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit("figure42", {})
+                assert excinfo.value.code == 404
+                assert client.health()["state"] == "serving"
+
     def test_bad_params_are_a_schema_valid_400(self):
         with serve_daemon() as daemon:
             with ServeClient(daemon.address) as client:
@@ -807,6 +833,22 @@ class TestServeCLI:
             with pytest.raises(SystemExit) as excinfo:
                 main(["submit", "figure42", "--connect", daemon.address])
             assert excinfo.value.code == 2
+
+    def test_submit_reports_a_load_failure_not_an_unknown_name(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import repro.cli
+
+        def failing_lookup(name):
+            raise KeyError("repro.serve")
+
+        monkeypatch.setattr(repro.cli, "get_experiment", failing_lookup)
+        address = str(tmp_path / "nope.sock")
+        assert repro.cli.main(["submit", "figure4", "--connect", address]) == 1
+        assert "cannot load experiment 'figure4': KeyError" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            repro.cli.main(["submit", "figure42", "--connect", address])
+        assert excinfo.value.code == 2
 
     def test_submit_rejects_unknown_experiment_flags(self):
         from repro.cli import main

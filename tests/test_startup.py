@@ -4,8 +4,9 @@ Importing ``repro``, building the experiment registry and running every
 experiment that solves no LP must never load scipy (its import alone costs
 about a second and 65 MiB per process on a 2-CPU box, and every CLI call,
 pool worker and ``repro serve`` daemon would pay it).  The same runs
-must not load ``repro.quantum`` either: only the physics constructors of
-``PairOverheads`` and the examples use it.  Each check runs in a fresh
+must not load ``repro.quantum`` either: the physics layer is a separate
+layer that only the examples use, and a static scan checks that no other
+``repro`` module imports it.  Each check runs in a fresh
 interpreter so modules the test process already imported cannot mask or
 fake an import.  The runs stay in that interpreter (``REPRO_WORKERS=1``),
 so it sees every import their trials make; a second probe asks the
@@ -120,6 +121,44 @@ def test_pool_workers_that_ran_trials_leave_scipy_unloaded():
     figure4 = ["figure4", "--nodes", "9", "--requests", "6", "--distillation", "1", "--seeds", "2"]
     loaded = _modules_after(figure4 + ["--workers", "2"], probe=_WORKER_PROBE)
     assert loaded == {"scipy": [], "repro.quantum": []}
+
+
+def _imports_of(path: Path) -> Set[str]:
+    """Every module an ``import`` anywhere in ``path`` names, even in a function."""
+    names: Set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.update({node.module} | {f"{node.module}.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _quantum_importers(source: Path) -> List[str]:
+    """The modules outside ``repro/quantum/`` that import ``repro.quantum``."""
+    return sorted(
+        str(path.relative_to(source))
+        for path in source.rglob("*.py")
+        if path.parent != source / "quantum"
+        and any(name.split(".")[:2] == ["repro", "quantum"] for name in _imports_of(path))
+    )
+
+
+def test_only_the_physics_layer_imports_repro_quantum():
+    # The count-level layers take D, L and R as numbers; deriving them from
+    # fidelities is the examples' job.  Lazy imports inside a function and
+    # ``TYPE_CHECKING`` imports count too.
+    assert _quantum_importers(Path(_SRC).resolve() / "repro") == []
+
+
+def test_the_layer_scan_sees_a_function_level_import(tmp_path):
+    (tmp_path / "quantum").mkdir()
+    (tmp_path / "quantum" / "fidelity.py").write_text("from repro.quantum import qec\n")
+    (tmp_path / "overheads.py").write_text(
+        "def derive():\n    from repro.quantum.distillation import distillation_overhead\n"
+    )
+    (tmp_path / "plain.py").write_text("import repro.quantumish\n")
+    assert _quantum_importers(tmp_path) == ["overheads.py"]
 
 
 def test_lp_run_loads_scipy_optimize():
@@ -248,6 +287,14 @@ def test_daemon_import_loads_no_numpy():
     loaded = _modules_after("import repro.serve.daemon", probe=_STATEMENT_PROBE)
     assert loaded["numpy"] == []
     assert _experiment_modules(loaded) == set()
+
+
+def test_physics_layer_loads_no_numpy():
+    loaded = _modules_after(
+        "import repro.quantum.fidelity, repro.quantum.distillation", probe=_STATEMENT_PROBE
+    )
+    assert loaded["numpy"] == []
+    assert "repro.quantum.distillation" in loaded["repro"]
 
 
 def test_serve_answers_health_before_numpy_or_any_experiment():
