@@ -5,8 +5,8 @@ Section 3.2 of the paper folds distillation into a single per-pair overhead
 pair of sufficient fidelity.  This module provides
 
 * the standard BBPSSW and DEJMPS recurrence formulas in closed form (the
-  tests check their fixed points, that a round improves every distillable
-  pair, success probabilities in ``(0, 1]`` and normalised DEJMPS output),
+  tests check one round of each against the bilateral-CNOT circuit on
+  explicit density matrices, and their fixed points),
 * :func:`rounds_to_target_fidelity` / :func:`expected_pairs_for_target`,
   which derive the overhead ``D`` from physical parameters, and
 * :func:`distillation_overhead`, which translates "link fidelity F, target

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.quantum.decoherence import ExponentialDecoherence, NoDecoherence
@@ -15,7 +16,42 @@ from repro.quantum.distillation import (
     rounds_to_target_fidelity,
     werner_coefficients,
 )
+from repro.quantum.fidelity import decohered_fidelity
 from repro.quantum.qec import QECCode, surface_code_overhead
+
+from quantum_oracle import PHI_PLUS
+
+PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
+#: The Bell basis in ``dejmps_round``'s coefficient order.
+BELL_BASIS = (PHI_PLUS, PSI_PLUS, PSI_MINUS, PHI_MINUS)
+
+
+def bell_diagonal(coefficients):
+    return sum(weight * np.outer(state, state) for weight, state in zip(coefficients, BELL_BASIS))
+
+
+def bilateral_cnot_round(rho):
+    """One recurrence round on two copies of ``rho``, as a circuit.
+
+    Qubits are ordered ``A1 B1 A2 B2``: both parties apply a CNOT from their
+    half of pair 1 onto their half of pair 2, measure pair 2 in the Z basis,
+    and keep pair 1 when the outcomes agree.  Returns the success
+    probability and the normalised kept pair.
+    """
+    cnots = np.zeros((16, 16))
+    for index in range(16):
+        a1, b1, a2, b2 = (index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1
+        cnots[(a1 << 3) | (b1 << 2) | ((a2 ^ a1) << 1) | (b2 ^ b1), index] = 1.0
+    joint = (cnots @ np.kron(rho, rho) @ cnots.T).reshape(4, 4, 4, 4)
+    kept = joint[:, 0, :, 0] + joint[:, 3, :, 3]
+    success = float(np.trace(kept))
+    return success, kept / success
+
+
+def weight(rho, state):
+    return float(state @ rho @ state)
 
 
 class TestBBPSSW:
@@ -33,6 +69,12 @@ class TestBBPSSW:
 
     def test_perfect_input_always_succeeds(self):
         assert bbpssw_success_probability(1.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fidelity", (0.5, 0.6, 0.75, 0.9, 0.99, 1.0))
+    def test_matches_bilateral_cnot_circuit(self, fidelity):
+        success, kept = bilateral_cnot_round(bell_diagonal(werner_coefficients(fidelity)))
+        assert success == pytest.approx(bbpssw_success_probability(fidelity), abs=1e-9)
+        assert weight(kept, PHI_PLUS) == pytest.approx(bbpssw_output_fidelity(fidelity), abs=1e-9)
 
 
 class TestDEJMPS:
@@ -56,6 +98,25 @@ class TestDEJMPS:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             dejmps_round((1.2, -0.2, 0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        ((0.8, 0.2 / 3, 0.2 / 3, 0.2 / 3), (0.7, 0.1, 0.15, 0.05), (0.6, 0.3, 0.05, 0.05), (0.5, 0.0, 0.2, 0.3), (1.0, 0.0, 0.0, 0.0)),
+    )
+    def test_matches_bilateral_cnot_circuit(self, coefficients):
+        # The returned weights are the circuit's (Phi+, Phi-, Psi+, Psi-),
+        # relabelled by DEJMPS's local rotation for the next round.
+        success, kept = bilateral_cnot_round(bell_diagonal(coefficients))
+        output, probability = dejmps_round(coefficients)
+        assert probability == pytest.approx(success, abs=1e-9)
+        circuit = [weight(kept, state) for state in (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)]
+        assert output == pytest.approx(circuit, abs=1e-9)
+
+    @pytest.mark.parametrize("fidelity", (0.55, 0.7, 0.8, 0.95, 1.0))
+    def test_first_round_on_a_werner_pair_is_bbpssw(self, fidelity):
+        output, success = dejmps_round(werner_coefficients(fidelity))
+        assert success == pytest.approx(bbpssw_success_probability(fidelity), abs=1e-12)
+        assert output[0] == pytest.approx(bbpssw_output_fidelity(fidelity), abs=1e-12)
 
 
 class TestOverheadDerivation:
@@ -85,6 +146,22 @@ class TestOverheadDerivation:
         bbpssw = expected_pairs_for_target(0.8, 0.95, DistillationProtocol.BBPSSW)
         dejmps = expected_pairs_for_target(0.8, 0.95, DistillationProtocol.DEJMPS)
         assert dejmps <= bbpssw + 1e-9
+
+    @pytest.mark.parametrize("link, target", ((0.6, 0.9), (0.7, 0.99), (0.9, 0.999), (0.52, 0.8)))
+    def test_dejmps_never_costs_more_than_bbpssw(self, link, target):
+        bbpssw = expected_pairs_for_target(link, target, DistillationProtocol.BBPSSW)
+        dejmps = expected_pairs_for_target(link, target, DistillationProtocol.DEJMPS)
+        assert dejmps <= bbpssw + 1e-9
+
+    def test_expected_pairs_follows_the_nested_recurrence(self):
+        # cost_k = 2 cost_{k-1} / p_k, round by round.
+        rounds = rounds_to_target_fidelity(0.75, 0.95)
+        cost, fidelity = 1.0, 0.75
+        for _ in range(rounds):
+            cost = 2.0 * cost / bbpssw_success_probability(fidelity)
+            fidelity = bbpssw_output_fidelity(fidelity)
+        assert fidelity >= 0.95
+        assert expected_pairs_for_target(0.75, 0.95) == pytest.approx(cost, rel=1e-12)
 
     def test_distillation_overhead_is_one_when_already_good(self):
         assert distillation_overhead(0.96, 0.95) == pytest.approx(1.0)
@@ -131,6 +208,11 @@ class TestDecoherence:
         assert model.loss_factor(10.0) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             model.loss_factor(-1.0)
+
+    def test_exponential_model_is_the_depolarising_memory(self):
+        model = ExponentialDecoherence(coherence_time=4.0)
+        for elapsed in (0.0, 1.0, 4.0, 40.0):
+            assert model.fidelity_after(0.9, elapsed) == decohered_fidelity(0.9, elapsed, 4.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,28 @@ class TestWernerState:
         )
 
 
+#: Every entry point that takes a fidelity, so one bound rule covers them all.
+FIDELITY_ENTRY_POINTS = {
+    "WernerState": WernerState,
+    "swap_fidelity": lambda value: swap_fidelity(value, 1.0),
+    "chained_swap_fidelity": lambda value: chained_swap_fidelity([value]),
+    "depolarize": lambda value: depolarize(value, 0.5),
+    "decohered_fidelity": lambda value: decohered_fidelity(value, 1.0, 10.0),
+    "teleportation_fidelity": teleportation_fidelity,
+    "fidelity_after_hops": lambda value: fidelity_after_hops(value, 2),
+}
+
+
+@pytest.mark.parametrize("entry_point", FIDELITY_ENTRY_POINTS)
+def test_one_bound_rule_for_every_fidelity(entry_point):
+    call = FIDELITY_ENTRY_POINTS[entry_point]
+    for value in (0.25 - 1e-13, 0.25, 1.0, 1.0 + 1e-13):
+        call(value)
+    for value in (0.25 - 1e-9, 1.0 + 1e-9, 0.0, 2.0):
+        with pytest.raises(ValueError):
+            call(value)
+
+
 class TestSwapFidelity:
     def test_perfect_inputs_stay_perfect(self):
         assert swap_fidelity(1.0, 1.0) == pytest.approx(1.0)
@@ -112,6 +134,20 @@ class TestChainedSwap:
         with pytest.raises(ValueError):
             fidelity_after_hops(0.95, 0)
 
+    @pytest.mark.parametrize("hops", range(1, 6))
+    def test_matches_repeated_density_matrix_swaps(self, hops):
+        # Swap one more 0.9 link onto the running pair, hops - 1 times.
+        rho = werner(0.9)
+        for _ in range(hops - 1):
+            rho = swapped(bell_fidelity(rho), 0.9)
+        assert np.allclose(rho, werner(fidelity_after_hops(0.9, hops)), atol=1e-9)
+
+    @pytest.mark.parametrize("hops", range(1, 7))
+    def test_werner_parameter_is_a_power_of_the_links(self, hops):
+        w_link = WernerState(0.93).werner_parameter()
+        end_to_end = WernerState(fidelity_after_hops(0.93, hops))
+        assert end_to_end.werner_parameter() == pytest.approx(w_link**hops, abs=1e-12)
+
 
 class TestDepolarizeAndDecoherence:
     def test_no_decay_identity(self):
@@ -131,6 +167,13 @@ class TestDepolarizeAndDecoherence:
 
     def test_decohered_fidelity_limits(self):
         assert decohered_fidelity(0.95, 1e6, coherence_time=1.0) == pytest.approx(0.25, abs=1e-6)
+
+    @pytest.mark.parametrize("value", GRID)
+    def test_matches_density_matrix_depolarizing(self, value):
+        # White noise with weight 1 - s: s rho(F) + (1 - s) I/4.
+        for survival in (0.0, 0.3, 0.8, 1.0):
+            noisy = survival * werner(value) + (1.0 - survival) * np.eye(4) / 4.0
+            assert np.allclose(noisy, werner(depolarize(value, survival)), atol=1e-12)
 
     def test_decohered_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
