@@ -11,7 +11,6 @@ Run with::
     python examples/reproduce_figures.py                 # quick sweep
     python examples/reproduce_figures.py --full          # full sweep (slow)
     python examples/reproduce_figures.py --workers 8     # parallel sweep
-    python examples/reproduce_figures.py --cache         # reuse cached trials
 """
 
 from __future__ import annotations
@@ -39,23 +38,17 @@ def main(argv=None) -> int:
         default=None,
         help="worker processes (default: every usable CPU; results are identical)",
     )
-    parser.add_argument(
-        "--cache", action="store_true", help="reuse previously computed trials from disk"
-    )
     args = parser.parse_args(argv)
     if args.full:
         os.environ["REPRO_FULL"] = "1"
 
     # Import after REPRO_FULL is set so the sweep presets pick it up.
     from repro.experiments import RuntimeOptions, get_experiment
-    from repro.runtime import ResultCache
 
     # The programmatic experiment API: look the experiment up in the
     # registry and run it with keyword parameters from its ParamSpec table
     # (an int `seeds` means "that many trials", exactly like --seeds).
-    runtime = RuntimeOptions(
-        workers=args.workers, cache=ResultCache() if args.cache else None
-    )
+    runtime = RuntimeOptions(workers=args.workers)
     for name in ("figure4", "figure5"):
         start = time.time()
         result = get_experiment(name).run(runtime=runtime, seeds=args.seeds)

@@ -16,10 +16,9 @@ it to a file (``-`` keeps stdout), and ``--force`` allows overwriting.
 
 Sweep-style experiments additionally accept ``--workers N`` to fan trials
 out across the process-wide worker pool (default: ``$REPRO_WORKERS`` or
-every usable CPU; ``--workers 1`` stays in-process) and ``--cache`` to
-reuse previously computed trials from the content-addressed result cache
-(see :mod:`repro.runtime`); ``lp`` takes ``--workers`` for its objective
-solves.  Both leave the reported numbers bit-identical.
+every usable CPU; ``--workers 1`` stays in-process; see
+:mod:`repro.runtime`); ``lp`` takes ``--workers`` for its objective
+solves.  It leaves the reported numbers bit-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.experiments.api import RESULT_FORMATS, Experiment, RuntimeOptions
 from repro.experiments.registry import experiment_names, get_experiment, iter_experiments
-from repro.runtime.cache import ResultCache
 
 #: Tool subcommands that are not experiments: the profiling harness
 #: (see :mod:`repro.perf`), service mode --
@@ -51,9 +49,8 @@ def _positive_int(value: str) -> int:
     return workers
 
 
-def _add_runtime_flags(parser: argparse.ArgumentParser, cache: bool) -> None:
-    """The parallel-runtime knobs: ``--workers``, plus the trial cache's
-    flags when ``cache`` (the sweep experiments)."""
+def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
+    """The parallel-runtime knob: ``--workers``."""
     group = parser.add_argument_group("runtime options")
     group.add_argument(
         "--workers",
@@ -63,23 +60,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser, cache: bool) -> None:
         help="worker processes, shared by every run in this process (default: "
         "$REPRO_WORKERS, else every usable CPU; 1 runs in-process; results are "
         "identical for any value)",
-    )
-    if not cache:
-        return
-    group.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse previously computed trials from the on-disk result cache",
-    )
-    group.add_argument(
-        "--cache-dir",
-        # SUPPRESS: when the flag is absent the subparser leaves the parent
-        # namespace alone, so a pre-subcommand `repro --cache-dir X figure4`
-        # is not clobbered back to None by the subparser's default.
-        default=argparse.SUPPRESS,
-        metavar="DIR",
-        help="result-cache directory (implies --cache; default: $REPRO_CACHE_DIR "
-        "or ~/.cache/repro-quantum)",
     )
 
 
@@ -237,7 +217,7 @@ def _populate_experiment(name: str, subparser: argparse.ArgumentParser) -> None:
     for spec in experiment.cli_specs():
         spec.add_to_parser(subparser)
     if experiment.supports_workers:
-        _add_runtime_flags(subparser, cache=experiment.supports_runtime)
+        _add_runtime_flags(subparser)
     _add_output_flags(subparser)
     _add_telemetry_flag(subparser)
     # `repro <name> --list` keeps the listing behaviour (distinct dest:
@@ -326,18 +306,6 @@ def _populate_serve(serve: argparse.ArgumentParser) -> None:
         help="re-attempts per crashed job before it parks as an error (default: 1)",
     )
     serve.add_argument(
-        "--cache",
-        action="store_true",
-        help="share the on-disk trial result cache across jobs and clients",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=argparse.SUPPRESS,
-        metavar="DIR",
-        help="trial-cache directory (implies --cache; default: $REPRO_CACHE_DIR "
-        "or ~/.cache/repro-quantum)",
-    )
-    serve.add_argument(
         "--stats-file",
         default=None,
         metavar="FILE",
@@ -419,8 +387,8 @@ def _add_tool_subcommands(subparsers) -> None:
         description="Start the long-running experiment service: accepts submit/"
         "status/result/cancel/list/health/stats requests over a Unix or TCP "
         "socket, executes jobs through a priority queue with token-bucket "
-        "admission, streams progress to subscribers, and shares one result "
-        "cache across all clients.  SIGTERM drains running jobs and exits 0.",
+        "admission, streams progress to subscribers, and shares one in-memory "
+        "result memo across all clients.  SIGTERM drains running jobs and exits 0.",
         allow_abbrev=False,
         populate=_populate_serve,
     )
@@ -431,7 +399,7 @@ def _add_tool_subcommands(subparsers) -> None:
         "experiment's own flags follow its name exactly as in one-shot mode "
         "(e.g. `repro submit figure4 --smoke --connect /tmp/repro.sock`); "
         "results are bit-identical to a local run but shared through the "
-        "daemon's cache.",
+        "daemon's result memo.",
         allow_abbrev=False,
         populate=_populate_submit,
     )
@@ -449,7 +417,7 @@ def _add_tool_subcommands(subparsers) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False everywhere: prefix matching would let a misplaced
-    # flag (e.g. `repro --cache figure4`) silently rewrite itself into a
+    # flag (e.g. `repro --work 2 figure4`) silently rewrite itself into a
     # different option instead of being the hard error the subcommand
     # redesign promises.
     parser = argparse.ArgumentParser(
@@ -458,18 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     parser.add_argument("--list", action="store_true", help="list available experiments and exit")
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="delete every cached trial result and exit",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result-cache directory for --clear-cache (default: $REPRO_CACHE_DIR "
-        "or ~/.cache/repro-quantum)",
-    )
     subparsers = parser.add_subparsers(
         dest="experiment", metavar="experiment", action=_DeferredSubcommands
     )
@@ -493,14 +449,6 @@ def _print_listing() -> None:
     width = max(len(experiment.name) for experiment in iter_experiments())
     for experiment in iter_experiments():
         print(f"  {experiment.name.ljust(width)}  {experiment.summary}")
-
-
-def _cache_from(args: argparse.Namespace) -> Optional[ResultCache]:
-    # --cache-dir implies caching: naming a location and then ignoring it
-    # would silently recompute everything.
-    if not (args.cache or args.cache_dir):
-        return None
-    return ResultCache(args.cache_dir)
 
 
 def _deliver(result, args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -541,8 +489,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     from repro.serve.daemon import ServeDaemon
 
-    cache_dir = getattr(args, "cache_dir", None)
-    cache = ResultCache(cache_dir) if (args.cache or cache_dir) else None
     daemon = ServeDaemon(
         socket_path=args.socket,
         host=args.host,
@@ -553,7 +499,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         admission_burst=args.admission_burst,
         job_timeout=args.job_timeout,
         retries=args.job_retries,
-        cache=cache,
         stats_file=args.stats_file,
     )
     stop = threading.Event()
@@ -562,8 +507,7 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     daemon.start()
     print(
         f"repro serve: listening on {daemon.address} "
-        f"({args.workers} worker(s), queue depth {args.queue_depth}, "
-        f"trial cache {'off' if cache is None else 'on'}); SIGTERM drains",
+        f"({args.workers} worker(s), queue depth {args.queue_depth}); SIGTERM drains",
         flush=True,
     )
     while not stop.wait(0.2):
@@ -650,8 +594,7 @@ def _run_submit(
                     if event["event"] == "progress":
                         print(
                             f"progress {submitted['job']}: "
-                            f"{event['completed']}/{event['total']} unit(s) "
-                            f"({event['cached_trials']} cached)",
+                            f"{event['completed']}/{event['total']} unit(s)",
                             file=sys.stderr,
                         )
             response = client.result(
@@ -757,13 +700,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{' '.join(extras)} (run 'repro {args.experiment} --help' to see its flags)"
             )
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    if args.cache_dir is not None:
-        if Path(args.cache_dir).exists() and not Path(args.cache_dir).is_dir():
-            parser.error(f"--cache-dir: {args.cache_dir} exists and is not a directory")
-    if args.clear_cache:
-        cache = ResultCache(args.cache_dir)
-        print(f"removed {cache.clear()} cached trial(s) from {cache.directory}")
-        return 0
     if args.list or getattr(args, "sub_list", False) or args.experiment is None:
         _print_listing()
         return 0
@@ -783,10 +719,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"{args.experiment}: {error}")
     run_kwargs = {}
     if experiment.supports_workers:
-        run_kwargs["runtime"] = RuntimeOptions(
-            workers=args.workers,
-            cache=_cache_from(args) if experiment.supports_runtime else None,
-        )
+        run_kwargs["runtime"] = RuntimeOptions(workers=args.workers)
     telemetry_file = getattr(args, "telemetry", None)
     if telemetry_file is None:
         result = experiment.run(**params, **run_kwargs)

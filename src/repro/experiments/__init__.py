@@ -46,10 +46,9 @@ is the one way to run an experiment, from the CLI, ``repro serve`` and
 Python alike.
 
 Sweep-style experiments execute through the runtime layer
-(:mod:`repro.runtime`) -- ``run(runtime=RuntimeOptions(workers=...,
-cache=...))`` parallelises trials across processes and skips cells
-already present in the content-addressed result cache, without changing a
-single reported number.
+(:mod:`repro.runtime`) -- ``run(runtime=RuntimeOptions(workers=...))``
+parallelises trials across processes without changing a single reported
+number.
 """
 
 from repro.lazy import lazy_exports

@@ -197,8 +197,7 @@ class AblationsExperiment(Experiment):
     The full variant grid is materialised up front and executed as one
     sweep through the runtime layer, so every variant (the base config
     appears several times; :func:`repro.experiments.runner.run_trial` is
-    pure, so duplicates are identical) can run in parallel and hit the
-    result cache.
+    pure, so duplicates are computed once) can run in parallel.
     """
 
     name = "ablations"

@@ -11,7 +11,7 @@ choices, and the CLI flag each one becomes), and three hooks --
   others, the LP points, the one classical workload or the scaling cells),
 * :meth:`Experiment.execute` runs the grid, one outcome per unit
   (defaulting to :class:`~repro.runtime.sweep.SweepRunner` with the
-  :class:`RuntimeOptions` workers/cache threaded through), and
+  :class:`RuntimeOptions` workers threaded through), and
 * :meth:`Experiment.reduce` folds the outcomes into an
   :class:`ExperimentResult`.
 
@@ -150,25 +150,24 @@ class SmokeCap:
 
 @dataclass
 class RuntimeOptions:
-    """How a grid executes: worker processes, result cache, progress hook.
+    """How a grid executes: worker processes and a progress hook.
 
-    Threaded from the CLI's ``--workers`` / ``--cache`` flags (and the serve
-    workers) into :meth:`Experiment.execute`.  Never changes any reported
-    number.  ``workers=None`` (the default) means ``$REPRO_WORKERS``, or
-    every CPU this process may run on; ``1`` keeps the run in this process.
-    Workers fan out the sweep experiments' trials and ``lp``'s objective
-    solves over the process-wide pool of :mod:`repro.runtime.pool`, whose
+    Threaded from the CLI's ``--workers`` flag (and the serve workers)
+    into :meth:`Experiment.execute`.  Never changes any reported number.
+    ``workers=None`` (the default) means ``$REPRO_WORKERS``, or every CPU
+    this process may run on; ``1`` keeps the run in this process.  Workers
+    fan out the sweep experiments' trials and ``lp``'s objective solves
+    over the process-wide pool of :mod:`repro.runtime.pool`, whose
     ``spawn`` workers re-import the calling script (run from a script only
-    under ``if __name__ == "__main__":``); the cache applies to sweep experiments only, and ``classical`` and
-    ``scaling`` ignore both.  ``on_result(index, outcome, cached)`` is
-    called once per grid unit as its outcome lands; an exception it raises
-    aborts the run (the serve workers' cancel and timeout) and cancels the
-    units not yet started.
+    under ``if __name__ == "__main__":``); ``classical`` and ``scaling``
+    ignore them.  ``on_result(index, outcome)`` is called once per grid
+    unit as its outcome lands; an exception it raises aborts the run (the
+    serve workers' cancel and timeout) and cancels the units not yet
+    started.
     """
 
     workers: Optional[int] = None
-    cache: Optional[Any] = None  # repro.runtime.ResultCache
-    on_result: Optional[Callable[[int, Any, bool], None]] = None
+    on_result: Optional[Callable[[int, Any], None]] = None
 
 
 def resolve_trial_seeds(seeds: Union[int, Sequence[int]], master_seed: Optional[int]) -> Tuple[int, ...]:
@@ -324,18 +323,12 @@ class Experiment:
     parallel_execute: ClassVar[bool] = False
 
     @property
-    def supports_runtime(self) -> bool:
-        """Whether the grid runs through the parallel runtime layer (the
-        class keeps the default :meth:`execute`); such experiments gain
-        ``--workers`` / ``--cache`` / ``--cache-dir`` on the CLI."""
-        return type(self).execute is Experiment.execute
-
-    @property
     def supports_workers(self) -> bool:
-        """Whether ``RuntimeOptions.workers`` reaches the grid: the sweep
-        experiments and the :attr:`parallel_execute` ones, which gain
+        """Whether ``RuntimeOptions.workers`` reaches the grid: the class
+        keeps the default :meth:`execute` (the sweep experiments) or is one
+        of the :attr:`parallel_execute` ones; such experiments gain
         ``--workers`` on the CLI."""
-        return self.supports_runtime or self.parallel_execute
+        return type(self).execute is Experiment.execute or self.parallel_execute
 
     # -- parameter handling -------------------------------------------------
 
@@ -419,21 +412,20 @@ class Experiment:
         # Imported here: repro.runtime.sweep imports the experiment configs.
         from repro.runtime.sweep import SweepRunner
 
-        runner = SweepRunner(n_workers=runtime.workers, cache=runtime.cache)
-        return runner.run_with_report(grid, on_result=runtime.on_result).outcomes
+        return SweepRunner(n_workers=runtime.workers).run(grid, on_result=runtime.on_result)
 
     def execute_in_process(self, grid, runtime: RuntimeOptions, work) -> List:
         """``work(**unit)`` for each grid unit, in order, in this process.
 
         The ``execute`` of the in-process experiments (classical,
         scaling): each outcome is reported through ``runtime.on_result`` as
-        it lands, never as cached.
+        it lands.
         """
         outcomes = []
         for index, unit in enumerate(grid):
             outcomes.append(work(**unit))
             if runtime.on_result is not None:
-                runtime.on_result(index, outcomes[-1], False)
+                runtime.on_result(index, outcomes[-1])
         return outcomes
 
     def reduce(self, outcomes, params: Dict[str, Any]) -> ExperimentResult:

@@ -80,8 +80,8 @@ class ExperimentConfig:
                 f"balancer must be 'naive' or 'incremental', got {self.balancer!r}"
             )
         # Raises ValueError for unknown names/parameters; the specs enter
-        # the trial's cache key verbatim via asdict(), so two configs
-        # differing only in scenario or workload never share a cache entry.
+        # the config's equality and hash verbatim, so a sweep never merges
+        # two configs differing only in scenario or workload.
         validate_scenario_spec(self.scenario)
         validate_workload_spec(self.workload)
 

@@ -261,7 +261,7 @@ class LPValidationExperiment(Experiment):
                     ]
                 )
                 if runtime.on_result is not None:
-                    runtime.on_result(index, outcomes[-1], False)
+                    runtime.on_result(index, outcomes[-1])
         return outcomes
 
     def reduce(self, outcomes: List[List[LPValidationRow]], params) -> LPValidationResult:

@@ -3,7 +3,7 @@
 :func:`run_trial` is the runtime layer's unit of work: a *pure function of
 its config* (every random draw derives from ``config.seed`` via named
 streams), which is what lets :class:`repro.runtime.SweepRunner` parallelise
-and cache trials without changing any result.
+and dedupe trials without changing any result.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ which is what keeps the disabled overhead unmeasurable
 (``benchmarks/test_bench_obs.py`` holds that floor).
 
 Nothing here ever feeds back into results: span data lives outside
-:class:`~repro.experiments.config.ExperimentConfig`, outside the result
-cache's content address, and outside every RNG stream, so results are
+:class:`~repro.experiments.config.ExperimentConfig` and outside every RNG
+stream, so results are
 byte-identical with telemetry on or off (``tests/test_obs_determinism.py``
 pins this).
 """

@@ -32,14 +32,10 @@ from repro.sim.tracing import TraceRecorder
 #: Version stamp of the telemetry JSONL layout.
 TELEMETRY_SCHEMA_VERSION = 2
 
-#: Metric families the hub itself maintains (sweep provenance counters).
+#: Metric families the hub itself maintains (the sweep's cell counter).
 #: The docs gate requires each to be a backticked doc token, like the serve
 #: families in :data:`repro.serve.daemon.SERVE_METRIC_NAMES`.
-HUB_METRIC_NAMES = (
-    "sweep.cells",
-    "sweep.cached",
-    "sweep.computed",
-)
+HUB_METRIC_NAMES = ("sweep.cells",)
 
 
 class Telemetry:

@@ -7,24 +7,19 @@ package decides *how* to run it:
 * :mod:`repro.runtime.seeding` -- deterministic per-trial seed derivation,
   so a sweep's random choices depend only on the master seed and the
   trial's position in the grid, never on worker count or scheduling order.
-* :mod:`repro.runtime.cache` -- a content-addressed on-disk result cache
-  keyed on the full trial config, its seed and the version of the
-  simulation code, so regenerating a figure recomputes only the cells that
-  actually changed.
 * :mod:`repro.runtime.pool` -- the one process-wide ``spawn`` worker
   pool (lazy, sized by ``$REPRO_WORKERS`` or the usable CPUs, rebuilt
   after a worker dies, shut down at exit) and its in-order map.
-* :mod:`repro.runtime.sweep` -- :class:`SweepRunner`, which fans trial
-  configs out across that pool and merges cached and freshly computed
-  outcomes back into config order.
+* :mod:`repro.runtime.sweep` -- :class:`SweepRunner`, which computes each
+  distinct trial config once, fans them out across that pool and merges
+  the outcomes back into config order.
 
 The contract that makes all of this safe is that
 :func:`repro.experiments.runner.run_trial` is a *pure function of its
 config*: every random draw inside a trial comes from named streams derived
-from ``config.seed`` (see :mod:`repro.sim.rng`).  Parallelism and caching
-are therefore observationally invisible -- a sweep returns bit-identical
-outcomes whether it ran on one worker, sixteen workers, or straight out of
-the cache.
+from ``config.seed`` (see :mod:`repro.sim.rng`).  Parallelism is
+therefore observationally invisible -- a sweep returns bit-identical
+outcomes whether it ran on one worker or sixteen.
 
 Every public name below is a lazy export (:mod:`repro.lazy`): importing
 one submodule does not import the rest.
@@ -35,13 +30,7 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.runtime.cache": (
-            "ResultCache",
-            "atomic_write_bytes",
-            "code_version",
-            "config_digest",
-        ),
         "repro.runtime.seeding": ("seed_grid", "trial_seed"),
-        "repro.runtime.sweep": ("SweepReport", "SweepRunner"),
+        "repro.runtime.sweep": ("SweepRunner",),
     },
 )

@@ -35,16 +35,18 @@ from __future__ import annotations
 
 import atexit
 import functools
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.connection import wait
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from repro.obs import spans
 from repro.runtime.sweep import resolve_workers
+
+# The multiprocessing machinery is imported where a pool is made or met:
+# a run that stays in this process (one worker or one task, as every
+# `repro serve` job does) never loads it.
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class PoolWorkerDied(RuntimeError):
@@ -52,17 +54,21 @@ class PoolWorkerDied(RuntimeError):
 
 
 _lock = threading.RLock()
-_executor: Optional[ProcessPoolExecutor] = None
+_executor: Optional["ProcessPoolExecutor"] = None
 _size = 0
 
 
 def _exit_with_parent(sentinel: int) -> None:
+    from multiprocessing.connection import wait
+
     wait([sentinel])
     os._exit(1)
 
 
 def _init_worker() -> None:
     """Worker start-up: exit as soon as the parent process is gone."""
+    import multiprocessing
+
     parent = multiprocessing.parent_process()
     if parent is not None:
         threading.Thread(target=_exit_with_parent, args=(parent.sentinel,), daemon=True).start()
@@ -78,7 +84,7 @@ def _run_task(fn: Callable[[Any], Any], telemetry: bool, item: Any):
     return result, tuple(spans.SPAN_BUFFER.drain())
 
 
-def _submit(task: Callable[[Any], Any], items: Sequence[Any], workers: int, chunksize: int):
+def _submit(task: Callable[[Any], Any], items: Sequence[Any], workers: int):
     """Queue every item on the shared pool, sized ``workers``; returns the
     pool and the ordered result iterator.
 
@@ -87,6 +93,10 @@ def _submit(task: Callable[[Any], Any], items: Sequence[Any], workers: int, chun
     pool down between this run's lookup and its submissions: a rebuild only
     ever falls between two runs' submissions.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     global _executor, _size
     with _lock:
         if _executor is None or _size != workers:
@@ -101,13 +111,15 @@ def _submit(task: Callable[[Any], Any], items: Sequence[Any], workers: int, chun
             _size = workers
         executor = _executor
         try:
-            return executor, executor.map(task, items, chunksize=chunksize)
+            # One task per chunk (map's default): trial runtimes vary by
+            # orders of magnitude across a grid, so that balances best.
+            return executor, executor.map(task, items)
         except BrokenProcessPool:  # it broke before this run queued anything
             _discard(executor)
             raise
 
 
-def _discard(executor: ProcessPoolExecutor) -> None:
+def _discard(executor: "ProcessPoolExecutor") -> None:
     """Forget a broken pool, so the next run starts a fresh one."""
     global _executor, _size
     with _lock:
@@ -132,7 +144,6 @@ def ordered_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     workers: Optional[int] = None,
-    chunksize: int = 1,
 ) -> Iterator[Any]:
     """``fn(item)`` for every item, yielded in input order.
 
@@ -148,18 +159,18 @@ def ordered_map(
     workers = resolve_workers(workers)
     if workers == 1 or len(items) <= 1:
         return (fn(item) for item in items)
-    return _pooled_map(fn, items, workers, chunksize)
+    return _pooled_map(fn, items, workers)
 
 
-def _pooled_map(
-    fn: Callable[[Any], Any], items: Sequence[Any], workers: int, chunksize: int
-) -> Iterator[Any]:
+def _pooled_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Iterator[Any]:
+    from concurrent.futures.process import BrokenProcessPool
+
     task = functools.partial(_run_task, fn, spans.telemetry_enabled())
     yielded = False
     for may_retry in (True, False):
         executor = results = None
         try:
-            executor, results = _submit(task, items, workers, chunksize)
+            executor, results = _submit(task, items, workers)
             for result, records in results:
                 spans.SPAN_BUFFER.extend(records)
                 yielded = True

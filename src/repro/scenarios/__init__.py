@@ -11,7 +11,7 @@ declaratively:
 * named scenarios are built from spec strings like
   ``"link-churn:period=20"`` (see :mod:`repro.scenarios.registry`) and ride
   on :class:`~repro.experiments.config.ExperimentConfig.scenario`, entering
-  every result-cache key,
+  the config's equality,
 * at run time the scenario compiles down to a round hook
   (:class:`ScenarioDriver`).
 

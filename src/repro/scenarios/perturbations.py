@@ -16,7 +16,7 @@ Design rules:
   matrix, and the incremental engine's mutated-index log marks exactly the
   affected candidates dirty instead of forcing a full resweep.
 * Every perturbation can :meth:`~Perturbation.describe` itself as plain
-  data, which is what scenario digests (cache keys) and trace records are
+  data, which is what scenario digests and trace records are
   built from.
 """
 

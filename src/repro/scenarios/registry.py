@@ -2,7 +2,7 @@
 
 :class:`~repro.experiments.config.ExperimentConfig` carries its scenario as
 a *spec string* (e.g. ``"link-churn"`` or ``"flaky-links:rate=0.05"``), kept
-declarative so configs stay hashable, picklable and cache-addressable; the
+declarative so configs stay hashable and picklable; the
 concrete :class:`~repro.scenarios.scenario.Scenario` is only built once the
 trial's topology and random streams exist (:func:`build_scenario`).
 

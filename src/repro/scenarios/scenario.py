@@ -9,9 +9,7 @@ round's generation, balancing and consumption (the protocol reacts in the
 same round the condition changes).
 
 ``Scenario.digest()`` is a stable content address over the declarative
-description; the experiment cache keys include it (via the config's
-``scenario`` spec string), so results computed under one scenario are never
-served for another.
+description.
 """
 
 from __future__ import annotations
@@ -70,8 +68,7 @@ class Scenario:
         """Stable SHA-256 content address of the scenario's description.
 
         Any change -- a trigger, an edge, a parameter, the ordering -- yields
-        a different digest, which is what makes scenario-aware cache keys
-        sound.
+        a different digest.
         """
         canonical = json.dumps(self.describe(), sort_keys=True, default=repr)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

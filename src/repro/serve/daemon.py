@@ -2,8 +2,8 @@
 
 One persistent process owns the expensive state every one-shot CLI
 invocation pays for from scratch -- imports, the experiment registry, and
-above all the shared :class:`~repro.runtime.cache.ResultCache` -- and
-serves it to any number of clients over a Unix or TCP socket speaking the
+above all the in-memory memo of finished results -- and serves it to any
+number of clients over a Unix or TCP socket speaking the
 newline-delimited JSON protocol of :mod:`repro.serve.protocol`.
 
 Request flow for a ``submit``:
@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.api import ParamSpec
 from repro.experiments.registry import experiment_names, get_experiment
-from repro.runtime.cache import ResultCache
 from repro.serve import protocol
 from repro.serve.admission import (
     DEFAULT_ADMISSION_BURST,
@@ -96,10 +95,6 @@ SERVE_METRIC_NAMES: Tuple[str, ...] = (
     "serve.workers.total",
     "serve.workers.busy",
     "serve.uptime.seconds",
-    # shared trial-cache gauges (registered only when a cache is configured)
-    "serve.trial_cache.hits",
-    "serve.trial_cache.misses",
-    "serve.trial_cache.stores",
 )
 
 #: ``stats`` payload key -> metric family backing it.  Insertion order is
@@ -200,9 +195,6 @@ class ServeDaemon:
         Per-job wall-clock budget in seconds (checked between trials).
     retries:
         Re-attempts per crashed job before it parks as ``error``.
-    cache:
-        Shared trial-level :class:`ResultCache` (``None`` disables it; the
-        job-level result memo is always on).
     stats_file:
         Where the final stats snapshot is flushed on shutdown.
     """
@@ -218,7 +210,6 @@ class ServeDaemon:
         admission_burst: float = DEFAULT_ADMISSION_BURST,
         job_timeout: Optional[float] = None,
         retries: int = 1,
-        cache: Optional[ResultCache] = None,
         stats_file: Optional[str] = None,
     ):
         if (socket_path is None) == (port is None):
@@ -226,7 +217,6 @@ class ServeDaemon:
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.cache = cache
         self.stats_file = stats_file
         self.queue = JobQueue(depth=queue_depth)
         self.admission = ServeAdmission(rate=admission_rate, burst=admission_burst)
@@ -234,7 +224,6 @@ class ServeDaemon:
         self.pool = WorkerPool(
             self.queue,
             n_workers=workers,
-            cache=cache,
             job_timeout=job_timeout,
             retries=retries,
             on_event=self._on_job_event,
@@ -611,8 +600,8 @@ class ServeDaemon:
         """The registry as a Prometheus-style text exposition.
 
         Counters are live; the point-in-time gauges (queue depth, busy
-        workers, uptime, trial-cache totals) are refreshed here so every
-        scrape sees current values.
+        workers, uptime) are refreshed here so every scrape sees current
+        values.
         """
         from repro.obs.exposition import render_exposition
 
@@ -621,10 +610,6 @@ class ServeDaemon:
         self.metrics.gauge("serve.workers.total").set(self.pool.n_workers)
         self.metrics.gauge("serve.workers.busy").set(self.pool.busy)
         self.metrics.gauge("serve.uptime.seconds").set(time.monotonic() - self._started)
-        if self.cache is not None:
-            self.metrics.gauge("serve.trial_cache.hits").set(self.cache.stats.hits)
-            self.metrics.gauge("serve.trial_cache.misses").set(self.cache.stats.misses)
-            self.metrics.gauge("serve.trial_cache.stores").set(self.cache.stats.stores)
         return render_exposition(self.metrics)
 
     def stats_snapshot(self) -> Dict[str, Any]:
@@ -652,13 +637,6 @@ class ServeDaemon:
                     "admitted": self.admission.admitted_count,
                     "rejected": self.admission.rejected_count,
                 },
-                "trial_cache": None
-                if self.cache is None
-                else {
-                    "hits": self.cache.stats.hits,
-                    "misses": self.cache.stats.misses,
-                    "stores": self.cache.stats.stores,
-                },
             }
         )
         return snapshot
@@ -677,9 +655,7 @@ class ServeDaemon:
                     self._stats[key].increment()
             message = end_event(job.job_id, job.state)
         else:
-            message = progress_event(
-                job.job_id, job.state, job.completed, job.total, job.cached_trials
-            )
+            message = progress_event(job.job_id, job.state, job.completed, job.total)
         with self._lock:
             subscribers = list(job.subscribers)
         for connection in subscribers:

@@ -116,7 +116,6 @@ EVENT_SCHEMA: Dict[str, Any] = {
         "state": {"type": "string", "enum": list(JOB_STATES)},
         "completed": {"type": "integer"},
         "total": {"type": "integer"},
-        "cached_trials": {"type": "integer"},
     },
 }
 
@@ -213,9 +212,7 @@ def error_response(
     return response
 
 
-def progress_event(
-    job: str, state: str, completed: int, total: int, cached_trials: int
-) -> Dict[str, Any]:
+def progress_event(job: str, state: str, completed: int, total: int) -> Dict[str, Any]:
     """A ``progress`` push for streaming subscribers."""
     return {
         "event": "progress",
@@ -223,7 +220,6 @@ def progress_event(
         "state": state,
         "completed": completed,
         "total": total,
-        "cached_trials": cached_trials,
     }
 
 

@@ -42,7 +42,6 @@ class Job:
     state: str = "queued"
     total: int = 0
     completed: int = 0
-    cached_trials: int = 0
     attempts: int = 0
     result: Optional[Dict[str, Any]] = None
     error: Optional[Dict[str, Any]] = None
@@ -79,7 +78,6 @@ class Job:
             "clients": len(self.clients),
             "completed": self.completed,
             "total": self.total,
-            "cached_trials": self.cached_trials,
             "attempts": self.attempts,
         }
 

@@ -3,21 +3,19 @@
 Each worker pops a :class:`~repro.serve.queue.Job`, resolves its experiment
 through the registry, and runs it with
 :meth:`~repro.experiments.api.Experiment.run` -- the same path as the CLI,
-so every registered experiment is served.  Sweep experiments share one
-content-addressed :class:`~repro.runtime.cache.ResultCache` across every
-worker, so trials one client computed are cache hits for everyone else.
-The :class:`~repro.experiments.api.RuntimeOptions` ``on_result`` hook is
-the progress spine: after every unit of work (a trial, an LP program, a
+so every registered experiment is served.  The
+:class:`~repro.experiments.api.RuntimeOptions` ``on_result`` hook is the
+progress spine: after every unit of work (a trial, an LP program, a
 scaling cell, the one classical workload) it updates the job's counters,
 broadcasts a ``progress`` event to streaming subscribers, and enforces the
 per-job **cancel** flag and **timeout** (raising out of the run between
-units; completed trials are already in the cache, so nothing is lost).
+units).
 
 Crash containment: an exception escaping a run fails the *attempt*, not
-the daemon.  The job is retried up to ``retries`` more times (cache hits
-make retries resume where the crash happened) and then parked in the
-``error`` state with a structured ``500``-style payload the protocol
-serves verbatim -- a crashed worker surfaces as data, never as a hang.
+the daemon.  The job is retried from its start up to ``retries`` more
+times and then parked in the ``error`` state with a structured
+``500``-style payload the protocol serves verbatim -- a crashed worker
+surfaces as data, never as a hang.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.experiments.registry import get_experiment
 from repro.experiments.schema import validate_payload
 from repro.obs.spans import emit as emit_span
 from repro.obs.spans import span, telemetry_enabled
-from repro.runtime.cache import ResultCache
 from repro.serve.queue import Job, JobQueue
 from repro.sim.metrics import MetricRegistry
 
@@ -54,8 +51,6 @@ class WorkerPool:
         The pending-job queue (popped until :meth:`stop`).
     n_workers:
         Worker thread count -- the daemon's job-level parallelism.
-    cache:
-        Optional shared trial cache every worker writes through.
     job_timeout:
         Wall-clock budget per job attempt in seconds (checked after each
         unit of work; ``None`` disables it).
@@ -74,7 +69,6 @@ class WorkerPool:
         self,
         queue: JobQueue,
         n_workers: int = 2,
-        cache: Optional[ResultCache] = None,
         job_timeout: Optional[float] = None,
         retries: int = 1,
         on_event: Optional[Callable[[Job], None]] = None,
@@ -86,7 +80,6 @@ class WorkerPool:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.queue = queue
         self.n_workers = n_workers
-        self.cache = cache
         self.job_timeout = job_timeout
         self.retries = retries
         self.on_event = on_event
@@ -210,7 +203,6 @@ class WorkerPool:
             except Exception as error:  # crash containment: retry, then park
                 last_error = error
                 job.completed = 0
-                job.cached_trials = 0
         job.state = "error"
         job.error = {
             "code": 500,
@@ -227,19 +219,16 @@ class WorkerPool:
 
     def _run_attempt(self, job: Job, started: float) -> None:
         job.completed = 0
-        job.cached_trials = 0
 
-        def on_result(index: int, outcome, cached: bool) -> None:
+        def on_result(index: int, outcome) -> None:
             job.completed += 1
-            if cached:
-                job.cached_trials += 1
             if job.cancel_event.is_set():
                 raise JobCancelled(job.job_id)
             if self.job_timeout is not None and time.monotonic() - started > self.job_timeout:
                 raise JobTimeout(job.job_id)
             self._emit(job)
 
-        runtime = RuntimeOptions(workers=1, cache=self.cache, on_result=on_result)
+        runtime = RuntimeOptions(workers=1, on_result=on_result)
         result = get_experiment(job.experiment).run(runtime=runtime, **job.params)
         payload = result.to_payload()
         # Defence in depth: never put a schema-violating payload on the wire.

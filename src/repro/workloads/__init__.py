@@ -16,7 +16,7 @@ composable axis of every experiment:
   latency, deadline-miss and rejection rates per class,
 * the ``"name:key=value,..."`` spec registry
   (:mod:`~repro.workloads.registry`) carried on
-  ``ExperimentConfig.workload`` and entering every result-cache key.
+  ``ExperimentConfig.workload`` and entering the config's equality.
 
 The round-based simulator consumes a
 :class:`~repro.workloads.queueing.TimedRequestSequence` through a

@@ -11,8 +11,8 @@ two primitives every richer workload is built from:
 
 Named classes (:data:`TRAFFIC_CLASSES`) and class mixes
 (:data:`CLASS_MIXES`) keep workload specs declarative: a spec names a mix,
-never an ad-hoc class object, so the spec string remains a faithful cache
-key for the trial.
+never an ad-hoc class object, so the spec string remains a faithful part
+of the trial's config identity.
 """
 
 from __future__ import annotations

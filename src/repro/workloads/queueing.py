@@ -1,4 +1,4 @@
-"""The timed, policy-ordered request queue both simulation engines drive.
+"""The timed, policy-ordered request queue the round simulator drives.
 
 :class:`TimedRequestSequence` keeps the
 :class:`~repro.network.demand.RequestSequence` interface the protocols
@@ -94,7 +94,7 @@ class TimedRequestSequence(RequestSequence):
         self._head_cache: Optional[TimedRequest] = None
 
     # ------------------------------------------------------------------ #
-    # Release (called by the engines as simulated time advances)
+    # Release (called by the simulator as simulated time advances)
     # ------------------------------------------------------------------ #
     def release_until(self, now: float) -> None:
         """Release every arrival due by ``now`` through admission control.
@@ -199,7 +199,7 @@ class TimedRequestSequence(RequestSequence):
 
         Rejected and dropped requests count as resolved -- the stream is
         "done" when nothing can ever become servable again, which is the
-        semantics the engines' stop conditions need.
+        semantics the simulator's stop condition needs.
         """
         return self._cursor >= len(self._requests) and not self._queue
 

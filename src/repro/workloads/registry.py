@@ -3,8 +3,8 @@
 Mirrors :mod:`repro.scenarios.registry`: a trial's workload travels on
 :class:`~repro.experiments.config.ExperimentConfig` as a declarative *spec
 string* (e.g. ``"poisson:rate=2,admission_rate=1"``), which keeps configs
-hashable, picklable and cache-addressable -- the spec enters the result
-cache key verbatim, so two workloads never share a cache entry.  The
+hashable and picklable -- the spec enters the config's equality and hash
+verbatim, so a sweep never merges two cells with different workloads.  The
 concrete request stream is only materialised per trial by
 :func:`build_workload`, once the topology and seeded streams exist.
 

@@ -7,7 +7,7 @@ p50/p95/p99 arrival-to-service latency (via the
 :class:`~repro.sim.metrics.Histogram` quantile collectors), deadline-miss
 and rejection rates -- plus a ``total`` aggregate.  The rows serialise to
 plain dicts (:func:`slo_as_dict`) so they travel inside
-:class:`~repro.experiments.config.TrialOutcome` through the result cache
+:class:`~repro.experiments.config.TrialOutcome` across the worker pool
 and the JSON result surface unchanged.
 """
 

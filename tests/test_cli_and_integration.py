@@ -212,37 +212,33 @@ class TestSubcommandRedesign:
         assert f"repro: error: {argv[0]}: " in error and message in error
         assert "Traceback" not in error
 
-    def test_clear_cache_still_works_at_top_level(self, tmp_path, capsys):
-        assert main(["--clear-cache", "--cache-dir", str(tmp_path / "cache")]) == 0
-        assert "removed 0 cached trial(s)" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure4", "--cache"],
+            ["figure4", "--cache-dir", "somewhere"],
+            ["--clear-cache"],
+            ["--cache", "figure4"],
+            ["serve", "--socket", "unused.sock", "--cache"],
+        ],
+    )
+    def test_removed_cache_flags_are_usage_errors(self, argv, capsys):
+        """The on-disk result cache is gone: its flags are rejected with a
+        usage error (exit 2), never silently ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        flag = next(arg for arg in argv if "cache" in arg)
+        error = capsys.readouterr().err
+        assert "repro: error:" in error and flag in error
 
     def test_no_prefix_abbreviation_of_flags(self, capsys):
-        """--cache before the subcommand must not abbreviation-match
-        --cache-dir and silently swallow the experiment name."""
+        """A prefix of a real flag is not that flag: `--work` must not
+        abbreviation-match `--workers`."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["--cache", "figure4"])
-        assert excinfo.value.code != 0
-        assert "--cache" in capsys.readouterr().err
-
-    def test_pre_subcommand_cache_dir_survives(self, tmp_path, monkeypatch):
-        """A --cache-dir given before the subcommand must not be clobbered
-        back to None by the subparser's own default."""
-        from repro.cli import build_parser
-
-        target = tmp_path / "cache"
-        args, extras = build_parser().parse_known_args(
-            ["--cache-dir", str(target), "figure4", "--nodes", "9"]
-        )
-        assert not extras
-        assert args.cache_dir == str(target)
-
-    def test_clear_cache_rejects_non_directory(self, tmp_path, capsys):
-        target = tmp_path / "not-a-dir"
-        target.write_text("hello", encoding="utf-8")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--clear-cache", "--cache-dir", str(target)])
-        assert excinfo.value.code != 0
-        assert "not a directory" in capsys.readouterr().err
+            main(["figure4", "--work", "1"])
+        assert excinfo.value.code == 2
+        assert "--work" in capsys.readouterr().err
 
     def test_internal_errors_are_not_usage_errors(self, monkeypatch):
         """Only parameter validation maps to exit-2 usage errors; a failure

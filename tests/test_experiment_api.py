@@ -289,17 +289,17 @@ class TestPlan:
 
 
 class TestExecutionPath:
-    """``supports_runtime`` is derived: the class keeps the default ``execute``."""
+    """``supports_workers`` is derived: the class keeps the default
+    ``execute``, or declares ``parallel_execute``."""
 
     def test_runtime_flags_follow_the_execute_override(self, monkeypatch):
         sweeps = {"ablations", "comparison", "figure4", "figure5", "multicast", "resilience", "traffic"}
-        assert {e.name for e in iter_experiments() if e.supports_runtime} == sweeps
         # lp overrides execute but fans its solves out over the workers.
         assert {e.name for e in iter_experiments() if e.supports_workers} == sweeps | {"lp"}
         # Wrapping one instance's execute (as perfbench does) changes nothing.
         figure4 = get_experiment("figure4")
         monkeypatch.setitem(vars(figure4), "execute", figure4.execute)
-        assert figure4.supports_runtime
+        assert figure4.supports_workers
 
 
 class TestResultContract:

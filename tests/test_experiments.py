@@ -293,12 +293,10 @@ class TestMulticastExperiment:
         with pytest.raises(ValueError):
             self._small(group_fraction=1.5)
 
-    def test_cache_key_separates_group_specs(self):
-        """Regression: group workload parameters enter the cache digest, so
-        a multicast cell can never collide with a pair cell or with another
-        group size/strategy."""
-        from repro.runtime.cache import config_digest
-
+    def test_config_identity_separates_group_specs(self):
+        """Regression: group workload parameters enter the config's equality
+        and hash, which the sweep's dedupe keys on, so a multicast cell can
+        never merge with a pair cell or with another group size/strategy."""
         base = ExperimentConfig(topology="cycle", n_nodes=9, seed=1)
         variants = [
             base,
@@ -309,5 +307,7 @@ class TestMulticastExperiment:
             base.with_(workload="multicast:group_size=4,group_strategy=independent-sessions,rate=2"),
             base.with_(workload="poisson:group_fraction=0.5,rate=2"),
         ]
-        digests = {config_digest(config, version="pinned") for config in variants}
-        assert len(digests) == len(variants)
+        assert len(set(variants)) == len(variants)
+        for index, config in enumerate(variants):
+            assert config == config.with_() and hash(config) == hash(config.with_())
+            assert all(config != other for other in variants[index + 1 :])

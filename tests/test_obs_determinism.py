@@ -1,10 +1,10 @@
 """Telemetry-is-observation-only determinism suite.
 
 The hard constraint of the telemetry layer: spans and metrics may read the
-wall clock, but nothing they measure may enter a result-cache key, an RNG
-stream, or an outcome.  These tests pin the contract from every angle --
-experiment JSON byte-identical with telemetry on and off and across worker
-counts, golden traces unchanged, and cache content addresses untouched.
+wall clock, but nothing they measure may enter an RNG stream or an
+outcome.  These tests pin the contract from every angle -- experiment JSON
+byte-identical with telemetry on and off and across worker counts, and
+golden traces unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.obs import spans as spans_mod
-from repro.runtime.cache import ResultCache, config_digest
 from repro.runtime.sweep import SweepRunner
 
 
@@ -56,7 +55,7 @@ def test_sweep_outcomes_identical_across_telemetry_and_workers():
     def outcomes(workers: int):
         return [
             (o.rounds, o.swaps_performed, o.overhead_exact, o.trace_dropped)
-            for o in SweepRunner(n_workers=workers).run_with_report(configs).outcomes
+            for o in SweepRunner(n_workers=workers).run(configs)
         ]
 
     spans_mod.enable(False)
@@ -72,28 +71,6 @@ def test_sweep_outcomes_identical_across_telemetry_and_workers():
         # The spawn pool shipped worker spans back into the parent buffer.
         names = {record.name for record in spans_mod.SPAN_BUFFER.snapshot()}
         assert "trial.run" in names and "sweep.run" in names
-    finally:
-        spans_mod.enable(False)
-
-
-def test_cache_addresses_and_hits_unaffected_by_telemetry(tmp_path):
-    """Telemetry must not leak into the result cache's content address: a
-    trial computed with telemetry off is a cache hit with it on (and the
-    other way around), and the digest is bit-equal either way."""
-    config = ExperimentConfig(
-        topology="cycle", n_nodes=9, n_consumer_pairs=4, n_requests=6
-    )
-    spans_mod.enable(False)
-    digest_off = config_digest(config)
-    cache = ResultCache(tmp_path / "cache")
-    SweepRunner(n_workers=1, cache=cache).run_with_report([config])
-    assert cache.stats.stores == 1
-
-    spans_mod.enable(True)
-    try:
-        assert config_digest(config) == digest_off
-        report = SweepRunner(n_workers=1, cache=cache).run_with_report([config])
-        assert report.n_cached == 1 and report.n_computed == 0
     finally:
         spans_mod.enable(False)
 

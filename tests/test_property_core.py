@@ -245,8 +245,8 @@ class TestScenarioProperties:
             for seed in (1, 2)
             for balancer in ("naive", "incremental")
         ]
-        serial = SweepRunner(n_workers=1).run_with_report(configs).outcomes
-        parallel = SweepRunner(n_workers=2).run_with_report(configs).outcomes
+        serial = SweepRunner(n_workers=1).run(configs)
+        parallel = SweepRunner(n_workers=2).run(configs)
         assert [_outcome_key(outcome) for outcome in serial] == [
             _outcome_key(outcome) for outcome in parallel
         ]

@@ -83,7 +83,7 @@ class TestCrashRecovery:
         _figure4_json(2, smoke=True)  # start the pool
         killed = []
 
-        def kill_every_worker(index, outcome, cached):
+        def kill_every_worker(index, outcome):
             if not killed:
                 killed.extend(pool._executor._processes)
                 for pid in killed:
@@ -128,7 +128,7 @@ class TestCancellation:
         class Abort(Exception):
             pass
 
-        def abort(index, outcome, cached):
+        def abort(index, outcome):
             raise Abort
 
         with pytest.raises(Abort):
@@ -195,9 +195,14 @@ class TestTelemetry:
         inline_json, inline = self._span_names("figure4", 1, smoke=True)
         pooled_json, pooled = self._span_names("figure4", 2, smoke=True)
         def trial(names):
-            return {name: count for name, count in names.items() if name.startswith("trial.")}
+            return {
+                name: count
+                for name, count in names.items()
+                if name.startswith("trial.") or name == "sweep.trial"
+            }
 
-        assert trial(inline) and trial(pooled) == trial(inline)
+        # Pooled trials report their `sweep.trial` spans too.
+        assert inline["sweep.trial"] > 1 and trial(pooled) == trial(inline)
         assert inline_json == pooled_json == plain
 
     def test_lp_solve_spans_come_back_from_the_workers(self):

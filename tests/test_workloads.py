@@ -18,7 +18,6 @@ from repro.experiments.registry import get_experiment
 from repro.experiments.traffic import TrafficExperiment
 from repro.network.demand import RequestSequence, select_consumer_pairs
 from repro.network.topologies import topology_from_name
-from repro.runtime.cache import config_digest
 from repro.sim.rng import RandomStreams
 from repro.workloads import (
     CLASS_MIXES,
@@ -95,16 +94,15 @@ class TestWorkloadSpecs:
         with pytest.raises(ValueError):
             ExperimentConfig(workload="poisson:bogus=1")
 
-    def test_cache_key_separates_workload_specs(self):
-        """Regression: two workload specs must never share a cache entry."""
+    def test_config_identity_separates_workload_specs(self):
+        """Regression: two workload specs never make equal configs, so the
+        sweep's dedupe (a dict keyed on the config) never merges them."""
         base = ExperimentConfig(topology="cycle", n_nodes=9, seed=1)
         poisson = base.with_(workload="poisson:rate=2")
         bursty = base.with_(workload="poisson:rate=3")
-        digests = {
-            config_digest(config, version="pinned")
-            for config in (base, poisson, bursty)
-        }
-        assert len(digests) == 3
+        assert len({base, poisson, bursty}) == 3
+        assert poisson == base.with_(workload="poisson:rate=2")
+        assert hash(poisson) == hash(base.with_(workload="poisson:rate=2"))
 
 
 # ---------------------------------------------------------------------- #
