@@ -8,8 +8,6 @@ and dedupe trials without changing any result.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.overhead import swap_overhead_from_result
 from repro.analysis.starvation import starvation_report
 from repro.core.lp.extensions import PairOverheads
@@ -80,15 +78,7 @@ def build_workload_requests(
     )
 
 
-def build_requests(
-    config: ExperimentConfig, topology: Topology, streams: RandomStreams
-) -> RequestSequence:
-    """Draw the config's request stream (paper §5 by default; see
-    :func:`build_workload_requests` for the metadata-carrying variant)."""
-    return build_workload_requests(config, topology, streams).requests
-
-
-def _build_policy(config: ExperimentConfig, topology: Topology) -> Optional[BalancingPolicy]:
+def _build_policy(config: ExperimentConfig, topology: Topology) -> BalancingPolicy:
     if config.policy == "min-recipient":
         return MinRecipientCountPolicy()
     if config.policy == "random":
@@ -129,13 +119,14 @@ def build_protocol(
     )
     if config.protocol == "path-oblivious":
         protocol = PathObliviousProtocol(
-            policy=None,  # placeholder, replaced below once the ledger exists
+            policy=_build_policy(config, topology),
             swaps_per_node_per_round=config.swaps_per_node_per_round,
             use_hybrid_fallback=config.use_hybrid_fallback,
             balancer_engine=config.balancer,
             **common,
         )
-        protocol.balancer.policy = _build_policy(config, topology) or protocol.balancer.policy
+        # Gossip knowledge reads the protocol's own ledger, so it is built
+        # once the protocol exists.
         if config.knowledge == "gossip":
             protocol.balancer.knowledge = GossipKnowledge(
                 protocol.ledger, fanout=config.gossip_fanout

@@ -1,7 +1,7 @@
 """Bell-pair generation processes.
 
 The paper abstracts generation as an average rate ``g(x, y)`` per edge.  The
-round-based simulator needs a concrete per-round realisation of that rate;
+protocols' round loop needs a concrete per-round realisation of that rate;
 three are provided:
 
 * :class:`DeterministicGeneration` -- exactly ``g`` pairs per edge per round

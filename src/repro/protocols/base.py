@@ -4,11 +4,10 @@ Every protocol in this package runs the same round-based workload -- a
 generation process feeding a count ledger and an ordered consumption-request
 sequence draining it -- and differs only in *how* it turns link-level pairs
 into the end-to-end pairs the requests need.  :class:`SwappingProtocol` owns
-the shared machinery (the round loop, generation, ordered consumption,
-metric counters); subclasses implement :meth:`_action_phase` (what happens
-between generation and consumption each round) and
-:meth:`_try_serve_head` (whether the head-of-line request can be served
-right now).
+the shared machinery (the round loop, generation, ordered consumption);
+subclasses implement :meth:`_action_phase` (what happens between
+generation and consumption each round) and :meth:`_try_serve_head`
+(whether the head-of-line request can be served right now).
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ from repro.network.generation import DeterministicGeneration, GenerationProcess
 from repro.network.topology import EdgeKey, Topology
 from repro.scenarios.perturbations import ScenarioContext
 from repro.scenarios.scenario import Scenario, ScenarioDriver
-from repro.sim.metrics import MetricRegistry
 from repro.sim.rng import RandomStreams
-from repro.sim.rounds import RoundBasedSimulator, RoundPhase
 from repro.sim.tracing import TraceRecorder
 
 NodeId = Hashable
@@ -160,7 +157,6 @@ class SwappingProtocol(abc.ABC):
         self.scenario_driver: Optional[ScenarioDriver] = None
 
         self.ledger = PairCountLedger(topology.nodes)
-        self.metrics = MetricRegistry()
         self.pairs_generated = 0
         self.pairs_consumed = 0
         self.rounds_executed = 0
@@ -168,11 +164,19 @@ class SwappingProtocol(abc.ABC):
     # ------------------------------------------------------------------ #
     # Phases
     # ------------------------------------------------------------------ #
-    def _generation_phase(self, round_index: int) -> Optional[bool]:
+    def _generation_phase(self, round_index: int) -> None:
+        # A timed workload releases the round's arrivals (through admission
+        # control) first, then the round's scenario perturbations land, so
+        # this round's generation, balancing and consumption already see
+        # the changed conditions.
+        release = getattr(self.requests, "on_round", None)
+        if release is not None:
+            release(round_index)
+        if self.scenario_driver is not None:
+            self.scenario_driver.on_round(round_index)
         edges, counts = self.generation.draw(round_index, self.streams.get("generation"))
         counts = self._generated(edges, counts, round_index)
         self.pairs_generated += self.ledger.add_pairs(edges, counts)
-        return None
 
     def _generated(
         self, edges: Sequence[EdgeKey], counts: np.ndarray, round_index: int
@@ -181,101 +185,30 @@ class SwappingProtocol(abc.ABC):
         return counts
 
     @abc.abstractmethod
-    def _action_phase(self, round_index: int) -> Optional[bool]:
+    def _action_phase(self, round_index: int) -> None:
         """Protocol-specific work (balancing swaps, planned-path construction, ...)."""
 
-    def _consumption_phase(self, round_index: int) -> Optional[bool]:
+    def _consumption_phase(self, round_index: int) -> None:
         served = 0
-        while True:
-            head = self.requests.head()
-            if head is None:
-                # For the paper's ordered sequence an empty head means done;
-                # a timed sequence may merely be idle between arrivals, so
-                # only a fully drained stream may request the stop.
-                return True if self.requests.all_satisfied else None
+        head = self.requests.head()
+        while head is not None:
             self.requests.note_head_issued(round_index)
             if self.consumptions_per_round is not None and served >= self.consumptions_per_round:
-                return None
+                return
             if not self._try_serve_head(head, round_index):
-                return None
+                return
             self.requests.mark_head_satisfied(round_index)
             served += 1
+            head = self.requests.head()
 
     @abc.abstractmethod
     def _try_serve_head(self, request: ConsumptionRequest, round_index: int) -> bool:
         """Serve the head request right now if possible; return whether it was served."""
 
-    # ------------------------------------------------------------------ #
-    # The run loop
-    # ------------------------------------------------------------------ #
-    def run(self) -> ProtocolResult:
-        """Run until every request is satisfied or ``max_rounds`` is reached."""
-        simulator = RoundBasedSimulator(
-            max_rounds=self.max_rounds, metrics=self.metrics, trace=self.trace
-        )
-        # Timed workloads release arrivals (through admission control) at
-        # the very start of each round -- before scenario perturbations and
-        # generation.
-        release = getattr(self.requests, "on_round", None)
-        if release is not None:
-            simulator.add_hook(RoundPhase.GENERATION, release)
-        if self.scenario is not None:
-            context = ScenarioContext(
-                topology=self.topology,
-                ledger=self.ledger,
-                requests=self.requests,
-                streams=self.streams,
-                generation=self.generation,
-                control_plane=self.control_plane,
-                trace=self.trace,
-            )
-            self.scenario_driver = ScenarioDriver(self.scenario, context)
-            # Registered before the generation hook: a round's perturbations
-            # land before that round's new pairs are generated.
-            simulator.add_hook(RoundPhase.GENERATION, self.scenario_driver.on_round)
-        simulator.add_hook(RoundPhase.GENERATION, self._generation_phase)
-        simulator.add_hook(RoundPhase.BALANCING, self._action_phase)
-        simulator.add_hook(RoundPhase.CONSUMPTION, self._consumption_phase)
-        if self.trace is not None:
-            simulator.add_hook(RoundPhase.BOOKKEEPING, self._trace_round_summary)
-        simulator.add_stop_condition(lambda _: self.requests.all_satisfied)
-        run_start = time.perf_counter()
-        self.rounds_executed = simulator.run()
-        if telemetry_enabled():
-            self._emit_phase_spans(simulator, run_start)
-        return self._build_result()
-
-    #: Round phase -> the aggregate span name it reports under.
-    _PHASE_SPANS = {
-        RoundPhase.GENERATION.value: "trial.generation",
-        RoundPhase.BALANCING.value: "trial.balance",
-        RoundPhase.CONSUMPTION.value: "trial.consumption",
-        RoundPhase.BOOKKEEPING.value: "trial.bookkeeping",
-    }
-
-    def _emit_phase_spans(self, simulator: RoundBasedSimulator, run_start: float) -> None:
-        """One synthetic span per phase, cumulative over every round.
-
-        Per-round spans would cost four buffer appends per round (hundreds
-        of thousands for long runs) and drown any viewer; the simulator
-        instead accumulates per-phase wall time and this lays the four
-        aggregates back-to-back from the run's start, so a trace viewer
-        shows where the round loop's time went at a glance.
-        """
-        start = run_start
-        for phase_value, name in self._PHASE_SPANS.items():
-            seconds = simulator.phase_seconds[phase_value]
-            emit_span(
-                name,
-                start=start,
-                duration=seconds,
-                rounds=self.rounds_executed,
-                aggregate=True,
-            )
-            start += seconds
-
-    def _trace_round_summary(self, round_index: int) -> None:
+    def _bookkeeping_phase(self, round_index: int) -> None:
         """Record the round's end-state so traces are behaviour-sensitive."""
+        if self.trace is None:
+            return
         self.trace.record(
             float(round_index),
             "round.summary",
@@ -288,7 +221,66 @@ class SwappingProtocol(abc.ABC):
                 "swaps": self.swaps_performed(),
             },
         )
-        return None
+
+    # ------------------------------------------------------------------ #
+    # The run loop
+    # ------------------------------------------------------------------ #
+    def run(self) -> ProtocolResult:
+        """Run rounds until every request is satisfied or ``max_rounds`` is reached.
+
+        Every round runs four phases in order: generation, the protocol's
+        action, consumption and bookkeeping.  Each phase ends with a
+        ``phase.<name>`` trace record stamped with the round index, and the
+        run stops after the round in which the last request is served (a
+        timed sequence idle before its next arrival is not done).
+        """
+        if self.scenario is not None:
+            context = ScenarioContext(
+                topology=self.topology,
+                ledger=self.ledger,
+                requests=self.requests,
+                streams=self.streams,
+                generation=self.generation,
+                control_plane=self.control_plane,
+                trace=self.trace,
+            )
+            self.scenario_driver = ScenarioDriver(self.scenario, context)
+        # Each phase with its trace-record kind and the aggregate telemetry
+        # span its wall time reports under.
+        phases = (
+            (self._generation_phase, "phase.generation", "trial.generation"),
+            (self._action_phase, "phase.balancing", "trial.balance"),
+            (self._consumption_phase, "phase.consumption", "trial.consumption"),
+            (self._bookkeeping_phase, "phase.bookkeeping", "trial.bookkeeping"),
+        )
+        seconds = [0.0] * len(phases)
+        trace = self.trace
+        run_start = time.perf_counter()
+        for round_index in range(self.max_rounds):
+            for slot, (phase, kind, _) in enumerate(phases):
+                phase_start = time.perf_counter()
+                phase(round_index)
+                seconds[slot] += time.perf_counter() - phase_start
+                if trace is not None:
+                    trace.record(float(round_index), kind, {"round": round_index})
+            self.rounds_executed = round_index + 1
+            if self.requests.all_satisfied:
+                break
+        if telemetry_enabled():
+            # One synthetic span per phase, cumulative over every round and
+            # laid back-to-back from the run's start: per-round spans would
+            # cost four buffer appends per round and drown any viewer.
+            start = run_start
+            for (_, _, name), duration in zip(phases, seconds):
+                emit_span(
+                    name,
+                    start=start,
+                    duration=duration,
+                    rounds=self.rounds_executed,
+                    aggregate=True,
+                )
+                start += duration
+        return self._build_result()
 
     # ------------------------------------------------------------------ #
     # Result assembly

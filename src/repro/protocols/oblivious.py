@@ -115,9 +115,8 @@ class PathObliviousProtocol(SwappingProtocol):
     # ------------------------------------------------------------------ #
     # Phases
     # ------------------------------------------------------------------ #
-    def _action_phase(self, round_index: int) -> Optional[bool]:
+    def _action_phase(self, round_index: int) -> None:
         self.balancer.run_round(round_index)
-        return None
 
     def _try_serve_head(self, request: ConsumptionRequest, round_index: int) -> bool:
         if len(request.pair) != 2:

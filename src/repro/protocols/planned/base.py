@@ -66,8 +66,8 @@ class PlannedPathProtocol(SwappingProtocol):
         self.pairs_consumed += sum(required_link_pairs(path, self.overheads).values())
         return True
 
-    def _action_phase(self, round_index: int) -> Optional[bool]:
-        return None
+    def _action_phase(self, round_index: int) -> None:
+        pass
 
     def _try_serve_head(self, request: ConsumptionRequest, round_index: int) -> bool:
         return self._build(request, round_index)

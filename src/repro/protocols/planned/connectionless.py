@@ -11,7 +11,7 @@ protocols.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.network.demand import ConsumptionRequest
 from repro.protocols.planned.base import PlannedPathProtocol
@@ -53,7 +53,7 @@ class ConnectionlessProtocol(PlannedPathProtocol):
         ]
         return pending[: self.window]
 
-    def _action_phase(self, round_index: int) -> Optional[bool]:
+    def _action_phase(self, round_index: int) -> None:
         # Every request in the window greedily tries to complete its nested
         # construction from the shared, unreserved link pools.
         for request in self._active_window():
@@ -65,7 +65,6 @@ class ConnectionlessProtocol(PlannedPathProtocol):
             self._completed_early.add(request.index)
             request.issued_round = request.issued_round if request.issued_round is not None else round_index
             request.satisfied_round = round_index
-        return None
 
     def _try_serve_head(self, request: ConsumptionRequest, round_index: int) -> bool:
         if request.index in self._completed_early:

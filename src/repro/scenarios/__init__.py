@@ -3,7 +3,7 @@
 The paper evaluates path-oblivious entanglement distribution only on static
 topologies with a fixed workload.  This package injects dynamics -- link
 failure/repair processes, node churn with ledger invalidation, demand
-drift, decoherence-rate ramps -- into the round-based simulator,
+drift, decoherence-rate ramps -- into the protocols' round loop,
 declaratively:
 
 * a :class:`Scenario` is an ordered list of :class:`Perturbation` objects
@@ -12,8 +12,8 @@ declaratively:
   ``"link-churn:period=20"`` (see :mod:`repro.scenarios.registry`) and ride
   on :class:`~repro.experiments.config.ExperimentConfig.scenario`, entering
   the config's equality,
-* at run time the scenario compiles down to a round hook
-  (:class:`ScenarioDriver`).
+* at run time a :class:`ScenarioDriver` applies the perturbations due
+  at the start of every round, before that round's generation.
 
 Every public name below is a lazy export (:mod:`repro.lazy`): importing
 one submodule does not import the rest.

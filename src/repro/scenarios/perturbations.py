@@ -16,8 +16,7 @@ Design rules:
   matrix, and the incremental engine's mutated-index log marks exactly the
   affected candidates dirty instead of forcing a full resweep.
 * Every perturbation can :meth:`~Perturbation.describe` itself as plain
-  data, which is what scenario digests and trace records are
-  built from.
+  data, so two perturbations can be compared by what they do.
 """
 
 from __future__ import annotations
@@ -237,12 +236,12 @@ class ScenarioContext:
 class Perturbation(abc.ABC):
     """One declarative time-varying condition.
 
-    ``trigger`` is a round index of the round-based simulator.  The
+    ``trigger`` is the index of the round it fires in.  The
     optional ``predicate`` (see :meth:`ready`) delays firing past the
     trigger until a state condition holds.
     """
 
-    #: Short stable identifier used in traces and digests.
+    #: Short stable identifier used in trace record kinds and descriptions.
     kind: str = "abstract"
 
     trigger: float
@@ -256,7 +255,7 @@ class Perturbation(abc.ABC):
         return True
 
     def describe(self) -> Dict[str, Any]:
-        """Plain-data description (digest + trace payload)."""
+        """Plain-data description: the kind and every field."""
         payload: Dict[str, Any] = {"kind": self.kind}
         for spec in fields(self):  # type: ignore[arg-type]
             payload[spec.name] = getattr(self, spec.name)
@@ -348,9 +347,9 @@ class Conditional(Perturbation):
     """Predicate-gated wrapper: fire ``inner`` once ``predicate`` holds.
 
     ``predicate`` receives the context and is evaluated from ``trigger``
-    onward; ``label`` stands in for the callable in digests, so two
-    scenarios differing only in predicate *logic* should also differ in
-    label.
+    onward; ``label`` stands in for the callable in :meth:`describe`, so
+    two perturbations differing only in predicate *logic* should also
+    differ in label.
     """
 
     trigger: float

@@ -3,19 +3,15 @@
 A scenario is an ordered list of :class:`~repro.scenarios.perturbations.
 Perturbation` objects.  It is pure data: building one performs no mutation,
 and the same scenario can drive any number of trials.  :class:`ScenarioDriver`
-runs it: a :class:`~repro.sim.rounds.RoundBasedSimulator` hook registered
-*before* the generation phase, so a round's perturbations land before that
-round's generation, balancing and consumption (the protocol reacts in the
-same round the condition changes).
-
-``Scenario.digest()`` is a stable content address over the declarative
-description.
+runs it: :meth:`~repro.protocols.base.SwappingProtocol.run` calls
+:meth:`ScenarioDriver.on_round` at the start of every round, before
+generation, so a round's perturbations land before that round's
+generation, balancing and consumption (the protocol reacts in the same
+round the condition changes).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.scenarios.perturbations import Perturbation, ScenarioContext
@@ -57,30 +53,14 @@ class Scenario:
             return 0.0
         return max(perturbation.trigger for perturbation in self.perturbations)
 
-    def describe(self) -> dict:
-        """Plain-data description of the whole scenario."""
-        return {
-            "name": self.name,
-            "perturbations": [perturbation.describe() for perturbation in self.perturbations],
-        }
-
-    def digest(self) -> str:
-        """Stable SHA-256 content address of the scenario's description.
-
-        Any change -- a trigger, an edge, a parameter, the ordering -- yields
-        a different digest.
-        """
-        canonical = json.dumps(self.describe(), sort_keys=True, default=repr)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Scenario(name={self.name!r}, perturbations={len(self.perturbations)})"
 
 
 class ScenarioDriver:
-    """Applies a scenario's perturbations to a round-based simulation.
+    """Applies a scenario's perturbations to a protocol run.
 
-    Register :meth:`on_round` as the *first* ``GENERATION`` hook; it fires
+    The run calls :meth:`on_round` first thing in every round; it fires
     every perturbation whose trigger has been reached and whose predicate
     (if any) holds.  Predicate-gated perturbations whose predicate is not
     yet true stay pending and are re-evaluated every subsequent round.
@@ -98,7 +78,7 @@ class ScenarioDriver:
         return not self._pending
 
     def on_round(self, round_index: int) -> None:
-        """Round hook: apply everything due at ``round_index``."""
+        """Apply everything due at ``round_index``."""
         if not self._pending:
             return None
         self.context.now = float(round_index)

@@ -19,7 +19,9 @@ Request flow for a ``submit``:
    job is answered from the in-memory result memo immediately (a *result
    cache hit*); one that matches a queued/running job joins it (a
    *coalesced submission*) and shares its result when it lands.  Both
-   show up in ``stats``.
+   show up in ``stats``.  A job that reads a trace file when it runs (a
+   ``replay`` workload) is neither: its result is not a function of its
+   parameters, so every submission of it runs.
 3. **Admission** -- per-client token buckets plus the bounded queue depth
    (:mod:`repro.serve.admission`); a rejected submission gets an explicit
    ``429`` payload with a ``retry_after`` hint.
@@ -174,6 +176,16 @@ def submission_digest(experiment: str, params: Dict[str, Any]) -> str:
         {"experiment": experiment, "params": params}, sort_keys=True, default=repr
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
+
+
+def _reads_trace_files(grid) -> bool:
+    """Whether a unit of ``grid`` reads a trace file when it runs."""
+    specs = [unit.workload for unit in grid if hasattr(unit, "workload")]
+    if not specs:  # no trial grid: leave the workload layer unimported
+        return False
+    from repro.workloads.registry import reads_trace_file
+
+    return any(reads_trace_file(spec) for spec in specs)
 
 
 class ServeDaemon:
@@ -427,6 +439,7 @@ class ServeDaemon:
         except (TypeError, ValueError) as error:
             raise ProtocolError(400, f"invalid parameters for {name!r}: {error}") from None
         digest = submission_digest(name, normalized)
+        memoized = not _reads_trace_files(grid)
         stream = bool(request.get("stream"))
 
         # One lock span from the digest lookup through the queue push:
@@ -434,7 +447,7 @@ class ServeDaemon:
         # the coalescing promise ("identical submissions are served from
         # the shared cache") would race away exactly when it matters.
         with self._lock:
-            existing_id = self._by_digest.get(digest)
+            existing_id = self._by_digest.get(digest) if memoized else None
             existing = self._jobs.get(existing_id) if existing_id else None
             if existing is not None and existing.state in ("queued", "running", "done"):
                 existing.clients.append(client)
@@ -490,7 +503,8 @@ class ServeDaemon:
                 self._stats["rejected_queue_full"].increment()
                 raise ProtocolError(429, str(error)) from None
             self._jobs[job.job_id] = job
-            self._by_digest[digest] = job.job_id
+            if memoized:
+                self._by_digest[digest] = job.job_id
             self._stats["submitted"].increment()
             self.metrics.counter("serve.jobs.queued").increment()
         return ok_response(

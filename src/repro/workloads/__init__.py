@@ -18,10 +18,10 @@ composable axis of every experiment:
   (:mod:`~repro.workloads.registry`) carried on
   ``ExperimentConfig.workload`` and entering the config's equality.
 
-The round-based simulator consumes a
-:class:`~repro.workloads.queueing.TimedRequestSequence` through a
-pre-generation release hook; admission is a pure function of the arrival
-trace, independent of when release is batched.
+The protocols' round loop releases a
+:class:`~repro.workloads.queueing.TimedRequestSequence`'s arrivals at the
+start of every round, before generation; admission is a pure function of
+the arrival trace, independent of when release is batched.
 
 Every public name below is a lazy export (:mod:`repro.lazy`): importing
 one submodule does not import the rest (``repro serve``'s admission

@@ -360,9 +360,7 @@ def build_replay_workload(
     (``class`` optional, default ``bulk``).  The trace is used verbatim --
     ``n_requests`` and the consumer-pair draw do not apply -- so replay
     trials are reproducible records of external workloads.  The trace is
-    read when the trial runs, so the next run sees an edited trace (a
-    ``repro serve`` daemon's in-memory memo keys on the spec string, the
-    path, and keeps the result it computed first).
+    read when the trial runs, so the next run sees an edited trace.
     """
     path = Path(str(params["file"])).expanduser()
     if not path.is_file():

@@ -1,4 +1,4 @@
-"""The timed, policy-ordered request queue the round simulator drives.
+"""The timed, policy-ordered request queue a protocol run drives.
 
 :class:`TimedRequestSequence` keeps the
 :class:`~repro.network.demand.RequestSequence` interface the protocols
@@ -14,8 +14,9 @@ release, and then waits in a queue ordered by the configured policy --
 * ``deadline``  -- earliest absolute deadline first, and queued requests
   whose deadline has already passed are *dropped* instead of served late.
 
-Release is driven by the round-based simulator, which calls
-:meth:`on_round` as a pre-generation hook (like the scenario layer).
+Release is driven by the protocols' round loop, which calls
+:meth:`on_round` at the start of every round, before generation (like the
+scenario layer).
 Admission charges tokens at each request's own arrival round regardless of
 when release is batched.
 """
@@ -94,7 +95,7 @@ class TimedRequestSequence(RequestSequence):
         self._head_cache: Optional[TimedRequest] = None
 
     # ------------------------------------------------------------------ #
-    # Release (called by the simulator as simulated time advances)
+    # Release (called by the round loop as simulated time advances)
     # ------------------------------------------------------------------ #
     def release_until(self, now: float) -> None:
         """Release every arrival due by ``now`` through admission control.
@@ -133,7 +134,7 @@ class TimedRequestSequence(RequestSequence):
                 self._queue.remove(request)
 
     def on_round(self, round_index: int) -> None:
-        """Round-based driver hook (registered before the generation phase)."""
+        """Release the round's arrivals (called before the round's generation)."""
         self.release_until(float(round_index))
         return None
 
@@ -199,7 +200,7 @@ class TimedRequestSequence(RequestSequence):
 
         Rejected and dropped requests count as resolved -- the stream is
         "done" when nothing can ever become servable again, which is the
-        semantics the simulator's stop condition needs.
+        semantics the round loop's stop condition needs.
         """
         return self._cursor >= len(self._requests) and not self._queue
 

@@ -163,6 +163,16 @@ def is_timed_workload(spec: str) -> bool:
     return name != DEFAULT_WORKLOAD
 
 
+def reads_trace_file(spec: str) -> bool:
+    """Whether ``spec``'s requests come from a file read when the trial runs.
+
+    Such a trial is not a function of its spec alone: the same spec gives
+    another request stream once the file is edited.
+    """
+    name, _ = parse_workload_spec(spec)
+    return name == "replay"
+
+
 def draws_groups(spec: str) -> bool:
     """Whether ``spec`` can emit group (k >= 3) requests.
 

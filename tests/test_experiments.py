@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.maxmin.policy import DistanceWeightedPolicy
 from repro.experiments.config import ExperimentConfig, full_mode_enabled
 from repro.experiments.figure4 import figure4_configs
 from repro.experiments.figure5 import figure5_configs
 from repro.experiments.registry import get_experiment
-from repro.experiments.runner import build_protocol, build_requests, build_topology, run_trial
+from repro.experiments.runner import (
+    build_protocol,
+    build_topology,
+    build_workload_requests,
+    run_trial,
+)
 from repro.protocols.oblivious import PathObliviousProtocol
 from repro.protocols.planned import ConnectionOrientedProtocol
 from repro.sim.rng import RandomStreams
@@ -60,26 +66,45 @@ class TestRunnerBuilders:
         streams = RandomStreams(0)
         config = ExperimentConfig(topology="cycle", n_nodes=9, n_requests=12, n_consumer_pairs=5)
         topology = build_topology(config, streams)
-        requests = build_requests(config, topology, streams)
+        requests = build_workload_requests(config, topology, streams).requests
         assert len(requests) == 12
 
     def test_build_protocol_types(self):
         streams = RandomStreams(0)
         config = ExperimentConfig(topology="cycle", n_nodes=9, n_requests=5, n_consumer_pairs=4)
         topology = build_topology(config, streams)
-        requests = build_requests(config, topology, streams)
+        requests = build_workload_requests(config, topology, streams).requests
         assert isinstance(build_protocol(config, topology, requests, streams), PathObliviousProtocol)
         planned = config.with_(protocol="planned-connection-oriented")
         assert isinstance(
-            build_protocol(planned, topology, build_requests(planned, topology, streams), streams),
+            build_protocol(
+                planned,
+                topology,
+                build_workload_requests(planned, topology, streams).requests,
+                streams,
+            ),
             ConnectionOrientedProtocol,
         )
+
+    def test_distance_weighted_policy_reads_the_protocols_own_topology(self):
+        # A scenario mutates the protocol's copy of the topology; the policy
+        # must measure distances on that copy, not on the caller's.
+        streams = RandomStreams(0)
+        config = ExperimentConfig(
+            topology="cycle", n_nodes=9, policy="distance-weighted", scenario="link-churn"
+        )
+        topology = build_topology(config, streams)
+        requests = build_workload_requests(config, topology, streams).requests
+        protocol = build_protocol(config, topology, requests, streams)
+        assert protocol.topology is not topology
+        assert isinstance(protocol.balancer.policy, DistanceWeightedPolicy)
+        assert protocol.balancer.policy.topology is protocol.topology
 
     def test_build_protocol_unknown_name(self):
         streams = RandomStreams(0)
         config = ExperimentConfig(topology="cycle", n_nodes=9)
         topology = build_topology(config, streams)
-        requests = build_requests(config, topology, streams)
+        requests = build_workload_requests(config, topology, streams).requests
         with pytest.raises(ValueError):
             build_protocol(config.with_(protocol="quantum-bgp"), topology, requests, streams)
 
@@ -87,12 +112,17 @@ class TestRunnerBuilders:
         streams = RandomStreams(0)
         config = ExperimentConfig(topology="cycle", n_nodes=9, policy="psychic")
         topology = build_topology(config, streams)
-        requests = build_requests(config, topology, streams)
+        requests = build_workload_requests(config, topology, streams).requests
         with pytest.raises(ValueError):
             build_protocol(config, topology, requests, streams)
         config2 = ExperimentConfig(topology="cycle", n_nodes=9, knowledge="telepathy")
         with pytest.raises(ValueError):
-            build_protocol(config2, topology, build_requests(config2, topology, streams), streams)
+            build_protocol(
+                config2,
+                topology,
+                build_workload_requests(config2, topology, streams).requests,
+                streams,
+            )
 
 
 class TestRunTrial:

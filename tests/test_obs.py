@@ -129,9 +129,15 @@ class TestTrialInstrumentation:
 
     def test_phase_aggregates_carry_round_counts(self, telemetry):
         outcome = run_trial(TINY)
-        balance = next(r for r in telemetry.snapshot() if r.name == "trial.balance")
-        assert balance.attrs["aggregate"] is True
-        assert balance.attrs["rounds"] == outcome.rounds
+        phases = ("trial.generation", "trial.balance", "trial.consumption", "trial.bookkeeping")
+        records = {r.name: r for r in telemetry.snapshot() if r.name in phases}
+        assert sorted(records) == sorted(phases)
+        for name in phases:
+            assert records[name].attrs == {"aggregate": True, "rounds": outcome.rounds}
+        # The four aggregates are laid back to back in phase order.
+        for before, after in zip(phases, phases[1:]):
+            end = records[before].start + records[before].duration
+            assert records[after].start == pytest.approx(end, abs=1e-6)
 
     def test_sweep_spans_and_hub_counters(self, telemetry):
         from repro.runtime.sweep import SweepRunner

@@ -7,7 +7,10 @@ import pytest
 from repro.analysis.overhead import swap_overhead_from_result
 from repro.core.maxmin.knowledge import GossipKnowledge
 from repro.core.maxmin.ledger import PairCountLedger
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_trial
 from repro.network.demand import ConsumptionRequest, RequestSequence
+from repro.network.generation import DeterministicGeneration
 from repro.network.topologies import cycle_topology, line_topology
 from repro.network.topology import group_key
 from repro.protocols import (
@@ -17,7 +20,11 @@ from repro.protocols import (
     PathObliviousProtocol,
 )
 from repro.protocols.base import ProtocolResult
+from repro.scenarios import build_scenario
+from repro.scenarios.scenario import ScenarioDriver
 from repro.sim.rng import RandomStreams
+from repro.workloads.base import TimedRequest
+from repro.workloads.queueing import TimedRequestSequence
 
 
 def simple_workload(topology, pairs, n_requests=6):
@@ -151,7 +158,7 @@ class TestConsumptionLoop:
 
     def test_serving_stops_at_the_first_unaffordable_request(self):
         protocol = self._protocol([(0, 1), (0, 3), (0, 1)], {(0, 1): 5})
-        assert protocol._consumption_phase(4) is None
+        protocol._consumption_phase(4)
         first, blocked, behind = protocol.requests.requests()
         assert (first.issued_round, first.satisfied_round) == (4, 4)
         # The head (0, 3) holds no pairs: it is issued but not served, and
@@ -163,11 +170,12 @@ class TestConsumptionLoop:
     def test_a_group_is_charged_all_of_its_sessions_or_none(self):
         group = group_key(0, 1, 2)
         protocol = self._protocol([group], {(0, 1): 1})
-        assert protocol._consumption_phase(0) is None
+        protocol._consumption_phase(0)
         assert protocol.ledger.count(0, 1) == 1  # nothing charged
         assert protocol.fusions_performed() == 0
         protocol.ledger.add(0, 2, 1)
-        assert protocol._consumption_phase(1) is True
+        protocol._consumption_phase(1)
+        assert protocol.requests.all_satisfied
         assert protocol.ledger.count(0, 1) == protocol.ledger.count(0, 2) == 0
         assert protocol.fusions_performed() == 1
         (request,) = protocol.requests.requests()
@@ -191,6 +199,105 @@ class TestConsumptionLoop:
             50, 50, 50, 61, 63, 63, 75, 75, 87, 87, 87, 99
         ]
         assert (result.rounds, result.pairs_consumed, result.swaps_performed) == (100, 24, 229)
+
+
+class TestRoundLoop:
+    """When ``SwappingProtocol.run`` stops, and what its scenario hook sees."""
+
+    def test_a_patched_scenario_driver_sees_every_round_up_to_the_stop(self, monkeypatch):
+        # Profilers time the scenario layer by patching ``on_round`` on the
+        # class; the patched method must run once in every round of a trial.
+        seen = []
+        on_round = ScenarioDriver.on_round
+
+        def observed(driver, round_index):
+            seen.append(round_index)
+            return on_round(driver, round_index)
+
+        monkeypatch.setattr(ScenarioDriver, "on_round", observed)
+        outcome = run_trial(
+            ExperimentConfig(
+                n_nodes=8,
+                n_consumer_pairs=3,
+                n_requests=8,
+                seed=3,
+                scenario="link-churn:start=2,period=5,downtime=2,count=2",
+            )
+        )
+        assert outcome.requests_satisfied == outcome.requests_total
+        assert seen == list(range(outcome.rounds))
+
+    @pytest.mark.parametrize(
+        "protocol_class",
+        [
+            PathObliviousProtocol,
+            ConnectionOrientedProtocol,
+            ConnectionlessProtocol,
+            OnDemandProtocol,
+        ],
+    )
+    def test_an_ordered_run_stops_after_the_round_that_serves_its_last_request(
+        self, protocol_class
+    ):
+        requests = RequestSequence.round_robin([(0, 4), (1, 5)], 6)
+        result = protocol_class(cycle_topology(8), requests, streams=RandomStreams(3)).run()
+        assert result.all_requests_satisfied
+        last = max(request.satisfied_round for request in result.satisfied_requests)
+        assert result.rounds == last + 1
+
+    def test_a_round_releases_arrivals_then_applies_the_scenario_then_generates(
+        self, monkeypatch
+    ):
+        calls = []
+        release = TimedRequestSequence.on_round
+        perturb = ScenarioDriver.on_round
+        draw = DeterministicGeneration.draw
+
+        def observed_release(sequence, round_index):
+            calls.append(("release", round_index))
+            release(sequence, round_index)
+
+        def observed_perturb(driver, round_index):
+            calls.append(("scenario", round_index))
+            perturb(driver, round_index)
+
+        def observed_draw(generation, round_index, rng):
+            calls.append(("generate", round_index))
+            return draw(generation, round_index, rng)
+
+        monkeypatch.setattr(TimedRequestSequence, "on_round", observed_release)
+        monkeypatch.setattr(ScenarioDriver, "on_round", observed_perturb)
+        monkeypatch.setattr(DeterministicGeneration, "draw", observed_draw)
+        streams = RandomStreams(0)
+        topology = cycle_topology(6)
+        requests = TimedRequestSequence([TimedRequest(index=0, pair=(0, 3), arrival_round=2)])
+        result = PathObliviousProtocol(
+            topology,
+            requests,
+            streams=streams,
+            scenario=build_scenario("link-churn:start=1,period=3", topology, streams),
+        ).run()
+        assert result.all_requests_satisfied
+        assert calls == [
+            (step, round_index)
+            for round_index in range(result.rounds)
+            for step in ("release", "scenario", "generate")
+        ]
+
+    def test_a_timed_run_idles_until_its_arrivals_and_stops_after_the_last(self):
+        requests = TimedRequestSequence(
+            [
+                TimedRequest(index=0, pair=(0, 1), arrival_round=5),
+                TimedRequest(index=1, pair=(0, 3), arrival_round=9),
+            ]
+        )
+        result = PathObliviousProtocol(cycle_topology(6), requests, streams=RandomStreams(0)).run()
+        assert result.all_requests_satisfied
+        first, last = result.satisfied_requests
+        # Rounds 0-4 have no request in the queue and must not end the run.
+        assert first.satisfied_round == 5
+        assert last.satisfied_round >= 9
+        assert result.rounds == last.satisfied_round + 1
 
 
 class TestPlannedProtocols:

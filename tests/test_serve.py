@@ -525,6 +525,30 @@ class TestServeDaemon:
         assert stats["result_cache_hits"] >= 1  # the late submission at least
         assert snapshot["state"] == "stopped" and snapshot["completed"] == 1
 
+    def test_an_edited_replay_trace_is_read_again(self, tmp_path):
+        """A replay job's result depends on its trace file, not only on its
+        parameters: after the trace is edited in place, a resubmission must
+        run on the edited trace, not come back from the memo."""
+        trace = tmp_path / "trace.jsonl"
+        lines = [
+            json.dumps({"round": 0, "pair": [0, 2]}),
+            json.dumps({"round": 1, "pair": [1, 3]}),
+            json.dumps({"round": 2, "pair": [0, 3]}),
+        ]
+        trace.write_text("\n".join(lines) + "\n")
+        params = {"workload": f"replay:file={trace}", "n_requests": 6}
+        with serve_daemon(workers=1) as daemon:
+            with ServeClient(daemon.address) as client:
+                first = client.run("traffic", params, timeout=120)
+                trace.write_text(lines[0] + "\n")
+                second = client.run("traffic", params, timeout=120)
+                stats = client.stats()
+        local = get_experiment("traffic").run(**params).to_payload()
+        assert first["state"] == second["state"] == "done"
+        assert stats["submitted"] == 2 and stats["result_cache_hits"] == 0
+        assert json.dumps(second["result"]) == json.dumps(local)
+        assert second["result"] != first["result"]
+
     def test_streaming_submission_pushes_schema_valid_progress(self):
         with serve_daemon() as daemon:
             with ServeClient(daemon.address) as client:

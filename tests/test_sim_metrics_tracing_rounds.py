@@ -1,4 +1,4 @@
-"""Tests for repro.sim.metrics, repro.sim.tracing and repro.sim.rounds."""
+"""Tests for repro.sim.metrics and repro.sim.tracing."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry
-from repro.sim.rounds import RoundBasedSimulator, RoundPhase
 from repro.sim.tracing import TraceRecorder
 
 
@@ -161,45 +160,3 @@ class TestTraceRecorder:
         matches = trace.filter(lambda event: event.payload["repeater"] == 2)
         assert len(matches) == 1
 
-
-class TestRoundBasedSimulator:
-    def test_phases_run_in_order(self):
-        simulator = RoundBasedSimulator(max_rounds=3)
-        order = []
-        simulator.add_hook(RoundPhase.GENERATION, lambda r: order.append("gen"))
-        simulator.add_hook(RoundPhase.BALANCING, lambda r: order.append("bal"))
-        simulator.add_hook(RoundPhase.CONSUMPTION, lambda r: order.append("con"))
-        simulator.step()
-        assert order == ["gen", "bal", "con"]
-
-    def test_run_respects_max_rounds(self):
-        simulator = RoundBasedSimulator(max_rounds=4)
-        executed = simulator.run()
-        assert executed == 4
-        assert simulator.completed_rounds == 4
-
-    def test_stop_condition(self):
-        simulator = RoundBasedSimulator(max_rounds=100)
-        simulator.add_stop_condition(lambda round_index: round_index >= 2)
-        assert simulator.run() == 3
-
-    def test_hook_requesting_stop(self):
-        simulator = RoundBasedSimulator(max_rounds=100)
-        simulator.add_hook(RoundPhase.CONSUMPTION, lambda r: r == 1)
-        assert simulator.run() == 2
-
-    def test_phase_records_are_stamped_with_the_round_index(self):
-        trace = TraceRecorder()
-        simulator = RoundBasedSimulator(max_rounds=5, trace=trace)
-        simulator.run(rounds=3)
-        assert simulator.completed_rounds == 3
-        assert [event.time for event in trace] == [0.0] * 4 + [1.0] * 4 + [2.0] * 4
-        assert [event.payload["round"] for event in trace] == [0] * 4 + [1] * 4 + [2] * 4
-
-    def test_invalid_max_rounds(self):
-        with pytest.raises(ValueError):
-            RoundBasedSimulator(max_rounds=0)
-
-    def test_explicit_rounds_capped_by_max(self):
-        simulator = RoundBasedSimulator(max_rounds=2)
-        assert simulator.run(rounds=10) == 2

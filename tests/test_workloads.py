@@ -10,8 +10,8 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
-    build_requests,
     build_topology,
+    build_workload_requests,
     run_trial,
 )
 from repro.experiments.registry import get_experiment
@@ -44,6 +44,7 @@ from repro.workloads.arrivals import (
     pareto_batch_sizes_scalar,
     poisson_counts_scalar,
 )
+from repro.workloads.registry import reads_trace_file
 
 
 def _rng(seed=0):
@@ -89,6 +90,11 @@ class TestWorkloadSpecs:
     def test_is_timed_workload(self):
         assert not is_timed_workload("sequence")
         assert is_timed_workload("poisson:rate=1")
+
+    def test_only_replay_reads_a_trace_file(self):
+        assert reads_trace_file("replay:file=trace.jsonl")
+        assert not reads_trace_file("sequence")
+        assert not reads_trace_file("poisson:rate=1")
 
     def test_config_rejects_bad_workload_spec(self):
         with pytest.raises(ValueError):
@@ -689,14 +695,14 @@ class TestTrafficExperiment:
 
 
 # ---------------------------------------------------------------------- #
-# build_requests compatibility surface
+# The request stream a trial runs, per workload spec
 # ---------------------------------------------------------------------- #
-class TestBuildRequestsCompat:
+class TestBuildWorkloadRequests:
     def test_returns_plain_sequence_for_default(self):
         config = ExperimentConfig(topology="cycle", n_nodes=9, n_requests=6, n_consumer_pairs=5)
         streams = RandomStreams(config.seed)
         topology = build_topology(config, streams)
-        requests = build_requests(config, topology, streams)
+        requests = build_workload_requests(config, topology, streams).requests
         assert type(requests) is RequestSequence
 
     def test_returns_timed_sequence_for_timed_spec(self):
@@ -709,5 +715,5 @@ class TestBuildRequestsCompat:
         )
         streams = RandomStreams(config.seed)
         topology = build_topology(config, streams)
-        requests = build_requests(config, topology, streams)
+        requests = build_workload_requests(config, topology, streams).requests
         assert isinstance(requests, TimedRequestSequence)
