@@ -8,9 +8,33 @@ defaults to the full paper-scale parameter grids.
 
 from __future__ import annotations
 
+import time
+from statistics import median
+from typing import Callable, List
+
 import pytest
 
-from repro.perf.timing import median_of_k
+
+def median_of_k(call: Callable[[], object], repeats: int = 5, warmup: int = 1) -> float:
+    """Median wall-clock seconds of ``repeats`` calls, after ``warmup`` calls.
+
+    Single-sample timing is the root of benchmark flakiness: the first call
+    pays import/allocation warmup, and any call can absorb a scheduler
+    hiccup.  The median is robust to one-sided noise in either direction,
+    unlike best-of (which can flatter) or mean (which one outlier ruins).
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    for _ in range(warmup):
+        call()
+    timings: List[float] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        timings.append(time.perf_counter() - start)
+    return median(timings)
 
 
 def pytest_configure(config):
@@ -33,8 +57,7 @@ def median_time():
     which let a one-off allocator or cache hiccup on either side flip a
     ratio across its threshold.  Discarding ``warmup`` untimed calls and
     reporting the median of ``repeats`` timed ones is robust against both
-    first-call effects and single outliers
-    (:func:`repro.perf.timing.median_of_k`).
+    first-call effects and single outliers (:func:`median_of_k`).
     """
 
     def _time(call, repeats: int = 5, warmup: int = 1) -> float:

@@ -16,7 +16,7 @@ from repro.core.lp.solver import solve_flow_program
 from repro.experiments.registry import get_experiment
 from repro.network.demand import select_consumer_pairs, uniform_demand
 from repro.network.topologies import grid_topology
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 
 def test_lp_validation_report(benchmark):

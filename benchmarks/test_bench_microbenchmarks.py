@@ -18,7 +18,7 @@ from repro.network.demand import select_consumer_pairs, uniform_demand
 from repro.network.generation import DeterministicGeneration
 from repro.network.topologies import cycle_topology, grid_topology
 from repro.protocols.nested import execute_nested, required_link_pairs
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 
 def _warm_balancer(n_nodes: int = 25, warmup_rounds: int = 30) -> MaxMinBalancer:

@@ -1,7 +1,8 @@
 """Benchmark: vectorized arrival sampling vs the scalar reference loop.
 
 The workload subsystem samples arrival processes with one vectorized NumPy
-call per trace; the scalar reference twins draw round by round.  Because a
+call per trace; the scalar reference twins (``tests/arrivals_oracle.py``)
+draw round by round.  Because a
 seeded :class:`numpy.random.Generator` consumes its bit stream identically
 either way, the two are bit-identical -- so the speedup measured here is
 pure overhead removal, not a different distribution.
@@ -14,16 +15,23 @@ modulated and Pareto-batch paths are asserted bit-identical alongside.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.workloads.arrivals import (
     counts_to_rounds,
     diurnal_rates,
     modulated_poisson_counts,
-    modulated_poisson_counts_scalar,
     pareto_batch_sizes,
-    pareto_batch_sizes_scalar,
     poisson_counts,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from arrivals_oracle import (  # noqa: E402
+    modulated_poisson_counts_scalar,
+    pareto_batch_sizes_scalar,
     poisson_counts_scalar,
 )
 

@@ -19,7 +19,7 @@ from repro.analysis import swap_overhead_from_result
 from repro.analysis.reporting import format_table
 from repro.network import RequestSequence, cycle_topology, select_consumer_pairs
 from repro.protocols import PathObliviousProtocol
-from repro.sim.rng import RandomStreams
+from repro.runtime import RandomStreams
 
 
 def main() -> None:

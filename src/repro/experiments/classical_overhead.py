@@ -29,7 +29,7 @@ from repro.core.maxmin.balancer import MaxMinBalancer
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.generation import DeterministicGeneration
 from repro.network.topologies import topology_from_name, validate_topology_sizes
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 
 @dataclass

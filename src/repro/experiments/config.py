@@ -136,9 +136,6 @@ class TrialOutcome:
     effective_consumer_groups: Optional[int] = None
     #: GHZ-merge (fusion) operations performed while serving group requests.
     fusions_performed: int = 0
-    #: Trace records a capacity-capped recorder dropped during the run
-    #: (deterministic -- a count of simulation events, never wall-clock).
-    trace_dropped: int = 0
 
     @property
     def overhead(self) -> float:

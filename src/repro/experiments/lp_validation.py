@@ -27,7 +27,7 @@ from repro.core.lp.steady_state import compute_rates, verify_steady_state
 from repro.network.demand import select_consumer_pairs, uniform_demand
 from repro.network.topologies import topology_from_name, validate_topology_sizes
 from repro.obs.spans import span
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 
 @dataclass

@@ -31,8 +31,8 @@ from repro.protocols.planned import (
     ConnectionlessProtocol,
     OnDemandProtocol,
 )
+from repro.runtime.seeding import RandomStreams
 from repro.scenarios.registry import build_scenario
-from repro.sim.rng import RandomStreams
 from repro.workloads.base import WorkloadBuild
 from repro.workloads.queueing import TimedRequestSequence
 from repro.workloads.registry import build_workload
@@ -213,5 +213,4 @@ def _reduce_trial(config, topology, workload, requests, protocol, result) -> Tri
             len(workload.consumer_groups) if workload.consumer_groups else None
         ),
         fusions_performed=result.fusions_performed,
-        trace_dropped=result.trace_dropped,
     )

@@ -31,10 +31,9 @@ from repro.core.maxmin.ledger import PairCountLedger
 from repro.experiments.api import Experiment, ExperimentResult, ParamSpec, RowTable, columns_of
 from repro.experiments.config import full_mode_enabled
 from repro.experiments.registry import register
-from repro.runtime.seeding import seed_grid
 from repro.network.topologies import topology_from_name
 from repro.network.topology import Topology
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams, seed_grid
 
 #: The large-topology families this experiment sweeps.
 SCALING_TOPOLOGIES: Tuple[str, ...] = ("waxman", "grid", "erdos-renyi")

@@ -5,8 +5,11 @@ section of ``docs/architecture.md``):
 
 * :mod:`repro.obs.spans` -- the nestable ``span()`` context manager and the
   per-process buffers it fills, gated by ``REPRO_TELEMETRY``.
-* :mod:`repro.obs.telemetry` -- the :class:`Telemetry` hub unifying metric
-  registries, trace recorders and span buffers behind ``snapshot()`` /
+* :mod:`repro.obs.metrics` -- :class:`Counter`, :class:`Gauge` and the
+  :class:`MetricRegistry` that holds them (the sweep's cell counter, the
+  serve daemon's counters and gauges).
+* :mod:`repro.obs.telemetry` -- the :class:`Telemetry` hub putting a
+  metric registry and the span buffers behind ``snapshot()`` /
   ``export_jsonl()`` / ``chrome_trace()``.
 * :mod:`repro.obs.exposition` -- Prometheus-style text exposition of a
   metric registry (the serve daemon's ``metrics`` verb).
@@ -26,6 +29,7 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
+        "repro.obs.metrics": ("Counter", "Gauge", "MetricRegistry"),
         "repro.obs.spans": (
             "SPAN_BUFFER",
             "SPAN_NAMES",

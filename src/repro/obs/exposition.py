@@ -9,9 +9,7 @@ scraper (or ``curl`` + eyeballs) understands::
 
 Mapping from registry names to sample names: dots and dashes become
 underscores under a ``repro_`` prefix, counters gain the conventional
-``_total`` suffix, gauges are exposed verbatim, and histograms expand into
-``_count`` / ``_sum`` samples plus one ``{quantile="..."}`` sample per
-report quantile.  Families render in sorted order so the exposition text is
+``_total`` suffix, and gauges are exposed verbatim.  Families render in sorted order so the exposition text is
 deterministic for a given registry state.
 
 :func:`parse_exposition` is the inverse used by tests and the CI smoke
@@ -25,7 +23,7 @@ import math
 import re
 from typing import Dict
 
-from repro.sim.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry
 
 #: Prefix of every exposed sample name.
 EXPOSITION_PREFIX = "repro"
@@ -54,7 +52,7 @@ def _format_value(value: float) -> str:
 
 
 def render_exposition(registry: MetricRegistry, prefix: str = EXPOSITION_PREFIX) -> str:
-    """The registry's counters, gauges and histograms as exposition text."""
+    """The registry's counters and gauges as exposition text."""
     lines = []
     for counter in registry.iter_counters():
         family = sample_name(counter.name, prefix) + "_total"
@@ -68,18 +66,6 @@ def render_exposition(registry: MetricRegistry, prefix: str = EXPOSITION_PREFIX)
             lines.append(f"# HELP {family} {gauge.description}")
         lines.append(f"# TYPE {family} gauge")
         lines.append(f"{family} {_format_value(gauge.value)}")
-    for histogram in registry.iter_histograms():
-        family = sample_name(histogram.name, prefix)
-        if histogram.description:
-            lines.append(f"# HELP {family} {histogram.description}")
-        lines.append(f"# TYPE {family} summary")
-        for quantile in histogram.REPORT_QUANTILES:
-            lines.append(
-                f'{family}{{quantile="{quantile:g}"}} '
-                f"{_format_value(histogram.quantile(quantile))}"
-            )
-        lines.append(f"{family}_count {histogram.count}")
-        lines.append(f"{family}_sum {_format_value(histogram.total())}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,7 @@
 """JSON schemas for the telemetry JSONL stream and the Chrome trace export.
 
 One ``--telemetry FILE`` stream is newline-delimited JSON: a ``manifest``
-record first, then ``span`` records, ``metric`` records, and at most one
-``trace`` summary.  Each record kind has its own schema below (the subset
+record first, then ``span`` records and ``metric`` records.  Each record kind has its own schema below (the subset
 validator in :mod:`repro.experiments.schema` has no ``oneOf``, so
 :func:`validate_record` dispatches on the ``type`` field in code); the
 combined document checked in at ``docs/schemas/telemetry.schema.json`` is
@@ -23,7 +22,7 @@ from repro.experiments.schema import SchemaError, validate_payload
 from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION
 
 #: Record kinds a telemetry stream may carry, in stream order.
-RECORD_TYPES = ("manifest", "span", "metric", "trace")
+RECORD_TYPES = ("manifest", "span", "metric")
 
 MANIFEST_SCHEMA: Dict[str, Any] = {
     "type": "object",
@@ -78,21 +77,9 @@ METRIC_SCHEMA: Dict[str, Any] = {
     "required": ["type", "kind", "name", "value"],
     "properties": {
         "type": {"type": "string", "enum": ["metric"]},
-        "kind": {"type": "string", "enum": ["counter", "gauge", "histogram"]},
+        "kind": {"type": "string", "enum": ["counter", "gauge"]},
         "name": {"type": "string"},
         "value": {"type": "number"},
-        "count": {"type": "integer"},
-    },
-}
-
-TRACE_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": ["type", "events", "dropped", "kinds"],
-    "properties": {
-        "type": {"type": "string", "enum": ["trace"]},
-        "events": {"type": "integer"},
-        "dropped": {"type": "integer"},
-        "kinds": {"type": "object"},
     },
 }
 
@@ -100,7 +87,6 @@ _RECORD_SCHEMAS = {
     "manifest": MANIFEST_SCHEMA,
     "span": SPAN_SCHEMA,
     "metric": METRIC_SCHEMA,
-    "trace": TRACE_SCHEMA,
 }
 
 #: The document checked in at ``docs/schemas/telemetry.schema.json``.
@@ -110,16 +96,15 @@ TELEMETRY_SCHEMA: Dict[str, Any] = {
     "description": (
         "Newline-delimited JSON written by `repro <experiment> --telemetry "
         "FILE`: one manifest record (run provenance), then span records "
-        "(nestable wall-clock intervals), metric records (counter/gauge/"
-        "histogram scalars) and an optional trace summary.  Each line "
-        "validates against the definition matching its `type` field."
+        "(nestable wall-clock intervals) and metric records (counter/gauge "
+        "scalars).  Each line validates against the definition matching its "
+        "`type` field."
     ),
     "telemetry_schema_version": TELEMETRY_SCHEMA_VERSION,
     "definitions": {
         "manifest": MANIFEST_SCHEMA,
         "span": SPAN_SCHEMA,
         "metric": METRIC_SCHEMA,
-        "trace": TRACE_SCHEMA,
     },
 }
 

@@ -1,15 +1,12 @@
-"""The :class:`Telemetry` hub: one surface over spans, metrics and traces.
+"""The :class:`Telemetry` hub: one surface over spans and metrics.
 
-The repo's three observability primitives grew up separately --
-:class:`~repro.sim.metrics.MetricRegistry` collectors,
-:class:`~repro.sim.tracing.TraceRecorder` event logs, and the span buffers
-of :mod:`repro.obs.spans`.  The hub unifies them behind ``snapshot()`` /
+The hub puts the span buffers of :mod:`repro.obs.spans` and a
+:class:`~repro.obs.metrics.MetricRegistry` behind ``snapshot()`` /
 ``export_jsonl()``: one JSONL stream of typed records (validated by
 :mod:`repro.obs.schemas`, checked in at
 ``docs/schemas/telemetry.schema.json``) that opens with a **run manifest**
--- who measured, where, at which revision -- followed by every
-span, every scalar metric, and a trace summary carrying the recorder's
-retained/dropped counts.
+-- who measured, where, at which revision -- followed by every span and
+every scalar metric.
 
 ``chrome_trace()`` re-shapes the same spans into the Chrome trace-event
 format, so ``chrome://tracing`` (or Perfetto) renders a sweep's timeline
@@ -25,9 +22,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import SPAN_BUFFER, SpanBuffer, SpanRecord
-from repro.sim.metrics import MetricRegistry
-from repro.sim.tracing import TraceRecorder
 
 #: Version stamp of the telemetry JSONL layout.
 TELEMETRY_SCHEMA_VERSION = 2
@@ -39,16 +35,14 @@ HUB_METRIC_NAMES = ("sweep.cells",)
 
 
 class Telemetry:
-    """One export surface over a metric registry, a trace, and span buffers."""
+    """One export surface over a metric registry and span buffers."""
 
     def __init__(
         self,
         metrics: Optional[MetricRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
         spans: Optional[SpanBuffer] = None,
     ):
         self.metrics = metrics if metrics is not None else MetricRegistry()
-        self.trace = trace
         self.spans = spans if spans is not None else SPAN_BUFFER
 
     # -- assembly ------------------------------------------------------------
@@ -81,31 +75,13 @@ class Telemetry:
                 {"type": "metric", "kind": "gauge", "name": gauge.name,
                  "value": gauge.value}
             )
-        for histogram in self.metrics.iter_histograms():
-            records.append(
-                {"type": "metric", "kind": "histogram", "name": histogram.name,
-                 "value": histogram.total(), "count": histogram.count}
-            )
         return records
-
-    def _trace_record(self) -> Optional[Dict[str, Any]]:
-        if self.trace is None:
-            return None
-        return {
-            "type": "trace",
-            "events": len(self.trace),
-            "dropped": self.trace.dropped,
-            "kinds": self.trace.kinds(),
-        }
 
     def records(self, experiment: Optional[str] = None) -> List[Dict[str, Any]]:
         """Every JSONL record of one export, manifest first."""
         records: List[Dict[str, Any]] = [self.manifest(experiment=experiment)]
         records.extend(record.to_record() for record in self.spans.snapshot())
         records.extend(self._metric_records())
-        trace = self._trace_record()
-        if trace is not None:
-            records.append(trace)
         return records
 
     def snapshot(self) -> Dict[str, Any]:
@@ -115,7 +91,6 @@ class Telemetry:
             "spans": [record.to_record() for record in self.spans.snapshot()],
             "spans_dropped": self.spans.dropped,
             "metrics": self.metrics.snapshot(),
-            "trace": self._trace_record(),
         }
 
     # -- sinks ---------------------------------------------------------------
@@ -199,12 +174,11 @@ def render_text(records: List[Dict[str, Any]]) -> str:
     """A terse human summary of an exported telemetry stream.
 
     Per span name: call count, total and maximum duration; then the scalar
-    metrics and the trace summary, mirroring the stream's record order.
+    metrics, mirroring the stream's record order.
     """
     manifest = next((r for r in records if r.get("type") == "manifest"), {})
     spans = [r for r in records if r.get("type") == "span"]
     metrics = [r for r in records if r.get("type") == "metric"]
-    traces = [r for r in records if r.get("type") == "trace"]
 
     by_name: Dict[str, List[float]] = {}
     for record in spans:
@@ -228,12 +202,5 @@ def render_text(records: List[Dict[str, Any]]) -> str:
     if metrics:
         lines.append("metrics:")
         for record in metrics:
-            suffix = f" (count {record['count']})" if "count" in record else ""
-            lines.append(
-                f"  {record['kind']:>9}  {record['name']} = {record['value']:g}{suffix}"
-            )
-    for record in traces:
-        lines.append(
-            f"trace: {record['events']} event(s), {record['dropped']} dropped"
-        )
+            lines.append(f"  {record['kind']:>9}  {record['name']} = {record['value']:g}")
     return "\n".join(lines)

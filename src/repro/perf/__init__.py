@@ -1,9 +1,7 @@
 """Performance layer: the profiling harness and run provenance.
 
-Split across five modules:
+Split across four modules:
 
-* :mod:`repro.perf.timing` — warmup + median-of-k wall-clock timing for the
-  ``benchmarks/`` gates.
 * :mod:`repro.perf.profiler` — ``repro profile <experiment>``: run a
   registered experiment under cProfile and emit a schema-validated report.
 * :mod:`repro.perf.schemas` — the profile report's JSON schema and its

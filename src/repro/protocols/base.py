@@ -27,10 +27,9 @@ from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.demand import ConsumptionRequest, RequestSequence
 from repro.network.generation import DeterministicGeneration, GenerationProcess
 from repro.network.topology import EdgeKey, Topology
+from repro.runtime.seeding import RandomStreams
 from repro.scenarios.perturbations import ScenarioContext
 from repro.scenarios.scenario import Scenario, ScenarioDriver
-from repro.sim.rng import RandomStreams
-from repro.sim.tracing import TraceRecorder
 
 NodeId = Hashable
 
@@ -56,10 +55,6 @@ class ProtocolResult:
     #: Local GHZ-merge operations performed while serving multicast groups
     #: (always 0 for pair-only workloads and the independent-sessions strategy).
     fusions_performed: int = 0
-    #: Trace records dropped by a capacity-capped recorder during the run
-    #: (0 when tracing was off or nothing overflowed).  Surfaced so a capped
-    #: trace can never silently present itself as complete.
-    trace_dropped: int = 0
 
     @property
     def all_requests_satisfied(self) -> bool:
@@ -115,9 +110,10 @@ class SwappingProtocol(abc.ABC):
         ``FAILURE_NOTICE`` announcements through it (gossip planes reach
         only unchoked peers and drop stale cached views).
     trace:
-        Optional trace recorder.  When provided, the run records phase
-        markers, scenario perturbations and a per-round state summary --
-        the raw material of the golden-trace regression suite.
+        Optional recorder: any object with a ``record(time, kind, payload)``
+        method.  When provided, the run records phase markers, scenario
+        perturbations and a per-round state summary -- the raw material of
+        the golden-trace regression suite.
     """
 
     #: Human-readable protocol name, overridden by subclasses.
@@ -133,7 +129,7 @@ class SwappingProtocol(abc.ABC):
         max_rounds: int = 50_000,
         consumptions_per_round: Optional[int] = None,
         scenario: Optional[Scenario] = None,
-        trace: Optional[TraceRecorder] = None,
+        trace=None,
         control_plane=None,
     ):
         if max_rounds <= 0:
@@ -315,5 +311,4 @@ class SwappingProtocol(abc.ABC):
             swaps_by_node=self.swaps_by_node(),
             classical_overhead=self.classical_overhead(),
             fusions_performed=self.fusions_performed(),
-            trace_dropped=self.trace.dropped if self.trace is not None else 0,
         )

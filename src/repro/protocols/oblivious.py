@@ -26,7 +26,7 @@ from repro.network.generation import GenerationProcess
 from repro.network.topology import Topology
 from repro.protocols.base import SwappingProtocol
 from repro.protocols.fusion import DEFAULT_GROUP_STRATEGY, fusions_required, group_sessions
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 NodeId = Hashable
 

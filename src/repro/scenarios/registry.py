@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple, Union
 
 from repro.network.topology import Topology
+from repro.runtime.seeding import RandomStreams
 from repro.scenarios import schedules
 from repro.scenarios.scenario import Scenario
-from repro.sim.rng import RandomStreams
 
 #: Spec value types the mini-language can express.
 ParamValue = Union[int, float, bool]

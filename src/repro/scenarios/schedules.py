@@ -3,8 +3,8 @@
 These turn a process description (deterministic rotation, Poisson arrivals)
 into a concrete perturbation list over a finite horizon.  Everything random
 draws from the named stream ``"scenario"`` of the trial's
-:class:`~repro.sim.rng.RandomStreams`, so a schedule -- like every other
-stochastic component -- is a pure function of the experiment seed.
+:class:`~repro.runtime.seeding.RandomStreams`, so a schedule -- like every
+other stochastic component -- is a pure function of the experiment seed.
 
 Node and edge orderings are canonicalised by ``repr`` (the same convention
 as :func:`repro.network.topology.edge_key`), never by hash or insertion

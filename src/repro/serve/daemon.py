@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.api import ParamSpec
 from repro.experiments.registry import experiment_names, get_experiment
+from repro.obs.metrics import MetricRegistry
 from repro.serve import protocol
 from repro.serve.admission import (
     DEFAULT_ADMISSION_BURST,
@@ -65,7 +66,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.queue import Job, JobQueue, QueueFull
 from repro.serve.worker import WorkerPool
-from repro.sim.metrics import MetricRegistry
 
 #: Default bound on pending submissions.
 DEFAULT_QUEUE_DEPTH = 64

@@ -28,10 +28,10 @@ from typing import Callable, List, Optional
 from repro.experiments.api import RuntimeOptions
 from repro.experiments.registry import get_experiment
 from repro.experiments.schema import validate_payload
+from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import emit as emit_span
 from repro.obs.spans import span, telemetry_enabled
 from repro.serve.queue import Job, JobQueue
-from repro.sim.metrics import MetricRegistry
 
 
 class JobCancelled(Exception):

@@ -1,13 +1,12 @@
 """Arrival-process sampling: Poisson, bursty MMPP, diurnal, heavy-tailed.
 
-All samplers are vectorized over the round horizon with NumPy; each has a
-scalar reference twin (``*_scalar``) that draws round by round.  Because a
+All samplers are vectorized over the round horizon with NumPy.  Because a
 :class:`numpy.random.Generator` consumes its bit stream identically whether
 a distribution is sampled in one vectorized call or in a sequence of scalar
-calls, the two implementations are *bit-identical* for the same seeded
-generator -- a property the unit tests assert and
-``benchmarks/test_bench_workloads.py`` exploits to measure the speedup
-(>= 10x at 10^5 requests) without a correctness caveat.
+calls, each is *bit-identical* to a round-by-round loop for the same seeded
+generator.  The loops live in ``tests/arrivals_oracle.py``: the unit tests
+assert the identity and ``benchmarks/test_bench_workloads.py`` measures the
+speedup (>= 10x at 10^5 requests) without a correctness caveat.
 
 Counts are per-round arrival counts; :func:`counts_to_rounds` flattens them
 into one arrival-round entry per request, the shape the workload builders
@@ -28,15 +27,6 @@ def poisson_counts(rate: float, horizon: int, rng: np.random.Generator) -> np.nd
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     return rng.poisson(rate, size=horizon)
-
-
-def poisson_counts_scalar(rate: float, horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """Scalar reference for :func:`poisson_counts` (one draw per round)."""
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    return np.array([rng.poisson(rate) for _ in range(horizon)], dtype=np.int64)
 
 
 def diurnal_rates(
@@ -66,11 +56,6 @@ def modulated_poisson_counts(rates: np.ndarray, rng: np.random.Generator) -> np.
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
     return rng.poisson(rates)
-
-
-def modulated_poisson_counts_scalar(rates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Scalar reference for :func:`modulated_poisson_counts`."""
-    return np.array([rng.poisson(rate) for rate in np.asarray(rates, dtype=float)], dtype=np.int64)
 
 
 def mmpp_rates(
@@ -129,19 +114,6 @@ def pareto_batch_sizes(
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     sizes = 1 + np.floor(rng.pareto(alpha, size=n)).astype(np.int64)
-    return np.minimum(sizes, cap)
-
-
-def pareto_batch_sizes_scalar(
-    alpha: float,
-    n: int,
-    rng: np.random.Generator,
-    cap: int = 16,
-) -> np.ndarray:
-    """Scalar reference for :func:`pareto_batch_sizes`."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    sizes = np.array([1 + int(np.floor(rng.pareto(alpha))) for _ in range(n)], dtype=np.int64)
     return np.minimum(sizes, cap)
 
 

@@ -27,7 +27,7 @@ from repro.network.demand import (
 )
 from repro.network.topology import EdgeKey, GroupKey, Topology, edge_key
 from repro.protocols.fusion import DEFAULT_GROUP_STRATEGY
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 from repro.workloads.admission import AdmissionController
 from repro.workloads.arrivals import (
     counts_to_rounds,

@@ -20,7 +20,7 @@ from typing import Dict, Tuple, Union
 
 from repro.network.topology import Topology
 from repro.protocols.fusion import GROUP_STRATEGIES
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 from repro.workloads import models
 from repro.workloads.base import CLASS_MIXES, WorkloadBuild
 from repro.workloads.queueing import QUEUE_POLICIES

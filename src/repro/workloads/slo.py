@@ -3,9 +3,9 @@
 After a run, every :class:`~repro.workloads.base.TimedRequest` carries its
 full life cycle (arrival, admission, optional drop, satisfaction round);
 :func:`slo_summary` folds those into per-traffic-class attainment rows --
-p50/p95/p99 arrival-to-service latency (via the
-:class:`~repro.sim.metrics.Histogram` quantile collectors), deadline-miss
-and rejection rates -- plus a ``total`` aggregate.  The rows serialise to
+p50/p95/p99 arrival-to-service latency (exact :func:`quantile`
+interpolation over every satisfied request), deadline-miss and rejection
+rates -- plus a ``total`` aggregate.  The rows serialise to
 plain dicts (:func:`slo_as_dict`) so they travel inside
 :class:`~repro.experiments.config.TrialOutcome` across the worker pool
 and the JSON result surface unchanged.
@@ -13,10 +13,10 @@ and the JSON result surface unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.sim.metrics import Histogram
 from repro.workloads.base import TimedRequest
 
 #: Key of the cross-class aggregate row in an SLO summary.
@@ -41,6 +41,26 @@ class ClassSlo:
     deadline_miss_rate: float
 
 
+def quantile(samples: Iterable[float], q: float) -> float:
+    """The ``q``-quantile (0 <= q <= 1) of ``samples``, interpolated linearly.
+
+    Exact: sorts every sample, takes position ``q * (n - 1)`` and blends the
+    two samples around it.  ``nan`` when there are no samples.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be within [0, 1], got {q}")
+    ordered = sorted(float(value) for value in samples)
+    if not ordered:
+        return float("nan")
+    position = q * (len(ordered) - 1)
+    low = math.floor(position)
+    high = math.ceil(position)
+    if low == high:
+        return ordered[low]
+    weight = position - low
+    return ordered[low] * (1.0 - weight) + ordered[high] * weight
+
+
 def _missed(request: TimedRequest, horizon: Optional[float]) -> bool:
     """SLO miss: served late, dropped, or still unserved past the deadline.
 
@@ -58,7 +78,7 @@ def _missed(request: TimedRequest, horizon: Optional[float]) -> bool:
 
 
 def _class_row(name: str, requests: List[TimedRequest], horizon: Optional[float]) -> ClassSlo:
-    latencies = Histogram(f"latency.{name}", "arrival-to-service latency (rounds)")
+    latencies: List[float] = []
     admitted = rejected = dropped = satisfied = misses = 0
     for request in requests:
         if request.rejected:
@@ -72,7 +92,7 @@ def _class_row(name: str, requests: List[TimedRequest], horizon: Optional[float]
             satisfied += 1
             latency = request.latency_rounds
             if latency is not None:
-                latencies.observe(latency)
+                latencies.append(latency)
         if _missed(request, horizon):
             misses += 1
     arrivals = len(requests)
@@ -83,9 +103,9 @@ def _class_row(name: str, requests: List[TimedRequest], horizon: Optional[float]
         rejected=rejected,
         dropped=dropped,
         satisfied=satisfied,
-        p50_latency=latencies.quantile(0.50),
-        p95_latency=latencies.quantile(0.95),
-        p99_latency=latencies.quantile(0.99),
+        p50_latency=quantile(latencies, 0.50),
+        p95_latency=quantile(latencies, 0.95),
+        p99_latency=quantile(latencies, 0.99),
         deadline_misses=misses,
         rejection_rate=rejected / arrivals if arrivals else 0.0,
         deadline_miss_rate=misses / admitted if admitted else 0.0,

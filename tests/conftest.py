@@ -8,7 +8,7 @@ import pytest
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.demand import RequestSequence, select_consumer_pairs
 from repro.network.topologies import cycle_topology, grid_topology, line_topology
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from repro.experiments.runner import run_trial
 from repro.network.demand import RequestSequence, uniform_demand
 from repro.network.topologies import random_connected_grid_topology
 from repro.protocols import ConnectionOrientedProtocol, PathObliviousProtocol
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 
 class TestCLI:

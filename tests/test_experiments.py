@@ -17,7 +17,7 @@ from repro.experiments.runner import (
 )
 from repro.protocols.oblivious import PathObliviousProtocol
 from repro.protocols.planned import ConnectionOrientedProtocol
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 
 class TestExperimentConfig:

@@ -1,11 +1,12 @@
 """Golden-trace regression suite.
 
 Two canonical seeded runs -- one static, one under link churn -- are
-recorded as JSONL event traces (``sim/tracing.py``) in ``tests/golden/``.
-Each test replays its run and diffs the fresh trace against the stored one
-line by line, so *any* silent behavioural change to the simulation (event
-ordering, balancing decisions, scenario timing, consumption order) fails
-loudly instead of shifting results under reviewers' feet.
+recorded as JSONL event traces (``tests/trace_recorder.py``) in
+``tests/golden/``.  Each test replays its run and diffs the fresh trace
+against the stored one line by line, so *any* silent behavioural change
+to the simulation (event ordering, balancing decisions, scenario timing,
+consumption order) fails loudly instead of shifting results under
+reviewers' feet.
 
 Traces are deterministic by construction: every random draw derives from
 the root seed via named streams, tie-breaks sort by ``repr``, and the trace
@@ -34,9 +35,10 @@ from repro.network.demand import (
 )
 from repro.network.topologies import cycle_topology
 from repro.protocols.oblivious import PathObliviousProtocol
+from repro.runtime.seeding import RandomStreams
 from repro.scenarios import build_scenario
-from repro.sim.rng import RandomStreams
-from repro.sim.tracing import TraceRecorder
+
+from trace_recorder import TraceRecorder
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 

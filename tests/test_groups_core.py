@@ -186,7 +186,7 @@ class TestPlannedProtocolGuard:
     def test_group_request_raises_value_error(self, protocol_name):
         from repro.experiments.runner import build_protocol, build_topology
         from repro.experiments.config import ExperimentConfig
-        from repro.sim.rng import RandomStreams
+        from repro.runtime.seeding import RandomStreams
 
         config = ExperimentConfig(
             topology="cycle", n_nodes=6, n_consumer_pairs=3, n_requests=3,

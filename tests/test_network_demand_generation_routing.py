@@ -276,7 +276,7 @@ class TestRequestSequenceHeadOfLineEdgeCases:
             build_topology,
             build_workload_requests,
         )
-        from repro.sim.rng import RandomStreams
+        from repro.runtime.seeding import RandomStreams
 
         streams = RandomStreams(config.seed)
         topology = build_topology(config, streams)

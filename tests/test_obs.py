@@ -14,6 +14,7 @@ from repro.experiments.runner import run_trial
 from repro.obs import exposition as exposition_mod
 from repro.obs import schemas as obs_schemas
 from repro.obs import spans as spans_mod
+from repro.obs.metrics import Counter, Gauge, MetricRegistry
 from repro.obs.spans import (
     SPAN_BUFFER,
     SPAN_NAMES,
@@ -32,8 +33,6 @@ from repro.obs.telemetry import (
     load_jsonl,
     render_text,
 )
-from repro.sim.metrics import MetricRegistry
-from repro.sim.tracing import TraceRecorder
 
 #: The cheapest full trial (one tiny topology, few requests).
 TINY = ExperimentConfig(topology="cycle", n_nodes=9, n_consumer_pairs=4, n_requests=6)
@@ -157,40 +156,12 @@ class TestTrialInstrumentation:
         assert len(SPAN_BUFFER) == 0
 
 
-class TestTraceDropped:
-    def test_capped_recorder_surfaces_drops_in_protocol_result(self):
-        """A capacity-capped TraceRecorder must report its drop count
-        through ProtocolResult.trace_dropped -- a truncated trace can never
-        silently present itself as complete."""
-        from repro.network.demand import RequestSequence, select_consumer_pairs
-        from repro.network.topologies import cycle_topology
-        from repro.protocols.oblivious import PathObliviousProtocol
-        from repro.sim.rng import RandomStreams
-
-        streams = RandomStreams(11)
-        topology = cycle_topology(8)
-        pairs = select_consumer_pairs(topology, 4, streams.get("consumers"))
-        requests = RequestSequence.generate(pairs, 10, streams.get("requests"))
-        trace = TraceRecorder(capacity=5)
-        protocol = PathObliviousProtocol(
-            topology=topology, requests=requests, streams=streams,
-            max_rounds=400, trace=trace,
-        )
-        result = protocol.run()
-        assert trace.dropped > 0
-        assert result.trace_dropped == trace.dropped
-        assert len(trace) <= 5
-
-    def test_uncapped_run_reports_zero_drops_in_outcome(self):
-        outcome = run_trial(TINY)
-        assert outcome.trace_dropped == 0
-
-
 class TestTelemetryHub:
     def test_export_jsonl_validates_manifest_first(self, telemetry, tmp_path):
         run_trial(TINY)
-        hub = Telemetry(trace=TraceRecorder())
-        hub.trace.record(0.0, "round", {"n": 1})
+        hub = Telemetry()
+        hub.metrics.counter("sweep.cells").increment(2)
+        hub.metrics.gauge("serve.queue.depth").set(1)
         target = hub.export_jsonl(tmp_path / "t.jsonl", experiment="unit")
         records = load_jsonl(target)
         assert obs_schemas.validate_stream(records) == len(records)
@@ -198,7 +169,7 @@ class TestTelemetryHub:
         assert manifest["type"] == "manifest" and manifest["experiment"] == "unit"
         assert manifest["schema_version"] == 2
         types = {record["type"] for record in records}
-        assert {"manifest", "span", "trace"} <= types
+        assert types == {"manifest", "span", "metric"}
 
     def test_snapshot_carries_span_drop_count(self, telemetry):
         hub = Telemetry(spans=SpanBuffer(capacity=1))
@@ -236,6 +207,12 @@ class TestTelemetryHub:
             obs_schemas.validate_stream([{"type": "span"}])  # no manifest first
         with pytest.raises(ValueError):
             obs_schemas.validate_record({"type": "wormhole"})
+        with pytest.raises(ValueError):
+            obs_schemas.validate_record({"type": "trace", "events": 1, "dropped": 0, "kinds": {}})
+        with pytest.raises(ValueError):
+            obs_schemas.validate_record(
+                {"type": "metric", "kind": "histogram", "name": "x", "value": 1.0}
+            )
 
 
 class TestExposition:
@@ -243,8 +220,6 @@ class TestExposition:
         registry = MetricRegistry()
         registry.counter("serve.submitted", "jobs accepted").increment(3)
         registry.gauge("serve.queue.depth").set(2)
-        histogram = registry.histogram("trial.seconds", "per-trial wall time")
-        histogram.observe_many([0.5, 1.5])
         return registry
 
     def test_render_parse_round_trip(self):
@@ -252,21 +227,75 @@ class TestExposition:
         samples = exposition_mod.parse_exposition(text)
         assert samples["repro_serve_submitted_total"] == 3.0
         assert samples["repro_serve_queue_depth"] == 2.0
-        assert samples["repro_trial_seconds_count"] == 2.0
-        assert samples["repro_trial_seconds_sum"] == 2.0
-        assert samples['repro_trial_seconds{quantile="0.5"}'] == 1.0
+        assert len(samples) == 2
 
     def test_exposition_structure(self):
         text = exposition_mod.render_exposition(self._registry())
         lines = text.splitlines()
         assert "# TYPE repro_serve_submitted_total counter" in lines
         assert "# TYPE repro_serve_queue_depth gauge" in lines
-        assert "# TYPE repro_trial_seconds summary" in lines
         assert "# HELP repro_serve_submitted_total jobs accepted" in lines
 
     def test_parse_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
             exposition_mod.parse_exposition("this is not an exposition\n")
+
+
+class TestCounter:
+    def test_increment(self):
+        counter = Counter("swaps")
+        counter.increment()
+        counter.increment(2)
+        assert counter.value == 3
+
+    def test_negative_increment_rejected(self):
+        with pytest.raises(ValueError):
+            Counter("swaps").increment(-1)
+
+    def test_reset(self):
+        counter = Counter("swaps")
+        counter.increment(5)
+        counter.reset()
+        assert counter.value == 0
+
+
+class TestGauge:
+    def test_set_and_reset(self):
+        gauge = Gauge("pairs")
+        gauge.set(4)
+        gauge.set(3)
+        assert gauge.value == 3.0
+        gauge.reset()
+        assert gauge.value == 0.0
+
+
+class TestMetricRegistry:
+    def test_same_name_returns_same_metric(self):
+        registry = MetricRegistry()
+        assert registry.counter("swaps") is registry.counter("swaps")
+        assert registry.gauge("pairs") is registry.gauge("pairs")
+
+    def test_snapshot_contains_all_scalars(self):
+        registry = MetricRegistry()
+        registry.counter("swaps").increment(2)
+        registry.gauge("pairs").set(5)
+        assert registry.snapshot() == {"counter.swaps": 2.0, "gauge.pairs": 5.0}
+
+    def test_iteration_is_sorted_by_name(self):
+        registry = MetricRegistry()
+        for name in ("b", "a", "c"):
+            registry.counter(name)
+            registry.gauge(name)
+        assert [counter.name for counter in registry.iter_counters()] == ["a", "b", "c"]
+        assert [gauge.name for gauge in registry.iter_gauges()] == ["a", "b", "c"]
+
+    def test_reset_clears_everything(self):
+        registry = MetricRegistry()
+        registry.counter("swaps").increment(2)
+        registry.gauge("pairs").set(5)
+        registry.reset()
+        assert registry.counter("swaps").value == 0
+        assert registry.gauge("pairs").value == 0
 
 
 class TestCheckedInSchema:

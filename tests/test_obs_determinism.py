@@ -54,7 +54,7 @@ def test_sweep_outcomes_identical_across_telemetry_and_workers():
 
     def outcomes(workers: int):
         return [
-            (o.rounds, o.swaps_performed, o.overhead_exact, o.trace_dropped)
+            (o.rounds, o.swaps_performed, o.overhead_exact)
             for o in SweepRunner(n_workers=workers).run(configs)
         ]
 

@@ -11,32 +11,10 @@ from repro.perf.kernels import active_backend
 from repro.perf.profiler import format_report, profile_experiment, smoke_params
 from repro.perf.schemas import main as schemas_main
 from repro.perf.schemas import validate_profile
-from repro.perf.timing import median_of_k
 
 
 def test_backend_name_is_numpy():
     assert active_backend() == "numpy"
-
-
-# ---------------------------------------------------------------------- #
-# Timing helper
-# ---------------------------------------------------------------------- #
-class TestMedianOfK:
-    def test_median_is_robust_to_one_outlier(self):
-        calls = iter([0.0] * 10)
-
-        def call():
-            next(calls)
-
-        assert median_of_k(call, repeats=3, warmup=2) >= 0.0
-        with pytest.raises(StopIteration):
-            median_of_k(call, repeats=5, warmup=2)  # consumed warmup + timed calls
-
-    def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            median_of_k(lambda: None, repeats=0)
-        with pytest.raises(ValueError):
-            median_of_k(lambda: None, warmup=-1)
 
 
 # ---------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_trial
 from repro.runtime.sweep import SweepRunner
 from repro.protocols.nested import nested_swap_count, sequential_swap_count
-from repro.sim.metrics import Histogram
+from repro.workloads.slo import quantile
 
 from balancer_oracle import OracleBalancer
 
@@ -284,13 +284,15 @@ class TestNestedCountProperties:
 
 
 # ---------------------------------------------------------------------- #
-# Metric container sanity under arbitrary observations
+# SLO latency quantiles under arbitrary observations
 # ---------------------------------------------------------------------- #
 class TestHistogramProperties:
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
-    def test_quantiles_bracket_extremes(self, samples):
-        histogram = Histogram("x")
-        histogram.observe_many(samples)
-        assert histogram.quantile(0.0) == pytest.approx(min(samples))
-        assert histogram.quantile(1.0) == pytest.approx(max(samples))
-        assert min(samples) - 1e-9 <= histogram.quantile(0.5) <= max(samples) + 1e-9
+    @given(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=200),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_quantiles_bracket_extremes(self, samples, q):
+        assert quantile(samples, 0.0) == pytest.approx(min(samples))
+        assert quantile(samples, 1.0) == pytest.approx(max(samples))
+        assert min(samples) - 1e-9 <= quantile(samples, 0.5) <= max(samples) + 1e-9
+        assert min(samples) - 1e-9 <= quantile(samples, q) <= max(samples) + 1e-9

@@ -30,7 +30,7 @@ from repro.protocols import (
 )
 from repro.protocols.base import ProtocolResult, SwappingProtocol
 from repro.protocols.nested import required_link_pairs
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 
 N_REQUESTS = 9
 SEED = 11

@@ -20,9 +20,9 @@ from repro.protocols import (
     PathObliviousProtocol,
 )
 from repro.protocols.base import ProtocolResult
+from repro.runtime.seeding import RandomStreams
 from repro.scenarios import build_scenario
 from repro.scenarios.scenario import ScenarioDriver
-from repro.sim.rng import RandomStreams
 from repro.workloads.base import TimedRequest
 from repro.workloads.queueing import TimedRequestSequence
 

@@ -6,11 +6,12 @@ import math
 from dataclasses import fields
 from multiprocessing.reduction import ForkingPickler
 
+import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure4 import figure4_configs
-from repro.runtime import SweepRunner, seed_grid, trial_seed
+from repro.runtime import RandomStreams, SweepRunner, derive_seed, seed_grid, trial_seed
 from repro.runtime.sweep import default_workers
 
 
@@ -55,6 +56,53 @@ def _fingerprint(outcome):
     )
 
 
+class TestDeriveSeed:
+    def test_deterministic(self):
+        assert derive_seed(42, "demand") == derive_seed(42, "demand")
+
+    def test_different_names_differ(self):
+        assert derive_seed(42, "demand") != derive_seed(42, "topology")
+
+    def test_different_roots_differ(self):
+        assert derive_seed(1, "demand") != derive_seed(2, "demand")
+
+    def test_range(self):
+        for seed in (0, 1, 2**31, 2**62):
+            value = derive_seed(seed, "x")
+            assert 0 <= value < 2**63
+
+    def test_stable_value(self):
+        # Guards against accidental changes to the derivation scheme, which
+        # would silently change every experiment's workload.
+        assert derive_seed(0, "demand") == 6040604234738214580
+        assert isinstance(derive_seed(0, "demand"), int)
+
+
+class TestRandomStreams:
+    def test_same_seed_same_draws(self):
+        a = RandomStreams(7).get("x").integers(0, 1000, size=10)
+        b = RandomStreams(7).get("x").integers(0, 1000, size=10)
+        assert np.array_equal(a, b)
+
+    def test_different_streams_independent(self):
+        streams = RandomStreams(7)
+        a = streams.get("a").integers(0, 1000, size=20)
+        b = streams.get("b").integers(0, 1000, size=20)
+        assert not np.array_equal(a, b)
+
+    def test_stream_is_seeded_by_derive_seed(self):
+        expected = np.random.default_rng(derive_seed(5, "x")).random()
+        assert RandomStreams(5).get("x").random() == expected
+
+    def test_get_returns_same_generator(self):
+        streams = RandomStreams(0)
+        assert streams.get("x") is streams.get("x")
+
+    def test_rejects_non_int_seed(self):
+        with pytest.raises(TypeError):
+            RandomStreams("seed")  # type: ignore[arg-type]
+
+
 class TestSeeding:
     def test_trial_seed_deterministic_and_distinct(self):
         seeds = seed_grid(master_seed=7, n_trials=100)
@@ -62,10 +110,12 @@ class TestSeeding:
         assert len(set(seeds)) == 100
         assert all(0 <= seed < 2**63 for seed in seeds)
 
-    def test_trial_seed_depends_on_master_seed_and_salt(self):
+    def test_trial_seed_depends_on_master_seed_and_index(self):
         assert trial_seed(1, 0) != trial_seed(2, 0)
         assert trial_seed(1, 0) != trial_seed(1, 1)
-        assert trial_seed(1, 0, salt="a") != trial_seed(1, 0, salt="b")
+
+    def test_trial_seed_is_the_named_trial_stream_seed(self):
+        assert trial_seed(42, 3) == derive_seed(42, "trial-3") == 1751747333786045452
 
     def test_trial_seed_rejects_negative_index(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from repro.experiments.registry import get_experiment
 from repro.experiments.traffic import TrafficExperiment
 from repro.network.demand import RequestSequence, select_consumer_pairs
 from repro.network.topologies import topology_from_name
-from repro.sim.rng import RandomStreams
+from repro.runtime.seeding import RandomStreams
 from repro.workloads import (
     CLASS_MIXES,
     TRAFFIC_CLASSES,
@@ -39,12 +39,14 @@ from repro.workloads import (
     slo_summary,
     validate_workload_spec,
 )
-from repro.workloads.arrivals import (
+from repro.workloads.registry import reads_trace_file
+from repro.workloads.slo import quantile
+
+from arrivals_oracle import (
     modulated_poisson_counts_scalar,
     pareto_batch_sizes_scalar,
     poisson_counts_scalar,
 )
-from repro.workloads.registry import reads_trace_file
 
 
 def _rng(seed=0):
@@ -316,6 +318,30 @@ class TestTimedRequestSequence:
 # ---------------------------------------------------------------------- #
 # SLO metrics
 # ---------------------------------------------------------------------- #
+class TestQuantile:
+    def test_interpolates_between_order_statistics(self):
+        assert quantile(range(11), 0.0) == 0.0
+        assert quantile(range(11), 0.5) == 5.0
+        assert quantile(range(11), 1.0) == 10.0
+        assert quantile([1, 2], 0.25) == 1.25
+
+    def test_blends_as_low_times_one_minus_w_plus_high_times_w(self):
+        # The payloads pin this exact arithmetic: numpy.quantile's
+        # low + w * (high - low) gives 35.45 here.
+        assert quantile([1, 4, 9, 16, 25, 36], 0.99) == 35.449999999999996
+
+    def test_single_sample_is_a_float(self):
+        value = quantile([7], 0.95)
+        assert value == 7.0 and isinstance(value, float)
+
+    def test_empty_samples_are_nan(self):
+        assert math.isnan(quantile([], 0.5))
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            quantile([1.0], 1.5)
+
+
 class TestSloSummary:
     def test_per_class_rows_and_total(self):
         served = _timed(0, (0, 1), 0, "premium")
