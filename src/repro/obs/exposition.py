@@ -9,8 +9,9 @@ scraper (or ``curl`` + eyeballs) understands::
 
 Mapping from registry names to sample names: dots and dashes become
 underscores under a ``repro_`` prefix, counters gain the conventional
-``_total`` suffix, and gauges are exposed verbatim.  Families render in sorted order so the exposition text is
-deterministic for a given registry state.
+``_total`` suffix, and gauges are exposed verbatim.  Families render in
+sorted order so the exposition text is deterministic for a given registry
+state.
 
 :func:`parse_exposition` is the inverse used by tests and the CI smoke
 script: exposition text in, ``{sample name -> value}`` out, with malformed

@@ -1,8 +1,9 @@
 """JSON schemas for the telemetry JSONL stream and the Chrome trace export.
 
 One ``--telemetry FILE`` stream is newline-delimited JSON: a ``manifest``
-record first, then ``span`` records and ``metric`` records.  Each record kind has its own schema below (the subset
-validator in :mod:`repro.experiments.schema` has no ``oneOf``, so
+record first, then ``span`` records and ``metric`` records.  Each record
+kind has its own schema below (the subset validator in
+:mod:`repro.experiments.schema` has no ``oneOf``, so
 :func:`validate_record` dispatches on the ``type`` field in code); the
 combined document checked in at ``docs/schemas/telemetry.schema.json`` is
 :data:`TELEMETRY_SCHEMA` (a drift test keeps the two identical).

@@ -18,9 +18,9 @@ package decides *how* to run it:
 The contract that makes all of this safe is that
 :func:`repro.experiments.runner.run_trial` is a *pure function of its
 config*: every random draw inside a trial comes from named streams derived
-from ``config.seed`` (see :class:`~repro.runtime.seeding.RandomStreams`).  Parallelism is
-therefore observationally invisible -- a sweep returns bit-identical
-outcomes whether it ran on one worker or sixteen.
+from ``config.seed`` (see :class:`~repro.runtime.seeding.RandomStreams`).
+Parallelism is therefore observationally invisible -- a sweep returns
+bit-identical outcomes whether it ran on one worker or sixteen.
 
 Every public name below is a lazy export (:mod:`repro.lazy`): importing
 one submodule does not import the rest.
