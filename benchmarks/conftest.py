@@ -59,8 +59,4 @@ def median_time():
     reporting the median of ``repeats`` timed ones is robust against both
     first-call effects and single outliers (:func:`median_of_k`).
     """
-
-    def _time(call, repeats: int = 5, warmup: int = 1) -> float:
-        return median_of_k(call, repeats=repeats, warmup=warmup)
-
-    return _time
+    return median_of_k
