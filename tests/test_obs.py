@@ -171,6 +171,10 @@ class TestTelemetryHub:
         types = {record["type"] for record in records}
         assert types == {"manifest", "span", "metric"}
 
+    def test_hub_takes_no_trace_argument(self):
+        with pytest.raises(TypeError):
+            Telemetry(trace=object())  # type: ignore[call-arg]
+
     def test_snapshot_carries_span_drop_count(self, telemetry):
         hub = Telemetry(spans=SpanBuffer(capacity=1))
         with span("trial.run"):
@@ -268,6 +272,11 @@ class TestGauge:
         gauge.reset()
         assert gauge.value == 0.0
 
+    def test_set_stores_a_float(self):
+        gauge = Gauge("pairs")
+        gauge.set(4)
+        assert isinstance(gauge.value, float)
+
 
 class TestMetricRegistry:
     def test_same_name_returns_same_metric(self):
@@ -280,6 +289,13 @@ class TestMetricRegistry:
         registry.counter("swaps").increment(2)
         registry.gauge("pairs").set(5)
         assert registry.snapshot() == {"counter.swaps": 2.0, "gauge.pairs": 5.0}
+
+    def test_counters_maps_names_to_values(self):
+        registry = MetricRegistry()
+        registry.counter("swaps").increment(2)
+        registry.counter("consumed")
+        registry.gauge("pairs").set(5)
+        assert registry.counters() == {"swaps": 2.0, "consumed": 0.0}
 
     def test_iteration_is_sorted_by_name(self):
         registry = MetricRegistry()

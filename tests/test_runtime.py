@@ -102,6 +102,17 @@ class TestRandomStreams:
         with pytest.raises(TypeError):
             RandomStreams("seed")  # type: ignore[arg-type]
 
+    def test_different_roots_differ(self):
+        a = RandomStreams(1).get("x").integers(0, 2**31, size=10)
+        b = RandomStreams(2).get("x").integers(0, 2**31, size=10)
+        assert not np.array_equal(a, b)
+
+    def test_draws_on_one_stream_leave_another_unperturbed(self):
+        untouched = RandomStreams(7).get("b").random(5)
+        streams = RandomStreams(7)
+        streams.get("a").random(100)
+        assert np.array_equal(streams.get("b").random(5), untouched)
+
 
 class TestSeeding:
     def test_trial_seed_deterministic_and_distinct(self):
@@ -120,6 +131,19 @@ class TestSeeding:
     def test_trial_seed_rejects_negative_index(self):
         with pytest.raises(ValueError):
             trial_seed(1, -1)
+
+    def test_seed_grid_is_the_trial_seeds_in_index_order(self):
+        assert seed_grid(9, 4) == [trial_seed(9, index) for index in range(4)]
+
+    def test_seed_grid_rejects_non_positive_count(self):
+        with pytest.raises(ValueError):
+            seed_grid(1, 0)
+
+    def test_seeds_take_no_salt(self):
+        with pytest.raises(TypeError):
+            trial_seed(1, 0, salt="x")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            seed_grid(1, 2, salt="x")  # type: ignore[call-arg]
 
 
 class TestSweepRunner:

@@ -341,6 +341,17 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
+    def test_negative_q_rejected(self):
+        with pytest.raises(ValueError):
+            quantile([1.0], -0.1)
+
+    def test_sorts_the_samples_first(self):
+        assert quantile([9, 1, 5, 3, 7], 0.25) == 3.0
+        assert quantile([9, 1, 5, 3, 7], 1.0) == 9.0
+
+    def test_takes_any_iterable(self):
+        assert quantile((value for value in (4, 2, 8)), 0.5) == 4.0
+
 
 class TestSloSummary:
     def test_per_class_rows_and_total(self):
