@@ -27,9 +27,8 @@ def _warm_balancer(n_nodes: int = 25, warmup_rounds: int = 30) -> MaxMinBalancer
     ledger = PairCountLedger(topology.nodes)
     generation = DeterministicGeneration(topology)
     balancer = MaxMinBalancer(ledger, overheads=1.0, rng=np.random.default_rng(0), keep_records=False)
-    rng = np.random.default_rng(1)
     for round_index in range(warmup_rounds):
-        ledger.add_pairs(*generation.draw(round_index, rng))
+        ledger.add_pairs(*generation.draw())
         balancer.run_round(round_index)
     return balancer
 
@@ -38,12 +37,11 @@ def test_balancing_round_throughput(benchmark):
     """One full balancing round (every node takes a turn) at |N| = 25."""
     balancer = _warm_balancer()
     generation = DeterministicGeneration(grid_topology(25))
-    rng = np.random.default_rng(2)
     state = {"round": 100}
 
     def one_round():
         round_index = state["round"]
-        balancer.ledger.add_pairs(*generation.draw(round_index, rng))
+        balancer.ledger.add_pairs(*generation.draw())
         balancer.run_round(round_index)
         state["round"] += 1
 

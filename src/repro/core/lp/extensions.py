@@ -10,9 +10,9 @@ The LP of Section 3.1 is extended in Section 3.2 with three knobs:
   thinning every generation rate to ``g / R``.
 
 :class:`PairOverheads` bundles the per-pair ``D`` and ``L`` maps with
-uniform defaults; ``R`` is the LP's ``qec_overhead``, and trials thin with
-:meth:`repro.network.topology.Topology.scale_generation_rates`.  All three
-arrive as numbers.  Deriving them from link fidelities and memory coherence
+uniform defaults; ``R`` is the LP's ``qec_overhead``.  Only the LP reads
+``L`` and ``R``: a simulated trial pays ``D`` alone.  All three arrive as
+numbers.  Deriving them from link fidelities and memory coherence
 is the job of :mod:`repro.quantum`, which this layer never imports
 (``examples/capacity_planning.py`` shows the bridge).
 """

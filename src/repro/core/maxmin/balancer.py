@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -409,27 +409,19 @@ class MaxMinBalancer:
         row = self._index.get(repeater)
         return 0 if row is None else self._turn(repeater, row, round_index)
 
-    def run_round(
-        self,
-        round_index: int = 0,
-        node_order: Optional[Sequence[NodeId]] = None,
-        refresh_knowledge: bool = True,
-    ) -> int:
+    def run_round(self, round_index: int = 0) -> int:
         """Run one full balancing round over every node; returns the swaps performed.
 
         Nodes act sequentially within the round (the paper's algorithm is
         asynchronous; sequential execution with a rotating order is the
-        standard discrete realisation).  ``node_order`` defaults to the
-        ledger's node order rotated by the round index so no node is
-        permanently advantaged.
+        standard discrete realisation), in the ledger's node order rotated
+        by the round index so no node is permanently advantaged.
         """
-        if refresh_knowledge:
-            self.knowledge.refresh(round_index, self.rng)
+        self.knowledge.refresh(round_index, self.rng)
         self._sync()
-        nodes = list(node_order) if node_order is not None else self._rotated_nodes(round_index)
         index, dirty, skipping = self._index, self._dirty, self._skipping
         performed = 0
-        for node in nodes:
+        for node in self._rotated_nodes(round_index):
             if self._log:  # only ever non-empty while skipping
                 self._mark_dirty()
             row = index.get(node)

@@ -110,7 +110,7 @@ def _account_overheads(
     }
 
     for round_index in range(rounds):
-        ledger.add_pairs(*generation.draw(round_index, streams.get("generation")))
+        ledger.add_pairs(*generation.draw())
         balancer.run_round(round_index)
         flooding.run_round(round_index)
         for gossip in gossips.values():

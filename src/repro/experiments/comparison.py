@@ -3,7 +3,7 @@
 The paper compares its protocol against an *analytic* planned-path optimum
 (the overhead denominator).  This experiment additionally runs concrete
 planned-path protocols on exactly the same workload -- same topology, same
-consumer pairs, same request sequence, same generation process -- so the
+consumer pairs, same request sequence, same generation -- so the
 trade-off the paper argues for (a modest swap overhead bought in exchange
 for much lower serving latency once state is pre-positioned) can be
 quantified rather than asserted.

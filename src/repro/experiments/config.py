@@ -42,9 +42,7 @@ class ExperimentConfig:
     n_requests: int = 50
     seed: int = 0
     protocol: str = "path-oblivious"
-    generation_process: str = "deterministic"
     swaps_per_node_per_round: int = 1
-    consumptions_per_round: Optional[int] = None
     max_rounds: int = 200_000
     use_hybrid_fallback: bool = False
     knowledge: str = "global"
@@ -54,11 +52,7 @@ class ExperimentConfig:
     scenario: str = NO_SCENARIO
     workload: str = DEFAULT_WORKLOAD
     policy_max_detour: Optional[int] = None
-    qec_overhead: float = 1.0
-    loss_factor: float = 1.0
-    window: int = 4
     extra_edge_fraction: float = 0.0
-    overhead_variant: str = "exact"
 
     def __post_init__(self) -> None:
         if self.n_nodes < 3:
@@ -71,10 +65,6 @@ class ExperimentConfig:
             raise ValueError(f"n_requests must be positive, got {self.n_requests}")
         if self.max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
-        if not 0.0 < self.loss_factor <= 1.0:
-            raise ValueError(f"loss_factor must be in (0, 1], got {self.loss_factor}")
-        if self.qec_overhead < 1.0:
-            raise ValueError(f"qec_overhead must be >= 1, got {self.qec_overhead}")
         if self.balancer not in ("naive", "incremental"):
             raise ValueError(
                 f"balancer must be 'naive' or 'incremental', got {self.balancer!r}"
@@ -138,24 +128,5 @@ class TrialOutcome:
     fusions_performed: int = 0
 
     @property
-    def overhead(self) -> float:
-        """The overhead under the configured denominator variant."""
-        if self.config.overhead_variant == "paper":
-            return self.overhead_paper
-        return self.overhead_exact
-
-    @property
     def all_satisfied(self) -> bool:
         return self.requests_satisfied >= self.requests_total
-
-    def summary_row(self) -> Tuple:
-        """The row used by generic report tables."""
-        return (
-            self.config.protocol,
-            self.topology_name,
-            self.config.distillation,
-            self.rounds,
-            self.swaps_performed,
-            f"{self.requests_satisfied}/{self.requests_total}",
-            self.overhead_exact,
-        )

@@ -21,7 +21,6 @@ from repro.core.maxmin.policy import (
 from repro.experiments.config import ExperimentConfig, TrialOutcome
 from repro.network.demand import RequestSequence
 from repro.obs.spans import span
-from repro.network.generation import make_generation_process
 from repro.network.topologies import topology_from_name
 from repro.network.topology import Topology
 from repro.protocols.base import SwappingProtocol
@@ -51,12 +50,9 @@ def build_topology(config: ExperimentConfig, streams: RandomStreams) -> Topology
     kwargs = {}
     if config.topology == "random-grid" and config.extra_edge_fraction > 0:
         kwargs["extra_edge_fraction"] = config.extra_edge_fraction
-    topology = topology_from_name(
+    return topology_from_name(
         config.topology, config.n_nodes, rng=streams.get("topology"), **kwargs
     )
-    if config.qec_overhead > 1.0:
-        topology = topology.scale_generation_rates(1.0 / config.qec_overhead)
-    return topology
 
 
 def build_workload_requests(
@@ -103,18 +99,12 @@ def build_protocol(
         # reference the post-run analyses (overhead, starvation) compare
         # against.
         topology = topology.copy()
-    overheads = PairOverheads.uniform(
-        distillation=config.distillation, loss=config.loss_factor
-    )
-    generation = make_generation_process(config.generation_process, topology)
     common = dict(
         topology=topology,
         requests=requests,
-        overheads=overheads,
-        generation=generation,
+        overheads=PairOverheads.uniform(distillation=config.distillation),
         streams=streams,
         max_rounds=config.max_rounds,
-        consumptions_per_round=config.consumptions_per_round,
         scenario=scenario,
     )
     if config.protocol == "path-oblivious":
@@ -137,7 +127,7 @@ def build_protocol(
     if config.protocol == "planned-connection-oriented":
         return ConnectionOrientedProtocol(**common)
     if config.protocol == "planned-connectionless":
-        return ConnectionlessProtocol(window=config.window, **common)
+        return ConnectionlessProtocol(**common)
     if config.protocol == "planned-on-demand":
         return OnDemandProtocol(**common)
     raise ValueError(f"unknown protocol {config.protocol!r}; choose from {PROTOCOL_NAMES}")

@@ -23,12 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "select_consumer_pairs",
             "uniform_demand",
         ),
-        "repro.network.generation": (
-            "BernoulliGeneration",
-            "DeterministicGeneration",
-            "GenerationProcess",
-            "PoissonGeneration",
-        ),
+        "repro.network.generation": ("DeterministicGeneration",),
         "repro.network.topology": ("Topology",),
         "repro.network.topologies": (
             "complete_topology",

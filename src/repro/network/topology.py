@@ -272,20 +272,6 @@ class Topology:
             clone.add_edge(node_a, node_b, rate)
         return clone
 
-    def scale_generation_rates(self, factor: float) -> "Topology":
-        """Return a copy with every generation rate multiplied by ``factor``.
-
-        Used to apply the QEC thinning ``g / R`` of Section 3.2 uniformly.
-        """
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor}")
-        clone = Topology(name=self.name, positions=self._positions)
-        for node in self.nodes:
-            clone.add_node(node)
-        for (node_a, node_b), rate in self.generation_rates().items():
-            clone.add_edge(node_a, node_b, rate * factor)
-        return clone
-
     def node_pairs(self) -> Iterator[EdgeKey]:
         """All unordered node pairs (the paper's ``|N| choose 2`` candidate set)."""
         ordered = self.nodes

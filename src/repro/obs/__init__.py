@@ -9,8 +9,8 @@ section of ``docs/architecture.md``):
   :class:`MetricRegistry` that holds them (the sweep's cell counter, the
   serve daemon's counters and gauges).
 * :mod:`repro.obs.telemetry` -- the :class:`Telemetry` hub putting a
-  metric registry and the span buffers behind ``snapshot()`` /
-  ``export_jsonl()`` / ``chrome_trace()``.
+  metric registry and the span buffers behind ``export_jsonl()`` /
+  ``chrome_trace()``.
 * :mod:`repro.obs.exposition` -- Prometheus-style text exposition of a
   metric registry (the serve daemon's ``metrics`` verb).
 * :mod:`repro.obs.schemas` -- JSON schemas for the telemetry JSONL stream

@@ -71,9 +71,6 @@ class MetricRegistry:
             self._gauges[name] = Gauge(name, description)
         return self._gauges[name]
 
-    def counters(self) -> Dict[str, float]:
-        return {name: counter.value for name, counter in self._counters.items()}
-
     def iter_counters(self) -> List[Counter]:
         """The registered counters, sorted by name (for expositions)."""
         return [self._counters[name] for name in sorted(self._counters)]
@@ -81,12 +78,6 @@ class MetricRegistry:
     def iter_gauges(self) -> List[Gauge]:
         """The registered gauges, sorted by name (for expositions)."""
         return [self._gauges[name] for name in sorted(self._gauges)]
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flatten all metrics into one dictionary (for reports)."""
-        snapshot = {f"counter.{name}": value for name, value in self.counters().items()}
-        snapshot.update({f"gauge.{name}": gauge.value for name, gauge in self._gauges.items()})
-        return snapshot
 
     def reset(self) -> None:
         for collection in (self._counters, self._gauges):

@@ -43,6 +43,7 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "git_rev": {"type": "string"},
         "python": {"type": "string"},
         "platform": {"type": "string"},
+        "spans_dropped": {"type": "integer"},
     },
 }
 

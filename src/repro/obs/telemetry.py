@@ -1,12 +1,12 @@
 """The :class:`Telemetry` hub: one surface over spans and metrics.
 
 The hub puts the span buffers of :mod:`repro.obs.spans` and a
-:class:`~repro.obs.metrics.MetricRegistry` behind ``snapshot()`` /
-``export_jsonl()``: one JSONL stream of typed records (validated by
-:mod:`repro.obs.schemas`, checked in at
-``docs/schemas/telemetry.schema.json``) that opens with a **run manifest**
--- who measured, where, at which revision -- followed by every span and
-every scalar metric.
+:class:`~repro.obs.metrics.MetricRegistry` behind ``export_jsonl()``: one
+JSONL stream of typed records (validated by :mod:`repro.obs.schemas`,
+checked in at ``docs/schemas/telemetry.schema.json``) that opens with a
+**run manifest** -- who measured, where, at which revision, and how many
+spans the bounded buffer dropped -- followed by every span and every
+scalar metric.
 
 ``chrome_trace()`` re-shapes the same spans into the Chrome trace-event
 format, so ``chrome://tracing`` (or Perfetto) renders a sweep's timeline
@@ -48,7 +48,11 @@ class Telemetry:
     # -- assembly ------------------------------------------------------------
 
     def manifest(self, experiment: Optional[str] = None, **extra: Any) -> Dict[str, Any]:
-        """The run manifest opening every export: provenance, not results."""
+        """The run manifest opening every export: provenance, not results.
+
+        ``spans_dropped`` counts the spans the bounded buffer evicted, so a
+        reader can tell a complete stream from a truncated one.
+        """
         from repro.perf.bench import git_revision
 
         record: Dict[str, Any] = {
@@ -59,6 +63,7 @@ class Telemetry:
             "git_rev": git_revision(),
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "spans_dropped": self.spans.dropped,
         }
         record.update(extra)
         return record
@@ -83,15 +88,6 @@ class Telemetry:
         records.extend(record.to_record() for record in self.spans.snapshot())
         records.extend(self._metric_records())
         return records
-
-    def snapshot(self) -> Dict[str, Any]:
-        """One JSON-ready view of everything the hub holds right now."""
-        return {
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "spans": [record.to_record() for record in self.spans.snapshot()],
-            "spans_dropped": self.spans.dropped,
-            "metrics": self.metrics.snapshot(),
-        }
 
     # -- sinks ---------------------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Protocol interface and result record.
 
-Every protocol in this package runs the same round-based workload -- a
-generation process feeding a count ledger and an ordered consumption-request
-sequence draining it -- and differs only in *how* it turns link-level pairs
-into the end-to-end pairs the requests need.  :class:`SwappingProtocol` owns
-the shared machinery (the round loop, generation, ordered consumption);
-subclasses implement :meth:`_action_phase` (what happens between
-generation and consumption each round) and :meth:`_try_serve_head`
-(whether the head-of-line request can be served right now).
+Every protocol in this package runs the same round-based workload --
+deterministic generation feeding a count ledger and an ordered
+consumption-request sequence draining it -- and differs only in *how* it
+turns link-level pairs into the end-to-end pairs the requests need.
+:class:`SwappingProtocol` owns the shared machinery (the round loop,
+generation, ordered consumption); subclasses implement
+:meth:`_action_phase` (what happens between generation and consumption
+each round) and :meth:`_try_serve_head` (whether the head-of-line request
+can be served right now).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.obs.spans import telemetry_enabled
 from repro.core.lp.extensions import PairOverheads
 from repro.core.maxmin.ledger import PairCountLedger
 from repro.network.demand import ConsumptionRequest, RequestSequence
-from repro.network.generation import DeterministicGeneration, GenerationProcess
+from repro.network.generation import DeterministicGeneration
 from repro.network.topology import EdgeKey, Topology
 from repro.runtime.seeding import RandomStreams
 from repro.scenarios.perturbations import ScenarioContext
@@ -87,18 +88,13 @@ class SwappingProtocol(abc.ABC):
     requests:
         The ordered consumption request sequence.
     overheads:
-        Distillation/loss overheads; a bare float is a uniform ``D``.
-    generation:
-        Per-round realisation of the generation rates; defaults to the
-        paper's deterministic ``g`` pairs per edge per round.
+        Per-pair overheads, of which a trial pays the distillation ``D``
+        (the loss ``L`` reaches only the LP); a bare float is a uniform ``D``.
     streams:
         Named RNG streams (defaults to seed 0).
     max_rounds:
         Hard bound on the number of rounds (the run also stops as soon as
         every request has been satisfied).
-    consumptions_per_round:
-        Cap on how many head-of-line requests may be served per round
-        (``None`` = as many as resources allow).
     scenario:
         Optional dynamic scenario (:mod:`repro.scenarios`).  Its
         perturbations are applied at the *start* of their trigger round,
@@ -124,29 +120,22 @@ class SwappingProtocol(abc.ABC):
         topology: Topology,
         requests: RequestSequence,
         overheads: Union[PairOverheads, float] = 1.0,
-        generation: Optional[GenerationProcess] = None,
         streams: Optional[RandomStreams] = None,
         max_rounds: int = 50_000,
-        consumptions_per_round: Optional[int] = None,
         scenario: Optional[Scenario] = None,
         trace=None,
         control_plane=None,
     ):
         if max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-        if consumptions_per_round is not None and consumptions_per_round <= 0:
-            raise ValueError(
-                f"consumptions_per_round must be positive or None, got {consumptions_per_round}"
-            )
         self.topology = topology
         self.requests = requests
         if isinstance(overheads, (int, float)):
             overheads = PairOverheads.uniform(distillation=float(overheads))
         self.overheads = overheads
-        self.generation = generation if generation is not None else DeterministicGeneration(topology)
+        self.generation = DeterministicGeneration(topology)
         self.streams = streams if streams is not None else RandomStreams(0)
         self.max_rounds = int(max_rounds)
-        self.consumptions_per_round = consumptions_per_round
         self.scenario = scenario
         self.trace = trace
         self.control_plane = control_plane
@@ -170,7 +159,7 @@ class SwappingProtocol(abc.ABC):
             release(round_index)
         if self.scenario_driver is not None:
             self.scenario_driver.on_round(round_index)
-        edges, counts = self.generation.draw(round_index, self.streams.get("generation"))
+        edges, counts = self.generation.draw()
         counts = self._generated(edges, counts, round_index)
         self.pairs_generated += self.ledger.add_pairs(edges, counts)
 
@@ -185,16 +174,12 @@ class SwappingProtocol(abc.ABC):
         """Protocol-specific work (balancing swaps, planned-path construction, ...)."""
 
     def _consumption_phase(self, round_index: int) -> None:
-        served = 0
         head = self.requests.head()
         while head is not None:
             self.requests.note_head_issued(round_index)
-            if self.consumptions_per_round is not None and served >= self.consumptions_per_round:
-                return
             if not self._try_serve_head(head, round_index):
                 return
             self.requests.mark_head_satisfied(round_index)
-            served += 1
             head = self.requests.head()
 
     @abc.abstractmethod
@@ -236,7 +221,6 @@ class SwappingProtocol(abc.ABC):
                 ledger=self.ledger,
                 requests=self.requests,
                 streams=self.streams,
-                generation=self.generation,
                 control_plane=self.control_plane,
                 trace=self.trace,
             )

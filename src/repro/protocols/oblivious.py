@@ -22,7 +22,6 @@ from repro.core.maxmin.incremental import make_balancer
 from repro.core.maxmin.knowledge import GlobalKnowledge, KnowledgeModel
 from repro.core.maxmin.policy import BalancingPolicy
 from repro.network.demand import ConsumptionRequest, RequestSequence
-from repro.network.generation import GenerationProcess
 from repro.network.topology import Topology
 from repro.protocols.base import SwappingProtocol
 from repro.protocols.fusion import DEFAULT_GROUP_STRATEGY, fusions_required, group_sessions
@@ -43,10 +42,9 @@ class PathObliviousProtocol(SwappingProtocol):
         The per-node swap rate (the paper's "identical rate" knob).
     use_hybrid_fallback:
         Enable the Section 6 hybrid: when the head request cannot be served
-        from existing counts, attempt a targeted swap chain over the
-        current entanglement graph before giving up for the round.
-    hybrid_max_hops:
-        Longest entanglement-graph path the hybrid fallback will attempt.
+        from existing counts, attempt a targeted swap chain of at most 6
+        hops over the current entanglement graph before giving up for the
+        round.
     balancer_engine:
         Which mode of :class:`MaxMinBalancer` runs the protocol:
         ``"naive"`` (every node takes every turn) or ``"incremental"``
@@ -61,15 +59,12 @@ class PathObliviousProtocol(SwappingProtocol):
         topology: Topology,
         requests: RequestSequence,
         overheads: Union[PairOverheads, float] = 1.0,
-        generation: Optional[GenerationProcess] = None,
         streams: Optional[RandomStreams] = None,
         max_rounds: int = 50_000,
-        consumptions_per_round: Optional[int] = None,
         policy: Optional[BalancingPolicy] = None,
         knowledge: Optional[KnowledgeModel] = None,
         swaps_per_node_per_round: int = 1,
         use_hybrid_fallback: bool = False,
-        hybrid_max_hops: Optional[int] = 6,
         balancer_engine: str = "naive",
         scenario=None,
         trace=None,
@@ -79,10 +74,8 @@ class PathObliviousProtocol(SwappingProtocol):
             topology=topology,
             requests=requests,
             overheads=overheads,
-            generation=generation,
             streams=streams,
             max_rounds=max_rounds,
-            consumptions_per_round=consumptions_per_round,
             scenario=scenario,
             trace=trace,
             control_plane=control_plane,
@@ -106,7 +99,7 @@ class PathObliviousProtocol(SwappingProtocol):
         )
         self.use_hybrid_fallback = use_hybrid_fallback
         self.hybrid = (
-            HybridPlanner(self.ledger, overheads=self.overheads, max_path_hops=hybrid_max_hops)
+            HybridPlanner(self.ledger, overheads=self.overheads, max_path_hops=6)
             if use_hybrid_fallback
             else None
         )

@@ -18,21 +18,14 @@ from repro.protocols.planned.base import PlannedPathProtocol
 
 
 class ConnectionlessProtocol(PlannedPathProtocol):
-    """Fixed paths, shared (unreserved) link pairs, windowed admission.
-
-    Parameters beyond the base protocol:
-
-    window:
-        Maximum number of requests allowed to compete simultaneously.
-    """
+    """Fixed paths, shared (unreserved) link pairs, windowed admission."""
 
     name = "planned-connectionless"
+    #: Maximum number of requests allowed to compete simultaneously.
+    window = 4
 
-    def __init__(self, *args, window: int = 4, **kwargs):
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.window = int(window)
         #: Indices (into the request list) completed ahead of the head.
         self._completed_early: Set[int] = set()
 

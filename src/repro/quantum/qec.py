@@ -6,8 +6,8 @@ number of physical qubits per logical qubit) is R, we can simply thin the
 generation rate ``g(x, y)`` to be ``g(x, y) / R``."
 
 The count-level code applies the thinning itself, from a plain
-``qec_overhead``: trials scale the topology's generation rates by ``1 / R``
-and the LP divides every generation capability by ``R``.  This module
+``qec_overhead``: the LP divides every generation capability by ``R``
+(simulated trials run at the paper's unthinned rates).  This module
 describes a code by its ``R`` and provides a small surface-code footprint
 model that examples use to pick plausible values of it.
 """

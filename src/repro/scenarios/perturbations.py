@@ -44,7 +44,6 @@ class ScenarioContext:
         ledger=None,
         requests=None,
         streams=None,
-        generation=None,
         demand=None,
         control_plane=None,
         trace=None,
@@ -53,7 +52,6 @@ class ScenarioContext:
         self.ledger = ledger
         self.requests = requests
         self.streams = streams
-        self.generation = generation
         self.demand = demand
         self.control_plane = control_plane
         self.trace = trace
@@ -97,8 +95,8 @@ class ScenarioContext:
     def fail_link(self, node_a: NodeId, node_b: NodeId, drop_pairs: bool = False) -> bool:
         """Sever the generation edge ``(node_a, node_b)``.
 
-        Generation on the edge stops immediately (the generation processes
-        read rates from the live topology).  With ``drop_pairs``, the Bell
+        Generation on the edge stops immediately (generation reads rates
+        from the live topology).  With ``drop_pairs``, the Bell
         pairs currently stored across the link are invalidated too (a fibre
         cut taking its heralding channel with it); without it, existing
         entanglement survives and only replenishment stops.

@@ -1,4 +1,4 @@
-"""Tests for demand models, generation processes and routing."""
+"""Tests for demand models, deterministic generation and routing."""
 
 from __future__ import annotations
 
@@ -16,13 +16,7 @@ from repro.network.demand import (
     select_consumer_pairs,
     uniform_demand,
 )
-from repro.network.generation import (
-    BernoulliGeneration,
-    DeterministicGeneration,
-    PoissonGeneration,
-    make_generation_process,
-)
-from repro.network.topology import edge_key
+from repro.network.generation import DeterministicGeneration
 
 
 class TestSelectConsumerPairs:
@@ -315,41 +309,18 @@ class TestDemandMatrix:
             uniform_demand([(0, 1)], rate=0.0)
 
 
-class TestGenerationProcesses:
-    def test_deterministic_unit_rates(self, small_cycle, rng):
+class TestDeterministicGeneration:
+    def test_deterministic_unit_rates(self, small_cycle):
         process = DeterministicGeneration(small_cycle)
-        edges, counts = process.draw(0, rng)
+        edges, counts = process.draw()
         assert dict(zip(edges, counts.tolist())) == {edge: 1 for edge in small_cycle.edges()}
 
-    def test_deterministic_fractional_rates_accumulate(self, rng):
+    def test_deterministic_fractional_rates_accumulate(self):
         from repro.network.topology import Topology
 
         topology = Topology("t")
         topology.add_edge(0, 1, 0.5)
         process = DeterministicGeneration(topology)
-        produced = [process.draw(r, rng)[1].sum() for r in range(10)]
+        produced = [process.draw()[1].sum() for _ in range(10)]
         assert sum(produced) == 5
 
-    def test_bernoulli_respects_probability(self, small_cycle):
-        process = BernoulliGeneration(small_cycle)
-        rng = np.random.default_rng(0)
-        total = sum(process.draw(r, rng)[1].sum() for r in range(200))
-        assert total == 200 * small_cycle.n_edges  # rate 1.0 -> always succeeds
-
-    def test_poisson_mean_close_to_rate(self, small_cycle):
-        process = PoissonGeneration(small_cycle)
-        rng = np.random.default_rng(0)
-        total = sum(process.draw(r, rng)[1].sum() for r in range(300))
-        expected = 300 * small_cycle.n_edges
-        assert abs(total - expected) / expected < 0.1
-
-    def test_factory(self, small_cycle):
-        assert isinstance(make_generation_process("deterministic", small_cycle), DeterministicGeneration)
-        assert isinstance(make_generation_process("bernoulli", small_cycle), BernoulliGeneration)
-        assert isinstance(make_generation_process("poisson", small_cycle), PoissonGeneration)
-        with pytest.raises(KeyError):
-            make_generation_process("quantum-magic", small_cycle)
-
-    def test_expected_rate(self, small_cycle):
-        process = DeterministicGeneration(small_cycle)
-        assert process.expected_rate(edge_key(0, 1)) == 1.0

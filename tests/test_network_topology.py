@@ -130,10 +130,3 @@ class TestUtilities:
         clone.remove_edge(0, 1)
         assert small_cycle.has_edge(0, 1)
         assert clone.name == "clone"
-
-    def test_scale_generation_rates(self, small_cycle):
-        scaled = small_cycle.scale_generation_rates(0.5)
-        assert scaled.generation_rate(0, 1) == pytest.approx(0.5)
-        assert small_cycle.generation_rate(0, 1) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            small_cycle.scale_generation_rates(0.0)

@@ -146,7 +146,7 @@ class TestTrialInstrumentation:
         names = [record.name for record in telemetry.snapshot()]
         assert names.count("sweep.run") == 1
         assert names.count("sweep.trial") == len(configs)
-        counters = TELEMETRY.metrics.counters()
+        counters = {counter.name: counter.value for counter in TELEMETRY.metrics.iter_counters()}
         assert counters["sweep.cells"] == len(configs)
 
     def test_disabled_trial_buffers_nothing(self):
@@ -175,16 +175,24 @@ class TestTelemetryHub:
         with pytest.raises(TypeError):
             Telemetry(trace=object())  # type: ignore[call-arg]
 
-    def test_snapshot_carries_span_drop_count(self, telemetry):
+    def test_manifest_carries_span_drop_count(self, telemetry):
         hub = Telemetry(spans=SpanBuffer(capacity=1))
         with span("trial.run"):
             pass
         # route two records through the tiny buffer
         hub.spans.append(SPAN_BUFFER.snapshot()[0])
         hub.spans.append(SPAN_BUFFER.snapshot()[0])
-        snapshot = hub.snapshot()
-        assert snapshot["spans_dropped"] == 1
-        assert len(snapshot["spans"]) == 1
+        records = hub.records()
+        assert obs_schemas.validate_stream(records) == len(records)
+        assert records[0]["spans_dropped"] == 1
+        assert [record["type"] for record in records] == ["manifest", "span"]
+
+    def test_manifest_drop_count_is_optional_and_an_integer(self):
+        manifest = Telemetry(spans=SpanBuffer()).manifest()
+        del manifest["spans_dropped"]  # a stream recorded before the field existed
+        obs_schemas.validate_record(manifest)
+        with pytest.raises(ValueError):
+            obs_schemas.validate_record({**manifest, "spans_dropped": "1"})
 
     def test_chrome_trace_round_trips_through_records(self, telemetry, tmp_path):
         run_trial(TINY)
@@ -284,18 +292,17 @@ class TestMetricRegistry:
         assert registry.counter("swaps") is registry.counter("swaps")
         assert registry.gauge("pairs") is registry.gauge("pairs")
 
-    def test_snapshot_contains_all_scalars(self):
-        registry = MetricRegistry()
-        registry.counter("swaps").increment(2)
-        registry.gauge("pairs").set(5)
-        assert registry.snapshot() == {"counter.swaps": 2.0, "gauge.pairs": 5.0}
-
-    def test_counters_maps_names_to_values(self):
+    def test_hub_records_carry_every_scalar(self):
         registry = MetricRegistry()
         registry.counter("swaps").increment(2)
         registry.counter("consumed")
         registry.gauge("pairs").set(5)
-        assert registry.counters() == {"swaps": 2.0, "consumed": 0.0}
+        records = Telemetry(metrics=registry, spans=SpanBuffer()).records()
+        assert records[1:] == [
+            {"type": "metric", "kind": "counter", "name": "consumed", "value": 0.0},
+            {"type": "metric", "kind": "counter", "name": "swaps", "value": 2.0},
+            {"type": "metric", "kind": "gauge", "name": "pairs", "value": 5.0},
+        ]
 
     def test_iteration_is_sorted_by_name(self):
         registry = MetricRegistry()

@@ -11,7 +11,9 @@ that moves results on purpose re-records them with::
 and commits the diff together with why the bytes moved.
 
 Every command runs at its CI size with ``--workers 1`` where the experiment
-takes it (``classical`` has no worker pool).  Two experiments stay out:
+takes it (``classical`` has no worker pool).  One more case runs ``figure4``
+on a pool of two workers and checks it against the same ``figure4`` digest:
+the merge of pooled results must not move a byte.  Two experiments stay out:
 ``lp``, whose payload carries raw HiGHS floats that may differ across the
 scipy versions CI installs, and ``scaling``, whose ``seconds`` column is
 wall-clock time.
@@ -71,4 +73,15 @@ def test_smoke_payload_matches_recorded_digest(name, capsys):
     assert digest == recorded[name], (
         f"`repro {' '.join(SMOKE_COMMANDS[name])} --format json` moved bytes: "
         f"sha256 {digest}, recorded {recorded[name]}"
+    )
+
+
+def test_pooled_figure4_payload_matches_the_in_process_digest(capsys):
+    argv = [*SMOKE_COMMANDS["figure4"][:-2], "--workers", "2"]
+    assert argv.count("--workers") == 1
+    digest = _payload_digest(argv, capsys)
+    recorded = _recorded()["figure4"]
+    assert digest == recorded, (
+        f"`repro {' '.join(argv)} --format json` moved bytes against the in-process "
+        f"run: sha256 {digest}, recorded {recorded}"
     )

@@ -87,20 +87,6 @@ class TestPathObliviousProtocol:
         assert result.rounds == 5
         assert not result.all_requests_satisfied
 
-    def test_consumptions_per_round_cap(self, streams):
-        topology = cycle_topology(6)
-        requests = simple_workload(topology, [(0, 1)], n_requests=6)
-        protocol = PathObliviousProtocol(
-            topology,
-            requests,
-            streams=streams,
-            consumptions_per_round=1,
-            max_rounds=50,
-        )
-        result = protocol.run()
-        assert result.all_requests_satisfied
-        assert result.rounds >= 6
-
     def test_hybrid_fallback_reduces_waiting(self):
         topology = cycle_topology(10)
 
@@ -261,9 +247,9 @@ class TestRoundLoop:
             calls.append(("scenario", round_index))
             perturb(driver, round_index)
 
-        def observed_draw(generation, round_index, rng):
-            calls.append(("generate", round_index))
-            return draw(generation, round_index, rng)
+        def observed_draw(generation):
+            calls.append("generate")
+            return draw(generation)
 
         monkeypatch.setattr(TimedRequestSequence, "on_round", observed_release)
         monkeypatch.setattr(ScenarioDriver, "on_round", observed_perturb)
@@ -279,9 +265,9 @@ class TestRoundLoop:
         ).run()
         assert result.all_requests_satisfied
         assert calls == [
-            (step, round_index)
+            call
             for round_index in range(result.rounds)
-            for step in ("release", "scenario", "generate")
+            for call in (("release", round_index), ("scenario", round_index), "generate")
         ]
 
     def test_a_timed_run_idles_until_its_arrivals_and_stops_after_the_last(self):
@@ -340,19 +326,12 @@ class TestPlannedProtocols:
         assert reactive.pairs_generated < always_on.pairs_generated
         assert reactive.pairs_remaining <= always_on.pairs_remaining
 
-    def test_connectionless_window_validation(self):
-        topology = cycle_topology(6)
-        with pytest.raises(ValueError):
-            ConnectionlessProtocol(
-                topology, simple_workload(topology, [(0, 3)], 2), window=0
-            )
-
     def test_connectionless_can_complete_out_of_order(self):
         topology = cycle_topology(8)
         # Second consumer pair is adjacent, so it can complete while the head
         # (a long pair) is still waiting.
         requests = RequestSequence.round_robin([(0, 4), (5, 6)], 4)
-        protocol = ConnectionlessProtocol(topology, requests, streams=RandomStreams(6), window=4)
+        protocol = ConnectionlessProtocol(topology, requests, streams=RandomStreams(6))
         result = protocol.run()
         assert result.all_requests_satisfied
 
@@ -432,5 +411,18 @@ class TestProtocolResult:
         requests = simple_workload(topology, [(0, 3)], n_requests=2)
         with pytest.raises(ValueError):
             PathObliviousProtocol(topology, requests, streams=streams, max_rounds=0)
-        with pytest.raises(ValueError):
-            PathObliviousProtocol(topology, requests, streams=streams, consumptions_per_round=0)
+
+    @pytest.mark.parametrize(
+        "protocol_class, knob, value",
+        [
+            (PathObliviousProtocol, "generation", None),
+            (PathObliviousProtocol, "consumptions_per_round", 1),
+            (PathObliviousProtocol, "hybrid_max_hops", 3),
+            (ConnectionlessProtocol, "window", 2),
+        ],
+    )
+    def test_removed_parameters_are_rejected(self, streams, protocol_class, knob, value):
+        topology = cycle_topology(6)
+        requests = simple_workload(topology, [(0, 1)], n_requests=2)
+        with pytest.raises(TypeError):
+            protocol_class(topology, requests, streams=streams, **{knob: value})
