@@ -20,7 +20,7 @@ free) is decided by :class:`~repro.core.lp.objectives.Objective`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from repro.core.lp.extensions import PairOverheads
 from repro.core.lp.objectives import Objective
 from repro.network.demand import DemandMatrix
 from repro.network.topology import EdgeKey, Topology
-
-if TYPE_CHECKING:  # pragma: no cover - scipy is imported where a matrix is built
-    from scipy import sparse
 
 NodeId = Hashable
 
@@ -70,6 +67,26 @@ class VariableIndex:
         return len(self._names)
 
 
+@dataclass(frozen=True)
+class CSRArrays:
+    """A sparse matrix as the three CSR arrays scipy's ``csr_matrix`` takes.
+
+    Row ``r`` holds ``data[indptr[r]:indptr[r + 1]]`` at columns
+    ``indices[indptr[r]:indptr[r + 1]]``, sorted, with no zero stored.
+    Plain numpy, so building a program loads no scipy; the solver makes
+    the ``csr_matrix`` where it solves.
+    """
+
+    data: np.ndarray  #: float64
+    indices: np.ndarray  #: int32
+    indptr: np.ndarray  #: int32, ``shape[0] + 1`` entries
+    shape: Tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
 @dataclass
 class LinearProgram:
     """A linear program in the form scipy's ``linprog`` expects.
@@ -78,14 +95,18 @@ class LinearProgram:
     and per-variable ``bounds``, an ``(n, 2)`` array of ``(lower, upper)``
     rows with ``inf`` for no upper bound.  ``maximize`` objectives are encoded by
     negating ``objective`` and setting ``sense`` so the solver can report
-    the natural (non-negated) optimum.
+    the natural (non-negated) optimum.  The constraint matrices are
+    :class:`CSRArrays`, numpy only: a process that builds programs but
+    solves none (the parent of a pooled ``lp`` run) never imports scipy,
+    and :func:`~repro.core.lp.solver.solve_linear_program` wraps them in
+    ``scipy.sparse.csr_matrix`` at solve time.
     """
 
     variables: VariableIndex
     objective: np.ndarray
-    a_ub: sparse.csr_matrix
+    a_ub: CSRArrays
     b_ub: np.ndarray
-    a_eq: Optional[sparse.csr_matrix] = None
+    a_eq: Optional[CSRArrays] = None
     b_eq: Optional[np.ndarray] = None
     bounds: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     sense: str = "min"
@@ -100,6 +121,13 @@ class LinearProgram:
         count = self.a_ub.shape[0] if self.a_ub is not None else 0
         if self.a_eq is not None:
             count += self.a_eq.shape[0]
+        return count
+
+    @property
+    def n_nonzeros(self) -> int:
+        count = self.a_ub.nnz
+        if self.a_eq is not None:
+            count += self.a_eq.nnz
         return count
 
     def without_names(self) -> "LinearProgram":
@@ -330,32 +358,39 @@ def _csr_from_rows(
     n_columns: int,
     prefix_indices: np.ndarray,
     prefix_data: np.ndarray,
-) -> sparse.csr_matrix:
-    """The CSR matrix whose row ``r`` holds prefix row ``r`` (if any) and ``rows[r]``.
+) -> CSRArrays:
+    """The CSR arrays whose row ``r`` holds prefix row ``r`` (if any), then ``rows[r]``.
 
-    The prefix rows (ascending ``prefix_indices[r]``, non-zero
-    ``prefix_data[r]``) and the ``{column: value}`` entries of ``rows[r]``
-    are disjoint.  Columns are sorted within each row and zero values are
-    not stored, which is exactly what assembling through ``lil_matrix`` and
-    ``tocsr`` produces, so the solver sees the same arrays.
+    Prefix row ``r`` (ascending ``prefix_indices[r]``, non-zero
+    ``prefix_data[r]``) uses swap columns only, and every column of
+    ``rows[r]`` (``{column: value}``) lies past them, so a row is its prefix
+    followed by its sorted extra entries.  Zero values are not stored, which
+    is exactly what assembling through ``lil_matrix`` and ``tocsr``
+    produces, so the solver sees the same arrays.
     """
-    # scipy is imported on use, off the start-up path (tests/test_startup.py).
-    from scipy import sparse
-
-    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    indices: List[int] = []
-    data: List[float] = []
-    for position, row in enumerate(rows):
+    extra_indices: List[int] = []
+    extra_data: List[float] = []
+    extra_counts: List[int] = []
+    for row in rows:
+        start = len(extra_indices)
         for column in sorted(row):
             value = row[column]
             if value != 0:
-                indices.append(column)
-                data.append(value)
-        indptr[position + 1] = len(indices)
-    shape = (len(rows), n_columns)
+                extra_indices.append(column)
+                extra_data.append(value)
+        extra_counts.append(len(extra_indices) - start)
     n_prefix, width = prefix_indices.shape
-    prefix_indptr = np.minimum(np.arange(len(rows) + 1), n_prefix) * width
-    # Disjoint canonical matrices: their sum is the sorted union of entries.
-    return sparse.csr_matrix(
-        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr), shape=shape
-    ) + sparse.csr_matrix((prefix_data.ravel(), prefix_indices.ravel(), prefix_indptr), shape=shape)
+    counts = np.zeros((len(rows), 2), dtype=np.int64)  # (prefix, extra) entries per row
+    counts[:n_prefix, 0] = width
+    counts[:, 1] = extra_counts
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(counts.sum(axis=1), out=indptr[1:])
+    # Each row's slots: its prefix entries, then its extra entries.
+    from_prefix = np.repeat(np.tile([True, False], len(rows)), counts.ravel())
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=float)
+    indices[from_prefix] = prefix_indices.ravel()
+    data[from_prefix] = prefix_data.ravel()
+    indices[~from_prefix] = extra_indices
+    data[~from_prefix] = extra_data
+    return CSRArrays(data, indices, indptr, (len(rows), n_columns))

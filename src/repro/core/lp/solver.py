@@ -13,7 +13,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.lp.formulation import LinearProgram, PathObliviousFlowProgram
+from repro.core.lp.formulation import CSRArrays, LinearProgram, PathObliviousFlowProgram
 from repro.core.lp.objectives import Objective
 from repro.network.topology import EdgeKey
 
@@ -76,33 +76,32 @@ class LPSolution:
 def solve_linear_program(program: LinearProgram) -> Tuple[np.ndarray, float, int, str]:
     """Solve a generic :class:`LinearProgram`; return ``(x, optimum, status, message)``.
 
-    The optimum is reported in the program's natural sense.
+    The optimum is reported in the program's natural sense.  The
+    constraint arrays become ``scipy.sparse.csr_matrix`` here, once, and
+    both the ``highs`` solve and its ``highs-ds`` retry take the same ones.
     """
     # scipy is imported on use, off the start-up path (tests/test_startup.py).
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
-    result = linprog(
+    def matrix(arrays: Optional[CSRArrays]):
+        if arrays is None:
+            return None
+        return csr_matrix((arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape)
+
+    problem = dict(
         c=program.objective,
-        A_ub=program.a_ub,
+        A_ub=matrix(program.a_ub),
         b_ub=program.b_ub,
-        A_eq=program.a_eq,
+        A_eq=matrix(program.a_eq),
         b_eq=program.b_eq,
         bounds=program.bounds,
-        method="highs",
     )
+    result = linprog(**problem, method="highs")
     if result.status == 4:
         # Numerical difficulties (typically extreme overhead scaling).  Retry
         # with the dual-simplex backend before concluding anything.
-        result = linprog(
-            c=program.objective,
-            A_ub=program.a_ub,
-            b_ub=program.b_ub,
-            A_eq=program.a_eq,
-            b_eq=program.b_eq,
-            bounds=program.bounds,
-            method="highs-ds",
-            options={"presolve": False},
-        )
+        result = linprog(**problem, method="highs-ds", options={"presolve": False})
     if result.status == 2 or (result.status == 4 and "nfeasible" in str(result.message)):
         raise InfeasibleProgramError(f"linear program is infeasible: {result.message}")
     if result.status != 0:

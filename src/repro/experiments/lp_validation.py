@@ -11,6 +11,7 @@ it), so this experiment validates and exercises it end to end:
 
 from __future__ import annotations
 
+import time
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -26,7 +27,7 @@ from repro.core.lp.solver import InfeasibleProgramError, flow_solution
 from repro.core.lp.steady_state import compute_rates, verify_steady_state
 from repro.network.demand import select_consumer_pairs, uniform_demand
 from repro.network.topologies import topology_from_name, validate_topology_sizes
-from repro.obs.spans import span
+from repro.obs.spans import emit, span
 from repro.runtime.seeding import RandomStreams
 
 
@@ -115,6 +116,22 @@ def _solve(linear_program: LinearProgram) -> Optional[Tuple]:
             return solver.solve_linear_program(linear_program)
         except InfeasibleProgramError:
             return None
+
+
+def _build(program: PathObliviousFlowProgram, objective: Objective) -> LinearProgram:
+    """``program.build(objective)``, recorded as an ``lp.build`` span with its counts."""
+    start = time.perf_counter()
+    linear_program = program.build(objective)
+    # The counts exist only once the program does, hence emit, not a with block.
+    emit(
+        "lp.build",
+        start,
+        time.perf_counter() - start,
+        variables=linear_program.n_variables,
+        constraints=linear_program.n_constraints,
+        nonzeros=linear_program.n_nonzeros,
+    )
+    return linear_program
 
 
 def _program(unit: Dict) -> PathObliviousFlowProgram:
@@ -246,7 +263,7 @@ class LPValidationExperiment(Experiment):
         units = []
         for unit in grid:
             program = _program(unit)
-            built = [(objective, program.build(objective)) for objective in unit["objectives"]]
+            built = [(objective, _build(program, objective)) for objective in unit["objectives"]]
             units.append((unit, program, built))
         arrays = [
             linear_program.without_names() for *_, built in units for _, linear_program in built

@@ -65,7 +65,8 @@ SPAN_NAMES: Tuple[str, ...] = (
     "trial.consumption",
     "trial.bookkeeping",
     "trial.reduce",
-    # one LP objective solve (repro.experiments.lp_validation)
+    # one LP objective build and solve (repro.experiments.lp_validation)
+    "lp.build",
     "lp.solve",
     # serve job stages (repro.serve.worker)
     "serve.job.queued",
@@ -268,10 +269,11 @@ def emit(name: str, start: float, duration: float, **attrs: Any) -> None:
 
     For intervals that cannot wrap a ``with`` block: the cross-thread
     ``serve.job.queued`` wait (measured between a push on one thread and a
-    pop on another) and the per-phase aggregates the round loop accumulates
-    (one synthetic span per phase per trial, laid back-to-back).  ``start``
-    is in ``time.perf_counter()`` terms; the record stores epoch seconds.
-    No-op while telemetry is disabled.
+    pop on another), the per-phase aggregates the round loop accumulates
+    (one synthetic span per phase per trial, laid back-to-back), and
+    ``lp.build``, whose attributes are known only once the program is
+    built.  ``start`` is in ``time.perf_counter()`` terms; the record
+    stores epoch seconds.  No-op while telemetry is disabled.
     """
     if not _enabled:
         return

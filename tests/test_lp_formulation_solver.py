@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy import sparse
 
 from repro.core.lp.extensions import PairOverheads
 from repro.core.lp.formulation import PathObliviousFlowProgram, VariableIndex
 from repro.core.lp.objectives import Objective
-from repro.core.lp.solver import InfeasibleProgramError, solve_flow_program
+from repro.core.lp.solver import InfeasibleProgramError, solve_flow_program, solve_linear_program
 from repro.core.lp.steady_state import (
     compute_rates,
     verify_steady_state,
@@ -203,6 +206,68 @@ class TestSolverOnKnownCases:
             PathObliviousFlowProgram(topology, demand), Objective.MIN_MAX_GENERATION
         )
         assert solution.objective_value <= 0.2 + 1e-6  # both directions around the cycle share load
+
+
+class TestSolverRetry:
+    """The status-4 path of :func:`solve_linear_program`, with ``linprog`` stubbed."""
+
+    @staticmethod
+    def _stub_linprog(monkeypatch, *statuses):
+        """Answer the first calls with ``statuses``, later ones with the real solver."""
+        real = scipy.optimize.linprog
+        calls = []
+
+        def linprog(**kwargs):
+            calls.append(kwargs)
+            if len(calls) <= len(statuses):
+                status = statuses[len(calls) - 1]
+                message = "The problem is infeasible." if status == 2 else "Numerical difficulties."
+                return SimpleNamespace(status=status, message=message, x=None, fun=None)
+            return real(**kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+        return calls
+
+    @staticmethod
+    def _program():
+        program = PathObliviousFlowProgram(cycle_topology(6), uniform_demand([(0, 3)], 0.2))
+        return program.build(Objective.MIN_MAX_GENERATION)
+
+    def test_status_4_retries_dual_simplex_without_presolve_on_the_same_matrix(self, monkeypatch):
+        lp = self._program()
+        expected = solve_linear_program(lp)
+        calls = self._stub_linprog(monkeypatch, 4)
+        solution, optimum, status, _ = solve_linear_program(lp)
+        first, retry = calls
+        assert first["method"] == "highs" and "options" not in first
+        assert retry["method"] == "highs-ds" and retry["options"] == {"presolve": False}
+        for attribute in ("data", "indices", "indptr"):
+            built = getattr(lp.a_ub, attribute)
+            assert np.array_equal(getattr(first["A_ub"], attribute), built)
+            assert np.array_equal(getattr(retry["A_ub"], attribute), built)
+        assert retry["A_ub"].shape == first["A_ub"].shape == lp.a_ub.shape
+        assert status == 0 and optimum == pytest.approx(expected[1], abs=1e-9)
+        assert solution.shape == expected[0].shape
+
+    def test_status_2_raises_infeasible(self, monkeypatch):
+        calls = self._stub_linprog(monkeypatch, 2)
+        with pytest.raises(InfeasibleProgramError):
+            solve_linear_program(self._program())
+        assert len(calls) == 1
+
+    def test_a_retry_that_reports_infeasibility_raises_infeasible(self, monkeypatch):
+        def linprog(**kwargs):
+            return SimpleNamespace(status=4, message="Model status: Infeasible", x=None, fun=None)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+        with pytest.raises(InfeasibleProgramError):
+            solve_linear_program(self._program())
+
+    def test_a_failed_retry_raises(self, monkeypatch):
+        calls = self._stub_linprog(monkeypatch, 4, 4)
+        with pytest.raises(RuntimeError, match="status 4"):
+            solve_linear_program(self._program())
+        assert [call["method"] for call in calls] == ["highs", "highs-ds"]
 
 
 class TestSteadyState:

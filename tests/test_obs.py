@@ -149,6 +149,39 @@ class TestTrialInstrumentation:
         counters = {counter.name: counter.value for counter in TELEMETRY.metrics.iter_counters()}
         assert counters["sweep.cells"] == len(configs)
 
+    def test_lp_build_spans_carry_each_programs_counts(self):
+        from repro.experiments import lp_validation
+        from repro.experiments.api import RuntimeOptions
+        from repro.experiments.registry import get_experiment
+
+        experiment = get_experiment("lp")
+        _, grid = experiment.plan({"n_nodes": 9})
+        expected = []
+        for unit in grid:
+            program = lp_validation._program(unit)
+            for objective in unit["objectives"]:
+                built = program.build(objective)
+                expected.append(
+                    {
+                        "variables": built.n_variables,
+                        "constraints": built.n_constraints,
+                        "nonzeros": built.n_nonzeros,
+                    }
+                )
+        SPAN_BUFFER.clear()
+        plain = experiment.run(runtime=RuntimeOptions(workers=1), n_nodes=9).to_json()
+        assert len(SPAN_BUFFER) == 0
+        spans_mod.enable(True)
+        try:
+            traced = experiment.run(runtime=RuntimeOptions(workers=1), n_nodes=9).to_json()
+            records = SPAN_BUFFER.drain()
+        finally:
+            spans_mod.enable(False)
+        builds = [record for record in records if record.name == "lp.build"]
+        assert [record.attrs for record in builds] == expected
+        assert all(record.duration >= 0 and record.depth == 1 for record in builds)
+        assert traced == plain  # observation only
+
     def test_disabled_trial_buffers_nothing(self):
         spans_mod.enable(False)
         SPAN_BUFFER.clear()

@@ -1,9 +1,10 @@
 """Start-up guard: scipy and ``repro.quantum`` stay off the count-level path.
 
-Importing ``repro``, building the experiment registry and running every
-experiment that solves no LP must never load scipy (its import alone costs
-about a second and 65 MiB per process on a 2-CPU box, and every CLI call,
-pool worker and ``repro serve`` daemon would pay it).  The same runs
+Importing ``repro``, building the experiment registry, running every
+experiment that solves no LP and building LPs for pool workers to solve
+must never load scipy (its import alone costs about a second and 65 MiB
+per process on a 2-CPU box, and every CLI call, pool worker and ``repro
+serve`` daemon would pay it).  The same runs
 must not load ``repro.quantum`` either: the physics layer is a separate
 layer that only the examples use, and a static scan checks that no other
 ``repro`` module imports it.  Each check runs in a fresh
@@ -170,6 +171,13 @@ def test_worker_probe_sees_a_pooled_lp_solve():
     # The worker probe's positive control: pooled LP solves import scipy there.
     loaded = _modules_after(["lp", "--nodes", "9", "--workers", "2"], probe=_WORKER_PROBE)
     assert "scipy.optimize" in loaded["scipy"]
+
+
+def test_pooled_lp_parent_leaves_scipy_unloaded():
+    # The parent builds every program but solves none: the constraint
+    # matrix is numpy CSR arrays until a worker wraps it for HiGHS.
+    loaded = _modules_after(["lp", "--nodes", "9", "--workers", "2"])
+    assert loaded == {"scipy": [], "repro.quantum": []}
 
 
 # -- what each entry point imports ------------------------------------------
